@@ -33,11 +33,9 @@ Evaluator::Evaluator(const market::Dataset& dataset, EvaluatorConfig config,
     : dataset_(dataset),
       config_(config),
       owned_intra_pool_(MakeIntraPool(config, intra_pool)),
-      executor_(dataset, config.executor,
-                intra_pool != nullptr ? intra_pool : owned_intra_pool_.get()),
-      probe_executor_(dataset, config.executor,
-                      intra_pool != nullptr ? intra_pool
-                                            : owned_intra_pool_.get()) {}
+      intra_pool_(intra_pool != nullptr ? intra_pool
+                                        : owned_intra_pool_.get()),
+      executor_(dataset, config.executor, intra_pool_) {}
 
 AlphaMetrics Evaluator::Evaluate(const AlphaProgram& program, uint64_t seed,
                                  bool include_test) {
@@ -84,9 +82,12 @@ AlphaMetrics Evaluator::Evaluate(const AlphaProgram& program, uint64_t seed,
 uint64_t Evaluator::ProbeFingerprint(const AlphaProgram& program,
                                      uint64_t seed, int probe_train,
                                      int probe_valid) {
-  ExecutionResult r = probe_executor_.Run(program, seed,
-                                          /*include_test=*/false, probe_train,
-                                          probe_valid);
+  if (!probe_executor_.has_value()) {
+    probe_executor_.emplace(dataset_, config_.executor, intra_pool_);
+  }
+  ExecutionResult r = probe_executor_->Run(program, seed,
+                                           /*include_test=*/false, probe_train,
+                                           probe_valid);
   if (!r.valid) return 0;  // all invalid alphas share one bucket
   std::string text;
   text.reserve(1024);

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/executor.h"
@@ -130,7 +131,9 @@ class Evaluator {
   /// AutoML-Zero-style functional fingerprint (the paper's Table-6 `_N`
   /// baseline): runs the program on a small probe slice (`probe_train`
   /// training dates, `probe_valid` validation dates) and hashes the rounded
-  /// predictions. Costs a fraction of a full evaluation.
+  /// predictions. Costs a fraction of a full evaluation. The probe executor
+  /// (a second full-size task state) is built on the first call: only
+  /// searches without redundancy pruning ever probe.
   uint64_t ProbeFingerprint(const AlphaProgram& program, uint64_t seed,
                             int probe_train = 10, int probe_valid = 4);
 
@@ -141,8 +144,9 @@ class Evaluator {
   const market::Dataset& dataset_;
   EvaluatorConfig config_;
   std::unique_ptr<ThreadPool> owned_intra_pool_;  // before the executors
+  ThreadPool* intra_pool_;  ///< shard workers of both executors (may be null)
   Executor executor_;
-  Executor probe_executor_;
+  std::optional<Executor> probe_executor_;  ///< built by ProbeFingerprint
 };
 
 }  // namespace alphaevolve::core

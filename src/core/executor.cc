@@ -8,10 +8,27 @@
 
 #include "core/kernels.h"
 #include "core/opcode.h"
+#include "obs/telemetry.h"
 #include "util/check.h"
 
 namespace alphaevolve::core {
 namespace {
+
+/// Which input path each Run takes: the tape share of a workload is
+/// 1 - input_matrix_runs / runs.
+struct ExecutorCounters {
+  obs::Counter& runs;
+  obs::Counter& input_matrix_runs;  ///< m0 filled every date (or interpreter)
+
+  static ExecutorCounters& Get() {
+    static ExecutorCounters* c = [] {
+      auto& reg = obs::MetricsRegistry::Default();
+      return new ExecutorCounters{reg.GetCounter("executor.runs"),
+                                  reg.GetCounter("executor.input_matrix_runs")};
+    }();
+    return *c;
+  }
+};
 
 /// Heaviside step: 1 for positive, 0 otherwise (paper's evolved alphas use
 /// heaviside(x, 1) with this convention).
@@ -68,6 +85,12 @@ Executor::Executor(const market::Dataset& dataset, ExecutorConfig config,
   rel_order_.resize(static_cast<size_t>(num_tasks_));
   all_tasks_.resize(static_cast<size_t>(num_tasks_));
   std::iota(all_tasks_.begin(), all_tasks_.end(), 0);
+  // Tape rows for the extraction kernels, resolved once through the view's
+  // task → storage-row map (a Subset view reads its own tasks' rows).
+  feature_rows_.resize(static_cast<size_t>(num_tasks_));
+  for (int k = 0; k < num_tasks_; ++k) {
+    feature_rows_[static_cast<size_t>(k)] = dataset.FeatureRow(k, 0);
+  }
 
   // Sector/industry groups partition the tasks, so prefix sums give each
   // group a disjoint rel_order_ slice for race-free group-parallel ranking.
@@ -927,6 +950,8 @@ void Executor::ExecFusedSegment(FusedSegment& segment, int refresh_date) {
     ctx.hist_head = hist_head_;
     ctx.n = n_;
     ctx.run_seed = run_seed_;
+    ctx.feature_rows = feature_rows_.data();
+    ctx.date0 = window_start_;
     // Block-at-a-time: a cache-resident block of tasks runs the whole
     // segment before the next block is touched. A fused input refresh fills
     // the block's m0 matrices right before the segment consumes them —
@@ -1016,22 +1041,37 @@ ExecutionResult Executor::Run(const AlphaProgram& program, uint64_t seed,
     return budgeted && std::chrono::steady_clock::now() >= deadline;
   };
 
+  // Input path. m0 holds X from the predict refresh until the next one, so
+  // when no predict or update instruction names m0 as a matrix, X is only
+  // ever read through extraction ops: those then read the tape directly and
+  // m0 is never filled. Setup runs before the first refresh and always
+  // reads the task's m0 (zero, or whatever setup wrote there).
+  const bool tape = fuse_ && !NamesInputMatrix(program.predict) &&
+                    !NamesInputMatrix(program.update);
+  ExecutorCounters& counters = ExecutorCounters::Get();
+  counters.runs.Add();
+  if (!tape) counters.input_matrix_runs.Add();
+
   // Persistent shard workers for this Run (no-op when serial), and — on the
   // fused path — the once-per-Run lowering that the date loop amortizes.
   RunArenaScope arena_scope(*this);
   if (fuse_) {
     CompileComponent(program.setup, n_, kHistoryCap, *ktable_, &rel_groups_,
-                     &compiled_[0]);
+                     /*tape_extraction=*/false, &compiled_[0]);
     CompileComponent(program.predict, n_, kHistoryCap, *ktable_, &rel_groups_,
-                     &compiled_[1]);
+                     tape, &compiled_[1]);
     CompileComponent(program.update, n_, kHistoryCap, *ktable_, &rel_groups_,
-                     &compiled_[2]);
+                     tape, &compiled_[2]);
   }
-  // Per-date m0 refresh + predict. The fused path folds the refresh into
-  // the predict component's first segment (one task-state sweep instead of
-  // two); the interpreter keeps the standalone sweep as reference.
+  // Per-date input + predict. The tape path only moves the extraction
+  // window; the input-matrix path folds the m0 refresh into the predict
+  // component's first segment (one task-state sweep instead of two); the
+  // interpreter keeps the standalone sweep as reference.
   const auto predict_at = [&](int date) {
-    if (fuse_) {
+    if (tape) {
+      window_start_ = date - n_ + 1;
+      ExecCompiled(compiled_[1]);
+    } else if (fuse_) {
       ExecCompiled(compiled_[1], date);
     } else {
       RefreshInputs(date);

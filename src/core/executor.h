@@ -47,11 +47,15 @@ struct ExecutorConfig {
   /// dispatch) executed block-at-a-time, so a cache-resident block of tasks
   /// runs the *whole segment* before the next block is touched — one pass
   /// of task state through L1/L2 per segment instead of one per
-  /// instruction. Bit-identical to the interpreter path (element-wise ops
-  /// have no cross-task reductions, so neither fusion nor blocking can
-  /// reorder any per-task FP sequence); disable to run the reference
-  /// interpreter, e.g. when bisecting a suspected kernel bug or adding a
-  /// new op whose fused lowering does not exist yet.
+  /// instruction. The fused path also picks the input path per program:
+  /// extraction reads the feature tape directly unless predict or update
+  /// names m0 as a matrix (see Executor). Bit-identical to the interpreter
+  /// path (element-wise ops have no cross-task reductions, so neither
+  /// fusion nor blocking can reorder any per-task FP sequence, and the
+  /// float→double widening is exact on either input path); disable to run
+  /// the reference interpreter, which refreshes m0 every date, e.g. when
+  /// bisecting a suspected kernel bug or adding a new op whose fused
+  /// lowering does not exist yet.
   bool fuse_segments = true;
 
   /// Tasks per cache block in the fused path (0 = auto: sized so a block's
@@ -99,6 +103,17 @@ struct ExecutionResult {
 /// Memory persists across dates — operands written by Update that survive to
 /// phase 3 are the paper's "parameters"; intermediate operands give the
 /// t-k lags in the evolved-alpha equations (§5.4.2).
+///
+/// Input paths: "refresh m0" is the semantics; the fused path only pays for
+/// it when it is observable. If no Predict or Update instruction names m0
+/// as a matrix operand (read or write), X is only ever read through the
+/// extraction ops, which then lower to tape kernels reading the few floats
+/// they need straight from the dataset's shared feature tape (per-task row
+/// pointers resolved at construction, the window start set per date) — m0
+/// is never filled. Otherwise m0 is filled from the tape every date, fused
+/// into the predict component's first segment. Either way the results are
+/// bit-identical to the interpreter, which always refreshes m0. The
+/// executor.runs / executor.input_matrix_runs counters record the split.
 ///
 /// Intra-candidate parallelism: with `intra_candidate_threads > 1` (or an
 /// external pool) the lockstep loop is *task-sharded*. Components are split
@@ -217,7 +232,9 @@ class Executor {
   /// `refresh_date >= 0` prepends the input-matrix fill for that date to
   /// each block — the per-date m0 refresh rides the segment's cache pass
   /// instead of sweeping task state separately (bit-identical: the fill
-  /// writes only the block's own m0 slots, which no other task reads).
+  /// writes only the block's own m0 slots, which no other task reads). On
+  /// the tape path no fill is requested and the extraction kernels read
+  /// the window starting at `window_start_`.
   void ExecFusedSegment(FusedSegment& segment, int refresh_date = -1);
   /// Interpreter walk of a raw component (reference path).
   void ExecComponent(const std::vector<Instruction>& instrs);
@@ -255,6 +272,12 @@ class Executor {
   CompiledComponent compiled_[kNumComponents];
   ShardArena* arena_ = nullptr;
   friend struct RunArenaScope;
+
+  // Tape extraction: each task's feature row in the shared PanelStorage
+  // (resolved once, through the view's row map) and the first date of the
+  // current input window, set per date on the tape path.
+  std::vector<const float*> feature_rows_;
+  int window_start_ = 0;
 
   // Counter-based random-op state: draw ids are assigned serially on the
   // driving thread (one per random-op execution), so the (seed, draw id,

@@ -32,10 +32,10 @@ int SlotOffset(OperandType space, int slot, int n) {
 }
 
 /// Selects the kernel slot and applies per-op fixups (pre-clamped indices,
-/// m0 operand, aliasing variant). One switch per instruction, at compile
-/// time — never again during execution.
+/// m0 operand or tape offsets, aliasing variant). One switch per
+/// instruction, at compile time — never again during execution.
 MicroOp LowerOne(const Instruction& ins, int n, int hist_cap,
-                 const KernelTable& table) {
+                 const KernelTable& table, bool tape_extraction) {
   const OpInfo& info = GetOpInfo(ins.op);
   MicroOp m;
   m.out = SlotOffset(info.out, ins.out, n);
@@ -129,20 +129,37 @@ MicroOp LowerOne(const Instruction& ins, int n, int hist_cap,
     case Op::kMatrixUniform:    id = MicroKernelId::kMUniform; break;
     case Op::kMatrixGaussian:   id = MicroKernelId::kMGaussian; break;
 
+    // m0[f][j] sits at m0 + f * n + j, and on the tape (n floats per day)
+    // at (date0 + j) * n + f; idx0 pre-resolves the date-free part of either.
     case Op::kGetScalar:
-      id = MicroKernelId::kGetScalar;
-      m.in1 = kInputMatrix * n * n;
-      m.idx0 = (ins.idx0 % n) * n + (ins.idx1 % n);
+      if (tape_extraction) {
+        id = MicroKernelId::kGetScalarTape;
+        m.idx0 = (ins.idx1 % n) * n + (ins.idx0 % n);
+      } else {
+        id = MicroKernelId::kGetScalar;
+        m.in1 = kInputMatrix * n * n;
+        m.idx0 = (ins.idx0 % n) * n + (ins.idx1 % n);
+      }
       break;
     case Op::kGetRow:
-      id = MicroKernelId::kGetRow;
-      m.in1 = kInputMatrix * n * n;
-      m.idx0 = (ins.idx0 % n) * n;
+      if (tape_extraction) {
+        id = MicroKernelId::kGetRowTape;
+        m.idx0 = ins.idx0 % n;
+      } else {
+        id = MicroKernelId::kGetRow;
+        m.in1 = kInputMatrix * n * n;
+        m.idx0 = (ins.idx0 % n) * n;
+      }
       break;
     case Op::kGetColumn:
-      id = MicroKernelId::kGetColumn;
-      m.in1 = kInputMatrix * n * n;
-      m.idx0 = ins.idx0 % n;
+      if (tape_extraction) {
+        id = MicroKernelId::kGetColumnTape;
+        m.idx0 = (ins.idx0 % n) * n;
+      } else {
+        id = MicroKernelId::kGetColumn;
+        m.in1 = kInputMatrix * n * n;
+        m.idx0 = ins.idx0 % n;
+      }
       break;
 
     case Op::kTsRank:
@@ -186,10 +203,24 @@ RelationPlan LowerRelation(const Instruction& ins,
 
 }  // namespace
 
+bool NamesInputMatrix(const std::vector<Instruction>& instrs) {
+  const auto is_m0 = [](OperandType space, int slot) {
+    return space == OperandType::kMatrix && slot == kInputMatrix;
+  };
+  for (const Instruction& ins : instrs) {
+    const OpInfo& info = GetOpInfo(ins.op);
+    if (is_m0(info.out, ins.out) || is_m0(info.in1, ins.in1) ||
+        is_m0(info.in2, ins.in2)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void CompileComponent(const std::vector<Instruction>& instrs, int n,
                       int hist_cap, const KernelTable& table,
                       const RelationGroupSets* rel_groups,
-                      CompiledComponent* out) {
+                      bool tape_extraction, CompiledComponent* out) {
   out->Clear();
   FusedSegment* current = nullptr;
   for (const Instruction& ins : instrs) {
@@ -211,7 +242,7 @@ void CompileComponent(const std::vector<Instruction>& instrs, int n,
     if (micro.takes_draw_id) {
       current->random_ops.push_back(static_cast<int>(current->ops.size()));
     }
-    current->ops.push_back(LowerOne(ins, n, hist_cap, table));
+    current->ops.push_back(LowerOne(ins, n, hist_cap, table, tape_extraction));
   }
 }
 

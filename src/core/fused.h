@@ -82,12 +82,25 @@ struct CompiledComponent {
   }
 };
 
+/// True iff some instruction of `instrs` names the input matrix m0 as a
+/// matrix operand, read or write. The extraction ops read m0 through no
+/// operand slot, so a component that touches m0 only through them returns
+/// false. The executor checks predict and update with this once per Run to
+/// pick the extraction lowering below.
+bool NamesInputMatrix(const std::vector<Instruction>& instrs);
+
 /// Lowers `instrs` into `out` (cleared first; capacity reused across Runs)
 /// for window dimension `n` and a ts-rank history capacity of `hist_cap`.
 /// Segmentation follows GetMicroOpInfo: every fusable op joins the current
 /// segment, relation ops close it, kNoOp lowers to nothing. Aliasing
 /// matmul/matvec/transpose lower to scratch-writing kernel variants; the
 /// non-aliasing ones write their destination directly.
+///
+/// `tape_extraction` picks where GetScalar/GetRow/GetColumn read X: false
+/// reads the task's m0 (which the caller must fill for the date), true
+/// lowers them to the kGet*Tape kernels, which read the feature tape
+/// through MicroCtx::feature_rows and MicroCtx::date0. Only valid when no
+/// instruction that runs while m0 would hold X names m0 (NamesInputMatrix).
 ///
 /// Micro-op kernels are fetched from `table` (one per-ISA variant table per
 /// build; see core/dispatch.h) — the lowering itself is variant-agnostic.
@@ -97,7 +110,7 @@ struct CompiledComponent {
 void CompileComponent(const std::vector<Instruction>& instrs, int n,
                       int hist_cap, const KernelTable& table,
                       const RelationGroupSets* rel_groups,
-                      CompiledComponent* out);
+                      bool tape_extraction, CompiledComponent* out);
 
 }  // namespace alphaevolve::core
 

@@ -26,6 +26,12 @@ struct MicroCtx {
   int hist_head = 0;
   int n = 0;
   uint64_t run_seed = 0;
+  /// Tape extraction (the kGet*Tape kernels): per-task pointers to the
+  /// task's feature row in the shared PanelStorage (n floats per day, row
+  /// order of the dataset view), and the first date of the current input
+  /// window — m0[f][j] == feature_rows[task][(date0 + j) * n + f].
+  const float* const* feature_rows = nullptr;
+  int date0 = 0;
 };
 
 struct MicroOp;
@@ -85,6 +91,7 @@ enum class MicroKernelId : int32_t {
   kMUniform, kMGaussian,
   // -- extraction / time series --------------------------------------------
   kGetScalar, kGetRow, kGetColumn,
+  kGetScalarTape, kGetRowTape, kGetColumnTape,
   kTsRank,
   kNumMicroKernels,  // sentinel
 };
@@ -131,6 +138,10 @@ struct KernelTable {
   /// Fused RefreshInputs fill: widen `w` float feature columns (column j at
   /// `col0 + j * nf`, `nf` floats each) into the row-major n×n input matrix
   /// `out[f * w + j]`. Pure convert/copy — bitwise exact by construction.
+  /// Only the input-matrix path calls it: when no predict or update
+  /// instruction names m0 as a matrix operand, the extraction ops lower to
+  /// the kGet*Tape kernels, which widen just the floats they read straight
+  /// from the tape, and m0 is never filled (see Executor).
   void (*fill_input)(const float* col0, int nf, int w, double* out) = nullptr;
 
   /// Float kernels for the nn baselines (row-major rows×cols weight `w`).

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <utility>
 
 #include "core/evolution.h"
@@ -63,6 +65,35 @@ bool ParamString(const Request& req, const char* key, std::string* out,
 double ParamNumber(const Request& req, const char* key, double fallback) {
   if (!req.params.is_object() || !req.params.Contains(key)) return fallback;
   return req.params.At(key).AsDouble();
+}
+
+/// Largest integer a JSON number (a double) carries exactly.
+constexpr int64_t kMaxExactInteger = int64_t{1} << 53;
+constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+
+/// Optional integral param in [lo, hi] with a default. Returns false, with
+/// the reason in `err`, for a non-number, a non-integral value or one out of
+/// range, so no client double is ever cast to an integer type unchecked
+/// (1e300 or a negative seed would be undefined behaviour, 2.5 silently
+/// truncated). `lo` and `hi` must be exact doubles (|bound| <= 2^53).
+bool ParamInteger(const Request& req, const char* key, int64_t lo, int64_t hi,
+                  int64_t fallback, int64_t* out, std::string* err) {
+  if (!req.params.is_object() || !req.params.Contains(key)) {
+    *out = fallback;
+    return true;
+  }
+  const JsonValue& value = req.params.At(key);
+  if (value.is_number()) {
+    const double d = value.AsDouble();
+    if (d >= static_cast<double>(lo) && d <= static_cast<double>(hi) &&
+        d == std::trunc(d)) {
+      *out = static_cast<int64_t>(d);
+      return true;
+    }
+  }
+  *err = std::string("param \"") + key + "\" must be an integer in [" +
+         std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  return false;
 }
 
 void WriteMetricsFields(JsonWriter& w, const core::AlphaMetrics& m) {
@@ -298,25 +329,28 @@ std::string AlphaService::Dispatch(const Request& req) {
 
 std::string AlphaService::OpSubmitSearch(const Request& req) {
   JobSpec spec = options_.default_job;
-  spec.seed = static_cast<uint64_t>(
-      ParamNumber(req, "seed", static_cast<double>(spec.seed)));
-  spec.max_candidates = static_cast<int64_t>(ParamNumber(
-      req, "max_candidates", static_cast<double>(spec.max_candidates)));
-  spec.population_size = static_cast<int>(ParamNumber(
-      req, "population_size", static_cast<double>(spec.population_size)));
-  spec.tournament_size = static_cast<int>(ParamNumber(
-      req, "tournament_size", static_cast<double>(spec.tournament_size)));
-  spec.batch_size = static_cast<int>(
-      ParamNumber(req, "batch_size", static_cast<double>(spec.batch_size)));
+  int64_t seed = 0, max_candidates = 0, population = 0, tournament = 0,
+          batch = 0;
+  std::string err;
+  if (!ParamInteger(req, "seed", 0, kMaxExactInteger,
+                    static_cast<int64_t>(spec.seed), &seed, &err) ||
+      !ParamInteger(req, "max_candidates", 1, kMaxExactInteger,
+                    spec.max_candidates, &max_candidates, &err) ||
+      !ParamInteger(req, "population_size", 2, kMaxInt,
+                    spec.population_size, &population, &err) ||
+      !ParamInteger(req, "tournament_size", 1, kMaxInt,
+                    spec.tournament_size, &tournament, &err) ||
+      !ParamInteger(req, "batch_size", 1, kMaxInt, spec.batch_size, &batch,
+                    &err)) {
+    return ErrorResponse(req.id, kErrInvalidArgument, err);
+  }
+  spec.seed = static_cast<uint64_t>(seed);
+  spec.max_candidates = max_candidates;
+  spec.population_size = static_cast<int>(population);
+  spec.tournament_size = static_cast<int>(tournament);
+  spec.batch_size = static_cast<int>(batch);
   spec.deadline_seconds =
       ParamNumber(req, "deadline_seconds", spec.deadline_seconds);
-  if (spec.max_candidates <= 0 || spec.population_size < 2 ||
-      spec.tournament_size < 1 || spec.batch_size < 1) {
-    return ErrorResponse(req.id, kErrInvalidArgument,
-                         "spec out of range (max_candidates > 0, "
-                         "population_size >= 2, tournament_size >= 1, "
-                         "batch_size >= 1)");
-  }
   const std::string job = supervisor_.Submit(spec);
   if (job.empty()) {
     return ErrorResponse(req.id, kErrDraining, "supervisor is draining");
@@ -457,7 +491,10 @@ std::string AlphaService::OpSignals(const Request& req) {
     return ErrorResponse(req.id, kErrInvalidArgument,
                          "split must be \"valid\" or \"test\"");
   }
-  const int date = static_cast<int>(ParamNumber(req, "date", 0.0));
+  int64_t date = 0;
+  if (!ParamInteger(req, "date", 0, kMaxInt, 0, &date, &err)) {
+    return ErrorResponse(req.id, kErrInvalidArgument, err);
+  }
 
   std::shared_ptr<core::ExecutionResult> exec;
   {
@@ -476,10 +513,16 @@ std::string AlphaService::OpSignals(const Request& req) {
     exec = std::make_shared<core::ExecutionResult>(
         executor.Run(pruned, seed, /*include_test=*/true));
     std::lock_guard<std::mutex> lock(signals_mu_);
-    signals_.emplace(job, exec);
+    if (signals_.emplace(job, exec).second) {
+      signals_order_.push_back(job);
+      if (signals_order_.size() > kSignalsCacheCap) {
+        signals_.erase(signals_order_.front());
+        signals_order_.pop_front();
+      }
+    }
   }
   const auto& preds = split == "valid" ? exec->valid_preds : exec->test_preds;
-  if (date < 0 || date >= static_cast<int>(preds.size())) {
+  if (date >= static_cast<int64_t>(preds.size())) {
     return ErrorResponse(
         req.id, kErrInvalidArgument,
         "date out of range: " + std::to_string(date) + " (have " +
@@ -488,7 +531,7 @@ std::string AlphaService::OpSignals(const Request& req) {
   return OkResponse(req.id, [&](JsonWriter& w) {
     w.Key("job").Value(job);
     w.Key("split").Value(split);
-    w.Key("date").Value(static_cast<int64_t>(date));
+    w.Key("date").Value(date);
     w.Key("predictions").BeginArray();
     for (double p : preds[static_cast<size_t>(date)]) w.Value(p);
     w.EndArray();
@@ -519,7 +562,9 @@ std::string AlphaService::OpBacktest(const Request& req) {
 
 std::string AlphaService::OpStress(const Request& req) {
   std::string job, err;
-  if (!ParamString(req, "job", &job, &err)) {
+  int64_t limit = 0;  // 0: every scenario of the standard suite
+  if (!ParamString(req, "job", &job, &err) ||
+      !ParamInteger(req, "scenarios", 0, kMaxInt, 0, &limit, &err)) {
     return ErrorResponse(req.id, kErrInvalidArgument, err);
   }
   core::AlphaProgram pruned;
@@ -530,9 +575,9 @@ std::string AlphaService::OpStress(const Request& req) {
   }
   scenario::ScenarioSuite suite =
       scenario::ScenarioSuite::Standard(market_config_, options_.data_seed);
-  const int limit = static_cast<int>(ParamNumber(
-      req, "scenarios", static_cast<double>(suite.num_scenarios())));
-  if (limit > 0 && limit < suite.num_scenarios()) suite.Truncate(limit);
+  if (limit > 0 && limit < suite.num_scenarios()) {
+    suite.Truncate(static_cast<int>(limit));
+  }
   return OkResponse(req.id, [&](JsonWriter& w) {
     w.Key("job").Value(job);
     w.Key("scenarios").BeginArray();

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -97,6 +98,14 @@ class AlphaService {
     return drain_requested_.load(std::memory_order_acquire);
   }
 
+  /// Most jobs whose prediction matrix the signals op keeps cached.
+  static constexpr size_t kSignalsCacheCap = 32;
+  /// Jobs currently in the signals cache (never above kSignalsCacheCap).
+  size_t signals_cached() const {
+    std::lock_guard<std::mutex> lock(signals_mu_);
+    return signals_.size();
+  }
+
   JobSupervisor& supervisor() { return supervisor_; }
   const market::Dataset& dataset() const { return dataset_; }
   const ServiceOptions& options() const { return options_; }
@@ -141,9 +150,13 @@ class AlphaService {
   std::chrono::steady_clock::time_point start_;
 
   /// signals-op cache: job id → full prediction matrix of its best alpha
-  /// (computed once per job, then served per date).
+  /// (computed once per job, then served per date). At most
+  /// kSignalsCacheCap jobs, oldest evicted first, so a resident daemon's
+  /// memory does not grow with every job it serves; an evicted job is
+  /// recomputed on its next lookup.
   mutable std::mutex signals_mu_;
   std::map<std::string, std::shared_ptr<core::ExecutionResult>> signals_;
+  std::deque<std::string> signals_order_;  ///< cached job ids, oldest first
 };
 
 }  // namespace alphaevolve::service

@@ -7,6 +7,7 @@
 
 #include "core/generators.h"
 #include "market/features.h"
+#include "obs/telemetry.h"
 #include "test_util.h"
 #include "util/stats.h"
 
@@ -88,6 +89,81 @@ TEST_F(ExecutorTest, GetScalarReadsInputMatrix) {
       EXPECT_NEAR(r.valid_preds[d][static_cast<size_t>(k)], expect, 1e-12);
     }
   }
+}
+
+TEST_F(ExecutorTest, GetRowAndColumnReadTheFeatureWindow) {
+  // X[f][j] is feature f on day date - w + 1 + j: a row is one feature
+  // across the window, a column every feature of one day.
+  const int w = dataset_->window();
+  AlphaProgram prog;
+  Instruction row = I(Op::kGetRow, 2);
+  row.idx0 = market::kClose;
+  Instruction col = I(Op::kGetColumn, 3);
+  col.idx0 = static_cast<uint8_t>(w - 2);
+  prog.predict.push_back(row);
+  prog.predict.push_back(col);
+  prog.predict.push_back(I(Op::kVectorMean, 4, 2));
+  prog.predict.push_back(I(Op::kVectorMean, 5, 3));
+  prog.predict.push_back(I(Op::kScalarSub, kPredictionScalar, 4, 5));
+
+  Executor exec(*dataset_, ExecutorConfig{});
+  const auto r = exec.Run(prog, 1);
+  ASSERT_TRUE(r.valid);
+  const auto& dates = dataset_->dates(Split::kValid);
+  for (size_t d = 0; d < dates.size(); ++d) {
+    for (int k = 0; k < dataset_->num_tasks(); ++k) {
+      double row_sum = 0.0, col_sum = 0.0;
+      for (int j = 0; j < w; ++j) {
+        row_sum += static_cast<double>(
+            dataset_->FeatureRow(k, dates[d] - w + 1 + j)[market::kClose]);
+        col_sum +=
+            static_cast<double>(dataset_->FeatureRow(k, dates[d] - 1)[j]);
+      }
+      EXPECT_DOUBLE_EQ(r.valid_preds[d][static_cast<size_t>(k)],
+                       row_sum / w - col_sum / w);
+    }
+  }
+}
+
+TEST_F(ExecutorTest, InputPathCountersSplitTapeFromMatrixRuns) {
+  // executor.runs counts every Run; executor.input_matrix_runs those that
+  // fill m0 every date. The expert alpha reads X only through GetScalar, so
+  // it extracts from the feature tape; a program using m0 as a matrix
+  // operand fills it, as the interpreter always does.
+  const AlphaProgram expert = MakeExpertAlpha(dataset_->window());
+  AlphaProgram matrix_read;
+  matrix_read.predict.push_back(I(Op::kMatrixMean, kPredictionScalar, 0));
+
+  obs::TelemetryConfig on;
+  on.enabled = true;
+  obs::Configure(on);
+  obs::MetricsRegistry::Default().Reset();
+  const obs::Counter& runs =
+      obs::MetricsRegistry::Default().GetCounter("executor.runs");
+  const obs::Counter& fills =
+      obs::MetricsRegistry::Default().GetCounter("executor.input_matrix_runs");
+
+  Executor fused(*dataset_, ExecutorConfig{});
+  ASSERT_TRUE(fused.Run(expert, 1).valid);
+  EXPECT_EQ(runs.Value(), 1);
+  EXPECT_EQ(fills.Value(), 0);
+  ASSERT_TRUE(fused.Run(matrix_read, 1).valid);
+  EXPECT_EQ(runs.Value(), 2);
+  EXPECT_EQ(fills.Value(), 1);
+
+  ExecutorConfig interp_cfg;
+  interp_cfg.fuse_segments = false;
+  Executor interp(*dataset_, interp_cfg);
+  ASSERT_TRUE(interp.Run(expert, 1).valid);
+  EXPECT_EQ(runs.Value(), 3);
+  EXPECT_EQ(fills.Value(), 2);
+
+  // Off means off: with the registry disabled nothing is counted.
+  obs::Configure(obs::TelemetryConfig{});
+  ASSERT_TRUE(fused.Run(matrix_read, 1).valid);
+  EXPECT_EQ(runs.Value(), 3);
+  EXPECT_EQ(fills.Value(), 2);
+  obs::MetricsRegistry::Default().Reset();
 }
 
 TEST_F(ExecutorTest, ScalarArithmeticPipeline) {

@@ -4,7 +4,8 @@
 // every configuration below must reproduce the interpreter's output
 // bit-for-bit: across a program fuzz (whatever the mutator emits), across
 // {1, 4, 8} threads x {1, 16, 257} shard sizes, across block sizes, with
-// CounterRng random-init ops and with relation ops splitting segments.
+// CounterRng random-init ops, with relation ops splitting segments, and on
+// both input paths (extraction from the feature tape, or the m0 fill).
 // The blocked matmul kernels get the same treatment against naive loops.
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include "core/kernels.h"
 #include "core/mutator.h"
 #include "market/simulator.h"
+#include "obs/telemetry.h"
 #include "util/rng.h"
 
 namespace alphaevolve::core {
@@ -75,11 +77,168 @@ AlphaProgram MakeStressAlpha(int window) {
   return prog;
 }
 
+Instruction Extract(Op op, int out, int idx0, int idx1 = 0) {
+  Instruction ins = I(op, out);
+  ins.idx0 = static_cast<uint8_t>(idx0);
+  ins.idx1 = static_cast<uint8_t>(idx1);
+  return ins;
+}
+
+/// One program shape for the input-path parity checks, with the path the
+/// fused executor must pick for it: the tape (extraction reads the feature
+/// tape, m0 is never filled) or the input matrix (m0 filled every date).
+struct InputShape {
+  std::string name;
+  AlphaProgram program;
+  bool tape;
+};
+
+/// Appends `s_acc = (s_acc + s_in) * 0.5`: a position-weighted running sum,
+/// so an extraction reading the wrong element changes the prediction.
+void Accumulate(std::vector<Instruction>& comp, int acc, int in) {
+  comp.push_back(I(Op::kScalarAdd, acc, acc, in));
+  comp.push_back(I(Op::kScalarMul, acc, acc, 9));  // s9 = 0.5, from setup
+}
+
+/// Both input paths, every plan shape each can meet: the fill fused into a
+/// leading segment or standalone before a leading relation, X read only in
+/// update, every extraction index (including idx >= n, which wraps), and the
+/// cases that decide the path — m0 written in setup (dead: the tape path
+/// must not see it), written in predict then extracted, or read as a
+/// matrix only in update.
+std::vector<InputShape> InputPathShapes(int w) {
+  std::vector<InputShape> shapes;
+  const Instruction last_close = Extract(Op::kGetScalar, 4, 0, w - 1);
+
+  // A leading element-wise segment that consumes X at once.
+  shapes.push_back({"segment first", MakeStressAlpha(w), true});
+  AlphaProgram segment_fill = MakeStressAlpha(w);
+  segment_fill.predict.push_back(I(Op::kMatrixMean, 8, kInputMatrix));
+  segment_fill.predict.push_back(
+      I(Op::kScalarAdd, kPredictionScalar, kPredictionScalar, 8));
+  shapes.push_back({"segment first, m0 matrix", segment_fill, false});
+
+  // A predict that opens with a relation op, X read after it.
+  AlphaProgram relation_first;
+  relation_first.predict.push_back(I(Op::kRank, 3, kPredictionScalar));
+  relation_first.predict.push_back(last_close);
+  relation_first.predict.push_back(
+      I(Op::kScalarAdd, kPredictionScalar, 3, 4));
+  shapes.push_back({"relation first", relation_first, true});
+  AlphaProgram relation_fill = relation_first;
+  relation_fill.predict.push_back(I(Op::kMatrixNorm, 5, kInputMatrix));
+  relation_fill.predict.push_back(
+      I(Op::kScalarAdd, kPredictionScalar, kPredictionScalar, 5));
+  shapes.push_back({"relation first, m0 matrix", relation_fill, false});
+
+  // An empty predict: only update consumes X.
+  AlphaProgram update_only;
+  update_only.update.push_back(last_close);
+  update_only.update.push_back(Extract(Op::kGetColumn, 2, w - 1));
+  update_only.update.push_back(I(Op::kVectorMean, 5, 2));
+  update_only.update.push_back(I(Op::kScalarAdd, 4, 4, 5));
+  update_only.update.push_back(
+      I(Op::kScalarAdd, kPredictionScalar, 4, kLabelScalar));
+  shapes.push_back({"extraction only in update", update_only, true});
+  AlphaProgram update_matrix;
+  update_matrix.update.push_back(I(Op::kMatrixMean, 4, kInputMatrix));
+  update_matrix.update.push_back(
+      I(Op::kScalarAdd, kPredictionScalar, 4, kLabelScalar));
+  shapes.push_back({"m0 matrix only in update, empty predict", update_matrix,
+                    false});
+
+  // Every GetScalar/GetRow/GetColumn index, up to two past n (uint8 indices
+  // wrap modulo n on both paths), folded into a position-weighted sum. The
+  // setup's random weight vector makes row/column element order visible.
+  AlphaProgram every_index;
+  Instruction half = I(Op::kScalarConst, 9);
+  half.imm0 = 0.5;
+  every_index.setup.push_back(half);
+  every_index.setup.push_back(RandomInit(Op::kVectorUniform, 7, -1.0, 1.0));
+  every_index.predict.push_back(I(Op::kScalarConst, 6));  // s6 = 0
+  for (int i = 0; i < w + 2; ++i) {
+    for (int j = 0; j < w + 2; ++j) {
+      every_index.predict.push_back(Extract(Op::kGetScalar, 3, i, j));
+      Accumulate(every_index.predict, 6, 3);
+    }
+    every_index.predict.push_back(Extract(Op::kGetRow, 3, i));
+    every_index.predict.push_back(I(Op::kVectorDot, 3, 3, 7));
+    Accumulate(every_index.predict, 6, 3);
+    every_index.predict.push_back(Extract(Op::kGetColumn, 4, i));
+    every_index.predict.push_back(I(Op::kVectorDot, 3, 4, 7));
+    Accumulate(every_index.predict, 6, 3);
+  }
+  every_index.predict.push_back(Extract(Op::kGetScalar, 3, 255, 200));
+  Accumulate(every_index.predict, 6, 3);
+  every_index.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 6, 6));
+  shapes.push_back({"every extraction index", every_index, true});
+
+  // Setup writes m0, predict only extracts: a dead write on the reference
+  // path (the first refresh overwrites it), so the tape path must not read
+  // it either.
+  AlphaProgram setup_writes;
+  Instruction fill = I(Op::kMatrixConst, kInputMatrix);
+  fill.imm0 = 7.0;
+  setup_writes.setup.push_back(fill);
+  setup_writes.setup.push_back(
+      RandomInit(Op::kMatrixGaussian, kInputMatrix, 0.0, 1.0));
+  setup_writes.predict.push_back(last_close);
+  setup_writes.predict.push_back(Extract(Op::kGetRow, 2, 3));
+  setup_writes.predict.push_back(I(Op::kVectorNorm, 5, 2));
+  setup_writes.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 4, 5));
+  shapes.push_back({"setup writes m0, predict extracts", setup_writes, true});
+
+  // Predict writes m0, then extracts from what it wrote: the input-matrix
+  // path, since the extraction must see the write.
+  AlphaProgram predict_writes;
+  predict_writes.setup.push_back(
+      RandomInit(Op::kMatrixGaussian, 1, 0.0, 1.0));
+  predict_writes.predict.push_back(last_close);
+  predict_writes.predict.push_back(
+      I(Op::kMatrixAdd, kInputMatrix, kInputMatrix, 1));
+  predict_writes.predict.push_back(Extract(Op::kGetScalar, 5, 2, w - 1));
+  predict_writes.predict.push_back(Extract(Op::kGetColumn, 3, 1));
+  predict_writes.predict.push_back(I(Op::kVectorMean, 6, 3));
+  predict_writes.predict.push_back(I(Op::kScalarAdd, 5, 5, 6));
+  predict_writes.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 4, 5));
+  shapes.push_back({"predict writes m0 then extracts", predict_writes,
+                    false});
+
+  // Predict only extracts; update reads m0 as a matrix (X of the same
+  // date) and feeds the next date's prediction through s6.
+  AlphaProgram update_reads;
+  update_reads.predict.push_back(last_close);
+  update_reads.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 4, 6));
+  update_reads.update.push_back(I(Op::kMatrixStd, 6, kInputMatrix));
+  shapes.push_back({"m0 matrix only in update", update_reads, false});
+  return shapes;
+}
+
 void ExpectBitIdentical(const ExecutionResult& a, const ExecutionResult& b) {
   ASSERT_EQ(a.valid, b.valid);
   // operator== on vector<double> is bitwise equality per element.
   EXPECT_EQ(a.valid_preds, b.valid_preds);
   EXPECT_EQ(a.test_preds, b.test_preds);
+}
+
+/// Runs `prog` with the metrics registry on and reports whether the run
+/// filled m0 from the tape every date (it bumps executor.input_matrix_runs)
+/// rather than extracting from the tape directly.
+bool FillsInputMatrix(Executor& executor, const AlphaProgram& prog,
+                      uint64_t seed, ExecutionResult* out) {
+  obs::TelemetryConfig on;
+  on.enabled = true;
+  obs::Configure(on);
+  obs::Counter& runs =
+      obs::MetricsRegistry::Default().GetCounter("executor.runs");
+  obs::Counter& fills =
+      obs::MetricsRegistry::Default().GetCounter("executor.input_matrix_runs");
+  const int64_t runs_before = runs.Value();
+  const int64_t fills_before = fills.Value();
+  *out = executor.Run(prog, seed);
+  obs::Configure(obs::TelemetryConfig{});
+  EXPECT_EQ(runs.Value(), runs_before + 1);
+  return fills.Value() > fills_before;
 }
 
 class FusedParityTest : public ::testing::Test {
@@ -114,6 +273,13 @@ class FusedParityTest : public ::testing::Test {
     cfg.block_size = block_size;
     cfg.group_parallel_min_tasks = 1;  // force the concurrent group path
     return cfg;
+  }
+
+  /// Every third task from 1: the rows a thin-universe Subset view keeps.
+  static std::vector<int> ThinRows() {
+    std::vector<int> keep;
+    for (int k = 1; k < dataset_->num_tasks(); k += 3) keep.push_back(k);
+    return keep;
   }
 
   static market::Dataset* dataset_;
@@ -229,42 +395,31 @@ TEST_F(FusedParityTest, RelationBoundariesBetweenFusedSegments) {
 }
 
 TEST_F(FusedParityTest, FusedInputRefreshBitIdentical) {
-  // The per-date input-matrix fill is fused into the predict component's
-  // first segment (one task-state sweep per date instead of two); the
-  // interpreter keeps the standalone RefreshInputs as reference. All three
-  // plan shapes must be bit-identical: a leading element-wise segment that
-  // consumes m0 immediately (the fused fill), a predict that *opens* with a
-  // relation op (standalone fill before the pieces), and an empty predict
-  // whose m0 is only read by the update component.
-  const int w = dataset_->window();
-
-  AlphaProgram segment_first = MakeStressAlpha(w);  // starts by reading m0
-
-  AlphaProgram relation_first;
-  relation_first.predict.push_back(I(Op::kRank, 3, kPredictionScalar));
-  Instruction get;
-  get.op = Op::kGetScalar;
-  get.out = 4;
-  get.idx0 = 0;
-  get.idx1 = static_cast<uint8_t>(w - 1);
-  relation_first.predict.push_back(get);  // m0 read *after* the relation
-  relation_first.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 3, 4));
-
-  AlphaProgram empty_predict;
-  empty_predict.update.push_back(get);  // only update consumes the refresh
-  empty_predict.update.push_back(
-      I(Op::kScalarAdd, kPredictionScalar, 4, kLabelScalar));
-
-  int case_idx = 0;
-  for (const AlphaProgram& prog :
-       {segment_first, relation_first, empty_predict}) {
-    SCOPED_TRACE("case " + std::to_string(case_idx++));
-    Executor reference(*dataset_, Interp());
-    const ExecutionResult expect = reference.Run(prog, 77);
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      Executor fused(*dataset_, Fused(threads, 16));
-      ExpectBitIdentical(fused.Run(prog, 77), expect);
+  // Two input paths, one reference. When no predict or update instruction
+  // names m0 as a matrix, extraction reads the feature tape and m0 is never
+  // filled; otherwise the fill rides the predict component's first segment
+  // (or runs standalone before a leading relation). The interpreter keeps
+  // the standalone RefreshInputs on every date. Each shape must take the
+  // path it is listed with and match the interpreter bit for bit — also on
+  // a thin-universe view, whose tasks sit on a subset of the shared storage
+  // rows, so the tape rows must follow the view's row map.
+  const market::Dataset thin = dataset_->Subset(ThinRows());
+  const std::vector<const market::Dataset*> universes = {dataset_, &thin};
+  for (const market::Dataset* data : universes) {
+    SCOPED_TRACE(data == dataset_ ? "full universe" : "subset view");
+    for (const InputShape& shape : InputPathShapes(data->window())) {
+      SCOPED_TRACE(shape.name);
+      Executor reference(*data, Interp());
+      const ExecutionResult expect = reference.Run(shape.program, 77);
+      ASSERT_TRUE(expect.valid);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        Executor fused(*data, Fused(threads, 16));
+        ExecutionResult got;
+        EXPECT_EQ(FillsInputMatrix(fused, shape.program, 77, &got),
+                  !shape.tape);
+        ExpectBitIdentical(got, expect);
+      }
     }
   }
 }
@@ -313,6 +468,29 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
       ExpectBitIdentical(executor.Run(prog, seed), expect);
     }
     prog = mutator.Mutate(prog, rng);
+  }
+
+  // Both input paths through every variant's extraction kernels (the tape
+  // kernels read raw offsets into the shared feature tape), on the full
+  // universe and on a thin-universe view.
+  const market::Dataset thin = dataset_->Subset(ThinRows());
+  Executor thin_reference(thin, Interp());
+  for (const InputShape& shape : InputPathShapes(dataset_->window())) {
+    SCOPED_TRACE(shape.name);
+    const ExecutionResult expect = reference.Run(shape.program, 808);
+    ASSERT_TRUE(expect.valid);
+    for (auto& [name, executor] : forced) {
+      SCOPED_TRACE(name);
+      ExpectBitIdentical(executor.Run(shape.program, 808), expect);
+    }
+    const ExecutionResult thin_expect = thin_reference.Run(shape.program, 808);
+    for (const KernelVariant v : RunnableKernelVariants()) {
+      SCOPED_TRACE(std::string(KernelVariantName(v)) + " subset view");
+      ExecutorConfig cfg = Fused(4, 16);
+      cfg.kernel_variant = KernelVariantName(v);
+      Executor thin_fused(thin, cfg);
+      ExpectBitIdentical(thin_fused.Run(shape.program, 808), thin_expect);
+    }
   }
 }
 

@@ -20,6 +20,7 @@
 #include "core/evaluator_pool.h"
 #include "core/evolution.h"
 #include "core/generators.h"
+#include "core/pruning.h"
 #include "market/dataset.h"
 #include "service/alpha_service.h"
 #include "service/job_supervisor.h"
@@ -805,6 +806,114 @@ TEST_F(ServiceSearchTest, FullQueueRejectsWithStructuredError) {
   EXPECT_GE(full, 1); // and the overflow was told so, immediately
   // health answers inline even with the queue busy.
   Ok(service.Call(R"({"op":"health","id":"h"})"));
+}
+
+TEST_F(ServiceSearchTest, NumericParamsAreCheckedIntegers) {
+  // Client numbers are doubles; each integer param must be integral and in
+  // range before any cast, or the op answers invalid_argument (1e300 or a
+  // negative seed would be undefined behaviour, 2.5 silently truncated).
+  AlphaService service(SmallService(dir_));
+  struct Case {
+    const char* op;
+    const char* param;
+    std::vector<const char*> bad;
+  };
+  const std::vector<Case> cases = {
+      {"submit_search", "seed", {"-1", "1e300", "2.5", "\"7\""}},
+      {"submit_search", "max_candidates", {"0", "-5", "1e300", "9.5"}},
+      {"submit_search", "population_size", {"1", "1e10", "20.5", "null"}},
+      {"submit_search", "tournament_size", {"0", "-1e300", "2.25"}},
+      {"submit_search", "batch_size", {"0", "3e9", "1.5", "true"}},
+      {"signals", "date", {"-1", "1e300", "0.5", "\"0\""}},
+      {"stress", "scenarios", {"-1", "1e300", "1.5"}},
+  };
+  int n = 0;
+  for (const Case& c : cases) {
+    for (const char* value : c.bad) {
+      SCOPED_TRACE(std::string(c.op) + " " + c.param + "=" + value);
+      const std::string line =
+          std::string(R"({"op":")") + c.op + R"(","id":"c)" +
+          std::to_string(n++) + R"(","params":{"job":"job-1",")" + c.param +
+          R"(":)" + value + "}}";
+      const std::string response = service.Call(line);
+      EXPECT_EQ(ErrCode(response), std::string(kErrInvalidArgument));
+      EXPECT_NE(response.find(c.param), std::string::npos) << response;
+    }
+  }
+  EXPECT_TRUE(service.supervisor().List().empty());  // nothing was queued
+
+  // Integral doubles at the edges are accepted.
+  Ok(service.Call(
+      R"({"op":"submit_search","id":"ok","params":{"seed":9007199254740992,)"
+      R"("max_candidates":8.0,"population_size":2,"tournament_size":1,)"
+      R"("batch_size":4}})"));
+}
+
+TEST_F(ServiceSearchTest, SignalsCacheStaysBoundedAndServesEveryJob) {
+  // More jobs than the signals cache holds: every job's signals are served
+  // (an evicted job is recomputed) and match a fresh run of its alpha, and
+  // the cache never holds more than its cap.
+  ServiceOptions options = SmallService(dir_);
+  options.supervisor.worker_threads = 2;
+  AlphaService service(options);
+  const int num_jobs = static_cast<int>(AlphaService::kSignalsCacheCap) + 3;
+  std::vector<std::string> jobs;
+  for (int i = 0; i < num_jobs; ++i) {
+    JsonValue submitted = Ok(service.Call(
+        R"({"op":"submit_search","id":"s","params":{"seed":)" +
+        std::to_string(100 + i) + "}}"));
+    jobs.push_back(submitted.At("result").At("job").AsString());
+  }
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        for (const std::string& job : jobs) {
+          if (StateOf(service.supervisor(), job) != JobState::kDone) {
+            return false;
+          }
+        }
+        return true;
+      },
+      120000ms));
+
+  const auto signals_of = [&](const std::string& job) {
+    JsonValue doc = Ok(service.Call(
+        R"({"op":"signals","id":"sg","params":{"job":")" + job +
+        R"(","split":"test","date":1}})"));
+    std::vector<double> preds;
+    for (const JsonValue& p : doc.At("result").At("predictions").AsArray()) {
+      preds.push_back(p.AsDouble());
+    }
+    return preds;
+  };
+  std::vector<std::vector<double>> first;
+  for (const std::string& job : jobs) {
+    SCOPED_TRACE(job);
+    first.push_back(signals_of(job));
+    EXPECT_LE(service.signals_cached(), AlphaService::kSignalsCacheCap);
+
+    const JobResult result = service.supervisor().Status(job)->result;
+    ASSERT_TRUE(result.has_alpha);
+    const core::AlphaProgram pruned =
+        core::PruneRedundant(result.best, core::MutatorConfig{}.limits)
+            .pruned;
+    core::Executor executor(service.dataset(), core::ExecutorConfig{});
+    const core::ExecutionResult fresh =
+        executor.Run(pruned, core::Fingerprint(pruned));
+    ASSERT_TRUE(fresh.valid);
+    ASSERT_EQ(first.back().size(), fresh.test_preds[1].size());
+    for (size_t k = 0; k < fresh.test_preds[1].size(); ++k) {
+      EXPECT_DOUBLE_EQ(first.back()[k], fresh.test_preds[1][k]);
+    }
+  }
+  EXPECT_EQ(service.signals_cached(), AlphaService::kSignalsCacheCap);
+
+  // The oldest jobs were evicted; serving them again recomputes the same
+  // signals and still respects the cap.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(signals_of(jobs[static_cast<size_t>(i)]),
+              first[static_cast<size_t>(i)]);
+    EXPECT_EQ(service.signals_cached(), AlphaService::kSignalsCacheCap);
+  }
 }
 
 }  // namespace
