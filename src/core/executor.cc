@@ -14,17 +14,20 @@
 namespace alphaevolve::core {
 namespace {
 
-/// Which input path each Run takes: the tape share of a workload is
-/// 1 - input_matrix_runs / runs.
+/// Which input path each Run takes, and whether it keeps the ts_rank ring:
+/// the tape share of a workload is 1 - input_matrix_runs / runs, its ring
+/// share history_runs / runs.
 struct ExecutorCounters {
   obs::Counter& runs;
   obs::Counter& input_matrix_runs;  ///< m0 filled every date (or interpreter)
+  obs::Counter& history_runs;       ///< ts_rank history ring recorded
 
   static ExecutorCounters& Get() {
     static ExecutorCounters* c = [] {
       auto& reg = obs::MetricsRegistry::Default();
       return new ExecutorCounters{reg.GetCounter("executor.runs"),
-                                  reg.GetCounter("executor.input_matrix_runs")};
+                                  reg.GetCounter("executor.input_matrix_runs"),
+                                  reg.GetCounter("executor.history_runs")};
     }();
     return *c;
   }
@@ -34,14 +37,23 @@ struct ExecutorCounters {
 /// heaviside(x, 1) with this convention).
 inline double Step(double x) { return x > 0.0 ? 1.0 : 0.0; }
 
-/// Auto block size for the fused path: a segment streams up to ~3 matrix
-/// operands per op through each task, so size the block to keep those
-/// resident in roughly half of a 32 KiB L1 while it runs the whole segment
-/// (measured best on the paper's n = 13 shape; see BM_FusedSegment).
-int AutoBlockSize(int n) {
-  const int per_task_bytes = 3 * n * n * static_cast<int>(sizeof(double));
+/// Auto block size of one fused segment: an op streams up to 3 operands
+/// per task, so size the block to keep 3 of the segment's widest operands
+/// (`widest` elements: 1, n or n*n) resident in roughly half of a 32 KiB L1
+/// while it runs the whole segment. At n = 13 that is 4 tasks for matrix
+/// segments, 52 for vector and 256 (the cap) for scalar-only ones; a
+/// scalar-only segment at 4 tasks would spend its time on per-block
+/// dispatch instead.
+int AutoBlockSize(int widest) {
+  const int per_task_bytes = 3 * widest * static_cast<int>(sizeof(double));
   const int block = 16 * 1024 / std::max(1, per_task_bytes);
   return std::clamp(block, 4, 256);
+}
+
+/// True iff some instruction of `instrs` is `op`.
+bool ContainsOp(const std::vector<Instruction>& instrs, Op op) {
+  return std::any_of(instrs.begin(), instrs.end(),
+                     [op](const Instruction& ins) { return ins.op == op; });
 }
 
 }  // namespace
@@ -156,18 +168,16 @@ Executor::Executor(const market::Dataset& dataset, ExecutorConfig config,
   mat_scratch_.resize(static_cast<size_t>(num_shards_) * n_ * n_);
 
   fuse_ = config_.fuse_segments;
-  block_size_ = config_.block_size > 0 ? config_.block_size
-                                       : AutoBlockSize(n_);
   // Resolve the per-ISA kernel table once: config override, then the
   // AE_KERNEL_VARIANT environment variable, then CPUID/HWCAP detection.
   ktable_ = &ResolveKernelTable(config_.kernel_variant);
 }
 
-void Executor::ZeroMemory() {
+void Executor::ZeroMemory(bool history) {
   std::fill(scalars_.begin(), scalars_.end(), 0.0);
   std::fill(vectors_.begin(), vectors_.end(), 0.0);
   std::fill(matrices_.begin(), matrices_.end(), 0.0);
-  std::fill(history_.begin(), history_.end(), 0.0);
+  if (history) std::fill(history_.begin(), history_.end(), 0.0);
   hist_size_ = 0;
   hist_head_ = 0;
 }
@@ -933,6 +943,13 @@ void Executor::ExecFusedSegment(FusedSegment& segment, int refresh_date) {
   for (const int idx : segment.random_ops) {
     segment.ops[static_cast<size_t>(idx)].draw_id = draw_counter_++;
   }
+  // Blocks are sized per segment from its widest operand; the fused m0
+  // fill writes a whole matrix per task, so a segment carrying it counts
+  // as n*n.
+  const int block =
+      config_.block_size > 0
+          ? config_.block_size
+          : AutoBlockSize(refresh_date >= 0 ? n_ * n_ : segment.widest);
   ParallelForTasks([&](int t0, int t1) {
     MicroCtx ctx;
     ctx.scalars = scalars_.data();
@@ -951,6 +968,7 @@ void Executor::ExecFusedSegment(FusedSegment& segment, int refresh_date) {
     ctx.n = n_;
     ctx.run_seed = run_seed_;
     ctx.feature_rows = feature_rows_.data();
+    ctx.day_stride = dataset_.day_stride();
     ctx.date0 = window_start_;
     // Block-at-a-time: a cache-resident block of tasks runs the whole
     // segment before the next block is touched. A fused input refresh fills
@@ -960,14 +978,14 @@ void Executor::ExecFusedSegment(FusedSegment& segment, int refresh_date) {
     // fused kernel (a pure float→double widening copy, bitwise exact on
     // any variant; Dataset::FillInputMatrix stays the interpreter's
     // reference).
-    const int nf = dataset_.num_features();
-    const int first_date = refresh_date - n_ + 1;
-    for (int b0 = t0; b0 < t1; b0 += block_size_) {
-      const int b1 = std::min(t1, b0 + block_size_);
+    const size_t first_col =
+        static_cast<size_t>(refresh_date - n_ + 1) * ctx.day_stride;
+    for (int b0 = t0; b0 < t1; b0 += block) {
+      const int b1 = std::min(t1, b0 + block);
       if (refresh_date >= 0) {
         for (int k = b0; k < b1; ++k) {
-          ktable_->fill_input(dataset_.FeatureRow(k, first_date), nf, n_,
-                              Mat(k, kInputMatrix));
+          ktable_->fill_input(feature_rows_[static_cast<size_t>(k)] + first_col,
+                              ctx.day_stride, n_, Mat(k, kInputMatrix));
         }
       }
       for (const MicroOp& op : segment.ops) op.fn(ctx, op, b0, b1);
@@ -1028,7 +1046,13 @@ ExecutionResult Executor::Run(const AlphaProgram& program, uint64_t seed,
                               int limit_valid, double budget_seconds) {
   run_seed_ = seed;
   draw_counter_ = 0;
-  ZeroMemory();
+  // The ts_rank history ring is only read by a predict or update ts_rank (a
+  // setup ts_rank runs before the first record and reads 0.5), so a program
+  // without one neither zeroes nor records it. Either way ts_rank reads
+  // only slots this Run wrote: hist_size_ restarts at 0 every Run.
+  const bool history = ContainsOp(program.predict, Op::kTsRank) ||
+                       ContainsOp(program.update, Op::kTsRank);
+  ZeroMemory(history);
 
   // Evaluation watchdog (off at budget 0, the default): one steady_clock
   // read per date boundary against a fixed deadline.
@@ -1051,6 +1075,7 @@ ExecutionResult Executor::Run(const AlphaProgram& program, uint64_t seed,
   ExecutorCounters& counters = ExecutorCounters::Get();
   counters.runs.Add();
   if (!tape) counters.input_matrix_runs.Add();
+  if (history) counters.history_runs.Add();
 
   // Persistent shard workers for this Run (no-op when serial), and — on the
   // fused path — the once-per-Run lowering that the date loop amortizes.
@@ -1106,7 +1131,7 @@ ExecutionResult Executor::Run(const AlphaProgram& program, uint64_t seed,
       }
       if (fuse_) ExecCompiled(compiled_[2]);
       else ExecComponent(program.update);
-      RecordHistory();
+      if (history) RecordHistory();
     }
   }
 
@@ -1130,7 +1155,7 @@ ExecutionResult Executor::Run(const AlphaProgram& program, uint64_t seed,
         row[static_cast<size_t>(k)] = Scalars(k)[kPredictionScalar];
       }
       out.push_back(std::move(row));
-      RecordHistory();
+      if (history) RecordHistory();
     }
     return true;
   };

@@ -58,8 +58,10 @@ struct ExecutorConfig {
   /// lowering does not exist yet.
   bool fuse_segments = true;
 
-  /// Tasks per cache block in the fused path (0 = auto: sized so a block's
-  /// matrix operands fit in ~16 KiB, half of a typical 32 KiB L1). Any
+  /// Tasks per cache block in the fused path. 0 = auto, per segment: sized
+  /// so 3 of the segment's widest operands fit in ~16 KiB, half of a
+  /// typical 32 KiB L1 (4 tasks for matrix segments at n = 13, 52 for
+  /// vector, 256 for scalar-only). A value > 0 overrides every segment. Any
   /// value is bit-identical; the knob only moves the locality /
   /// loop-overhead trade-off.
   int block_size = 0;
@@ -98,7 +100,13 @@ struct ExecutionResult {
 ///  1. zero memory; Setup once per task;
 ///  2. for each training date (x epochs): refresh m0, Predict, s0 ← label,
 ///     Update, record scalar history;
-///  3. for each validation (then test) date: refresh m0, Predict, record s1.
+///  3. for each validation (then test) date: refresh m0, Predict, record s1
+///     (and scalar history).
+///
+/// The scalar history feeds only ts_rank: it is zeroed and recorded only
+/// when predict or update contains a ts_rank (executor.history_runs counts
+/// those Runs), on both kernel paths. A Run never reads history slots an
+/// earlier Run wrote, so skipping the ring cannot change any result.
 ///
 /// Memory persists across dates — operands written by Update that survive to
 /// phase 3 are the paper's "parameters"; intermediate operands give the
@@ -199,7 +207,8 @@ class Executor {
            static_cast<size_t>(t0 / shard_size_) * n_ * n_;
   }
 
-  void ZeroMemory();
+  /// Zeroes task state for a new Run; the history ring only if `history`.
+  void ZeroMemory(bool history);
   /// Runs fn(task_begin, task_end) over all tasks, sharded across the
   /// arena/pool when parallel (one barrier); inline on the caller when
   /// serial.
@@ -228,7 +237,8 @@ class Executor {
   void ExecShardedSegment(const std::vector<Instruction>& instrs,
                           size_t begin, size_t end);
   /// Executes one compiled segment: stamps draw ids, then every shard walks
-  /// its tasks block-at-a-time through the whole micro-op list (fused path).
+  /// its tasks block-at-a-time through the whole micro-op list (fused path),
+  /// in blocks sized from the segment's widest operand (AutoBlockSize).
   /// `refresh_date >= 0` prepends the input-matrix fill for that date to
   /// each block — the per-date m0 refresh rides the segment's cache pass
   /// instead of sweeping task state separately (bit-identical: the fill
@@ -260,22 +270,23 @@ class Executor {
   int num_shards_ = 1;
 
   // Fused-kernel path. The compiled components are rebuilt at each Run from
-  // the program (capacity reused); block_size_ tasks stay cache-hot across
-  // one whole segment. ktable_ is the per-ISA kernel table resolved once at
-  // construction (core/dispatch.h); every variant is bit-identical. arena_
-  // points at the Run-scoped worker arena while a parallel Run is in flight
-  // (see RunArenaScope in executor.cc).
+  // the program (capacity reused); a block of tasks, sized per segment,
+  // stays cache-hot across one whole segment. ktable_ is the per-ISA kernel
+  // table resolved once at construction (core/dispatch.h); every variant is
+  // bit-identical. arena_ points at the Run-scoped worker arena while a
+  // parallel Run is in flight (see RunArenaScope in executor.cc).
   bool fuse_ = true;
-  int block_size_ = 1;
   const KernelTable* ktable_ = nullptr;
   RelationGroupSets rel_groups_;
   CompiledComponent compiled_[kNumComponents];
   ShardArena* arena_ = nullptr;
   friend struct RunArenaScope;
 
-  // Tape extraction: each task's feature row in the shared PanelStorage
-  // (resolved once, through the view's row map) and the first date of the
-  // current input window, set per date on the tape path.
+  // Tape extraction: each task's day-0 feature row in the shared,
+  // date-major PanelStorage (resolved once, through the view's row map; a
+  // date is reached by stepping dataset_.day_stride() floats per day) and
+  // the first date of the current input window, set per date on the tape
+  // path.
   std::vector<const float*> feature_rows_;
   int window_start_ = 0;
 

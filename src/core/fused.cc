@@ -129,12 +129,15 @@ MicroOp LowerOne(const Instruction& ins, int n, int hist_cap,
     case Op::kMatrixUniform:    id = MicroKernelId::kMUniform; break;
     case Op::kMatrixGaussian:   id = MicroKernelId::kMGaussian; break;
 
-    // m0[f][j] sits at m0 + f * n + j, and on the tape (n floats per day)
-    // at (date0 + j) * n + f; idx0 pre-resolves the date-free part of either.
+    // m0[f][j] sits at m0 + f * n + j, and on the date-major tape at
+    // (date0 + j) * day_stride + f. The m0 lowering pre-resolves the whole
+    // offset into idx0; the tape lowering keeps f in idx0 and j in idx1,
+    // since the day stride and date0 are only known at execution.
     case Op::kGetScalar:
       if (tape_extraction) {
         id = MicroKernelId::kGetScalarTape;
-        m.idx0 = (ins.idx1 % n) * n + (ins.idx0 % n);
+        m.idx0 = ins.idx0 % n;
+        m.idx1 = ins.idx1 % n;
       } else {
         id = MicroKernelId::kGetScalar;
         m.in1 = kInputMatrix * n * n;
@@ -144,7 +147,7 @@ MicroOp LowerOne(const Instruction& ins, int n, int hist_cap,
     case Op::kGetRow:
       if (tape_extraction) {
         id = MicroKernelId::kGetRowTape;
-        m.idx0 = ins.idx0 % n;
+        m.idx0 = ins.idx0 % n;  // f
       } else {
         id = MicroKernelId::kGetRow;
         m.in1 = kInputMatrix * n * n;
@@ -154,7 +157,7 @@ MicroOp LowerOne(const Instruction& ins, int n, int hist_cap,
     case Op::kGetColumn:
       if (tape_extraction) {
         id = MicroKernelId::kGetColumnTape;
-        m.idx0 = (ins.idx0 % n) * n;
+        m.idx0 = ins.idx0 % n;  // j
       } else {
         id = MicroKernelId::kGetColumn;
         m.in1 = kInputMatrix * n * n;
@@ -181,6 +184,17 @@ MicroOp LowerOne(const Instruction& ins, int n, int hist_cap,
   m.fn = table.micro[static_cast<int>(id)];
   AE_CHECK_MSG(m.fn != nullptr, "kernel table is missing a micro kernel");
   return m;
+}
+
+/// Elements of the widest operand `ins` names: 1, n or n*n.
+int WidestOperand(const Instruction& ins, int n) {
+  const OpInfo& info = GetOpInfo(ins.op);
+  int widest = 1;
+  for (const OperandType space : {info.out, info.in1, info.in2}) {
+    if (space == OperandType::kVector) widest = std::max(widest, n);
+    if (space == OperandType::kMatrix) widest = n * n;
+  }
+  return widest;
 }
 
 /// Resolves a relation instruction into its pre-partitioned group list.
@@ -242,6 +256,7 @@ void CompileComponent(const std::vector<Instruction>& instrs, int n,
     if (micro.takes_draw_id) {
       current->random_ops.push_back(static_cast<int>(current->ops.size()));
     }
+    current->widest = std::max(current->widest, WidestOperand(ins, n));
     current->ops.push_back(LowerOne(ins, n, hist_cap, table, tape_extraction));
   }
 }

@@ -23,6 +23,9 @@ struct FusedSegment {
   std::vector<MicroOp> ops;
   /// Indices into `ops` needing a fresh serial draw id per execution.
   std::vector<int> random_ops;
+  /// Elements of the widest operand any op names (1, n or n*n): the
+  /// executor sizes this segment's task blocks from it.
+  int widest = 1;
 };
 
 /// One relation group, pre-resolved at lowering time: a borrowed view of
@@ -99,8 +102,9 @@ bool NamesInputMatrix(const std::vector<Instruction>& instrs);
 /// `tape_extraction` picks where GetScalar/GetRow/GetColumn read X: false
 /// reads the task's m0 (which the caller must fill for the date), true
 /// lowers them to the kGet*Tape kernels, which read the feature tape
-/// through MicroCtx::feature_rows and MicroCtx::date0. Only valid when no
+/// through MicroCtx::feature_rows, day_stride and date0. Only valid when no
 /// instruction that runs while m0 would hold X names m0 (NamesInputMatrix).
+/// Each segment records its widest operand (FusedSegment::widest).
 ///
 /// Micro-op kernels are fetched from `table` (one per-ISA variant table per
 /// build; see core/dispatch.h) — the lowering itself is variant-agnostic.

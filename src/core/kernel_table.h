@@ -9,7 +9,8 @@ namespace alphaevolve::core {
 /// Everything a micro-op kernel needs to address one task's state: base
 /// pointers into the executor's task-major arrays plus per-task strides (in
 /// doubles). Built per shard per segment execution — `scratch` is the
-/// shard's private n×n temporary and the history fields advance every date.
+/// shard's private n×n temporary and the history fields advance every date
+/// (they are only read by kTsRank, whose programs record the ring).
 struct MicroCtx {
   double* scalars = nullptr;
   double* vectors = nullptr;
@@ -27,10 +28,13 @@ struct MicroCtx {
   int n = 0;
   uint64_t run_seed = 0;
   /// Tape extraction (the kGet*Tape kernels): per-task pointers to the
-  /// task's feature row in the shared PanelStorage (n floats per day, row
-  /// order of the dataset view), and the first date of the current input
-  /// window — m0[f][j] == feature_rows[task][(date0 + j) * n + f].
+  /// task's day-0 feature row in the shared, date-major PanelStorage (n
+  /// contiguous floats, in the dataset view's row order), the floats
+  /// between one day and the next (storage rows × n), and the first date of
+  /// the current input window —
+  /// m0[f][j] == feature_rows[task][(date0 + j) * day_stride + f].
   const float* const* feature_rows = nullptr;
+  size_t day_stride = 0;
   int date0 = 0;
 };
 
@@ -135,14 +139,16 @@ struct KernelTable {
       nullptr;
   void (*transpose)(const double* a, double* out, int n) = nullptr;
 
-  /// Fused RefreshInputs fill: widen `w` float feature columns (column j at
-  /// `col0 + j * nf`, `nf` floats each) into the row-major n×n input matrix
-  /// `out[f * w + j]`. Pure convert/copy — bitwise exact by construction.
+  /// Fused RefreshInputs fill: widen the n float feature columns of one
+  /// task's window (column j, the n features of one day, at
+  /// `col0 + j * day_stride`) into the row-major n×n input matrix
+  /// `out[f * n + j]`. Pure convert/copy — bitwise exact by construction.
   /// Only the input-matrix path calls it: when no predict or update
   /// instruction names m0 as a matrix operand, the extraction ops lower to
   /// the kGet*Tape kernels, which widen just the floats they read straight
   /// from the tape, and m0 is never filled (see Executor).
-  void (*fill_input)(const float* col0, int nf, int w, double* out) = nullptr;
+  void (*fill_input)(const float* col0, size_t day_stride, int n,
+                     double* out) = nullptr;
 
   /// Float kernels for the nn baselines (row-major rows×cols weight `w`).
   /// Same accumulation contracts as src/nn/tensor.h: matvec keeps each row

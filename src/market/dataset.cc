@@ -1,6 +1,9 @@
 #include "market/dataset.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 #include <unordered_map>
 #include <utility>
 
@@ -9,13 +12,21 @@
 
 namespace alphaevolve::market {
 
+void* MapPages(size_t bytes) {
+  if (bytes == 0) return nullptr;
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void UnmapPages(void* p, size_t bytes) {
+  if (p != nullptr) munmap(p, bytes);
+}
+
 size_t PanelStorage::bytes() const {
-  size_t total = 0;
-  for (const auto& row : features) total += row.capacity() * sizeof(float);
-  for (const auto& row : labels) total += row.capacity() * sizeof(double);
-  for (const auto& row : closes) total += row.capacity() * sizeof(double);
-  total += source.capacity() * sizeof(int);
-  return total;
+  return features.size() * sizeof(float) + labels.size() * sizeof(double) +
+         closes.size() * sizeof(double) + source.size() * sizeof(int);
 }
 
 Dataset Dataset::Build(const std::vector<StockSeries>& panel,
@@ -39,8 +50,9 @@ Dataset Dataset::Build(const std::vector<StockSeries>& panel,
   ds.window_ = config.window;
   ds.num_days_ = num_days;
 
-  auto storage = std::make_shared<PanelStorage>();
-
+  // Survivors first, so the date-major tape is allocated once at its final
+  // size and each stock's series is scattered straight into it.
+  std::vector<const StockSeries*> kept;
   std::unordered_map<int, int> sector_remap, industry_remap;
   for (const auto& s : panel) {
     if (static_cast<int>(s.bars.size()) < num_days) continue;  // filter 1
@@ -53,12 +65,12 @@ Dataset Dataset::Build(const std::vector<StockSeries>& panel,
     }
     if (too_low) continue;
 
-    const int task = static_cast<int>(ds.meta_.size());
+    const int task = static_cast<int>(kept.size());
+    kept.push_back(&s);
     StockMeta meta = s.meta;
     meta.id = task;
     ds.meta_.push_back(meta);
     ds.row_of_.push_back(task);
-    storage->source.push_back(s.meta.id);
 
     auto [sec_it, sec_new] =
         sector_remap.emplace(s.meta.sector,
@@ -73,22 +85,44 @@ Dataset Dataset::Build(const std::vector<StockSeries>& panel,
     if (ind_new) ds.industry_tasks_.emplace_back();
     ds.industry_of_.push_back(ind_it->second);
     ds.industry_tasks_[static_cast<size_t>(ind_it->second)].push_back(task);
-
-    storage->features.push_back(BuildFeatureSeries(s));
-    std::vector<double> closes(static_cast<size_t>(num_days));
-    std::vector<double> labels(static_cast<size_t>(num_days), 0.0);
-    for (int t = 0; t < num_days; ++t) {
-      closes[static_cast<size_t>(t)] = s.bars[static_cast<size_t>(t)].close;
-    }
-    for (int t = 0; t + 1 < num_days; ++t) {
-      labels[static_cast<size_t>(t)] =
-          (closes[static_cast<size_t>(t + 1)] - closes[static_cast<size_t>(t)]) /
-          closes[static_cast<size_t>(t)];
-    }
-    storage->closes.push_back(std::move(closes));
-    storage->labels.push_back(std::move(labels));
   }
-  AE_CHECK_MSG(!ds.meta_.empty(), "all stocks were filtered out");
+  AE_CHECK_MSG(!kept.empty(), "all stocks were filtered out");
+
+  auto storage = std::make_shared<PanelStorage>();
+  const size_t rows = kept.size();
+  const size_t days = static_cast<size_t>(num_days);
+  storage->rows = static_cast<int>(rows);
+  storage->features.resize(days * rows * kNumFeatures);
+  storage->labels.resize(days * rows);
+  storage->closes.resize(days * rows);
+  storage->source.resize(rows);
+
+  // A few stocks at a time: each date then writes one contiguous run of
+  // rows per array instead of one scattered cache line per stock.
+  constexpr size_t kScatterRows = 16;
+  std::vector<std::vector<float>> series(kScatterRows);
+  for (size_t r0 = 0; r0 < rows; r0 += kScatterRows) {
+    const size_t r1 = std::min(rows, r0 + kScatterRows);
+    for (size_t r = r0; r < r1; ++r) {
+      series[r - r0] = BuildFeatureSeries(*kept[r]);
+      storage->source[r] = kept[r]->meta.id;
+    }
+    for (size_t t = 0; t < days; ++t) {
+      float* features =
+          storage->features.data() + (t * rows + r0) * kNumFeatures;
+      double* closes = storage->closes.data() + t * rows;
+      double* labels = storage->labels.data() + t * rows;
+      for (size_t r = r0; r < r1; ++r, features += kNumFeatures) {
+        std::copy_n(series[r - r0].data() + t * kNumFeatures, kNumFeatures,
+                    features);
+        const auto& bars = kept[r]->bars;
+        closes[r] = bars[t].close;
+        labels[r] = t + 1 < days
+                        ? (bars[t + 1].close - bars[t].close) / bars[t].close
+                        : 0.0;
+      }
+    }
+  }
   ds.storage_ = std::move(storage);
 
   // Usable dates: full feature window available and a next-day label exists.
@@ -180,35 +214,37 @@ Dataset Dataset::Subset(const std::vector<int>& keep) const {
 Dataset Dataset::Materialized() const {
   auto storage = std::make_shared<PanelStorage>();
   const int n = num_tasks();
-  storage->features.reserve(static_cast<size_t>(n));
-  storage->labels.reserve(static_cast<size_t>(n));
-  storage->closes.reserve(static_cast<size_t>(n));
-  storage->source.reserve(static_cast<size_t>(n));
+  const size_t rows = static_cast<size_t>(n);
+  const size_t days = static_cast<size_t>(num_days_);
+  storage->rows = n;
+  storage->features.resize(days * rows * kNumFeatures);
+  storage->labels.resize(days * rows);
+  storage->closes.resize(days * rows);
+  storage->source.resize(rows);
   for (int task = 0; task < n; ++task) {
-    const size_t row = static_cast<size_t>(row_of_[task]);
-    storage->features.push_back(storage_->features[row]);
-    storage->closes.push_back(storage_->closes[row]);
-    storage->source.push_back(storage_->source[row]);
-    // Fold the overlay into the stored labels at *every* date — the overlay
-    // is expected to be well-defined on the full calendar (it must return
-    // the base label wherever it has nothing to perturb), so lazy and
-    // materialized reads agree bitwise everywhere.
-    std::vector<double> labels = storage_->labels[row];
-    if (overlay_ != nullptr) {
-      const int src = storage_->source[row];
-      for (int t = 0; t < num_days_; ++t) {
-        labels[static_cast<size_t>(t)] = overlay_(
-            overlay_ctx_.get(), src, t, labels[static_cast<size_t>(t)]);
-      }
+    storage->source[static_cast<size_t>(task)] = source_id(task);
+  }
+  // Label() folds the overlay in at *every* date — the overlay is expected
+  // to be well-defined on the full calendar (it must return the base label
+  // wherever it has nothing to perturb), so lazy and materialized reads
+  // agree bitwise everywhere.
+  float* features = storage->features.data();
+  double* labels = storage->labels.data();
+  double* closes = storage->closes.data();
+  for (int t = 0; t < num_days_; ++t) {
+    for (int task = 0; task < n; ++task) {
+      std::copy_n(FeatureRow(task, t), kNumFeatures, features);
+      features += kNumFeatures;
+      *labels++ = Label(task, t);
+      *closes++ = Close(task, t);
     }
-    storage->labels.push_back(std::move(labels));
   }
 
   Dataset copy = *this;
   copy.storage_ = std::move(storage);
   copy.overlay_ = nullptr;
   copy.overlay_ctx_.reset();
-  copy.row_of_.assign(static_cast<size_t>(n), 0);
+  copy.row_of_.assign(rows, 0);
   for (int task = 0; task < n; ++task) copy.row_of_[task] = task;
   return copy;
 }
@@ -228,11 +264,9 @@ const std::vector<int>& Dataset::dates(Split split) const {
 
 void Dataset::FillInputMatrix(int task, int date, double* out) const {
   const int w = window_;
-  const float* base =
-      storage_->features[static_cast<size_t>(row_of_[task])].data();
-  for (int j = 0; j < w; ++j) {
-    const float* col =
-        base + static_cast<size_t>(date - w + 1 + j) * kNumFeatures;
+  const size_t stride = day_stride();
+  const float* col = FeatureRow(task, date - w + 1);
+  for (int j = 0; j < w; ++j, col += stride) {
     for (int f = 0; f < kNumFeatures; ++f) {
       out[f * w + j] = static_cast<double>(col[f]);
     }

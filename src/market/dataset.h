@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "market/features.h"
@@ -26,18 +27,53 @@ struct DatasetConfig {
   double min_price = 1.0;      ///< Filter 2: drop stocks that ever trade below.
 };
 
+/// Allocator for the panel tape: each array is its own anonymous page
+/// mapping, returned to the OS when freed. Multi-MB tapes come and go with
+/// every dataset and scenario world; through the heap, glibc's adaptive mmap
+/// threshold would start placing them in a thread's arena once one is freed,
+/// where the freed pages stay resident. Elements are default-initialised:
+/// fresh pages arrive zeroed, and Build overwrites every element anyway.
+void* MapPages(size_t bytes);
+void UnmapPages(void* p, size_t bytes);
+
+template <class T>
+struct PageAllocator {
+  using value_type = T;
+  PageAllocator() = default;
+  template <class U>
+  PageAllocator(const PageAllocator<U>&) {}
+  T* allocate(size_t n) { return static_cast<T*>(MapPages(n * sizeof(T))); }
+  void deallocate(T* p, size_t n) { UnmapPages(p, n * sizeof(T)); }
+  template <class U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U>
+  bool operator==(const PageAllocator<U>&) const {
+    return true;
+  }
+};
+
+template <class T>
+using PageVector = std::vector<T, PageAllocator<T>>;
+
 /// The immutable per-panel tape: feature/label/close series for every
 /// surviving stock, shared (via shared_ptr) between a base dataset and any
 /// number of copy-on-write views derived from it — scenario overlays add a
 /// label perturbation function and/or a task subset on top instead of
 /// duplicating these arrays.
+///
+/// The layout is date-major, matching the executor's lockstep order (one
+/// date across all tasks, paper §4): a date's features, labels and closes
+/// for every row are one contiguous stream.
 struct PanelStorage {
-  std::vector<std::vector<float>> features;  ///< [row][day*13 + f]
-  std::vector<std::vector<double>> labels;   ///< [row][day]
-  std::vector<std::vector<double>> closes;   ///< [row][day]
+  int rows = 0;  ///< surviving stocks
+  PageVector<float> features;  ///< [day][row][13]
+  PageVector<double> labels;   ///< [day][row]
+  PageVector<double> closes;   ///< [day][row]
   std::vector<int> source;  ///< [row] original (pre-filter) panel stock id
 
-  /// Resident bytes of every array above.
+  /// Bytes of every array above.
   size_t bytes() const;
 };
 
@@ -127,25 +163,37 @@ class Dataset {
   /// after the scenario overlay (if any).
   double Label(int task, int date) const {
     const size_t row = static_cast<size_t>(row_of_[task]);
-    const double base = storage_->labels[row][static_cast<size_t>(date)];
+    const double base =
+        storage_->labels[static_cast<size_t>(date) * rows() + row];
     if (overlay_ == nullptr) return base;
     return overlay_(overlay_ctx_.get(), storage_->source[row], date, base);
   }
 
   /// Copies the w most recent feature columns into `out` (row-major f×w,
   /// out[f*w + j], column w-1 = day `date`). `out` must hold 13*w doubles.
+  /// Column j is the 13 floats at FeatureRow(task, date - w + 1 + j).
   void FillInputMatrix(int task, int date, double* out) const;
 
-  /// Pointer to the 13 features of (task, date); valid for dates in splits.
+  /// Floats between one day's tape and the next: storage rows × 13. This is
+  /// a property of the shared storage, not of the view, so a Subset view
+  /// steps by the full universe.
+  size_t day_stride() const {
+    return rows() * static_cast<size_t>(kNumFeatures);
+  }
+
+  /// Pointer to the 13 contiguous features of (task, date); valid for dates
+  /// in splits. Rows of one date sit next to each other, so
+  /// FeatureRow(task, date + 1) == FeatureRow(task, date) + day_stride().
   const float* FeatureRow(int task, int date) const {
-    return storage_->features[static_cast<size_t>(row_of_[task])].data() +
-           static_cast<size_t>(date) * kNumFeatures;
+    return storage_->features.data() +
+           static_cast<size_t>(date) * day_stride() +
+           static_cast<size_t>(row_of_[task]) * kNumFeatures;
   }
 
   /// Raw close price (for examples / diagnostics).
   double Close(int task, int date) const {
-    return storage_->closes[static_cast<size_t>(row_of_[task])]
-                           [static_cast<size_t>(date)];
+    return storage_->closes[static_cast<size_t>(date) * rows() +
+                            static_cast<size_t>(row_of_[task])];
   }
 
   int num_days() const { return num_days_; }
@@ -161,6 +209,8 @@ class Dataset {
   size_t StorageBytes() const { return storage_->bytes(); }
 
  private:
+  size_t rows() const { return static_cast<size_t>(storage_->rows); }
+
   int window_ = 13;
   int num_days_ = 0;
   int first_usable_date_ = 0;

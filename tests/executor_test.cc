@@ -166,6 +166,139 @@ TEST_F(ExecutorTest, InputPathCountersSplitTapeFromMatrixRuns) {
   obs::MetricsRegistry::Default().Reset();
 }
 
+TEST_F(ExecutorTest, HistoryRunsCountOnlyTsRankPrograms) {
+  // executor.history_runs counts the Runs that record the ts_rank history
+  // ring: a predict or update ts_rank needs it; the expert alpha does not.
+  const AlphaProgram expert = MakeExpertAlpha(dataset_->window());
+  AlphaProgram ts_rank;
+  ts_rank.predict.push_back(GetScalar(3, market::kClose, 12));
+  Instruction ts = I(Op::kTsRank, kPredictionScalar, 3);
+  ts.idx0 = 5;
+  ts_rank.predict.push_back(ts);
+  AlphaProgram update_ts_rank;
+  update_ts_rank.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 4, 4));
+  update_ts_rank.update.push_back(I(Op::kTsRank, 4, kLabelScalar));
+
+  obs::TelemetryConfig on;
+  on.enabled = true;
+  obs::Configure(on);
+  obs::MetricsRegistry::Default().Reset();
+  const obs::Counter& runs =
+      obs::MetricsRegistry::Default().GetCounter("executor.runs");
+  const obs::Counter& rings =
+      obs::MetricsRegistry::Default().GetCounter("executor.history_runs");
+
+  ExecutorConfig interp_cfg;
+  interp_cfg.fuse_segments = false;
+  for (const ExecutorConfig& cfg : {ExecutorConfig{}, interp_cfg}) {
+    SCOPED_TRACE(cfg.fuse_segments ? "fused" : "interpreter");
+    obs::MetricsRegistry::Default().Reset();
+    Executor exec(*dataset_, cfg);
+    ASSERT_TRUE(exec.Run(expert, 1).valid);
+    EXPECT_EQ(runs.Value(), 1);
+    EXPECT_EQ(rings.Value(), 0);
+    ASSERT_TRUE(exec.Run(ts_rank, 1).valid);
+    EXPECT_EQ(runs.Value(), 2);
+    EXPECT_EQ(rings.Value(), 1);
+    ASSERT_TRUE(exec.Run(update_ts_rank, 1).valid);
+    EXPECT_EQ(runs.Value(), 3);
+    EXPECT_EQ(rings.Value(), 2);
+  }
+
+  // Off means off.
+  obs::Configure(obs::TelemetryConfig{});
+  const int64_t rings_before = rings.Value();
+  Executor exec(*dataset_, ExecutorConfig{});
+  ASSERT_TRUE(exec.Run(ts_rank, 1).valid);
+  EXPECT_EQ(rings.Value(), rings_before);
+  obs::MetricsRegistry::Default().Reset();
+}
+
+TEST_F(ExecutorTest, HistoryRingNeverLeaksAcrossRuns) {
+  // The ring is zeroed and recorded only for programs with a predict or
+  // update ts_rank, so an Executor reused across programs must still give
+  // every Run exactly what a fresh Executor (and the interpreter) gives:
+  // ts_rank reads only slots written in its own Run.
+  const int w = dataset_->window();
+  AlphaProgram plain;  // no ts_rank: the ring is left untouched
+  plain.predict.push_back(GetScalar(3, market::kClose, w - 1));
+  plain.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 3, 3));
+  plain.update.push_back(I(Op::kScalarAdd, 3, 3, kLabelScalar));
+
+  AlphaProgram in_predict;
+  in_predict.predict.push_back(GetScalar(3, market::kClose, w - 1));
+  Instruction ts = I(Op::kTsRank, 4, 3);
+  ts.idx0 = 9;
+  in_predict.predict.push_back(ts);
+  in_predict.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 4, 3));
+
+  AlphaProgram in_update;  // the ring feeds the next date's prediction
+  in_update.predict.push_back(GetScalar(3, market::kMa5, w - 2));
+  in_update.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 5, 3));
+  Instruction ts_label = I(Op::kTsRank, 5, kLabelScalar);
+  ts_label.idx0 = 16;
+  in_update.update.push_back(ts_label);
+
+  AlphaProgram in_setup;  // must see an empty ring, even after ring runs
+  in_setup.setup.push_back(Const(3, 7.0));
+  in_setup.setup.push_back(I(Op::kTsRank, 4, 3));
+  in_setup.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 4, 2));
+
+  ExecutorConfig interp_cfg;
+  interp_cfg.fuse_segments = false;
+  for (const ExecutorConfig& cfg : {ExecutorConfig{}, interp_cfg}) {
+    SCOPED_TRACE(cfg.fuse_segments ? "fused" : "interpreter");
+    Executor reused(*dataset_, cfg);
+    for (const AlphaProgram* prog : {&plain, &in_predict, &in_update,
+                                     &in_setup, &plain, &in_predict}) {
+      const ExecutionResult got = reused.Run(*prog, 3);
+      Executor fresh(*dataset_, ExecutorConfig{});
+      Executor interp(*dataset_, interp_cfg);
+      const ExecutionResult want = fresh.Run(*prog, 3);
+      ASSERT_TRUE(got.valid);
+      EXPECT_EQ(got.valid_preds, want.valid_preds);
+      EXPECT_EQ(got.test_preds, want.test_preds);
+      const ExecutionResult ref = interp.Run(*prog, 3);
+      EXPECT_EQ(got.valid_preds, ref.valid_preds);
+      EXPECT_EQ(got.test_preds, ref.test_preds);
+    }
+  }
+
+  // An update-only ts_rank must read the same ring a predict ts_rank would
+  // record: a dead predict ts_rank changes nothing.
+  AlphaProgram also_in_predict = in_update;
+  also_in_predict.predict.push_back(I(Op::kTsRank, 8, 3));
+  Executor exec(*dataset_, ExecutorConfig{});
+  const ExecutionResult want = exec.Run(also_in_predict, 3);
+  const ExecutionResult got = exec.Run(in_update, 3);
+  EXPECT_EQ(got.valid_preds, want.valid_preds);
+  EXPECT_EQ(got.test_preds, want.test_preds);
+}
+
+TEST_F(ExecutorTest, TsRankInSetupReadsHalf) {
+  // Setup runs before any history is recorded, so a setup ts_rank sees an
+  // empty window and reads 0.5, on both paths; predict only forwards it.
+  AlphaProgram prog;
+  prog.setup.push_back(Const(3, 7.0));
+  Instruction ts = I(Op::kTsRank, 4, 3);
+  ts.idx0 = 4;
+  prog.setup.push_back(ts);
+  prog.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 4, 2));
+
+  ExecutorConfig interp_cfg;
+  interp_cfg.fuse_segments = false;
+  for (const ExecutorConfig& cfg : {ExecutorConfig{}, interp_cfg}) {
+    SCOPED_TRACE(cfg.fuse_segments ? "fused" : "interpreter");
+    Executor exec(*dataset_, cfg);
+    const ExecutionResult r = exec.Run(prog, 1);
+    ASSERT_TRUE(r.valid);
+    ASSERT_FALSE(r.valid_preds.empty());
+    for (const auto& row : r.valid_preds) {
+      for (const double p : row) EXPECT_EQ(p, 0.5);
+    }
+  }
+}
+
 TEST_F(ExecutorTest, ScalarArithmeticPipeline) {
   // s1 = (close + close) * 0.5 == close.
   const int w = dataset_->window();

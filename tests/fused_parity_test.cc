@@ -3,7 +3,8 @@
 // execution, persistent arena workers — never any per-task FP sequence, so
 // every configuration below must reproduce the interpreter's output
 // bit-for-bit: across a program fuzz (whatever the mutator emits), across
-// {1, 4, 8} threads x {1, 16, 257} shard sizes, across block sizes, with
+// {1, 4, 8} threads x {1, 16, 257} shard sizes, across block sizes (forced,
+// and every per-segment auto class on a view with partial blocks), with
 // CounterRng random-init ops, with relation ops splitting segments, and on
 // both input paths (extraction from the feature tape, or the m0 fill).
 // The blocked matmul kernels get the same treatment against naive loops.
@@ -24,6 +25,7 @@
 #include "core/generators.h"
 #include "core/kernels.h"
 #include "core/mutator.h"
+#include "market/features.h"
 #include "market/simulator.h"
 #include "obs/telemetry.h"
 #include "util/rng.h"
@@ -211,6 +213,67 @@ std::vector<InputShape> InputPathShapes(int w) {
   update_reads.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 4, 6));
   update_reads.update.push_back(I(Op::kMatrixStd, 6, kInputMatrix));
   shapes.push_back({"m0 matrix only in update", update_reads, false});
+  return shapes;
+}
+
+/// One shape per auto block-size class: blocks are sized from a segment's
+/// widest operand (256 tasks when scalar-only, 52 when a vector is widest,
+/// 4 when a matrix is, at n = 13), and a segment carrying the fused m0 fill
+/// counts as matrix whatever its own ops are.
+std::vector<InputShape> SegmentWidthShapes(int w) {
+  std::vector<InputShape> shapes;
+  Instruction half = I(Op::kScalarConst, 9);
+  half.imm0 = 0.5;
+
+  // Scalar operands only, in predict and update (s6 is a parameter).
+  AlphaProgram scalar_only;
+  scalar_only.setup.push_back(half);
+  scalar_only.predict.push_back(
+      Extract(Op::kGetScalar, 3, market::kClose, w - 1));
+  scalar_only.predict.push_back(
+      Extract(Op::kGetScalar, 4, market::kMa20, w - 3));
+  scalar_only.predict.push_back(I(Op::kScalarSub, 5, 3, 4));
+  scalar_only.predict.push_back(I(Op::kScalarMul, 5, 5, 9));
+  scalar_only.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 5, 6));
+  scalar_only.update.push_back(I(Op::kScalarAdd, 6, 6, kLabelScalar));
+  scalar_only.update.push_back(I(Op::kScalarMul, 6, 6, 9));
+  shapes.push_back({"scalar-only segments", scalar_only, true});
+
+  // A vector is the widest operand: a feature row and a day column, mixed
+  // with label-weighted rows accumulated by update.
+  AlphaProgram vector_widest;
+  vector_widest.setup.push_back(RandomInit(Op::kVectorUniform, 7, -1.0, 1.0));
+  vector_widest.predict.push_back(Extract(Op::kGetRow, 2, market::kClose));
+  vector_widest.predict.push_back(Extract(Op::kGetColumn, 3, w - 1));
+  vector_widest.predict.push_back(I(Op::kVectorMul, 4, 2, 7));
+  vector_widest.predict.push_back(I(Op::kVectorAdd, 4, 4, 3));
+  vector_widest.predict.push_back(I(Op::kVectorMean, kPredictionScalar, 4));
+  vector_widest.update.push_back(I(Op::kVectorScale, 5, 2, kLabelScalar));
+  vector_widest.update.push_back(I(Op::kVectorAdd, 7, 7, 5));
+  shapes.push_back({"vector-widest segments", vector_widest, true});
+
+  // A matrix other than m0 is the widest operand: still the tape path.
+  AlphaProgram matrix_widest;
+  matrix_widest.setup.push_back(RandomInit(Op::kMatrixGaussian, 1, 0.0, 0.5));
+  matrix_widest.predict.push_back(Extract(Op::kGetColumn, 3, w - 1));
+  matrix_widest.predict.push_back(I(Op::kMatrixVectorProduct, 4, 1, 3));
+  matrix_widest.predict.push_back(I(Op::kVectorNorm, 5, 4));
+  matrix_widest.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 5, 6));
+  matrix_widest.update.push_back(I(Op::kVectorOuter, 2, 3, 4));
+  matrix_widest.update.push_back(I(Op::kMatrixMean, 6, 2));
+  shapes.push_back({"matrix-widest segments", matrix_widest, true});
+
+  // The fused fill rides a scalar-only first segment; m0 is named as a
+  // matrix only after a relation op, in the next segment.
+  AlphaProgram fill_first;
+  fill_first.predict.push_back(
+      Extract(Op::kGetScalar, 3, market::kClose, w - 1));
+  fill_first.predict.push_back(I(Op::kScalarAdd, 4, 3, 6));
+  fill_first.predict.push_back(I(Op::kRank, 5, 4));
+  fill_first.predict.push_back(I(Op::kMatrixMean, 7, kInputMatrix));
+  fill_first.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 5, 7));
+  fill_first.update.push_back(I(Op::kScalarAdd, 6, 6, kLabelScalar));
+  shapes.push_back({"fill-first segment", fill_first, false});
   return shapes;
 }
 
@@ -468,6 +531,53 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
       ExpectBitIdentical(executor.Run(prog, seed), expect);
     }
     prog = mutator.Mutate(prog, rng);
+  }
+
+  // One shape per auto block-size class through every variant at every
+  // thread and shard count, on the full universe and on a view whose task
+  // count leaves a partial block in every class (not a multiple of 4, so
+  // of neither 52 nor 256).
+  std::vector<int> keep;
+  for (int k = 0; k < dataset_->num_tasks(); ++k) {
+    if (k % 29 != 5) keep.push_back(k);
+  }
+  while (keep.size() % 4 == 0) keep.pop_back();
+  ASSERT_GT(keep.size(), 256u);
+  const market::Dataset uneven = dataset_->Subset(keep);
+  Executor uneven_reference(uneven, Interp());
+  std::vector<std::pair<std::string, Executor>> uneven_forced;
+  for (const KernelVariant v : RunnableKernelVariants()) {
+    for (const int threads : {1, 4, 8}) {
+      for (const int shard_size : {1, 16, 257}) {
+        ExecutorConfig cfg = Fused(threads, shard_size);
+        cfg.kernel_variant = KernelVariantName(v);
+        uneven_forced.emplace_back(std::string(KernelVariantName(v)) + " t" +
+                                       std::to_string(threads) + " s" +
+                                       std::to_string(shard_size),
+                                   Executor(uneven, cfg));
+      }
+    }
+  }
+  for (const InputShape& shape : SegmentWidthShapes(dataset_->window())) {
+    SCOPED_TRACE(shape.name);
+    ExecutionResult got;
+    EXPECT_EQ(FillsInputMatrix(forced.front().second, shape.program, 909,
+                               &got),
+              !shape.tape);
+    const ExecutionResult expect = reference.Run(shape.program, 909);
+    ASSERT_TRUE(expect.valid);
+    ExpectBitIdentical(got, expect);
+    for (auto& [name, executor] : forced) {
+      SCOPED_TRACE(name);
+      ExpectBitIdentical(executor.Run(shape.program, 909), expect);
+    }
+    const ExecutionResult uneven_expect =
+        uneven_reference.Run(shape.program, 909);
+    ASSERT_TRUE(uneven_expect.valid);
+    for (auto& [name, executor] : uneven_forced) {
+      SCOPED_TRACE(name + " uneven subset view");
+      ExpectBitIdentical(executor.Run(shape.program, 909), uneven_expect);
+    }
   }
 
   // Both input paths through every variant's extraction kernels (the tape

@@ -1,6 +1,9 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +12,7 @@
 #include "market/features.h"
 #include "market/simulator.h"
 #include "market/universe.h"
+#include "test_util.h"
 #include "util/check.h"
 #include "util/stats.h"
 
@@ -251,6 +255,96 @@ TEST(DatasetTest, FillInputMatrixLaysOutFeatureRowsAndDayColumns) {
                        static_cast<double>(col[f]));
     }
   }
+}
+
+/// A hand-built panel whose filters drop two of its 12 stocks: stock 3 is
+/// delisted early (filter 1) and stock 8 trades below min_price once
+/// (filter 2), so surviving rows no longer match panel ids.
+Dataset FilteredPanel() {
+  auto close = [](int k, int t) {
+    if (k == 8 && t == 50) return 0.5;
+    return 20.0 + 3.0 * std::sin(0.17 * t + 0.9 * k) + 0.04 * t + k;
+  };
+  auto panel = testutil::MakePanel(12, 90, close,
+                                   [](int k) { return k % 3; });
+  panel[3].bars.resize(70);
+  return Dataset::Build(panel, DatasetConfig{});
+}
+
+/// Scales and shifts the base label by source id and date, so a read that
+/// skips the overlay, or applies it to the wrong stock, shows.
+double TestOverlay(const void*, int source_id, int date, double base) {
+  return 2.0 * base + 1e-3 * source_id - 1e-5 * date;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// The date-major layout contract, checked on one view: consecutive days of
+/// a task are one day_stride apart, FillInputMatrix gathers through
+/// FeatureRow, and StorageBytes is exactly the tape plus the source map.
+void ExpectTapeLayout(const Dataset& ds, int storage_rows) {
+  ASSERT_EQ(ds.day_stride(), static_cast<size_t>(storage_rows) * kNumFeatures);
+  const size_t cells =
+      static_cast<size_t>(storage_rows) * static_cast<size_t>(ds.num_days());
+  EXPECT_EQ(ds.StorageBytes(),
+            cells * (kNumFeatures * sizeof(float) + 2 * sizeof(double)) +
+                static_cast<size_t>(storage_rows) * sizeof(int));
+  const int w = ds.window();
+  std::vector<double> x(static_cast<size_t>(kNumFeatures) * w);
+  for (int k = 0; k < ds.num_tasks(); ++k) {
+    for (int d = 0; d + 1 < ds.num_days(); ++d) {
+      ASSERT_EQ(ds.FeatureRow(k, d + 1), ds.FeatureRow(k, d) + ds.day_stride());
+    }
+    for (const int date : ds.dates(Split::kValid)) {
+      ds.FillInputMatrix(k, date, x.data());
+      for (int j = 0; j < w; ++j) {
+        const float* col = ds.FeatureRow(k, date - w + 1 + j);
+        for (int f = 0; f < kNumFeatures; ++f) {
+          ASSERT_TRUE(SameBits(x[static_cast<size_t>(f) * w + j],
+                               static_cast<double>(col[f])));
+        }
+      }
+    }
+  }
+}
+
+TEST(DatasetTest, DateMajorTapeLayoutHoldsOnEveryView) {
+  const Dataset base = FilteredPanel();
+  ASSERT_EQ(base.num_tasks(), 10);
+  EXPECT_EQ(base.source_id(3), 4);  // rows shift past the dropped stocks
+  EXPECT_EQ(base.source_id(7), 9);
+  const Dataset subset = base.Subset({0, 2, 3, 6, 9});
+  const Dataset overlay = base.WithLabelOverlay(
+      TestOverlay, std::shared_ptr<const void>());
+  const std::vector<std::pair<std::string, const Dataset*>> views = {
+      {"base", &base}, {"subset", &subset}, {"overlay", &overlay}};
+  for (const auto& [name, view] : views) {
+    SCOPED_TRACE(name);
+    // Views step by the shared storage's rows, not their own task count.
+    ExpectTapeLayout(*view, base.num_tasks());
+    const Dataset packed = view->Materialized();
+    SCOPED_TRACE("materialized");
+    ExpectTapeLayout(packed, view->num_tasks());
+    ASSERT_EQ(packed.num_tasks(), view->num_tasks());
+    for (int k = 0; k < view->num_tasks(); ++k) {
+      EXPECT_EQ(packed.source_id(k), view->source_id(k));
+      for (int d = 0; d < view->num_days(); ++d) {
+        ASSERT_EQ(std::memcmp(packed.FeatureRow(k, d), view->FeatureRow(k, d),
+                              kNumFeatures * sizeof(float)),
+                  0);
+        ASSERT_TRUE(SameBits(packed.Label(k, d), view->Label(k, d)));
+        ASSERT_TRUE(SameBits(packed.Close(k, d), view->Close(k, d)));
+      }
+    }
+  }
+  // The overlay is read lazily on top of the same base labels.
+  const int date = base.dates(Split::kTrain)[0];
+  EXPECT_TRUE(SameBits(overlay.Label(2, date),
+                       TestOverlay(nullptr, base.source_id(2), date,
+                                   base.Label(2, date))));
+  EXPECT_EQ(subset.storage().get(), base.storage().get());
 }
 
 TEST(DatasetTest, GroupListsPartitionTasks) {
