@@ -22,7 +22,6 @@
 #include "core/evaluator_pool.h"
 #include "core/evolution.h"
 #include "core/generators.h"
-#include "core/kernels.h"
 #include "core/mutator.h"
 #include "core/pruning.h"
 #include "ga/expr.h"
@@ -160,149 +159,6 @@ BENCHMARK(BM_ExecutorSharded)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- Fused segment kernels vs reference interpreter (BENCH_4.json) --------
-// One candidate's full lockstep execution over the 1100-task universe:
-// interpreter (per-instruction switch sweeping all task state once per
-// instruction) vs fused micro-op kernels (whole segment over a
-// cache-resident block of tasks, branch-free dispatch, persistent arena
-// workers between segments). Results are bit-identical (fused_parity_test),
-// so `speedup_vs_interpreter` — fused cands/sec over the interpreter run at
-// the same thread count — is pure kernel/locality/barrier gain.
-// `cpu_ms_per_cand` (process CPU time) is the number to read on a 1-core
-// box, where wall speedups cannot show.
-
-std::map<int, double>& InterpreterCandsPerSec() {
-  static auto* baselines = new std::map<int, double>();
-  return *baselines;
-}
-
-void BM_FusedSegment(benchmark::State& state) {
-  const bool fused = state.range(0) != 0;
-  const int threads = static_cast<int>(state.range(1));
-  const auto& ds = BenchDataset(1100);
-  core::ExecutorConfig cfg;
-  cfg.fuse_segments = fused;
-  if (const char* bs = std::getenv("AE_BENCH_BLOCK")) cfg.block_size = std::atoi(bs);
-  cfg.intra_candidate_threads = threads;
-  core::Executor exec(ds, cfg);
-  // A long element-wise segment — the shape evolution actually produces
-  // (up to 21 predict / 45 update instructions, mostly vector/scalar math)
-  // and the shape fusion targets: the interpreter sweeps all task state
-  // once per instruction, the fused path once per segment. A relation op
-  // keeps segment boundaries and the arena barrier in play.
-  core::AlphaProgram prog = core::MakeExpertAlpha(ds.window());
-  auto push = [&prog](core::Op op, int out, int in1, int in2) {
-    core::Instruction ins;
-    ins.op = op;
-    ins.out = static_cast<uint8_t>(out);
-    ins.in1 = static_cast<uint8_t>(in1);
-    ins.in2 = static_cast<uint8_t>(in2);
-    prog.predict.push_back(ins);
-  };
-  push(core::Op::kVectorSub, 3, 1, 2);
-  push(core::Op::kVectorMul, 4, 3, 1);
-  push(core::Op::kVectorAdd, 5, 4, 2);
-  push(core::Op::kVectorScale, 6, 5, 2);
-  push(core::Op::kVectorMax, 7, 6, 3);
-  push(core::Op::kVectorDiv, 8, 7, 1);
-  push(core::Op::kVectorAbs, 9, 8, 0);
-  push(core::Op::kMatrixAdd, 1, 0, 0);
-  push(core::Op::kMatrixMul, 2, 1, 0);
-  push(core::Op::kMatrixHeaviside, 3, 2, 0);
-  push(core::Op::kMatrixMeanAxis, 10, 3, 0);
-  push(core::Op::kVectorDot, 4, 9, 10);
-  push(core::Op::kScalarMul, 5, 4, 1);
-  push(core::Op::kScalarAdd, core::kPredictionScalar, 5,
-       core::kPredictionScalar);
-  core::Instruction rank;
-  rank.op = core::Op::kRank;
-  rank.out = core::kPredictionScalar;
-  rank.in1 = core::kPredictionScalar;
-  prog.predict.push_back(rank);
-
-  int64_t runs = 0;
-  double seconds = 0.0;
-  const std::clock_t cpu0 = std::clock();
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(exec.Run(prog, 1));
-    seconds += std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-    ++runs;
-  }
-  const double cpu_seconds =
-      static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
-  state.SetItemsProcessed(runs * ds.num_tasks());
-  if (seconds > 0.0 && runs > 0) {
-    const double cands_per_sec = static_cast<double>(runs) / seconds;
-    state.counters["cands_per_sec"] = cands_per_sec;
-    state.counters["cpu_ms_per_cand"] =
-        1e3 * cpu_seconds / static_cast<double>(runs);
-    if (!fused) {
-      InterpreterCandsPerSec()[threads] = cands_per_sec;
-    } else if (InterpreterCandsPerSec().count(threads) > 0) {
-      state.counters["speedup_vs_interpreter"] =
-          cands_per_sec / InterpreterCandsPerSec()[threads];
-    }
-  }
-}
-BENCHMARK(BM_FusedSegment)
-    ->Args({0, 1})  // interpreter baselines register first
-    ->Args({1, 1})
-    ->Args({0, 4})
-    ->Args({1, 4})
-    ->Args({0, 8})
-    ->Args({1, 8})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// --- Blocked matmul kernel (BENCH_4.json) ---------------------------------
-// The shared n×n kernel both executor paths call, against the naive ijk
-// triple loop it replaced (bit-identical accumulation order, so the
-// `gflops_proxy` gap is free). n = 13 is the paper's feature/window shape;
-// 32 shows the blocking effect once operands outgrow L1.
-
-void NaiveMatMul(const double* a, const double* b, double* out, int n) {
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (int q = 0; q < n; ++q) acc += a[i * n + q] * b[q * n + j];
-      out[i * n + j] = acc;
-    }
-  }
-}
-
-void BM_BlockedMatMul(benchmark::State& state) {
-  const bool blocked = state.range(0) != 0;
-  const int n = static_cast<int>(state.range(1));
-  Rng rng(11);
-  std::vector<double> a(static_cast<size_t>(n) * n);
-  std::vector<double> b(static_cast<size_t>(n) * n);
-  std::vector<double> out(static_cast<size_t>(n) * n);
-  for (double& x : a) x = rng.Gaussian();
-  for (double& x : b) x = rng.Gaussian();
-  for (auto _ : state) {
-    if (blocked) {
-      core::MatMulBlocked(a.data(), b.data(), out.data(), n);
-    } else {
-      NaiveMatMul(a.data(), b.data(), out.data(), n);
-    }
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  const double flops_per_iter = 2.0 * n * n * n;
-  state.counters["gflops_proxy"] = benchmark::Counter(
-      flops_per_iter * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_BlockedMatMul)
-    ->Args({0, 13})
-    ->Args({1, 13})
-    ->Args({0, 32})
-    ->Args({1, 32})
-    ->Args({0, 64})
-    ->Args({1, 64});
-
 // --- Per-segment barrier cost: arena vs pool re-submission (BENCH_4.json) -
 // The synchronization a sharded executor pays per element-wise segment:
 // PR 2 re-submitted helper tasks through the pool queue every segment
@@ -411,88 +267,6 @@ void RegisterDispatchedMatMul() {
     }
   }
 }
-
-// --- Relation ops: in-plan micro-phases vs barrier path (BENCH_6.json) ----
-// A relation-heavy candidate (three relation families splitting the predict
-// component into four fused segments) over the 1100-task universe. The
-// barrier path (PR 4: serial whole-universe gather, group-parallel rank
-// round, serial scatter — per relation) registers first; the in-plan path
-// executes each relation as pre-partitioned per-group gather → rank/demean
-// → scatter inside one arena round. `speedup_vs_barrier` at the same thread
-// count is the lowering gain; results are bit-identical either way
-// (fused_parity_test), and `cpu_ms_per_cand` is the number to read on a
-// 1-core box.
-
-std::map<int, double>& BarrierRelationCandsPerSec() {
-  static auto* baselines = new std::map<int, double>();
-  return *baselines;
-}
-
-void BM_FusedRelationSegment(benchmark::State& state) {
-  const bool in_plan = state.range(0) != 0;
-  const int threads = static_cast<int>(state.range(1));
-  const auto& ds = BenchDataset(1100);
-  core::ExecutorConfig cfg;
-  cfg.intra_candidate_threads = threads;
-  cfg.relation_in_plan = in_plan;
-  core::Executor exec(ds, cfg);
-  core::AlphaProgram prog = core::MakeExpertAlpha(ds.window());
-  auto push_rel = [&prog](core::Op op, int out, int in1, int industry) {
-    core::Instruction ins;
-    ins.op = op;
-    ins.out = static_cast<uint8_t>(out);
-    ins.in1 = static_cast<uint8_t>(in1);
-    ins.idx0 = static_cast<uint8_t>(industry);
-    prog.predict.push_back(ins);
-  };
-  push_rel(core::Op::kRank, 4, core::kPredictionScalar, 0);
-  push_rel(core::Op::kRelationRank, 5, 4, 1);
-  push_rel(core::Op::kRelationDemean, 6, 5, 0);
-  core::Instruction mix;
-  mix.op = core::Op::kScalarAdd;
-  mix.out = core::kPredictionScalar;
-  mix.in1 = 6;
-  mix.in2 = 4;
-  prog.predict.push_back(mix);
-  push_rel(core::Op::kRank, core::kPredictionScalar, core::kPredictionScalar,
-           0);
-
-  int64_t runs = 0;
-  double seconds = 0.0;
-  const std::clock_t cpu0 = std::clock();
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(exec.Run(prog, 1));
-    seconds += std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-    ++runs;
-  }
-  const double cpu_seconds =
-      static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
-  state.SetItemsProcessed(runs * ds.num_tasks());
-  if (seconds > 0.0 && runs > 0) {
-    const double cands_per_sec = static_cast<double>(runs) / seconds;
-    state.counters["cands_per_sec"] = cands_per_sec;
-    state.counters["cpu_ms_per_cand"] =
-        1e3 * cpu_seconds / static_cast<double>(runs);
-    if (!in_plan) {
-      BarrierRelationCandsPerSec()[threads] = cands_per_sec;
-    } else if (BarrierRelationCandsPerSec().count(threads) > 0) {
-      state.counters["speedup_vs_barrier"] =
-          cands_per_sec / BarrierRelationCandsPerSec()[threads];
-    }
-  }
-}
-BENCHMARK(BM_FusedRelationSegment)
-    ->Args({0, 1})  // barrier baselines register first
-    ->Args({1, 1})
-    ->Args({0, 4})
-    ->Args({1, 4})
-    ->Args({0, 8})
-    ->Args({1, 8})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 void BM_PruneAndFingerprint(benchmark::State& state) {
   // The paper's evaluation-free fingerprint: microseconds per candidate.
@@ -721,7 +495,6 @@ void BM_TelemetryOverhead(benchmark::State& state) {
   const auto& ds = BenchDataset(64);
   core::EvaluatorPool pool(ds, core::EvaluatorConfig{}, threads);
   core::EvolutionConfig cfg = MicroEvolutionConfig();
-  cfg.pipeline_depth = 0;  // TEMP-EXPERIMENT
   cfg.telemetry.enabled = mode >= 1;
   cfg.telemetry.tracing = mode >= 2;
   obs::Configure(cfg.telemetry);  // Run() only applies enabled configs

@@ -37,8 +37,6 @@ BenchOptions BenchOptions::FromEnv() {
   opt.num_threads = std::max(1, EnvInt("AE_BENCH_THREADS", opt.num_threads));
   opt.intra_threads =
       std::max(1, EnvInt("AE_BENCH_INTRA_THREADS", opt.intra_threads));
-  opt.fuse_segments = EnvInt("AE_BENCH_FUSE", 1) != 0;
-  opt.block_size = std::max(0, EnvInt("AE_BENCH_BLOCK", opt.block_size));
   opt.pipeline_depth =
       std::max(0, EnvInt("AE_BENCH_PIPELINE", opt.pipeline_depth));
   opt.full = EnvInt("AE_BENCH_FULL", 0) != 0;
@@ -75,8 +73,6 @@ market::Dataset MakeBenchDataset(const BenchOptions& opt) {
 core::EvaluatorConfig MakeEvaluatorConfig(const BenchOptions& opt) {
   core::EvaluatorConfig cfg;
   cfg.executor.intra_candidate_threads = opt.intra_threads;
-  cfg.executor.fuse_segments = opt.fuse_segments;
-  cfg.executor.block_size = opt.block_size;
   return cfg;
 }
 
@@ -90,8 +86,6 @@ core::EvolutionConfig MakeEvolutionConfig(const BenchOptions& opt,
   cfg.seed = seed;
   cfg.num_threads = opt.num_threads;  // batch size auto: 4x threads
   cfg.intra_candidate_threads = opt.intra_threads;  // task shards / candidate
-  cfg.fuse_segments = opt.fuse_segments ? 1 : 0;
-  cfg.block_size = opt.block_size;
   cfg.pipeline_depth = opt.pipeline_depth;  // overlap generation/evaluation
   return cfg;
 }

@@ -26,9 +26,6 @@ namespace ga = alphaevolve::ga;
 ///   AE_BENCH_ROUNDS   mining rounds                  (default 5)
 ///   AE_BENCH_THREADS  evaluation worker threads      (default 1)
 ///   AE_BENCH_INTRA_THREADS  task shards per candidate execution (default 1)
-///   AE_BENCH_FUSE     0 → reference interpreter instead of fused kernels
-///                     (default 1; bit-identical either way)
-///   AE_BENCH_BLOCK    fused-path tasks per cache block (default 0 = auto)
 ///   AE_BENCH_PIPELINE evolution pipeline depth: in-flight evaluation
 ///                     batches overlapped with next-batch generation
 ///                     (default 1; 0 = synchronous driver; bit-identical
@@ -42,8 +39,6 @@ struct BenchOptions {
   int rounds = 5;
   int num_threads = 1;
   int intra_threads = 1;
-  bool fuse_segments = true;
-  int block_size = 0;
   int pipeline_depth = 1;
   bool full = false;
 

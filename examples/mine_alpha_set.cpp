@@ -6,7 +6,7 @@
 // higher validation Sharpe ratio.
 //
 // Run: ./build/mine_alpha_set [rounds] [seconds_per_search] [num_threads]
-//                             [intra_candidate_threads] [json_out] [fuse]
+//                             [intra_candidate_threads] [json_out]
 //                             [pipeline_depth] [scenario_regimes]
 //                             [aggregation]
 //
@@ -23,13 +23,11 @@
 // (intra-candidate). Both levels share one thread pool. json_out emits the
 // accepted alpha set (program text + metrics) and every round's per-search
 // SearchStats as a diffable JSON artifact — the mining-side counterpart of
-// stress_alpha_set's robustness report. fuse=0 runs the reference
-// interpreter instead of the fused micro-op kernels (bit-identical output,
-// useful for A/B timing the kernel win on your universe). pipeline_depth
-// sets how many evaluation batches each search keeps in flight while it
-// generates the next (default 1; 0 = the synchronous driver; any depth is
-// bit-identical for candidate-bounded searches — time-budgeted ones, like
-// this example's, simply cover more candidates per wall-second).
+// stress_alpha_set's robustness report. pipeline_depth sets how many
+// evaluation batches each search keeps in flight while it generates the
+// next (default 1; 0 = the synchronous driver; any depth is bit-identical
+// for candidate-bounded searches — time-budgeted ones, like this
+// example's, simply cover more candidates per wall-second).
 //
 // Telemetry (position-independent, see telemetry_flags.h): --telemetry,
 // --metrics-out=PATH, --trace-out=PATH, --progress-every=SECS.
@@ -77,10 +75,9 @@ int main(int argc, char** argv) {
   const int num_threads = std::max(1, argc > 3 ? std::atoi(argv[3]) : 1);
   const int intra_threads = std::max(1, argc > 4 ? std::atoi(argv[4]) : 1);
   const char* json_out = argc > 5 ? argv[5] : nullptr;
-  const bool fuse = argc > 6 ? std::atoi(argv[6]) != 0 : true;
-  const int pipeline_depth = std::max(0, argc > 7 ? std::atoi(argv[7]) : 1);
-  const int scenario_regimes = std::max(0, argc > 8 ? std::atoi(argv[8]) : 0);
-  const char* aggregation_name = argc > 9 ? argv[9] : "worst";
+  const int pipeline_depth = std::max(0, argc > 6 ? std::atoi(argv[6]) : 1);
+  const int scenario_regimes = std::max(0, argc > 7 ? std::atoi(argv[7]) : 0);
+  const char* aggregation_name = argc > 8 ? argv[8] : "worst";
 
   market::MarketConfig mc = market::MarketConfig::BenchScale();
   mc.num_stocks = 80;
@@ -88,7 +85,6 @@ int main(int argc, char** argv) {
   mc.seed = 9;
   core::EvaluatorConfig eval_config;
   eval_config.executor.intra_candidate_threads = intra_threads;
-  eval_config.executor.fuse_segments = fuse;
   eval_config.eval_budget_seconds = ck.eval_budget;
 
   // Stress-in-the-loop mode: the scorer owns the base panel plus the
@@ -132,9 +128,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "mining %d rounds, %.1fs each, cutoff %.0f%%, %d thread(s), "
-      "%d task shard(s) per candidate, %s kernels, pipeline depth %d\n",
+      "%d task shard(s) per candidate, pipeline depth %d\n",
       rounds, seconds, config.correlation_cutoff * 100, num_threads,
-      intra_threads, fuse ? "fused" : "interpreter", pipeline_depth);
+      intra_threads, pipeline_depth);
   if (scorer != nullptr) {
     std::printf(
         "scenario fitness: %d regime(s), %s aggregation, panels resident "

@@ -28,10 +28,11 @@ fi
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
-# 2 rounds, no stress suite, 2 threads, pipeline depth 1, 1 search/round,
-# 2 shards; candidate-bounded with a tight snapshot cadence.
+# 2 rounds (two concurrent searches each), 2 threads, 1 task shard per
+# candidate, pipeline depth 2, no stress suite; candidate-bounded with a
+# tight snapshot cadence.
 MINE_ARGS=(2 0 2 1)
-MINE_TAIL=(1 2 0 worst --max-candidates=300 --checkpoint-every=2)
+MINE_TAIL=(2 0 worst --max-candidates=300 --checkpoint-every=2)
 
 echo "== reference run (uninterrupted, checkpointed) =="
 start_ns=$(date +%s%N)

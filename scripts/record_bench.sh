@@ -8,21 +8,17 @@
 #                  1/2/4/8 intra-candidate threads, >=1000-task universe)
 #   BENCH_3.json — scenario-suite robustness fan-out (BM_RobustnessSuite at
 #                  1/2/4/8 threads: scenarios/sec, speedup vs serial sweep)
-#   BENCH_4.json — executor kernel speedups: BM_FusedSegment (fused vs
-#                  interpreter cands/sec + per-cand CPU-ms at 1/4/8
-#                  threads), BM_BlockedMatMul (GFLOP proxy, blocked vs
-#                  naive), BM_ArenaBarrier/BM_PoolForBarrier (per-segment
-#                  barrier cost, persistent arena vs pool re-submission)
+#   BENCH_4.json — per-segment shard barrier cost
+#                  (BM_ArenaBarrier/BM_PoolForBarrier: persistent arena vs
+#                  pool re-submission at 2/4/8 lanes)
 #   BENCH_5.json — async pipelined evolution driver (BM_EvolutionPipelined:
 #                  cands/sec at pipeline depths 0/1/2, speedup vs the
 #                  synchronous depth-0 driver; AE_BENCH_THREADS sets the
 #                  worker count)
 #   BENCH_6.json — runtime-dispatched kernel variants
 #                  (BM_DispatchedMatMul: the per-ISA matmul tables vs the
-#                  scalar reference, registered for exactly the variants
-#                  this host can run) and relation-in-plan lowering
-#                  (BM_FusedRelationSegment: relation micro-phases inside
-#                  the arena schedule vs the per-relation barrier path)
+#                  scalar table, registered for exactly the variants this
+#                  host can run)
 #   BENCH_7.json — stress-in-the-loop mining (BM_ScenarioFitness: cands/sec
 #                  mining against the full 7-regime suite, copy-on-write
 #                  overlay panels vs materialized ones — peak panel bytes +
@@ -60,9 +56,9 @@ shift $(( $# > 0 ? 1 : 0 ))
 BENCHES=(
   "BENCH_2.json BM_ExecutorSharded"
   "BENCH_3.json BM_RobustnessSuite"
-  "BENCH_4.json BM_FusedSegment|BM_BlockedMatMul|BM_ArenaBarrier|BM_PoolForBarrier"
+  "BENCH_4.json BM_ArenaBarrier|BM_PoolForBarrier"
   "BENCH_5.json BM_EvolutionPipelined"
-  "BENCH_6.json BM_DispatchedMatMul|BM_FusedRelationSegment"
+  "BENCH_6.json BM_DispatchedMatMul"
   "BENCH_7.json BM_ScenarioFitness"
   "BENCH_8.json BM_TelemetryOverhead"
   "BENCH_9.json BM_CheckpointOverhead"

@@ -67,12 +67,6 @@ Evolution::Evolution(Evaluator& evaluator, EvolutionConfig config,
       pool_config.executor.intra_candidate_threads =
           config_.intra_candidate_threads;
     }
-    if (config_.fuse_segments >= 0) {
-      pool_config.executor.fuse_segments = config_.fuse_segments != 0;
-    }
-    if (config_.block_size > 0) {
-      pool_config.executor.block_size = config_.block_size;
-    }
     owned_pool_ = std::make_unique<EvaluatorPool>(
         evaluator.dataset(), pool_config, config_.num_threads);
     pool_ = owned_pool_.get();

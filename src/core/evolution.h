@@ -67,17 +67,6 @@ struct EvolutionConfig {
   /// pool. Composes with num_threads on one shared set of workers.
   int intra_candidate_threads = 0;
 
-  /// Fused-kernel toggle for candidate execution
-  /// (ExecutorConfig::fuse_segments): -1 inherits the evaluator's executor
-  /// config, 0 forces the reference interpreter, 1 forces fused micro-op
-  /// kernels. Applied when Evolution builds its internal pool, like
-  /// intra_candidate_threads. Bit-identical either way.
-  int fuse_segments = -1;
-
-  /// Tasks per cache block in the fused path (ExecutorConfig::block_size):
-  /// 0 inherits, > 0 overrides. Bit-identical at any value.
-  int block_size = 0;
-
   /// Children generated, scored, and inserted per evolution step (the batch
   /// width B of batched regularized evolution). Tournament parents for a
   /// batch are drawn before any of its children enter the population.

@@ -42,31 +42,7 @@ struct ExecutorConfig {
   /// tests) to force the concurrent group path on small datasets.
   int group_parallel_min_tasks = 1024;
 
-  /// Compile each element-wise segment once per Run into a fused micro-op
-  /// kernel (pre-resolved operand offsets, branch-free function-pointer
-  /// dispatch) executed block-at-a-time, so a cache-resident block of tasks
-  /// runs the *whole segment* before the next block is touched — one pass
-  /// of task state through L1/L2 per segment instead of one per
-  /// instruction. The fused path also picks the input path per program:
-  /// extraction reads the feature tape directly unless predict or update
-  /// names m0 as a matrix (see Executor). Bit-identical to the interpreter
-  /// path (element-wise ops have no cross-task reductions, so neither
-  /// fusion nor blocking can reorder any per-task FP sequence, and the
-  /// float→double widening is exact on either input path); disable to run
-  /// the reference interpreter, which refreshes m0 every date, e.g. when
-  /// bisecting a suspected kernel bug or adding a new op whose fused
-  /// lowering does not exist yet.
-  bool fuse_segments = true;
-
-  /// Tasks per cache block in the fused path. 0 = auto, per segment: sized
-  /// so 3 of the segment's widest operands fit in ~16 KiB, half of a
-  /// typical 32 KiB L1 (4 tasks for matrix segments at n = 13, 52 for
-  /// vector, 256 for scalar-only). A value > 0 overrides every segment. Any
-  /// value is bit-identical; the knob only moves the locality /
-  /// loop-overhead trade-off.
-  int block_size = 0;
-
-  /// Which per-ISA kernel variant the fused path fetches its micro-op and
+  /// Which per-ISA kernel variant the executor fetches its micro-op and
   /// dense kernels from: "scalar", "avx2", "avx512", "neon", or "auto".
   /// Empty (the default) defers to the AE_KERNEL_VARIANT environment
   /// variable, then to CPUID/HWCAP auto-detection. Every variant is
@@ -75,13 +51,6 @@ struct ExecutorConfig {
   /// A requested variant this build or machine cannot run falls back to
   /// scalar with a warning (see core/dispatch.h).
   std::string kernel_variant;
-
-  /// Execute relation ops through their in-plan lowering: gather →
-  /// per-group rank/demean → scatter as one group-parallel arena round,
-  /// instead of the serial whole-universe gather/scatter around a
-  /// group-only round (the pre-tier-2 path, kept for comparison).
-  /// Bit-identical either way.
-  bool relation_in_plan = true;
 };
 
 /// Output of one full run: predictions per evaluation date per task.
@@ -105,14 +74,14 @@ struct ExecutionResult {
 ///
 /// The scalar history feeds only ts_rank: it is zeroed and recorded only
 /// when predict or update contains a ts_rank (executor.history_runs counts
-/// those Runs), on both kernel paths. A Run never reads history slots an
-/// earlier Run wrote, so skipping the ring cannot change any result.
+/// those Runs). A Run never reads history slots an earlier Run wrote, so
+/// skipping the ring cannot change any result.
 ///
 /// Memory persists across dates — operands written by Update that survive to
 /// phase 3 are the paper's "parameters"; intermediate operands give the
 /// t-k lags in the evolved-alpha equations (§5.4.2).
 ///
-/// Input paths: "refresh m0" is the semantics; the fused path only pays for
+/// Input paths: "refresh m0" is the semantics; the executor only pays for
 /// it when it is observable. If no Predict or Update instruction names m0
 /// as a matrix operand (read or write), X is only ever read through the
 /// extraction ops, which then lower to tape kernels reading the few floats
@@ -120,8 +89,8 @@ struct ExecutionResult {
 /// pointers resolved at construction, the window start set per date) — m0
 /// is never filled. Otherwise m0 is filled from the tape every date, fused
 /// into the predict component's first segment. Either way the results are
-/// bit-identical to the interpreter, which always refreshes m0. The
-/// executor.runs / executor.input_matrix_runs counters record the split.
+/// bit-identical to refreshing m0 every date. The executor.runs /
+/// executor.input_matrix_runs counters record the split.
 ///
 /// Intra-candidate parallelism: with `intra_candidate_threads > 1` (or an
 /// external pool) the lockstep loop is *task-sharded*. Components are split
@@ -134,17 +103,17 @@ struct ExecutionResult {
 /// task, element), so results are deterministic in the seed and invariant
 /// to both the thread count and the shard size.
 ///
-/// Kernel path: with `fuse_segments` (the default) each component is
-/// lowered once per Run into fused micro-op segments (core/fused.h) that a
-/// shard executes block-at-a-time, fetching every kernel — element-wise,
-/// matmul/matvec/transpose, the fused input refresh — from the per-ISA
-/// kernel table resolved at construction (core/dispatch.h); with it off,
-/// the original switch interpreter runs instruction-at-a-time as the
-/// bit-identical reference using the fixed generic kernels (core/kernels.h).
-/// Relation ops on the fused path execute through their in-plan lowering
-/// (`relation_in_plan`): one group-parallel arena round doing gather →
-/// rank/demean → scatter per group, instead of serial whole-universe
-/// sweeps around a group-only barrier round.
+/// Kernel path: each component is lowered once per Run into fused micro-op
+/// segments (core/fused.h) that a shard executes block-at-a-time, in blocks
+/// sized per segment from its widest operand, fetching every kernel —
+/// element-wise, matmul/matvec/transpose, the fused input refresh — from
+/// the per-ISA kernel table resolved at construction (core/dispatch.h).
+/// Relation ops execute through their in-plan lowering: one group-parallel
+/// arena round doing gather → rank/demean → scatter per group. Element-wise
+/// ops have no cross-task reductions, so neither fusion nor blocking can
+/// reorder any per-task FP sequence: results are bit-identical to the
+/// serial, instruction-at-a-time semantics that tests/reference_executor.h
+/// keeps as the oracle. A new op needs a fused lowering and a case there.
 ///
 /// Shard workers: a parallel Run parks a `ShardArena` of persistent helpers
 /// on the pool for its whole duration — per-segment fan-out is then one
@@ -186,7 +155,7 @@ class Executor {
   int n() const { return n_; }
   /// Number of task shards a parallel section fans out to (1 = serial).
   int num_shards() const { return num_shards_; }
-  /// The kernel variant the fused path resolved at construction.
+  /// The kernel variant resolved at construction.
   const char* kernel_variant_name() const { return ktable_->name; }
 
  private:
@@ -218,27 +187,18 @@ class Executor {
   void ParallelForItems(int n, const std::function<void(int)>& fn);
   void RefreshInputs(int date);
   void RecordHistory();
-  /// Executes one element-wise instruction for tasks [t0, t1). `draw_id` is
-  /// the instruction's serial random-draw id (unused for non-random ops).
-  void ExecInstructionRange(const Instruction& ins, int t0, int t1,
-                            uint64_t draw_id);
-  void ExecRelation(const Instruction& ins);
   /// Executes a relation op through its in-plan lowering: one group-parallel
   /// round where each group gathers its members' input scalar, ranks or
-  /// demeans, and scatters the result — no whole-universe serial sweeps.
+  /// demeans, and scatters the result.
   void ExecRelationPlan(const RelationPlan& plan);
   /// Rank/demean over one group's members, reading rel_in_ and writing
   /// rel_out_ at member indices only; `order_scratch` is a caller-provided
   /// slice with space for the group's member count.
   void RankGroup(const int* members, int count, int* order_scratch);
   void DemeanGroup(const int* members, int count);
-  /// Executes instrs[begin, end) — all element-wise — for every task, with
-  /// one shard barrier for the whole segment (interpreter path).
-  void ExecShardedSegment(const std::vector<Instruction>& instrs,
-                          size_t begin, size_t end);
   /// Executes one compiled segment: stamps draw ids, then every shard walks
-  /// its tasks block-at-a-time through the whole micro-op list (fused path),
-  /// in blocks sized from the segment's widest operand (AutoBlockSize).
+  /// its tasks block-at-a-time through the whole micro-op list, in blocks
+  /// sized from the segment's widest operand (AutoBlockSize).
   /// `refresh_date >= 0` prepends the input-matrix fill for that date to
   /// each block — the per-date m0 refresh rides the segment's cache pass
   /// instead of sweeping task state separately (bit-identical: the fill
@@ -246,9 +206,7 @@ class Executor {
   /// the tape path no fill is requested and the extraction kernels read
   /// the window starting at `window_start_`.
   void ExecFusedSegment(FusedSegment& segment, int refresh_date = -1);
-  /// Interpreter walk of a raw component (reference path).
-  void ExecComponent(const std::vector<Instruction>& instrs);
-  /// Fused walk of a compiled component (hot path). `refresh_date >= 0`
+  /// Walks a compiled component in program order. `refresh_date >= 0`
   /// fuses RefreshInputs(date) into the first piece when it is an
   /// element-wise segment (the common predict shape), saving one full
   /// barrier + task-state sweep per date; when the component starts with a
@@ -269,13 +227,12 @@ class Executor {
   int shard_size_ = 0;
   int num_shards_ = 1;
 
-  // Fused-kernel path. The compiled components are rebuilt at each Run from
-  // the program (capacity reused); a block of tasks, sized per segment,
-  // stays cache-hot across one whole segment. ktable_ is the per-ISA kernel
-  // table resolved once at construction (core/dispatch.h); every variant is
+  // Compiled plan. The compiled components are rebuilt at each Run from the
+  // program (capacity reused); a block of tasks, sized per segment, stays
+  // cache-hot across one whole segment. ktable_ is the per-ISA kernel table
+  // resolved once at construction (core/dispatch.h); every variant is
   // bit-identical. arena_ points at the Run-scoped worker arena while a
   // parallel Run is in flight (see RunArenaScope in executor.cc).
-  bool fuse_ = true;
   const KernelTable* ktable_ = nullptr;
   RelationGroupSets rel_groups_;
   CompiledComponent compiled_[kNumComponents];
@@ -295,7 +252,6 @@ class Executor {
   // task, element) key never depends on scheduling.
   uint64_t run_seed_ = 0;
   uint64_t draw_counter_ = 0;
-  std::vector<uint64_t> segment_draw_ids_;  // scratch, indexed per segment
 
   // Structure-of-arrays scratch, task-major.
   std::vector<double> scalars_;
@@ -309,14 +265,12 @@ class Executor {
   int hist_head_ = 0;
 
   // Relation-op scratch. Groups partition the task set, so each group ranks
-  // into its own disjoint slice of rel_order_ (offsets precomputed below) —
-  // group-parallel execution without allocation or races.
+  // into its own disjoint slice of rel_order_ (RelationGroup::order_offset)
+  // — group-parallel execution without allocation or races.
   std::vector<double> rel_in_;
   std::vector<double> rel_out_;
   std::vector<int> rel_order_;
   std::vector<int> all_tasks_;
-  std::vector<int> sector_order_offset_;
-  std::vector<int> industry_order_offset_;
 };
 
 }  // namespace alphaevolve::core

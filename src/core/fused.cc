@@ -199,18 +199,15 @@ int WidestOperand(const Instruction& ins, int n) {
 
 /// Resolves a relation instruction into its pre-partitioned group list.
 RelationPlan LowerRelation(const Instruction& ins,
-                           const RelationGroupSets* rel_groups) {
+                           const RelationGroupSets& rel_groups) {
   RelationPlan plan;
   plan.op = ins.op;
   plan.in1 = ins.in1;
   plan.out = ins.out;
-  if (rel_groups != nullptr) {
-    if (ins.op == Op::kRank) {
-      plan.groups = &rel_groups->global;
-    } else {
-      plan.groups =
-          ins.idx0 == 0 ? &rel_groups->sector : &rel_groups->industry;
-    }
+  if (ins.op == Op::kRank) {
+    plan.groups = &rel_groups.global;
+  } else {
+    plan.groups = ins.idx0 == 0 ? &rel_groups.sector : &rel_groups.industry;
   }
   return plan;
 }
@@ -233,7 +230,7 @@ bool NamesInputMatrix(const std::vector<Instruction>& instrs) {
 
 void CompileComponent(const std::vector<Instruction>& instrs, int n,
                       int hist_cap, const KernelTable& table,
-                      const RelationGroupSets* rel_groups,
+                      const RelationGroupSets& rel_groups,
                       bool tape_extraction, CompiledComponent* out) {
   out->Clear();
   FusedSegment* current = nullptr;
@@ -242,8 +239,7 @@ void CompileComponent(const std::vector<Instruction>& instrs, int n,
     if (GetOpInfo(ins.op).is_relation) {
       current = nullptr;  // a relation op closes the running segment
       out->pieces.push_back(
-          {true, static_cast<int>(out->relations.size())});
-      out->relations.push_back(ins);
+          {true, static_cast<int>(out->relation_plans.size())});
       out->relation_plans.push_back(LowerRelation(ins, rel_groups));
       continue;
     }

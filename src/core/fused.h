@@ -52,9 +52,7 @@ struct RelationGroupSets {
 /// A relation op lowered into the compiled plan: gather → per-group
 /// rank/demean → scatter runs as *one* group-parallel round on the shard
 /// arena (each group's work item gathers its members' input scalar, ranks
-/// or demeans, and scatters the result), instead of the interpreter's
-/// serial whole-universe gather, a barrier round for the groups, and a
-/// serial whole-universe scatter.
+/// or demeans, and scatters the result).
 struct RelationPlan {
   Op op = Op::kRank;
   int32_t in1 = 0;
@@ -63,24 +61,20 @@ struct RelationPlan {
   const std::vector<RelationGroup>* groups = nullptr;
 };
 
-/// A compiled component: fused segments and the relation pieces that
-/// separate them, in program order. Each relation piece carries both its
-/// raw instruction (the barrier execution path, kept as the bit-identical
-/// reference) and its in-plan lowering (the hot path).
+/// A compiled component: fused segments and the relation plans that
+/// separate them, in program order.
 struct CompiledComponent {
   struct Piece {
     bool is_relation;
-    int index;  ///< into `segments` or `relations`/`relation_plans`
+    int index;  ///< into `segments` or `relation_plans`
   };
   std::vector<Piece> pieces;
   std::vector<FusedSegment> segments;
-  std::vector<Instruction> relations;
-  std::vector<RelationPlan> relation_plans;  ///< parallel to `relations`
+  std::vector<RelationPlan> relation_plans;
 
   void Clear() {
     pieces.clear();
     segments.clear();
-    relations.clear();
     relation_plans.clear();
   }
 };
@@ -108,12 +102,11 @@ bool NamesInputMatrix(const std::vector<Instruction>& instrs);
 ///
 /// Micro-op kernels are fetched from `table` (one per-ISA variant table per
 /// build; see core/dispatch.h) — the lowering itself is variant-agnostic.
-/// `rel_groups` supplies the pre-partitioned group sets for the in-plan
-/// relation lowering; it may be null when the caller only runs the barrier
-/// relation path (relation_plans then keep null group lists).
+/// `rel_groups` supplies the pre-partitioned group sets each relation plan
+/// borrows; it must outlive `out`.
 void CompileComponent(const std::vector<Instruction>& instrs, int n,
                       int hist_cap, const KernelTable& table,
-                      const RelationGroupSets* rel_groups,
+                      const RelationGroupSets& rel_groups,
                       bool tape_extraction, CompiledComponent* out);
 
 }  // namespace alphaevolve::core

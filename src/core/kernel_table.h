@@ -49,7 +49,7 @@ using MicroKernelFn = void (*)(const MicroCtx&, const MicroOp&, int t0,
 /// element offsets within a task's region of the owning array (which array
 /// each slot indexes is baked into the kernel: e.g. v_scale reads `in1`
 /// from the vector array and `in2` from the scalar array, exactly like its
-/// interpreter case). Immediates are copied and indices pre-clamped
+/// reference-executor case). Immediates are copied and indices pre-clamped
 /// (extraction `% n`, ts-rank window), so the kernels branch only on data.
 /// `draw_id` is stamped serially by the driving thread before each
 /// execution of the enclosing segment (random ops only), keeping the
@@ -123,7 +123,8 @@ inline constexpr int kNumKernelVariants =
 /// flags, and every kernel vectorizes only across independent output
 /// elements while preserving each element's accumulation order — so every
 /// table produces bit-identical results; only throughput differs. The
-/// fused-parity fuzz suite enforces that claim against the interpreter.
+/// fused-parity fuzz suite enforces that claim against the test-only
+/// reference executor (tests/reference_executor.h).
 struct KernelTable {
   KernelVariant variant = KernelVariant::kScalar;
   const char* name = "scalar";
@@ -131,8 +132,8 @@ struct KernelTable {
   /// Fused micro-op kernels, indexed by MicroKernelId.
   MicroKernelFn micro[kNumMicroKernels] = {};
 
-  /// Dense double kernels (the same contracts as core/kernels.h, which
-  /// stays the interpreter's fixed reference implementation).
+  /// Dense double kernels (the contracts of the reference copies in
+  /// tests/reference_executor.h).
   void (*matmul)(const double* a, const double* b, double* out, int n) =
       nullptr;
   void (*matvec)(const double* a, const double* x, double* out, int n) =

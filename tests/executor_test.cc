@@ -1,6 +1,7 @@
 #include "core/executor.h"
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include "core/generators.h"
 #include "market/features.h"
 #include "obs/telemetry.h"
+#include "reference_executor.h"
 #include "test_util.h"
 #include "util/stats.h"
 
@@ -129,7 +131,7 @@ TEST_F(ExecutorTest, InputPathCountersSplitTapeFromMatrixRuns) {
   // executor.runs counts every Run; executor.input_matrix_runs those that
   // fill m0 every date. The expert alpha reads X only through GetScalar, so
   // it extracts from the feature tape; a program using m0 as a matrix
-  // operand fills it, as the interpreter always does.
+  // operand fills it.
   const AlphaProgram expert = MakeExpertAlpha(dataset_->window());
   AlphaProgram matrix_read;
   matrix_read.predict.push_back(I(Op::kMatrixMean, kPredictionScalar, 0));
@@ -151,18 +153,11 @@ TEST_F(ExecutorTest, InputPathCountersSplitTapeFromMatrixRuns) {
   EXPECT_EQ(runs.Value(), 2);
   EXPECT_EQ(fills.Value(), 1);
 
-  ExecutorConfig interp_cfg;
-  interp_cfg.fuse_segments = false;
-  Executor interp(*dataset_, interp_cfg);
-  ASSERT_TRUE(interp.Run(expert, 1).valid);
-  EXPECT_EQ(runs.Value(), 3);
-  EXPECT_EQ(fills.Value(), 2);
-
   // Off means off: with the registry disabled nothing is counted.
   obs::Configure(obs::TelemetryConfig{});
   ASSERT_TRUE(fused.Run(matrix_read, 1).valid);
-  EXPECT_EQ(runs.Value(), 3);
-  EXPECT_EQ(fills.Value(), 2);
+  EXPECT_EQ(runs.Value(), 2);
+  EXPECT_EQ(fills.Value(), 1);
   obs::MetricsRegistry::Default().Reset();
 }
 
@@ -188,12 +183,8 @@ TEST_F(ExecutorTest, HistoryRunsCountOnlyTsRankPrograms) {
   const obs::Counter& rings =
       obs::MetricsRegistry::Default().GetCounter("executor.history_runs");
 
-  ExecutorConfig interp_cfg;
-  interp_cfg.fuse_segments = false;
-  for (const ExecutorConfig& cfg : {ExecutorConfig{}, interp_cfg}) {
-    SCOPED_TRACE(cfg.fuse_segments ? "fused" : "interpreter");
-    obs::MetricsRegistry::Default().Reset();
-    Executor exec(*dataset_, cfg);
+  {
+    Executor exec(*dataset_, ExecutorConfig{});
     ASSERT_TRUE(exec.Run(expert, 1).valid);
     EXPECT_EQ(runs.Value(), 1);
     EXPECT_EQ(rings.Value(), 0);
@@ -217,8 +208,9 @@ TEST_F(ExecutorTest, HistoryRunsCountOnlyTsRankPrograms) {
 TEST_F(ExecutorTest, HistoryRingNeverLeaksAcrossRuns) {
   // The ring is zeroed and recorded only for programs with a predict or
   // update ts_rank, so an Executor reused across programs must still give
-  // every Run exactly what a fresh Executor (and the interpreter) gives:
-  // ts_rank reads only slots written in its own Run.
+  // every Run exactly what a fresh Executor and the reference (which keeps
+  // the ring on every Run) give: ts_rank reads only slots written in its
+  // own Run.
   const int w = dataset_->window();
   AlphaProgram plain;  // no ts_rank: the ring is left untouched
   plain.predict.push_back(GetScalar(3, market::kClose, w - 1));
@@ -244,24 +236,23 @@ TEST_F(ExecutorTest, HistoryRingNeverLeaksAcrossRuns) {
   in_setup.setup.push_back(I(Op::kTsRank, 4, 3));
   in_setup.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 4, 2));
 
-  ExecutorConfig interp_cfg;
-  interp_cfg.fuse_segments = false;
-  for (const ExecutorConfig& cfg : {ExecutorConfig{}, interp_cfg}) {
-    SCOPED_TRACE(cfg.fuse_segments ? "fused" : "interpreter");
-    Executor reused(*dataset_, cfg);
-    for (const AlphaProgram* prog : {&plain, &in_predict, &in_update,
-                                     &in_setup, &plain, &in_predict}) {
-      const ExecutionResult got = reused.Run(*prog, 3);
-      Executor fresh(*dataset_, ExecutorConfig{});
-      Executor interp(*dataset_, interp_cfg);
-      const ExecutionResult want = fresh.Run(*prog, 3);
-      ASSERT_TRUE(got.valid);
-      EXPECT_EQ(got.valid_preds, want.valid_preds);
-      EXPECT_EQ(got.test_preds, want.test_preds);
-      const ExecutionResult ref = interp.Run(*prog, 3);
-      EXPECT_EQ(got.valid_preds, ref.valid_preds);
-      EXPECT_EQ(got.test_preds, ref.test_preds);
-    }
+  Executor reused(*dataset_, ExecutorConfig{});
+  testutil::ReferenceExecutor reused_reference(*dataset_);
+  for (const AlphaProgram* prog : {&plain, &in_predict, &in_update,
+                                   &in_setup, &plain, &in_predict}) {
+    const ExecutionResult got = reused.Run(*prog, 3);
+    Executor fresh(*dataset_, ExecutorConfig{});
+    const ExecutionResult want = fresh.Run(*prog, 3);
+    ASSERT_TRUE(got.valid);
+    EXPECT_EQ(got.valid_preds, want.valid_preds);
+    EXPECT_EQ(got.test_preds, want.test_preds);
+    testutil::ReferenceExecutor reference(*dataset_);
+    const testutil::ReferenceResult ref = reference.Run(*prog, 3);
+    EXPECT_EQ(got.valid_preds, ref.valid_preds);
+    EXPECT_EQ(got.test_preds, ref.test_preds);
+    const testutil::ReferenceResult reused_ref = reused_reference.Run(*prog, 3);
+    EXPECT_EQ(reused_ref.valid_preds, ref.valid_preds);
+    EXPECT_EQ(reused_ref.test_preds, ref.test_preds);
   }
 
   // An update-only ts_rank must read the same ring a predict ts_rank would
@@ -277,7 +268,8 @@ TEST_F(ExecutorTest, HistoryRingNeverLeaksAcrossRuns) {
 
 TEST_F(ExecutorTest, TsRankInSetupReadsHalf) {
   // Setup runs before any history is recorded, so a setup ts_rank sees an
-  // empty window and reads 0.5, on both paths; predict only forwards it.
+  // empty window and reads 0.5, in the executor and the reference; predict
+  // only forwards it.
   AlphaProgram prog;
   prog.setup.push_back(Const(3, 7.0));
   Instruction ts = I(Op::kTsRank, 4, 3);
@@ -285,18 +277,19 @@ TEST_F(ExecutorTest, TsRankInSetupReadsHalf) {
   prog.setup.push_back(ts);
   prog.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 4, 2));
 
-  ExecutorConfig interp_cfg;
-  interp_cfg.fuse_segments = false;
-  for (const ExecutorConfig& cfg : {ExecutorConfig{}, interp_cfg}) {
-    SCOPED_TRACE(cfg.fuse_segments ? "fused" : "interpreter");
-    Executor exec(*dataset_, cfg);
-    const ExecutionResult r = exec.Run(prog, 1);
-    ASSERT_TRUE(r.valid);
-    ASSERT_FALSE(r.valid_preds.empty());
-    for (const auto& row : r.valid_preds) {
+  const auto expect_half = [](bool valid, const auto& valid_preds) {
+    ASSERT_TRUE(valid);
+    ASSERT_FALSE(valid_preds.empty());
+    for (const auto& row : valid_preds) {
       for (const double p : row) EXPECT_EQ(p, 0.5);
     }
-  }
+  };
+  Executor exec(*dataset_, ExecutorConfig{});
+  const ExecutionResult r = exec.Run(prog, 1);
+  expect_half(r.valid, r.valid_preds);
+  testutil::ReferenceExecutor reference(*dataset_);
+  const testutil::ReferenceResult ref = reference.Run(prog, 1);
+  expect_half(ref.valid, ref.valid_preds);
 }
 
 TEST_F(ExecutorTest, ScalarArithmeticPipeline) {
@@ -483,6 +476,98 @@ TEST_F(ExecutorTest, TsRankOfMonotoneSeriesApproachesOne) {
   ASSERT_TRUE(r.valid);
   for (const auto& row : r.valid_preds) {
     for (double p : row) EXPECT_DOUBLE_EQ(p, 1.0);
+  }
+}
+
+TEST_F(ExecutorTest, RelationOpsMatchHandComputedValues) {
+  // Eight stocks whose normalized close is the same dyadic v on every
+  // evaluation date: the close is 128 v, except 128 on the panel's last
+  // day, which no date's window reaches but which is each stock's
+  // normalization maximum. Stocks 1 and 2 have identical bars (an exact
+  // tie), and so do stocks 3 and 4, whose log(v - 0.25) is NaN. Sectors
+  // (= industries): {0, 1, 2, 3, 4}, {5, 6} and {7} alone.
+  const std::vector<double> v = {0.75,  0.5, 0.5,   0.125,
+                                 0.125, 1.0, 0.375, 0.625};
+  const std::vector<int> sector = {0, 0, 0, 0, 0, 1, 1, 2};
+  const int num_days = 90;
+  const auto ds = market::Dataset::Build(
+      testutil::MakePanel(
+          8, num_days,
+          [&](int k, int t) {
+            return t == num_days - 1 ? 128.0 : 128.0 * v[k];
+          },
+          [&](int k) { return sector[k]; }),
+      market::DatasetConfig{});
+  ASSERT_EQ(ds.num_tasks(), 8);
+  ASSERT_EQ(ds.num_sector_groups(), 3);
+
+  // s4 = v - 0.25 = {0.5, 0.25, 0.25, -0.125, -0.125, 0.75, 0.125, 0.375}
+  // (exact); s5 = log(s4), NaN for stocks 3 and 4. Ascending finite s5:
+  // stock 6, then the tie 1 = 2, then 7, 0 and 5.
+  const auto program = [&](const Instruction& relation) {
+    AlphaProgram prog;
+    prog.setup.push_back(Const(2, 0.25));
+    prog.predict.push_back(GetScalar(3, market::kClose, ds.window() - 1));
+    prog.predict.push_back(I(Op::kScalarSub, 4, 3, 2));
+    prog.predict.push_back(I(Op::kScalarLog, 5, 4));
+    prog.predict.push_back(relation);
+    return prog;
+  };
+  Instruction sector_rank = I(Op::kRelationRank, kPredictionScalar, 5);
+  sector_rank.idx0 = 0;
+  Instruction sector_demean = I(Op::kRelationDemean, kPredictionScalar, 4);
+  sector_demean.idx0 = 0;
+  const double mean0 = 0.75 / 5;  // sector 0's s4 sum is exactly 0.75
+  struct Case {
+    const char* name;
+    Instruction relation;
+    std::vector<double> want;  // per task, on every date
+  };
+  const std::vector<Case> cases = {
+      // One group of 8, positions over g - 1 = 7: the tie shares position
+      // (1 + 2) / 2; the NaNs come last, each at its own position in member
+      // order (NaN != NaN, so they never average).
+      {"rank",
+       I(Op::kRank, kPredictionScalar, 5),
+       {4 / 7.0, 1.5 / 7, 1.5 / 7, 6 / 7.0, 7 / 7.0, 5 / 7.0, 0.0, 3 / 7.0}},
+      // Sector 0 over g - 1 = 4: tie at (0 + 1) / 2, stock 0, NaNs 3 then 4;
+      // sector 1: stock 6 then 5; the singleton sector reads 0.5.
+      {"sector rank",
+       sector_rank,
+       {2 / 4.0, 0.5 / 4, 0.5 / 4, 3 / 4.0, 4 / 4.0, 1.0, 0.0, 0.5}},
+      // s4 minus its sector's mean: 0.75 / 5, (0.75 + 0.125) / 2 = 0.4375,
+      // and the singleton's own value.
+      {"sector demean",
+       sector_demean,
+       {0.5 - mean0, 0.25 - mean0, 0.25 - mean0, -0.125 - mean0,
+        -0.125 - mean0, 0.3125, -0.3125, 0.0}},
+  };
+
+  const auto expect_rows = [](const std::vector<std::vector<double>>& rows,
+                              const std::vector<double>& want) {
+    ASSERT_FALSE(rows.empty());
+    for (const auto& row : rows) EXPECT_EQ(row, want);
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const AlphaProgram prog = program(c.relation);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ExecutorConfig cfg;
+      cfg.intra_candidate_threads = threads;
+      cfg.group_parallel_min_tasks = 1;  // fan the groups out at 4 threads
+      Executor exec(ds, cfg);
+      const ExecutionResult r = exec.Run(prog, 1);
+      ASSERT_TRUE(r.valid);
+      expect_rows(r.valid_preds, c.want);
+      expect_rows(r.test_preds, c.want);
+    }
+    SCOPED_TRACE("reference");
+    testutil::ReferenceExecutor reference(ds);
+    const testutil::ReferenceResult ref = reference.Run(prog, 1);
+    ASSERT_TRUE(ref.valid);
+    expect_rows(ref.valid_preds, c.want);
+    expect_rows(ref.test_preds, c.want);
   }
 }
 

@@ -1,13 +1,14 @@
-// Bit-parity of the fused micro-op kernel path against the reference
-// interpreter. The fused path changes *scheduling only* — lowering, block
-// execution, persistent arena workers — never any per-task FP sequence, so
-// every configuration below must reproduce the interpreter's output
-// bit-for-bit: across a program fuzz (whatever the mutator emits), across
-// {1, 4, 8} threads x {1, 16, 257} shard sizes, across block sizes (forced,
-// and every per-segment auto class on a view with partial blocks), with
-// CounterRng random-init ops, with relation ops splitting segments, and on
-// both input paths (extraction from the feature tape, or the m0 fill).
-// The blocked matmul kernels get the same treatment against naive loops.
+// Bit-parity of the executor's fused plan against the serial reference
+// executor (reference_executor.h). The plan changes *scheduling only* —
+// lowering, block execution, persistent arena workers, in-plan relation
+// rounds — never any per-task FP sequence, so every configuration below
+// must reproduce the reference's output bit-for-bit: across a program fuzz
+// (whatever the mutator emits), across {1, 4, 8} threads x {1, 16, 257}
+// shard sizes, across every per-segment block-size class on a view with
+// partial blocks, with CounterRng random-init ops, with relation ops
+// splitting segments, and on both input paths (extraction from the feature
+// tape, or the m0 fill). The reference's dense kernels are checked against
+// naive loops.
 
 #include <algorithm>
 #include <cmath>
@@ -23,15 +24,17 @@
 #include "core/dispatch.h"
 #include "core/executor.h"
 #include "core/generators.h"
-#include "core/kernels.h"
 #include "core/mutator.h"
 #include "market/features.h"
 #include "market/simulator.h"
 #include "obs/telemetry.h"
+#include "reference_executor.h"
 #include "util/rng.h"
 
 namespace alphaevolve::core {
 namespace {
+
+using testutil::ReferenceExecutor;
 
 Instruction I(Op op, int out, int in1 = 0, int in2 = 0) {
   Instruction ins;
@@ -87,8 +90,8 @@ Instruction Extract(Op op, int out, int idx0, int idx1 = 0) {
 }
 
 /// One program shape for the input-path parity checks, with the path the
-/// fused executor must pick for it: the tape (extraction reads the feature
-/// tape, m0 is never filled) or the input matrix (m0 filled every date).
+/// executor must pick for it: the tape (extraction reads the feature tape,
+/// m0 is never filled) or the input matrix (m0 filled every date).
 struct InputShape {
   std::string name;
   AlphaProgram program;
@@ -277,11 +280,13 @@ std::vector<InputShape> SegmentWidthShapes(int w) {
   return shapes;
 }
 
-void ExpectBitIdentical(const ExecutionResult& a, const ExecutionResult& b) {
-  ASSERT_EQ(a.valid, b.valid);
+/// `want` is an ExecutionResult or a testutil::ReferenceResult.
+template <typename Want>
+void ExpectBitIdentical(const ExecutionResult& got, const Want& want) {
+  ASSERT_EQ(got.valid, want.valid);
   // operator== on vector<double> is bitwise equality per element.
-  EXPECT_EQ(a.valid_preds, b.valid_preds);
-  EXPECT_EQ(a.test_preds, b.test_preds);
+  EXPECT_EQ(got.valid_preds, want.valid_preds);
+  EXPECT_EQ(got.test_preds, want.test_preds);
 }
 
 /// Runs `prog` with the metrics registry on and reports whether the run
@@ -322,18 +327,10 @@ class FusedParityTest : public ::testing::Test {
     dataset_ = nullptr;
   }
 
-  static ExecutorConfig Interp() {
+  static ExecutorConfig Fused(int threads, int shard_size) {
     ExecutorConfig cfg;
-    cfg.fuse_segments = false;
-    return cfg;
-  }
-  static ExecutorConfig Fused(int threads, int shard_size,
-                              int block_size = 0) {
-    ExecutorConfig cfg;
-    cfg.fuse_segments = true;
     cfg.intra_candidate_threads = threads;
     cfg.shard_size = shard_size;
-    cfg.block_size = block_size;
     cfg.group_parallel_min_tasks = 1;  // force the concurrent group path
     return cfg;
   }
@@ -351,12 +348,12 @@ class FusedParityTest : public ::testing::Test {
 market::Dataset* FusedParityTest::dataset_ = nullptr;
 
 TEST_F(FusedParityTest, ProgramFuzzAcrossThreadsAndShardSizes) {
-  // The acceptance matrix: interpreter reference vs fused kernels at
+  // The acceptance matrix: serial reference vs fused plan at
   // {1, 4, 8} threads x {1, 16, 257} shard sizes, over mutated programs.
   Mutator mutator{MutatorConfig{}};
   Rng rng(7);
 
-  Executor reference(*dataset_, Interp());
+  ReferenceExecutor reference(*dataset_);
   std::vector<std::pair<std::string, Executor>> fused;
   fused.emplace_back("fused serial", Executor(*dataset_, Fused(1, 0)));
   for (const int threads : {4, 8}) {
@@ -367,20 +364,12 @@ TEST_F(FusedParityTest, ProgramFuzzAcrossThreadsAndShardSizes) {
           Executor(*dataset_, Fused(threads, shard_size)));
     }
   }
-  // The interpreter must also survive the arena (it shares the shard
-  // fan-out machinery with the fused path).
-  ExecutorConfig interp_sharded = Interp();
-  interp_sharded.intra_candidate_threads = 4;
-  interp_sharded.shard_size = 16;
-  interp_sharded.group_parallel_min_tasks = 1;
-  fused.emplace_back("interpreter t4 s16",
-                     Executor(*dataset_, interp_sharded));
 
   AlphaProgram prog = MakeStressAlpha(dataset_->window());
   for (int i = 0; i < 12; ++i) {
     SCOPED_TRACE("mutation " + std::to_string(i));
     const uint64_t seed = 4000 + static_cast<uint64_t>(i);
-    const ExecutionResult expect = reference.Run(prog, seed);
+    const testutil::ReferenceResult expect = reference.Run(prog, seed);
     for (auto& [name, executor] : fused) {
       SCOPED_TRACE(name);
       ExpectBitIdentical(executor.Run(prog, seed), expect);
@@ -389,21 +378,9 @@ TEST_F(FusedParityTest, ProgramFuzzAcrossThreadsAndShardSizes) {
   }
 }
 
-TEST_F(FusedParityTest, BlockSizeCannotChangeResults) {
-  const AlphaProgram prog = MakeStressAlpha(dataset_->window());
-  Executor reference(*dataset_, Interp());
-  const ExecutionResult expect = reference.Run(prog, 55);
-  ASSERT_TRUE(expect.valid);
-  for (const int block : {1, 3, 64, 100000}) {
-    SCOPED_TRACE("block_size=" + std::to_string(block));
-    Executor fused(*dataset_, Fused(4, 16, block));
-    ExpectBitIdentical(fused.Run(prog, 55), expect);
-  }
-}
-
 TEST_F(FusedParityTest, CounterRngDrawsIdenticalAcrossPaths) {
-  // A pure random program: the fused path stamps serial draw ids on its
-  // micro-ops, the interpreter on its instructions — the streams must line
+  // A pure random program: the fused plan stamps serial draw ids on its
+  // micro-ops, the reference on its instructions — the streams must line
   // up draw for draw, at any thread count.
   AlphaProgram prog;
   prog.setup.push_back(RandomInit(Op::kMatrixGaussian, 1, 0.0, 1.0));
@@ -414,8 +391,8 @@ TEST_F(FusedParityTest, CounterRngDrawsIdenticalAcrossPaths) {
   prog.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 3, 4));
   prog.update.push_back(RandomInit(Op::kMatrixUniform, 1, -0.1, 0.1));
 
-  Executor reference(*dataset_, Interp());
-  const ExecutionResult expect = reference.Run(prog, 99);
+  ReferenceExecutor reference(*dataset_);
+  const testutil::ReferenceResult expect = reference.Run(prog, 99);
   ASSERT_TRUE(expect.valid);
   for (const int threads : {1, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -452,7 +429,7 @@ TEST_F(FusedParityTest, RelationBoundariesBetweenFusedSegments) {
   prog.predict.push_back(I(Op::kRank, kPredictionScalar, kPredictionScalar));
   prog.update.push_back(I(Op::kNoOp, 0));
 
-  Executor reference(*dataset_, Interp());
+  ReferenceExecutor reference(*dataset_);
   Executor fused(*dataset_, Fused(4, 16));
   ExpectBitIdentical(fused.Run(prog, 11), reference.Run(prog, 11));
 }
@@ -461,9 +438,9 @@ TEST_F(FusedParityTest, FusedInputRefreshBitIdentical) {
   // Two input paths, one reference. When no predict or update instruction
   // names m0 as a matrix, extraction reads the feature tape and m0 is never
   // filled; otherwise the fill rides the predict component's first segment
-  // (or runs standalone before a leading relation). The interpreter keeps
-  // the standalone RefreshInputs on every date. Each shape must take the
-  // path it is listed with and match the interpreter bit for bit — also on
+  // (or runs standalone before a leading relation). The reference refreshes
+  // m0 through Dataset::FillInputMatrix on every date. Each shape must take
+  // the path it is listed with and match the reference bit for bit — also on
   // a thin-universe view, whose tasks sit on a subset of the shared storage
   // rows, so the tape rows must follow the view's row map.
   const market::Dataset thin = dataset_->Subset(ThinRows());
@@ -472,8 +449,8 @@ TEST_F(FusedParityTest, FusedInputRefreshBitIdentical) {
     SCOPED_TRACE(data == dataset_ ? "full universe" : "subset view");
     for (const InputShape& shape : InputPathShapes(data->window())) {
       SCOPED_TRACE(shape.name);
-      Executor reference(*data, Interp());
-      const ExecutionResult expect = reference.Run(shape.program, 77);
+      ReferenceExecutor reference(*data);
+      const testutil::ReferenceResult expect = reference.Run(shape.program, 77);
       ASSERT_TRUE(expect.valid);
       for (const int threads : {1, 4}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -489,16 +466,14 @@ TEST_F(FusedParityTest, FusedInputRefreshBitIdentical) {
 
 TEST_F(FusedParityTest, KernelVariantParityFuzz) {
   // Every kernel variant that was both compiled in and is runnable on this
-  // host must reproduce the interpreter bit-for-bit on the mutated corpus —
+  // host must reproduce the reference bit-for-bit on the mutated corpus —
   // the SIMD variants vectorize only across independent output elements, so
   // there is no tolerance, ever. Each variant runs the full {1, 4, 8}
-  // threads x {1, 16, 257} shard matrix with relations lowered in-plan,
-  // plus one barrier-path configuration (relation_in_plan = false) to pin
-  // the two relation execution strategies to each other as well.
+  // threads x {1, 16, 257} shard matrix.
   Mutator mutator{MutatorConfig{}};
   Rng rng(17);
 
-  Executor reference(*dataset_, Interp());
+  ReferenceExecutor reference(*dataset_);
   std::vector<std::pair<std::string, Executor>> forced;
   for (const KernelVariant v : RunnableKernelVariants()) {
     const std::string vname = KernelVariantName(v);
@@ -511,13 +486,8 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
                             Executor(*dataset_, cfg));
       }
     }
-    ExecutorConfig barrier = Fused(4, 16);
-    barrier.kernel_variant = vname;
-    barrier.relation_in_plan = false;
-    forced.emplace_back(vname + " barrier t4 s16",
-                        Executor(*dataset_, barrier));
   }
-  ASSERT_GE(forced.size(), 10u);  // scalar always compiles: 9 + 1 minimum
+  ASSERT_GE(forced.size(), 9u);  // scalar always compiles: 9 minimum
 
   // MakeStressAlpha keeps all three relation ops in the corpus even when a
   // mutation step rewrites other instructions.
@@ -525,7 +495,7 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
   for (int i = 0; i < 5; ++i) {
     SCOPED_TRACE("mutation " + std::to_string(i));
     const uint64_t seed = 6000 + static_cast<uint64_t>(i);
-    const ExecutionResult expect = reference.Run(prog, seed);
+    const testutil::ReferenceResult expect = reference.Run(prog, seed);
     for (auto& [name, executor] : forced) {
       SCOPED_TRACE(name);
       ExpectBitIdentical(executor.Run(prog, seed), expect);
@@ -544,7 +514,7 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
   while (keep.size() % 4 == 0) keep.pop_back();
   ASSERT_GT(keep.size(), 256u);
   const market::Dataset uneven = dataset_->Subset(keep);
-  Executor uneven_reference(uneven, Interp());
+  ReferenceExecutor uneven_reference(uneven);
   std::vector<std::pair<std::string, Executor>> uneven_forced;
   for (const KernelVariant v : RunnableKernelVariants()) {
     for (const int threads : {1, 4, 8}) {
@@ -564,14 +534,14 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
     EXPECT_EQ(FillsInputMatrix(forced.front().second, shape.program, 909,
                                &got),
               !shape.tape);
-    const ExecutionResult expect = reference.Run(shape.program, 909);
+    const testutil::ReferenceResult expect = reference.Run(shape.program, 909);
     ASSERT_TRUE(expect.valid);
     ExpectBitIdentical(got, expect);
     for (auto& [name, executor] : forced) {
       SCOPED_TRACE(name);
       ExpectBitIdentical(executor.Run(shape.program, 909), expect);
     }
-    const ExecutionResult uneven_expect =
+    const testutil::ReferenceResult uneven_expect =
         uneven_reference.Run(shape.program, 909);
     ASSERT_TRUE(uneven_expect.valid);
     for (auto& [name, executor] : uneven_forced) {
@@ -584,16 +554,17 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
   // kernels read raw offsets into the shared feature tape), on the full
   // universe and on a thin-universe view.
   const market::Dataset thin = dataset_->Subset(ThinRows());
-  Executor thin_reference(thin, Interp());
+  ReferenceExecutor thin_reference(thin);
   for (const InputShape& shape : InputPathShapes(dataset_->window())) {
     SCOPED_TRACE(shape.name);
-    const ExecutionResult expect = reference.Run(shape.program, 808);
+    const testutil::ReferenceResult expect = reference.Run(shape.program, 808);
     ASSERT_TRUE(expect.valid);
     for (auto& [name, executor] : forced) {
       SCOPED_TRACE(name);
       ExpectBitIdentical(executor.Run(shape.program, 808), expect);
     }
-    const ExecutionResult thin_expect = thin_reference.Run(shape.program, 808);
+    const testutil::ReferenceResult thin_expect =
+        thin_reference.Run(shape.program, 808);
     for (const KernelVariant v : RunnableKernelVariants()) {
       SCOPED_TRACE(std::string(KernelVariantName(v)) + " subset view");
       ExecutorConfig cfg = Fused(4, 16);
@@ -604,12 +575,13 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
   }
 }
 
-TEST_F(FusedParityTest, RelationInPlanMatchesBarrierPath) {
+TEST_F(FusedParityTest, RelationInPlanMatchesReference) {
   // Relation-heavy shape: back-to-back relations, a relation opening the
   // predict component, and a trailing relation writing the prediction. The
   // in-plan lowering (gather -> group rank/demean -> scatter inside one
-  // arena round) and the PR 4 barrier path must agree with the interpreter
-  // bit-for-bit at every fan-out, for every runnable variant.
+  // arena round) must agree with the reference's serial whole-universe
+  // gather -> rank/demean -> scatter bit-for-bit at every fan-out, for
+  // every runnable variant.
   AlphaProgram prog;
   prog.predict.push_back(I(Op::kRank, 3, kPredictionScalar));
   Instruction get;
@@ -627,21 +599,56 @@ TEST_F(FusedParityTest, RelationInPlanMatchesBarrierPath) {
   prog.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 6, 3));
   prog.predict.push_back(I(Op::kRank, kPredictionScalar, kPredictionScalar));
 
-  Executor reference(*dataset_, Interp());
-  const ExecutionResult expect = reference.Run(prog, 23);
+  ReferenceExecutor reference(*dataset_);
+  const testutil::ReferenceResult expect = reference.Run(prog, 23);
   ASSERT_TRUE(expect.valid);
   for (const KernelVariant v : RunnableKernelVariants()) {
     for (const int threads : {1, 8}) {
-      for (const bool in_plan : {true, false}) {
-        SCOPED_TRACE(std::string(KernelVariantName(v)) + " threads=" +
-                     std::to_string(threads) +
-                     (in_plan ? " in-plan" : " barrier"));
-        ExecutorConfig cfg = Fused(threads, 16);
-        cfg.kernel_variant = KernelVariantName(v);
-        cfg.relation_in_plan = in_plan;
-        Executor fused(*dataset_, cfg);
-        ExpectBitIdentical(fused.Run(prog, 23), expect);
-      }
+      SCOPED_TRACE(std::string(KernelVariantName(v)) + " threads=" +
+                   std::to_string(threads));
+      ExecutorConfig cfg = Fused(threads, 16);
+      cfg.kernel_variant = KernelVariantName(v);
+      Executor fused(*dataset_, cfg);
+      ExpectBitIdentical(fused.Run(prog, 23), expect);
+    }
+  }
+}
+
+TEST_F(FusedParityTest, DenseOpsOnLiveOperandsMatchReference) {
+  // MakeStressAlpha's matmuls multiply by m1, which nothing writes, so
+  // they only ever see zeros. Here every dense op reads live data — random
+  // parameters and the input matrix X — in its direct and its aliasing
+  // (scratch) lowering. Only m0 and the scratch slots m3/v3 are written, so
+  // nothing feeds back across dates and values stay bounded. A dense kernel
+  // that reorders any accumulation changes the prediction's bits.
+  AlphaProgram prog;
+  prog.setup.push_back(RandomInit(Op::kMatrixGaussian, 1, 0.0, 0.5));
+  prog.setup.push_back(RandomInit(Op::kMatrixUniform, 2, -1.0, 1.0));
+  prog.setup.push_back(RandomInit(Op::kVectorUniform, 2, -1.0, 1.0));
+  // Direct: the destination differs from every input.
+  // Aliasing: it is one of them.
+  prog.predict.push_back(I(Op::kMatrixTranspose, 3, 1));          // direct
+  prog.predict.push_back(I(Op::kMatrixMatMul, 3, 3, 2));          // aliasing
+  prog.predict.push_back(
+      I(Op::kMatrixMatMul, 3, kInputMatrix, 3));                  // aliasing
+  prog.predict.push_back(I(Op::kMatrixTranspose, 3, 3));          // aliasing
+  prog.predict.push_back(I(Op::kMatrixMatMul, kInputMatrix, 3, 1));  // direct
+  prog.predict.push_back(
+      I(Op::kMatrixVectorProduct, 3, kInputMatrix, 2));           // direct
+  prog.predict.push_back(I(Op::kMatrixVectorProduct, 3, 3, 3));   // aliasing
+  prog.predict.push_back(I(Op::kVectorMean, kPredictionScalar, 3));
+
+  ReferenceExecutor reference(*dataset_);
+  const testutil::ReferenceResult expect = reference.Run(prog, 71);
+  ASSERT_TRUE(expect.valid);
+  for (const KernelVariant v : RunnableKernelVariants()) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(KernelVariantName(v)) + " threads=" +
+                   std::to_string(threads));
+      ExecutorConfig cfg = Fused(threads, 16);
+      cfg.kernel_variant = KernelVariantName(v);
+      Executor fused(*dataset_, cfg);
+      ExpectBitIdentical(fused.Run(prog, 71), expect);
     }
   }
 }
@@ -661,18 +668,18 @@ TEST_F(FusedParityTest, ScalarVariantIsDefaultTable) {
 
 TEST_F(FusedParityTest, EnvThreadCountCannotChangeResults) {
   // CI runs ctest under AE_BENCH_THREADS=1 and =4; this turns that into a
-  // fused-vs-interpreter invariance check at the env-selected fan-out.
+  // fused-vs-reference invariance check at the env-selected fan-out.
   int env_threads = 4;
   if (const char* env = std::getenv("AE_BENCH_THREADS")) {
     env_threads = std::max(1, std::atoi(env));
   }
   const AlphaProgram prog = MakeStressAlpha(dataset_->window());
-  Executor reference(*dataset_, Interp());
+  ReferenceExecutor reference(*dataset_);
   Executor fused(*dataset_, Fused(env_threads, 0));
   ExpectBitIdentical(fused.Run(prog, 42), reference.Run(prog, 42));
 }
 
-// ---- blocked dense kernels vs naive reference loops -----------------------
+// ---- the reference's blocked dense kernels vs naive loops -----------------
 
 /// True bitwise comparison (vector operator== fails NaN == NaN even when
 /// the bit patterns agree, and the poisoned inputs below produce NaNs).
@@ -705,7 +712,7 @@ TEST(BlockedKernelsTest, MatMulBitIdenticalToNaive) {
       }
     }
     std::vector<double> blocked(static_cast<size_t>(n) * n);
-    MatMulBlocked(a.data(), b.data(), blocked.data(), n);
+    testutil::MatMulBlocked(a.data(), b.data(), blocked.data(), n);
     ExpectSameBits(blocked, naive, n);
   }
 }
@@ -724,7 +731,7 @@ TEST(BlockedKernelsTest, MatVecBitIdenticalToNaive) {
       naive[static_cast<size_t>(i)] = acc;
     }
     std::vector<double> fast(static_cast<size_t>(n));
-    MatVecInOrder(a.data(), x.data(), fast.data(), n);
+    testutil::MatVecInOrder(a.data(), x.data(), fast.data(), n);
     ExpectSameBits(fast, naive, n);
   }
 }
@@ -735,7 +742,7 @@ TEST(BlockedKernelsTest, TransposeExact) {
   std::vector<double> a(static_cast<size_t>(n) * n);
   for (double& v : a) v = rng.Gaussian();
   std::vector<double> t(static_cast<size_t>(n) * n);
-  TransposeInto(a.data(), t.data(), n);
+  testutil::TransposeInto(a.data(), t.data(), n);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       EXPECT_EQ(t[static_cast<size_t>(j) * n + i],
