@@ -409,9 +409,9 @@ BENCHMARK(BM_EvolutionPooled)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- Async pipelined vs synchronous evolution driver (BENCH_5.json) -------
+// --- Evolution driver pipeline depth (BENCH_5.json) -----------------------
 // The same candidate stream (fixed seed + batch width) through the batched
-// driver at pipeline depths 0 (synchronous: the driving thread blocks while
+// driver at pipeline depths 0 (lockstep: the driving thread blocks while
 // each batch evaluates), 1 (double-buffered: batch N+1 is mutated / pruned /
 // fingerprinted while batch N evaluates), and 2. Results are bit-identical
 // at every depth (pipelined_evolution_test), so `speedup_vs_sync` — cands/
@@ -466,7 +466,7 @@ void BM_EvolutionPipelined(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvolutionPipelined)
-    ->Arg(0)  // synchronous baseline registers first
+    ->Arg(0)  // lockstep baseline registers first
     ->Arg(1)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond)
@@ -563,11 +563,11 @@ void BM_CheckpointOverhead(benchmark::State& state) {
   const auto& ds = BenchDataset(64);
   core::EvaluatorPool pool(ds, core::EvaluatorConfig{}, threads);
   core::EvolutionConfig cfg = MicroEvolutionConfig();
-  // The synchronous driver: it is the semantic reference every snapshot
-  // equals by construction (pipelined drivers drain to exactly its states
-  // before capturing), so it isolates the checkpoint machinery's cost —
-  // capture + serialize + background publish — from the pipeline-refill
-  // bubble a depth>0 drain adds per snapshot. That policy cost is bounded
+  // Depth 0 (lockstep): every barrier is already drained, so no snapshot
+  // waits on a drain (deeper pipelines drain to exactly these states before
+  // capturing). That isolates the checkpoint machinery's cost — capture +
+  // serialize + background publish — from the pipeline-refill bubble a
+  // depth>0 drain adds per snapshot. That policy cost is bounded
   // by BM_EvolutionPipelined's depth gain and shrinks with real batch
   // durations (this micro-workload commits a batch every ~10ms; paper-scale
   // runs take seconds per batch, making the bubble noise).

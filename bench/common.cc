@@ -85,7 +85,6 @@ core::EvolutionConfig MakeEvolutionConfig(const BenchOptions& opt,
   cfg.time_budget_seconds = opt.search_seconds;
   cfg.seed = seed;
   cfg.num_threads = opt.num_threads;  // batch size auto: 4x threads
-  cfg.intra_candidate_threads = opt.intra_threads;  // task shards / candidate
   cfg.pipeline_depth = opt.pipeline_depth;  // overlap generation/evaluation
   return cfg;
 }

@@ -28,8 +28,8 @@ namespace ga = alphaevolve::ga;
 ///   AE_BENCH_INTRA_THREADS  task shards per candidate execution (default 1)
 ///   AE_BENCH_PIPELINE evolution pipeline depth: in-flight evaluation
 ///                     batches overlapped with next-batch generation
-///                     (default 1; 0 = synchronous driver; bit-identical
-///                     at any depth)
+///                     (default 1; 0 = lockstep; bit-identical at any
+///                     depth)
 ///   AE_BENCH_FULL     1 → paper-scale grid/budgets   (default 0)
 struct BenchOptions {
   int num_stocks = 150;

@@ -25,9 +25,10 @@
 // SearchStats as a diffable JSON artifact — the mining-side counterpart of
 // stress_alpha_set's robustness report. pipeline_depth sets how many
 // evaluation batches each search keeps in flight while it generates the
-// next (default 1; 0 = the synchronous driver; any depth is bit-identical
-// for candidate-bounded searches — time-budgeted ones, like this
-// example's, simply cover more candidates per wall-second).
+// next (default 1; 0 = lockstep, each batch committed before the next is
+// generated; any depth is bit-identical for candidate-bounded searches —
+// time-budgeted ones, like this example's, simply cover more candidates per
+// wall-second).
 //
 // Telemetry (position-independent, see telemetry_flags.h): --telemetry,
 // --metrics-out=PATH, --trace-out=PATH, --progress-every=SECS.

@@ -12,8 +12,8 @@
 #                  (BM_ArenaBarrier/BM_PoolForBarrier: persistent arena vs
 #                  pool re-submission at 2/4/8 lanes)
 #   BENCH_5.json — async pipelined evolution driver (BM_EvolutionPipelined:
-#                  cands/sec at pipeline depths 0/1/2, speedup vs the
-#                  synchronous depth-0 driver; AE_BENCH_THREADS sets the
+#                  cands/sec at pipeline depths 0/1/2, speedup vs
+#                  lockstep depth 0; AE_BENCH_THREADS sets the
 #                  worker count)
 #   BENCH_6.json — runtime-dispatched kernel variants
 #                  (BM_DispatchedMatMul: the per-ISA matmul tables vs the

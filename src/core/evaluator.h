@@ -61,7 +61,8 @@ enum class ScenarioAggregation {
   kCostAdjusted,  ///< mean ic_valid − cost_penalty × mean valid turnover.
 };
 
-/// Knobs of the staged scenario fitness (EvolutionConfig::scenario_fitness).
+/// Knobs of the staged scenario fitness; scenario::ScenarioFitness takes
+/// them in its constructor.
 struct ScenarioFitnessOptions {
   /// Evaluate the baseline regime first and reject candidates below
   /// `screen_min_ic` before paying for the remaining regimes — the pruning
@@ -94,8 +95,8 @@ class Evaluator;
 /// Pluggable fitness: evolution hands the scorer a leased baseline evaluator
 /// plus the cutoff state and receives the fitness to select on. The default
 /// (no scorer installed) is plain baseline ic_valid. Implementations must be
-/// thread-safe — ScoreBatch calls Score from many workers at once — and
-/// deterministic in (program, seed) alone, never in call order.
+/// thread-safe — the evolution driver calls Score from many pool workers at
+/// once — and deterministic in (program, seed) alone, never in call order.
 class CandidateScorer {
  public:
   virtual ~CandidateScorer() = default;

@@ -99,24 +99,6 @@ void EvaluatorPool::ForEachAsync(int n,
   }
 }
 
-std::unique_ptr<EvaluatorPool::AsyncBatch> EvaluatorPool::EvaluateBatchAsync(
-    std::vector<EvalRequest> batch) {
-  // No std::make_unique: the constructor is private to keep the
-  // (pool, requests) pairing an implementation detail.
-  std::unique_ptr<AsyncBatch> handle(
-      new AsyncBatch(*this, std::move(batch)));
-  AsyncBatch* h = handle.get();
-  ForEachAsync(static_cast<int>(h->batch_.size()),
-               [h](Evaluator& evaluator, int i) {
-                 const EvalRequest& req = h->batch_[static_cast<size_t>(i)];
-                 h->results_[static_cast<size_t>(i)] =
-                     evaluator.Evaluate(*req.program, req.seed,
-                                        req.include_test);
-               },
-               h->group_);
-  return handle;
-}
-
 std::vector<AlphaMetrics> EvaluatorPool::EvaluateBatch(
     const std::vector<EvalRequest>& batch) {
   std::vector<AlphaMetrics> out(batch.size());

@@ -10,7 +10,6 @@
 
 #include "core/evaluator.h"
 #include "market/dataset.h"
-#include "util/pipeline.h"
 #include "util/threadpool.h"
 
 namespace alphaevolve::core {
@@ -94,51 +93,20 @@ class EvaluatorPool {
   /// drew cheap items (probe fingerprints, cache-hit short-circuits) keeps
   /// pulling work instead of idling behind a worker stuck on expensive full
   /// evaluations. The building block for the batched APIs above and for
-  /// custom scoring pipelines (see Evolution::ScoreBatch).
+  /// the evolution driver's functional-fingerprint probes.
   void ForEach(int n, const std::function<void(Evaluator&, int)>& fn);
 
   /// Non-blocking ForEach: submits up to num_threads() work-stealing worker
   /// tasks into `group` and returns immediately — the caller keeps the
-  /// driving thread for other work (e.g. generating the next batch) while
-  /// the items are scored. Wait on the group (WaitAll, or WaitUntil plus
-  /// per-item flags published by `fn` and group.Notify()) for completion.
+  /// driving thread for other work (the evolution driver generates the next
+  /// batch) while the items are scored. Wait on the group (WaitAll, or
+  /// WaitUntil plus per-item flags published by `fn` and group.Notify()) for
+  /// completion.
   /// `fn` is copied into the workers; state it captures must stay alive
   /// until the group drains. With no thread pool (fully serial pool) the
   /// items run inline before returning, so the call degrades to ForEach.
   void ForEachAsync(int n, std::function<void(Evaluator&, int)> fn,
                     TaskGroup& group);
-
-  /// In-flight result of EvaluateBatchAsync. Destruction waits for the
-  /// batch, so the handle may be dropped without Wait().
-  class AsyncBatch {
-   public:
-    /// Blocks (helping the pool) until every request is scored, then
-    /// returns the metrics in request order. Idempotent.
-    const std::vector<AlphaMetrics>& Wait() {
-      group_.WaitAll();
-      return results_;
-    }
-
-   private:
-    friend class EvaluatorPool;
-    AsyncBatch(EvaluatorPool& pool, std::vector<EvalRequest> batch)
-        : batch_(std::move(batch)),
-          results_(batch_.size()),
-          group_(pool.thread_pool()) {}
-
-    std::vector<EvalRequest> batch_;
-    std::vector<AlphaMetrics> results_;
-    TaskGroup group_;
-  };
-
-  /// Non-blocking EvaluateBatch: returns immediately with a handle whose
-  /// Wait() yields metrics in request order. The requests are copied in,
-  /// but the programs they point to must outlive the handle. Results are
-  /// identical to EvaluateBatch (each evaluation is deterministic in
-  /// (program, seed)); only the overlap with the caller's other work
-  /// differs.
-  std::unique_ptr<AsyncBatch> EvaluateBatchAsync(
-      std::vector<EvalRequest> batch);
 
  private:
   friend class Lease;

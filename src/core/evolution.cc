@@ -9,6 +9,7 @@
 #include "eval/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
+#include "util/threadpool.h"
 
 namespace alphaevolve::core {
 namespace {
@@ -61,14 +62,10 @@ Evolution::Evolution(Evaluator& evaluator, EvolutionConfig config,
       mutator_(config.mutator),
       accepted_valid_returns_(std::move(accepted_valid_returns)) {
   Init(config);
-  if (config_.num_threads > 1 || config_.intra_candidate_threads > 1) {
-    EvaluatorConfig pool_config = evaluator.config();
-    if (config_.intra_candidate_threads > 0) {
-      pool_config.executor.intra_candidate_threads =
-          config_.intra_candidate_threads;
-    }
+  if (config_.num_threads > 1 ||
+      evaluator.config().executor.intra_candidate_threads > 1) {
     owned_pool_ = std::make_unique<EvaluatorPool>(
-        evaluator.dataset(), pool_config, config_.num_threads);
+        evaluator.dataset(), evaluator.config(), config_.num_threads);
     pool_ = owned_pool_.get();
     serial_evaluator_ = nullptr;
   }
@@ -87,6 +84,7 @@ void Evolution::Init(EvolutionConfig config) {
   AE_CHECK(config.population_size >= 2);
   AE_CHECK(config.tournament_size >= 1 &&
            config.tournament_size <= config.population_size);
+  AE_CHECK(config.pipeline_depth >= 0);
 }
 
 void Evolution::UseSharedCache(FingerprintCache* cache) {
@@ -176,56 +174,6 @@ void Evolution::EvaluateCandidate(Evaluator& evaluator, Candidate& c) {
   cache_->Insert(c.fingerprint, fitness);
 }
 
-void Evolution::ScoreBatch(std::vector<Candidate>& batch) {
-  const int n = static_cast<int>(batch.size());
-
-  // Stage 1 — fingerprints.
-  FingerprintBatch(batch);
-
-  // Stage 2 — cache resolution and intra-batch dedup, in batch order, so
-  // the outcome matches the serial engine scoring the same children one at
-  // a time (a duplicate is exactly a cache hit against an earlier insert).
-  std::unordered_map<uint64_t, int> first_with_fingerprint;
-  std::vector<int> to_evaluate;
-  for (int i = 0; i < n; ++i) {
-    Candidate& c = batch[static_cast<size_t>(i)];
-    if (c.outcome == Candidate::Outcome::kPrunedRedundant) continue;
-    if (auto hit = cache_->Lookup(c.fingerprint)) {
-      c.outcome = Candidate::Outcome::kCacheHit;
-      c.fitness = *hit;
-      continue;
-    }
-    const auto [it, inserted] =
-        first_with_fingerprint.try_emplace(c.fingerprint, i);
-    if (!inserted) {
-      c.outcome = Candidate::Outcome::kDuplicate;
-      c.duplicate_of = it->second;
-      continue;
-    }
-    to_evaluate.push_back(i);
-  }
-
-  // Stage 3 — evaluate the unique remainder in parallel.
-  {
-    AE_SPAN("evolution.evaluate_batch");
-    ForEachEvaluator(
-        static_cast<int>(to_evaluate.size()),
-        [&](Evaluator& evaluator, int k) {
-          EvaluateCandidate(
-              evaluator,
-              batch[static_cast<size_t>(to_evaluate[static_cast<size_t>(k)])]);
-        });
-  }
-
-  // Stage 4 — resolve duplicates against their first occurrence's final
-  // (post-cutoff) fitness, as a serial cache hit would have returned.
-  for (Candidate& c : batch) {
-    if (c.outcome == Candidate::Outcome::kDuplicate) {
-      c.fitness = batch[static_cast<size_t>(c.duplicate_of)].fitness;
-    }
-  }
-}
-
 void Evolution::ApplyScored(const Candidate& candidate) {
   ++stats_.candidates;
   switch (candidate.outcome) {
@@ -283,7 +231,7 @@ EvolutionCheckpoint Evolution::MakeCheckpoint(
   ck.population.reserve(population.size());
   for (const Member& m : population) {
     // Snapshots capture only committed state: at a barrier every member's
-    // fitness is resolved (the pipelined driver drained first).
+    // fitness is resolved (the driver drained its in-flight batches first).
     AE_CHECK_MSG(m.pending == nullptr,
                  "checkpoint capture with an unresolved population member");
     ck.population.push_back({m.program, m.fitness});
@@ -359,183 +307,40 @@ EvolutionResult Evolution::Run(const AlphaProgram& init) {
     elapsed_base_ = resume_->stats.elapsed_seconds;
     cache_->Restore(resume_->cache_entries);
   }
-  // Overlapping generation with evaluation needs workers to overlap with;
-  // a poolless (fully serial) evolution always runs the lockstep driver.
-  const bool pipelined = config_.pipeline_depth > 0 && pool_ != nullptr &&
-                         pool_->thread_pool() != nullptr;
-  return pipelined ? RunPipelined(init) : RunSync(init);
+  return Drive(init);
 }
 
-EvolutionResult Evolution::RunSync(const AlphaProgram& init) {
-  const auto start = Clock::now();
-  const int batch_cap = EffectiveBatchSize();
-
-  EvolutionResult result;
-  std::deque<Member> population;
-
-  auto out_of_budget = [&]() {
-    if (config_.max_candidates > 0 &&
-        stats_.candidates >= config_.max_candidates) {
-      return true;
-    }
-    return config_.time_budget_seconds > 0.0 &&
-           elapsed_base_ + Seconds(start, Clock::now()) >=
-               config_.time_budget_seconds;
-  };
-  // Cancellation is polled at the same barriers as the budget, so a stopped
-  // run always ends on committed state.
-  auto stop_requested = [&]() {
-    return stop_token_ != nullptr &&
-           stop_token_->load(std::memory_order_acquire);
-  };
-
-  // Candidates left before max_candidates; batches are clamped so the
-  // counter lands exactly on the bound, like the per-child serial check.
-  auto remaining_candidates = [&]() -> int64_t {
-    if (config_.max_candidates <= 0) return batch_cap;
-    return config_.max_candidates - stats_.candidates;
-  };
-
-  double best_so_far = kInvalidFitness;
-  auto record_trajectory = [&](double fitness) {
-    best_so_far = std::max(best_so_far, fitness);
-    if (config_.trajectory_stride > 0 &&
-        stats_.candidates % config_.trajectory_stride == 0) {
-      result.trajectory.emplace_back(stats_.candidates, best_so_far);
-    }
-  };
-
-  // Resume: re-enter the committed state (Run already restored the RNG,
-  // stats and cache). A search killed during P0 continues P0 naturally —
-  // the loop condition only sees the population size.
-  int64_t batches_committed = 0;
-  if (resume_.has_value()) {
-    for (const EvolutionCheckpoint::MemberState& m : resume_->population) {
-      population.push_back({m.program, m.fitness});
-    }
-    best_so_far = resume_->best_so_far;
-    result.trajectory = resume_->trajectory;
-    batches_committed = resume_->batches_committed;
-    resume_.reset();
-  }
-
-  // The batch-commit barrier is the checkpoint seam: everything the batch
-  // changed (stats, trajectory, population, cache inserts) is committed,
-  // nothing of the next batch has started.
-  int64_t last_snapshot_batch = -1;
-  auto maybe_checkpoint = [&]() {
-    ++batches_committed;
-    if (ckpt_sink_ == nullptr ||
-        !ckpt_sink_->WantCheckpoint(batches_committed)) {
-      return;
-    }
-    ckpt_sink_->WriteCheckpoint(MakeCheckpoint(
-        batches_committed, elapsed_base_ + Seconds(start, Clock::now()),
-        best_so_far, result, population));
-    last_snapshot_batch = batches_committed;
-  };
-
-  // P0: mutations of the starting parent (§3 step 1), in batches.
-  while (static_cast<int>(population.size()) < config_.population_size &&
-         !out_of_budget() && !stop_requested()) {
-    const int b = static_cast<int>(std::min<int64_t>(
-        std::min<int64_t>(batch_cap, remaining_candidates()),
-        config_.population_size - static_cast<int>(population.size())));
-    std::vector<Candidate> batch(static_cast<size_t>(b));
-    {
-      AE_SPAN("evolution.generate");
-      for (Candidate& c : batch) c.program = mutator_.Mutate(init, rng_);
-    }
-    ScoreBatch(batch);
-    {
-      AE_SPAN("evolution.commit");
-      for (Candidate& c : batch) {
-        ApplyScored(c);
-        record_trajectory(c.fitness);
-        population.push_back({std::move(c.program), c.fitness});
-      }
-    }
-    maybe_checkpoint();
-  }
-
-  // Regularized evolution: draw B tournament parents against the pre-batch
-  // population, mutate B children, score the batch, then insert/age in
-  // batch order (with B = 1 this is exactly the classic serial loop).
-  while (!out_of_budget() && !stop_requested() && !population.empty()) {
-    const int b = static_cast<int>(
-        std::min<int64_t>(batch_cap, remaining_candidates()));
-    std::vector<Candidate> batch(static_cast<size_t>(b));
-    {
-      AE_SPAN("evolution.generate");
-      for (Candidate& c : batch) {
-        int best_idx = rng_.UniformInt(static_cast<int>(population.size()));
-        for (int t = 1; t < config_.tournament_size; ++t) {
-          const int idx =
-              rng_.UniformInt(static_cast<int>(population.size()));
-          if (population[static_cast<size_t>(idx)].fitness >
-              population[static_cast<size_t>(best_idx)].fitness) {
-            best_idx = idx;
-          }
-        }
-        c.program =
-            mutator_.Mutate(population[static_cast<size_t>(best_idx)].program,
-                            rng_);
-      }
-    }
-    ScoreBatch(batch);
-    {
-      AE_SPAN("evolution.commit");
-      for (Candidate& c : batch) {
-        ApplyScored(c);
-        record_trajectory(c.fitness);
-        population.push_back({std::move(c.program), c.fitness});
-        population.pop_front();
-      }
-    }
-    maybe_checkpoint();
-  }
-
-  stats_.elapsed_seconds = elapsed_base_ + Seconds(start, Clock::now());
-  result.stats = stats_;
-  result.stopped = stop_requested() && !out_of_budget();
-  // A stopped run leaves a snapshot of its final barrier (unless the cadence
-  // just wrote one there), so cancellation is always resumable.
-  if (result.stopped && ckpt_sink_ != nullptr &&
-      last_snapshot_batch != batches_committed) {
-    ckpt_sink_->WriteCheckpoint(MakeCheckpoint(
-        batches_committed, stats_.elapsed_seconds, best_so_far, result,
-        population));
-  }
-  FinishResult(result, population);
-  return result;
-}
-
-// The async pipelined driver. One driving thread generates batches —
-// mutation, pruning, fingerprinting, speculative cache resolution,
-// population insertion — while up to `pipeline_depth` earlier batches
-// evaluate on the pool; commits happen strictly in batch order. Bit-parity
-// with RunSync rests on three invariants:
+// The batch driver. One driving thread generates batches — mutation,
+// pruning, fingerprinting, cache resolution, population insertion — while up
+// to `depth` earlier batches evaluate on the pool; commits happen strictly
+// in batch order. Depth 0 is lockstep: each batch commits before the next is
+// generated, so the frontier below is always empty and no population member
+// is ever pending. Bit-parity of every depth with depth 0 rests on three
+// invariants:
 //
 //  1. Every value the generator consumes is either deterministic (the RNG
 //     stream, program mutations, fingerprints) or an exact fitness: a
 //     tournament draw that lands on a still-in-flight member waits for that
 //     one member's fitness (helping the pool while it does), never guesses.
 //  2. The in-flight frontier (fingerprint → evaluating candidate) stands in
-//     for exactly the cache inserts the synchronous driver would have
-//     committed before this batch; probing frontier-then-cache therefore
-//     reproduces the synchronous hit/evaluated split — and the cache ends
-//     with identical contents — for a non-shared cache at any depth.
+//     for exactly the cache inserts depth 0 would have committed before this
+//     batch; probing frontier-then-cache therefore reproduces the depth-0
+//     hit/evaluated split — and the cache ends with identical contents —
+//     for a non-shared cache at any depth.
 //  3. Stats, trajectory and cutoff accounting are applied at commit, in
 //     batch order, from fitnesses that are final by then.
 //
 // With a *shared* round cache, sibling searches insert concurrently, so the
-// hit/evaluated split is schedule-dependent — exactly as it already is for
-// the synchronous driver (see EvolutionConfig::share_round_cache); results
-// are unaffected because sharers score the same fitness function.
-EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
+// hit/evaluated split is schedule-dependent at every depth (see
+// EvolutionConfig::share_round_cache); results are unaffected because
+// sharers score the same fitness function.
+EvolutionResult Evolution::Drive(const AlphaProgram& init) {
   const auto start = Clock::now();
   const int batch_cap = EffectiveBatchSize();
-  const int depth = config_.pipeline_depth;
+  ThreadPool* workers = pool_ != nullptr ? pool_->thread_pool() : nullptr;
+  // Overlapping generation with evaluation needs workers to overlap with:
+  // without any, batches evaluate inline at depth 0.
+  const int depth = workers != nullptr ? config_.pipeline_depth : 0;
 
   EvolutionResult result;
   std::deque<Member> population;
@@ -544,7 +349,7 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
   // destructor waits out any still-winding-down worker task, so the batches
   // in `in_flight` can never be freed under a live task.
   std::deque<std::unique_ptr<PipelineBatch>> in_flight;
-  TaskGroup group(pool_->thread_pool());
+  TaskGroup group(workers);
   // Fingerprints whose unique evaluation is in flight (uncommitted), with
   // the candidate that owns it. Touched only by the driving thread.
   std::unordered_map<uint64_t, std::pair<Candidate*, int64_t>> frontier;
@@ -569,7 +374,7 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
   };
 
   // The budget gate for *generation* counts planned (not yet committed)
-  // candidates, so the batch-size sequence matches RunSync's, where each
+  // candidates, so the batch-size sequence matches depth 0's, where each
   // batch is fully committed before the next size is computed.
   auto out_of_budget = [&]() {
     if (config_.max_candidates > 0 &&
@@ -582,7 +387,7 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
   };
   // Cancellation parks generation exactly like an exhausted budget: the
   // driver loop below then drains every in-flight batch, so the run ends on
-  // committed (sync-driver-identical) state.
+  // committed state (identical at every depth).
   auto stop_requested = [&]() {
     return stop_token_ != nullptr &&
            stop_token_->load(std::memory_order_acquire);
@@ -597,8 +402,10 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
     }
   };
 
-  // Resume: identical to RunSync's re-entry — a snapshot is always drained
-  // state, so the two drivers resume from the very same struct.
+  // Resume: re-enter the committed state (Run already restored the RNG,
+  // stats and cache). A snapshot is always drained state, so it resumes at
+  // any depth; a search killed during P0 continues P0 naturally, since the
+  // phase is read off the population size.
   int64_t batches_committed = 0;
   if (resume_.has_value()) {
     for (const EvolutionCheckpoint::MemberState& m : resume_->population) {
@@ -614,8 +421,8 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
 
   auto generate_batch = [&]() {
     AE_SPAN("evolution.generate");
-    // Same clamping as RunSync: land exactly on max_candidates, and during
-    // P0 never overshoot the population size.
+    // Land exactly on max_candidates, and during P0 never overshoot the
+    // population size.
     int64_t b64 = batch_cap;
     if (config_.max_candidates > 0) {
       b64 = std::min(b64, config_.max_candidates - planned_candidates);
@@ -632,9 +439,10 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
     batch->candidates = std::vector<Candidate>(static_cast<size_t>(b));
     planned_candidates += b;
 
-    // Mutation. Tournament parents are drawn against the population as of
-    // the previous batch's (speculative) insertion — the same state RunSync
-    // sees, since insertions happen in generation order.
+    // Mutation: P0 mutates the starting parent (§3 step 1); afterwards all
+    // B tournament parents are drawn against the population as of the
+    // previous batch's (speculative) insertion — the committed pre-batch
+    // population of depth 0, since insertions happen in generation order.
     for (Candidate& c : batch->candidates) {
       if (init_phase) {
         c.program = mutator_.Mutate(init, rng_);
@@ -660,7 +468,9 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
 
     // Stage 2 — speculative cache resolution in batch order. The frontier
     // is probed before the cache: an in-flight fingerprint would already be
-    // a committed insert by the time RunSync scored this batch.
+    // a committed insert by the time depth 0 scored this batch. An
+    // intra-batch duplicate is exactly a cache hit against an earlier
+    // insert, resolved from its first occurrence at commit.
     std::unordered_map<uint64_t, int> first_with_fingerprint;
     for (int i = 0; i < b; ++i) {
       Candidate& c = batch->candidates[static_cast<size_t>(i)];
@@ -687,7 +497,7 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
       batch->to_evaluate.push_back(i);
     }
     // Only now does the batch join the frontier: its own repeats must stay
-    // kDuplicate, exactly as in the synchronous stage 2.
+    // kDuplicate.
     for (const int idx : batch->to_evaluate) {
       Candidate& c = batch->candidates[static_cast<size_t>(idx)];
       frontier.emplace(c.fingerprint, std::make_pair(&c, batch->serial));
@@ -695,8 +505,9 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
 
     // Population update (speculative): the programs enter now so the next
     // batch's tournaments see them; in-flight fitnesses resolve via
-    // `pending`. The push/pop sequence is identical to RunSync's commit
-    // loop because batches are generated in commit order.
+    // `pending`. Aging pops the oldest member per child once P0 is full;
+    // the push/pop sequence equals a commit-time update because batches
+    // are generated in commit order.
     for (int i = 0; i < b; ++i) {
       Candidate& c = batch->candidates[static_cast<size_t>(i)];
       Member m;
@@ -729,19 +540,23 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
 
     // Stage 3 — launch the unique evaluations asynchronously and return
     // without waiting; per-item completions are published for hazard
-    // resolution and the batch counter for commit.
+    // resolution and the batch counter for commit. Without a pool they run
+    // inline on the serial evaluator.
     PipelineBatch* bp = batch.get();
-    pool_->ForEachAsync(
-        static_cast<int>(batch->to_evaluate.size()),
-        [this, bp, &group](Evaluator& evaluator, int k) {
-          Candidate& c = bp->candidates[static_cast<size_t>(
-              bp->to_evaluate[static_cast<size_t>(k)])];
-          EvaluateCandidate(evaluator, c);
-          c.ready.store(true, std::memory_order_release);
-          bp->items_done.fetch_add(1, std::memory_order_acq_rel);
-          group.Notify();
-        },
-        group);
+    auto evaluate = [this, bp, &group](Evaluator& evaluator, int k) {
+      Candidate& c = bp->candidates[static_cast<size_t>(
+          bp->to_evaluate[static_cast<size_t>(k)])];
+      EvaluateCandidate(evaluator, c);
+      c.ready.store(true, std::memory_order_release);
+      bp->items_done.fetch_add(1, std::memory_order_acq_rel);
+      group.Notify();
+    };
+    const int n_eval = static_cast<int>(bp->to_evaluate.size());
+    if (pool_ != nullptr) {
+      pool_->ForEachAsync(n_eval, evaluate, group);
+    } else {
+      for (int k = 0; k < n_eval; ++k) evaluate(*serial_evaluator_, k);
+    }
     in_flight.push_back(std::move(batch));
     SearchCounters::Get().inflight_batches.Set(
         static_cast<int64_t>(in_flight.size()));
@@ -758,8 +573,9 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
     }
     AE_SPAN("evolution.commit");
 
-    // Stage 4 + commit, in batch order (frontier-hit fitnesses were filled
-    // when their source batch committed, before this one).
+    // Stage 4 + commit, in batch order: duplicates take their first
+    // occurrence's final (post-cutoff) fitness, and frontier-hit fitnesses
+    // were filled when their source batch committed, before this one.
     for (Candidate& c : batch.candidates) {
       if (c.outcome == Candidate::Outcome::kDuplicate) {
         c.fitness =
@@ -796,18 +612,17 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
         static_cast<int64_t>(in_flight.size()));
   };
 
-  // The driver loop: fill the pipeline up to `depth` in-flight batches,
-  // then alternate commit-oldest / generate-next; drain when the budget is
-  // exhausted. (The P0 and regularized-evolution phases of RunSync collapse
-  // into one loop here: a batch mutates the starting parent while the
-  // population is still below size, and tournament parents afterwards.)
+  // The driver loop: keep up to `depth` batches in flight while generating
+  // the next, then alternate commit-oldest / generate-next; drain when the
+  // budget is exhausted. At depth 0 this is generate, commit, generate ...
   //
-  // Checkpointing: a due checkpoint flips `checkpoint_pending`, which parks
-  // generation and drains the pipeline (commit-only) until nothing is in
-  // flight — drained state is exactly the synchronous driver's state at the
-  // same committed-batch count, so one snapshot format serves both drivers
-  // and resume is bit-identical at any depth. Commit order, and with it
-  // every result, is unchanged; the drain only costs a pipeline refill.
+  // Checkpointing: the batch-commit barrier is the checkpoint seam. A due
+  // checkpoint flips `checkpoint_pending`, which parks generation and drains
+  // the pipeline (commit-only) until nothing is in flight — drained state is
+  // exactly the depth-0 state at the same committed-batch count, so one
+  // snapshot format serves every depth and resume is bit-identical at any
+  // depth. Commit order, and with it every result, is unchanged; the drain
+  // only costs a pipeline refill.
   int64_t last_snapshot_batch = -1;
   for (;;) {
     if (!checkpoint_pending && !out_of_budget() && !stop_requested() &&
@@ -838,8 +653,9 @@ EvolutionResult Evolution::RunPipelined(const AlphaProgram& init) {
   stats_.elapsed_seconds = elapsed_base_ + Seconds(start, Clock::now());
   result.stats = stats_;
   result.stopped = stop_requested() && !out_of_budget();
-  // Same contract as RunSync: a stopped run's final barrier is always
-  // snapshotted (the pipeline is drained by the time we get here).
+  // A stopped run leaves a snapshot of its final barrier (unless the cadence
+  // just wrote one there), so cancellation is always resumable; the
+  // pipeline is drained by the time we get here.
   if (result.stopped && ckpt_sink_ != nullptr &&
       last_snapshot_batch != batches_committed) {
     ckpt_sink_->WriteCheckpoint(MakeCheckpoint(

@@ -16,7 +16,6 @@
 #include "core/mutator.h"
 #include "core/program.h"
 #include "obs/telemetry.h"
-#include "util/pipeline.h"
 
 namespace alphaevolve::core {
 
@@ -56,16 +55,12 @@ struct EvolutionConfig {
   uint64_t seed = 42;
 
   /// Worker threads for batched candidate scoring. When Evolution is built
-  /// from a bare Evaluator and num_threads > 1, it spins up an internal
-  /// EvaluatorPool over the same dataset; when built from an external
-  /// EvaluatorPool, the pool's own thread count governs.
+  /// from a bare Evaluator and num_threads > 1 (or the evaluator's executor
+  /// shards each candidate, ExecutorConfig::intra_candidate_threads > 1), it
+  /// spins up an internal EvaluatorPool with the evaluator's dataset and
+  /// config; when built from an external EvaluatorPool, the pool's own
+  /// thread count governs.
   int num_threads = 1;
-
-  /// Task shards per candidate execution (intra-candidate parallelism; see
-  /// ExecutorConfig::intra_candidate_threads). 0 inherits the evaluator's
-  /// executor config; > 0 overrides it when Evolution builds its internal
-  /// pool. Composes with num_threads on one shared set of workers.
-  int intra_candidate_threads = 0;
 
   /// Children generated, scored, and inserted per evolution step (the batch
   /// width B of batched regularized evolution). Tournament parents for a
@@ -75,25 +70,19 @@ struct EvolutionConfig {
   /// deterministic in the seed and independent of the thread count.
   int batch_size = 0;
 
-  /// Scenario-fitness knobs (screening threshold, aggregation). Evolution
-  /// itself does not read these — it only talks to the abstract
-  /// CandidateScorer installed via UseCandidateScorer — but they live here
-  /// so one EvolutionConfig describes the whole search; the glue that
-  /// builds a scenario::ScenarioFitness consumes them.
-  ScenarioFitnessOptions scenario_fitness;
-
   /// Evaluation batches the driver may keep in flight while it generates
-  /// (mutates, prunes, fingerprints) the next one. 0 runs the synchronous
-  /// lockstep driver: the driving thread blocks while each batch is scored.
-  /// >= 1 runs the async pipelined driver: batch N evaluates on the pool
-  /// while batch N+1 is generated, with results committed strictly in batch
-  /// order — accepted alphas, stats, trajectory, and cache contents are
+  /// (mutates, prunes, fingerprints) the next one; must be >= 0. Depth 0 is
+  /// lockstep: each batch is scored and committed before the next is
+  /// generated. At depth >= 1 batch N evaluates on the pool while batch N+1
+  /// is generated, with results committed strictly in batch order —
+  /// accepted alphas, stats, trajectory, and cache contents are
   /// bit-identical to depth 0 for the same (seed, batch_size) at every
   /// depth and thread count (tournament draws against a still-evaluating
   /// member wait for exactly that member's fitness, never the whole batch).
-  /// Ignored (synchronous) without an evaluator pool. Depths > 1 help when
-  /// generation cost per batch approaches evaluation cost (functional
-  /// fingerprints, large programs).
+  /// Without worker threads (a bare Evaluator, or a pool without a
+  /// ThreadPool) the driver runs at depth 0 whatever is set here. Depths > 1
+  /// help when generation cost per batch approaches evaluation cost
+  /// (functional fingerprints, large programs).
   int pipeline_depth = 1;
 
   /// Observability knobs. Run() applies them process-globally via
@@ -166,10 +155,10 @@ struct EvolutionResult {
 /// cursor (raw xoshiro words, no draw replay), the population with resolved
 /// fitnesses, counters, the trajectory so far, and the fingerprint-cache
 /// contents in canonical (sorted) order. Captured only between batches, when
-/// no evaluation is in flight; the pipelined driver drains its in-flight
-/// batches first, which leaves exactly the synchronous driver's state at the
-/// same committed-batch count. The ckpt layer serializes this struct; core
-/// stays free of any file-format dependency.
+/// no evaluation is in flight: the driver drains its in-flight batches
+/// first, which leaves exactly the depth-0 state at the same committed-batch
+/// count, so a snapshot is the same at every pipeline depth. The ckpt layer
+/// serializes this struct; core stays free of any file-format dependency.
 struct EvolutionCheckpoint {
   uint64_t config_seed = 0;  ///< EvolutionConfig::seed that produced it.
   int64_t batches_committed = 0;
@@ -196,10 +185,10 @@ class CheckpointSink {
  public:
   virtual ~CheckpointSink() = default;
   /// Called once per batch commit with the committed-batch count. Returning
-  /// true asks the driver to capture a snapshot at the next safe barrier
-  /// (immediately for the lockstep driver; after draining in-flight batches
-  /// for the pipelined one). The sink owns the cadence policy — every N
-  /// batches, every N seconds, throttled.
+  /// true asks the driver to capture a snapshot at the next safe barrier,
+  /// once its in-flight batches have drained (at depth 0, immediately). The
+  /// sink owns the cadence policy — every N batches, every N seconds,
+  /// throttled.
   virtual bool WantCheckpoint(int64_t batches_committed) = 0;
   /// Receives the captured snapshot; the sink owns durability and is free
   /// to fail internally (a failed write must not stop the search).
@@ -214,19 +203,21 @@ class CheckpointSink {
 /// mutate on the driving thread → prune/fingerprint → resolve cache hits and
 /// intra-batch duplicates in batch order → evaluate the unique remainder in
 /// parallel on the evaluator pool (including the correlation cutoff) →
-/// apply stats/trajectory/population updates in batch order. With
-/// `pipeline_depth >= 1` the stages overlap: while a batch's unique
-/// candidates evaluate asynchronously, the driving thread already generates
-/// the next batch, probing speculatively against the in-flight frontier and
-/// reconciling at commit. Results depend only on (seed, batch_size), never
-/// on the thread count or the pipeline depth.
+/// apply stats/trajectory/population updates in batch order. At
+/// `pipeline_depth` 0 the stages run in lockstep; at depth >= 1 they
+/// overlap: while a batch's unique candidates evaluate asynchronously, the
+/// driving thread already generates the next batch, probing speculatively
+/// against the in-flight frontier and reconciling at commit. Results depend
+/// only on (seed, batch_size), never on the thread count or the pipeline
+/// depth.
 class Evolution {
  public:
   /// `accepted_valid_returns` holds the validation portfolio-return series
   /// of the already-accepted alpha set A; candidates whose series correlates
   /// above the cutoff with any of them are discarded (fitness = -1).
-  /// If config.num_threads > 1, an internal EvaluatorPool over the
-  /// evaluator's dataset provides the workers.
+  /// If config.num_threads > 1 or the evaluator shards candidates, an
+  /// internal EvaluatorPool over the evaluator's dataset provides the
+  /// workers; otherwise every batch evaluates inline on `evaluator`.
   Evolution(Evaluator& evaluator, EvolutionConfig config,
             std::vector<std::vector<double>> accepted_valid_returns = {});
 
@@ -253,18 +244,19 @@ class Evolution {
   /// the correlation cutoff — instead of the plain baseline evaluation.
   /// The scorer must be thread-safe and outlive Run; nullptr restores the
   /// default. Cache semantics are unchanged (the cached value is whatever
-  /// fitness the scorer returned), and so are both drivers' determinism
-  /// guarantees, since Score is deterministic in (program, seed).
+  /// fitness the scorer returned), and so is the determinism guarantee
+  /// across threads and depths, since Score is deterministic in (program,
+  /// seed).
   void UseCandidateScorer(CandidateScorer* scorer) { scorer_ = scorer; }
 
   /// Installs a cooperative cancellation token (nullptr removes it): the
-  /// drivers poll it at every batch barrier — the same seam the budget gate
-  /// uses — and stop generating once it reads true. The pipelined driver
-  /// drains its in-flight batches first, so the run always ends at committed
-  /// state; with a checkpoint sink installed a final snapshot of that
-  /// barrier is forced (whatever the sink's cadence), which is what lets an
-  /// op-level cancel or deadline leave a resumable stream behind. The token
-  /// may be flipped from any thread; an acquire load observes it.
+  /// driver polls it at every batch barrier — the same seam the budget gate
+  /// uses — and stops generating once it reads true. It drains its in-flight
+  /// batches first, so the run always ends at committed state; with a
+  /// checkpoint sink installed a final snapshot of that barrier is forced
+  /// (whatever the sink's cadence), which is what lets an op-level cancel or
+  /// deadline leave a resumable stream behind. The token may be flipped from
+  /// any thread; an acquire load observes it.
   void UseStopToken(const std::atomic<bool>* stop) { stop_token_ = stop; }
 
   /// Installs a checkpoint sink consulted at every batch-commit barrier
@@ -314,20 +306,22 @@ class Evolution {
     bool timed_out = false;      ///< abandoned by the evaluation watchdog
     int regimes_evaluated = 0;   ///< full evaluations paid (scorer only)
 
-    // Async pipeline state (untouched by the synchronous driver).
+    // Pipeline state.
     /// Published by the evaluating worker once `fitness`/`cutoff_discarded`
     /// are final; the generator reads them only after an acquire load.
     std::atomic<bool> ready{false};
-    /// Frontier hit: the still-in-flight candidate (of an older batch) this
-    /// one's fitness will come from; resolved when that batch commits.
+    /// Frontier hit (depth >= 1 only): the still-in-flight candidate (of an
+    /// older batch) this one's fitness will come from; resolved when that
+    /// batch commits.
     Candidate* hit_source = nullptr;
     int64_t hit_source_batch = -1;  ///< serial of hit_source's batch
   };
 
-  /// Population entry. In the pipelined driver, children enter with their
-  /// evaluation still in flight: `pending` points at the candidate that will
-  /// supply `fitness` (resolved lazily by a tournament draw, or at that
-  /// batch's commit — whichever comes first).
+  /// Population entry. Children enter when their batch is generated, with
+  /// their evaluation possibly still in flight: `pending` points at the
+  /// candidate that will supply `fitness` (resolved lazily by a tournament
+  /// draw, or at that batch's commit — whichever comes first). At depth 0
+  /// every member is resolved before the next batch draws.
   struct Member {
     AlphaProgram program;
     double fitness = kInvalidFitness;
@@ -335,7 +329,7 @@ class Evolution {
     int64_t pending_batch = -1;  ///< serial of the batch owning `pending`
   };
 
-  /// One batch in flight through the async pipeline.
+  /// One generated batch, in flight until it commits.
   struct PipelineBatch {
     int64_t serial = 0;        ///< generation (= commit) order
     std::vector<Candidate> candidates;
@@ -353,10 +347,6 @@ class Evolution {
   /// Stage 3 body: full evaluation + correlation cutoff + cache publish for
   /// one unique candidate. Deterministic in (program, eval_seed).
   void EvaluateCandidate(Evaluator& evaluator, Candidate& c);
-  /// Scores a batch through the prune → fingerprint → cache → evaluate →
-  /// cutoff pipeline, synchronously. Stats are NOT updated here (see
-  /// ApplyScored).
-  void ScoreBatch(std::vector<Candidate>& batch);
   /// Folds one scored candidate into the stats, in batch order.
   void ApplyScored(const Candidate& candidate);
   /// Re-evaluates the winning program with test-side metrics included.
@@ -367,11 +357,10 @@ class Evolution {
                                      double elapsed, double best_so_far,
                                      const EvolutionResult& result,
                                      const std::deque<Member>& population);
-  /// The lockstep driver (pipeline_depth == 0, or no pool to overlap with).
-  EvolutionResult RunSync(const AlphaProgram& init);
-  /// The bounded producer/consumer driver (pipeline_depth >= 1).
-  EvolutionResult RunPipelined(const AlphaProgram& init);
-  /// Shared tail: final selection + full re-evaluation of the winner.
+  /// The batch driver: generates, evaluates and commits batches with up to
+  /// `pipeline_depth` of them in flight (0 without worker threads).
+  EvolutionResult Drive(const AlphaProgram& init);
+  /// Final selection + full re-evaluation of the winner.
   void FinishResult(EvolutionResult& result, std::deque<Member>& population);
 
   Evaluator* serial_evaluator_ = nullptr;  ///< set when no pool drives us

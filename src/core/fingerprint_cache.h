@@ -32,9 +32,10 @@ class FingerprintCache {
   /// Returns the cached fitness for `fingerprint`, if present.
   ///
   /// Telemetry note: the obs cache.hits/cache.misses counters tally Lookup
-  /// calls, which the pipelined driver partially bypasses (frontier hits
-  /// never reach the cache) — so unlike EvolutionStats::cache_hits they are
-  /// observational, not invariant across pipeline depths.
+  /// calls, which the evolution driver partially bypasses at pipeline depth
+  /// >= 1 (frontier hits never reach the cache) — so unlike
+  /// EvolutionStats::cache_hits they are observational, not invariant
+  /// across pipeline depths.
   std::optional<double> Lookup(uint64_t fingerprint) const {
     const Shard& shard = shards_[ShardIndex(fingerprint)];
     bool hit;

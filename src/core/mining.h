@@ -115,11 +115,12 @@ class WeaklyCorrelatedMiner {
   /// workers, so each covers fewer candidates per wall-second than it
   /// would alone. Accept must not be called while this runs.
   ///
-  /// base_config.pipeline_depth composes with the concurrent round: each
-  /// search's driving task generates its next batch while its previous one
-  /// evaluates, all on the same pool (TaskGroup waits help drain the shared
+  /// base_config.pipeline_depth composes with the concurrent round: at depth
+  /// >= 1 each search's driving task generates its next batch while its
+  /// previous one evaluates, all on the same pool (TaskGroup waits, the
+  /// searches' own and ParallelFor's join alike, help drain the shared
   /// queue, so the nesting cannot deadlock). Results remain per-search
-  /// deterministic at any depth.
+  /// deterministic at any depth, lockstep depth 0 included.
   ///
   /// When base_config.share_round_cache is set (the default), all searches
   /// of the round share one FingerprintCache — they score the same fitness

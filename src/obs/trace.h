@@ -135,7 +135,7 @@ class SpanScope {
 #define AE_OBS_CONCAT(a, b) AE_OBS_CONCAT_INNER(a, b)
 
 /// Times the rest of the enclosing scope as span `name_literal`. Usage:
-///   AE_SPAN("evolution.evaluate_batch");
+///   AE_SPAN("evolution.commit");
 /// `name_literal` must be a string literal (its pointer is kept).
 #define AE_SPAN(name_literal)                                              \
   static ::alphaevolve::obs::SpanSite AE_OBS_CONCAT(ae_span_site_,         \

@@ -6,7 +6,7 @@
 #include "eval/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/pipeline.h"
+#include "util/threadpool.h"
 
 namespace alphaevolve::scenario {
 

@@ -1,5 +1,6 @@
 #include "util/threadpool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 
@@ -104,64 +105,24 @@ bool ThreadPool::TryRunOneTask() {
 }
 
 void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  // The caller runs iterations too, so helpers beyond n - 1 would be idle.
-  const int helpers = std::min(num_threads(), n - 1);
-  if (helpers == 0) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
-  // Helpers and caller pull indices from a shared counter. The shared_ptr
-  // ownership of the state is load-bearing: the caller can observe
-  // `completed == helpers` and return while the last helper is still
-  // between releasing state->mu and finishing notify_all(), so the helper
-  // must keep the state alive past this frame. `fn` is captured by
-  // reference, which is safe — helpers only touch `fn` before their final
-  // `completed` increment, and the caller cannot return before that.
-  struct ForState {
-    std::atomic<int> next{0};
-    int completed = 0;  // guarded by mu
-    std::mutex mu;
-    std::condition_variable cv;
+  // Every lane pulls indices from one shared counter; the caller is a lane,
+  // so helpers beyond n - 1 would find nothing to claim. The join is a
+  // helping TaskGroup wait: a helper still queued behind other work (or
+  // behind us, if we are ourselves a pool task) gets drained by this thread,
+  // which is what makes nested ParallelFor calls deadlock-free. WaitAll
+  // returns only after every helper body has, so capturing `next` and `fn`
+  // by reference is safe.
+  std::atomic<int> next{0};
+  auto lane = [&next, n, &fn] {
+    int i;
+    while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n) fn(i);
   };
-  auto state = std::make_shared<ForState>();
-
-  for (int h = 0; h < helpers; ++h) {
-    Submit([state, n, &fn] {
-      int i;
-      while ((i = state->next.fetch_add(1, std::memory_order_relaxed)) < n) {
-        fn(i);
-      }
-      {
-        std::lock_guard<std::mutex> lk(state->mu);
-        ++state->completed;
-      }
-      state->cv.notify_all();
-    });
+  TaskGroup helpers(this);
+  for (int h = std::min(num_threads(), n - 1); h > 0; --h) {
+    helpers.Submit(lane);
   }
-
-  int i;
-  while ((i = state->next.fetch_add(1, std::memory_order_relaxed)) < n) {
-    fn(i);
-  }
-
-  // Wait for the helpers. A helper may still be sitting in the queue behind
-  // other work (or behind us, if we are ourselves a pool task): instead of
-  // blocking, keep draining queued tasks — that guarantees our helpers get
-  // to run even when every worker is busy inside its own ParallelFor.
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(state->mu);
-      if (state->completed == helpers) return;
-    }
-    if (TryRunOneTask()) continue;
-    std::unique_lock<std::mutex> lk(state->mu);
-    // Our helpers are no longer queued (the queue was just empty), so each
-    // is either running — and will notify — or already done.
-    state->cv.wait(lk, [&] { return state->completed == helpers; });
-    return;
-  }
+  lane();
+  helpers.WaitAll();
 }
 
 // --------------------------------------------------------------- ShardArena

@@ -1,7 +1,7 @@
 // The tentpole determinism contract: a search resumed from any batch-barrier
 // snapshot finishes bit-identical to the uninterrupted run — same best
 // program, fitness, stats counters (except wall-clock), trajectory, and
-// fingerprint-cache contents — across the synchronous and pipelined drivers
+// fingerprint-cache contents — at pipeline depth 0 (lockstep) and deeper,
 // and across thread counts. Covers the in-memory sink path (every snapshot
 // the driver captures is a valid resume point), the on-disk
 // CheckpointWriter -> LoadNewest -> DecodeSearchSnapshot path, and recovery
@@ -97,7 +97,7 @@ class CkptResumeTest : public ::testing::Test {
 market::Dataset* CkptResumeTest::dataset_ = nullptr;
 
 TEST_F(CkptResumeTest, EverySnapshotIsABitIdenticalResumePoint) {
-  // Serial synchronous driver: the uninterrupted reference, then a
+  // Serial depth-0 search: the uninterrupted reference, then a
   // checkpointed run (which must itself be unperturbed), then a fresh
   // search resumed from EVERY recorded snapshot.
   EvolutionConfig cfg = BaseConfig();
@@ -142,8 +142,8 @@ TEST_F(CkptResumeTest, EverySnapshotIsABitIdenticalResumePoint) {
 TEST_F(CkptResumeTest, ResumeParityAcrossThreadsAndDepths) {
   // The acceptance matrix: threads {1, 8} x pipeline depths {0, 2}. One
   // shared serial reference; each cell records its own snapshots (captures
-  // happen at drained barriers, so the pipelined driver's snapshots are the
-  // synchronous driver's states) and resumes from first, middle, and last.
+  // happen at drained barriers, so depth-2 snapshots are the depth-0
+  // states) and resumes from first, middle, and last.
   EvolutionConfig cfg = BaseConfig();
   cfg.pipeline_depth = 0;
   Evaluator evaluator(*dataset_, EvaluatorConfig{});

@@ -1,7 +1,8 @@
 // Determinism and parity guarantees of the batched, pooled evolution engine:
 // pooled results must be bit-identical across thread counts, the serial
-// (batch_size = 1, one thread) path must match the single-Evaluator engine,
-// and the concurrent multi-seed miner must reproduce its serial equivalent.
+// (batch_size = 1, no worker threads) path must match the serial reference
+// search (reference_evolution.h) from both constructors, and the concurrent
+// multi-seed miner must reproduce its serial equivalent.
 
 #include <cstdint>
 #include <vector>
@@ -13,9 +14,13 @@
 #include "core/generators.h"
 #include "core/mining.h"
 #include "market/simulator.h"
+#include "reference_evolution.h"
 
 namespace alphaevolve::core {
 namespace {
+
+using testutil::ExpectSameCache;
+using testutil::ExpectSameSearch;
 
 class ParallelEvolutionTest : public ::testing::Test {
  protected:
@@ -28,23 +33,6 @@ class ParallelEvolutionTest : public ::testing::Test {
         market::Dataset::Simulate(mc, market::DatasetConfig{}));
   }
   static void TearDownTestSuite() { delete dataset_; }
-
-  static void ExpectIdentical(const EvolutionResult& a,
-                              const EvolutionResult& b) {
-    ASSERT_EQ(a.has_alpha, b.has_alpha);
-    EXPECT_EQ(a.best, b.best);
-    EXPECT_DOUBLE_EQ(a.best_fitness, b.best_fitness);
-    EXPECT_EQ(a.stats.candidates, b.stats.candidates);
-    EXPECT_EQ(a.stats.evaluated, b.stats.evaluated);
-    EXPECT_EQ(a.stats.pruned_redundant, b.stats.pruned_redundant);
-    EXPECT_EQ(a.stats.cache_hits, b.stats.cache_hits);
-    EXPECT_EQ(a.stats.cutoff_discarded, b.stats.cutoff_discarded);
-    ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
-    for (size_t i = 0; i < a.trajectory.size(); ++i) {
-      EXPECT_EQ(a.trajectory[i].first, b.trajectory[i].first);
-      EXPECT_DOUBLE_EQ(a.trajectory[i].second, b.trajectory[i].second);
-    }
-  }
 
   static market::Dataset* dataset_;
 };
@@ -102,16 +90,23 @@ TEST_F(ParallelEvolutionTest, SerialPoolBatchOneMatchesLegacyEngine) {
   cfg.seed = 5;
   cfg.trajectory_stride = 25;
   cfg.batch_size = 1;
+  const AlphaProgram init = MakeExpertAlpha(dataset_->window());
 
+  // B = 1 without worker threads is the classic one-child-at-a-time loop;
+  // both constructors must reproduce the reference bit for bit.
   Evaluator evaluator(*dataset_, EvaluatorConfig{});
+  const testutil::ReferenceSearch reference =
+      testutil::RunReferenceEvolution(evaluator, cfg, init);
+  ASSERT_TRUE(reference.result.has_alpha);
+
   Evolution legacy(evaluator, cfg);
-  const EvolutionResult a = legacy.Run(MakeExpertAlpha(dataset_->window()));
+  ExpectSameSearch(reference.result, legacy.Run(init));
+  ExpectSameCache(reference.cache, legacy.CacheSnapshot());
 
   EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 1);
   Evolution pooled(pool, cfg);
-  const EvolutionResult b = pooled.Run(MakeExpertAlpha(dataset_->window()));
-
-  ExpectIdentical(a, b);
+  ExpectSameSearch(reference.result, pooled.Run(init));
+  ExpectSameCache(reference.cache, pooled.CacheSnapshot());
 }
 
 TEST_F(ParallelEvolutionTest, ResultsIndependentOfThreadCount) {
@@ -132,7 +127,8 @@ TEST_F(ParallelEvolutionTest, ResultsIndependentOfThreadCount) {
     Evolution evo4(pool4, cfg);
     const EvolutionResult r1 = evo1.Run(MakeExpertAlpha(dataset_->window()));
     const EvolutionResult r4 = evo4.Run(MakeExpertAlpha(dataset_->window()));
-    ExpectIdentical(r1, r4);
+    ExpectSameSearch(r1, r4);
+    ExpectSameCache(evo1.CacheSnapshot(), evo4.CacheSnapshot());
     ASSERT_TRUE(r1.has_alpha);
   }
 }
@@ -154,7 +150,8 @@ TEST_F(ParallelEvolutionTest, ConfigNumThreadsSpinsUpInternalPool) {
   const EvolutionResult b =
       internal.Run(MakeExpertAlpha(dataset_->window()));
 
-  ExpectIdentical(a, b);
+  ExpectSameSearch(a, b);
+  ExpectSameCache(reference.CacheSnapshot(), internal.CacheSnapshot());
 }
 
 TEST_F(ParallelEvolutionTest, BatchedStatsStillPartitionCandidates) {
@@ -194,7 +191,7 @@ TEST_F(ParallelEvolutionTest, ConcurrentMinerMatchesSerialMiner) {
   ASSERT_EQ(batch.size(), specs.size());
   for (size_t s = 0; s < specs.size(); ++s) {
     const EvolutionResult expected = serial.RunSearch(init, specs[s].seed);
-    ExpectIdentical(expected, batch[s]);
+    ExpectSameSearch(expected, batch[s]);
   }
 
   // After accepting, the cutoff applies identically through both paths.
@@ -205,7 +202,7 @@ TEST_F(ParallelEvolutionTest, ConcurrentMinerMatchesSerialMiner) {
       concurrent.RunSearches({{init, 99}});
   const EvolutionResult round1_serial = serial.RunSearch(init, 99);
   ASSERT_EQ(round1.size(), 1u);
-  ExpectIdentical(round1_serial, round1[0]);
+  ExpectSameSearch(round1_serial, round1[0]);
 }
 
 TEST_F(ParallelEvolutionTest, SharedRoundCachePreservesResults) {

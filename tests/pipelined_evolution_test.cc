@@ -1,13 +1,13 @@
-// Determinism contract of the async pipelined evolution driver: at every
-// pipeline depth and thread count, Evolution::Run must produce accepted
-// alphas, fitnesses, stats counters, trajectory, and fingerprint-cache
-// contents bit-identical to the synchronous lockstep driver
-// (pipeline_depth = 0) for the same (seed, batch_size) — including runs
-// that share one round cache, where per-search attribution must be
-// unchanged when sharers run sequentially. Also covers the async pool
-// primitives the driver is built on (TaskGroup, EvaluateBatchAsync).
+// Determinism contract of the evolution driver: at every pipeline depth
+// (0 = lockstep) and thread count, Evolution::Run must produce accepted
+// alphas, fitnesses, winner metrics, stats counters, trajectory, and
+// fingerprint-cache contents bit-identical to the serial reference search
+// (reference_evolution.h) for the same (seed, batch_size). Runs that share
+// one round cache must keep per-search attribution and cache contents when
+// sharers run sequentially, at depth 0 and deeper. Also covers
+// EvaluatorPool::ForEachAsync, the async pool primitive the driver launches
+// evaluations through, and the rejection of a negative depth.
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -19,10 +19,16 @@
 #include "core/generators.h"
 #include "core/mining.h"
 #include "market/simulator.h"
-#include "util/pipeline.h"
+#include "reference_evolution.h"
+#include "util/check.h"
+#include "util/threadpool.h"
 
 namespace alphaevolve::core {
 namespace {
+
+using testutil::ExpectSameCache;
+using testutil::ExpectSameSearch;
+using testutil::RunReferenceEvolution;
 
 class PipelinedEvolutionTest : public ::testing::Test {
  protected:
@@ -37,23 +43,6 @@ class PipelinedEvolutionTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete dataset_;
     dataset_ = nullptr;
-  }
-
-  static void ExpectIdentical(const EvolutionResult& a,
-                              const EvolutionResult& b) {
-    ASSERT_EQ(a.has_alpha, b.has_alpha);
-    EXPECT_EQ(a.best, b.best);
-    EXPECT_DOUBLE_EQ(a.best_fitness, b.best_fitness);
-    EXPECT_EQ(a.stats.candidates, b.stats.candidates);
-    EXPECT_EQ(a.stats.evaluated, b.stats.evaluated);
-    EXPECT_EQ(a.stats.pruned_redundant, b.stats.pruned_redundant);
-    EXPECT_EQ(a.stats.cache_hits, b.stats.cache_hits);
-    EXPECT_EQ(a.stats.cutoff_discarded, b.stats.cutoff_discarded);
-    ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
-    for (size_t i = 0; i < a.trajectory.size(); ++i) {
-      EXPECT_EQ(a.trajectory[i].first, b.trajectory[i].first);
-      EXPECT_DOUBLE_EQ(a.trajectory[i].second, b.trajectory[i].second);
-    }
   }
 
   static EvolutionConfig BaseConfig() {
@@ -71,20 +60,19 @@ class PipelinedEvolutionTest : public ::testing::Test {
 market::Dataset* PipelinedEvolutionTest::dataset_ = nullptr;
 
 TEST_F(PipelinedEvolutionTest, BitIdenticalToSynchronousAcrossDepthsThreads) {
-  // The acceptance matrix: depths {1, 2, 4} x threads {1, 8} against the
-  // synchronous driver, in both fingerprint modes. The depth-0 reference
-  // uses yet another thread count (4) to also pin thread invariance.
+  // The acceptance matrix: depths {0, 1, 2, 4} x threads {1, 8} against the
+  // serial reference, in both fingerprint modes. (A one-thread pool has no
+  // workers to overlap with, so its arms all run at depth 0.)
+  const AlphaProgram init = MakeExpertAlpha(dataset_->window());
   for (const bool use_pruning : {true, false}) {
     EvolutionConfig cfg = BaseConfig();
     cfg.use_pruning = use_pruning;
-    cfg.pipeline_depth = 0;
-    EvaluatorPool sync_pool(*dataset_, EvaluatorConfig{}, 4);
-    Evolution sync_evo(sync_pool, cfg);
-    const EvolutionResult reference =
-        sync_evo.Run(MakeExpertAlpha(dataset_->window()));
-    ASSERT_TRUE(reference.has_alpha);
+    Evaluator evaluator(*dataset_, EvaluatorConfig{});
+    const testutil::ReferenceSearch reference =
+        RunReferenceEvolution(evaluator, cfg, init);
+    ASSERT_TRUE(reference.result.has_alpha);
 
-    for (const int depth : {1, 2, 4}) {
+    for (const int depth : {0, 1, 2, 4}) {
       for (const int threads : {1, 8}) {
         SCOPED_TRACE(::testing::Message() << "pruning=" << use_pruning
                                           << " depth=" << depth
@@ -92,9 +80,8 @@ TEST_F(PipelinedEvolutionTest, BitIdenticalToSynchronousAcrossDepthsThreads) {
         cfg.pipeline_depth = depth;
         EvaluatorPool pool(*dataset_, EvaluatorConfig{}, threads);
         Evolution evo(pool, cfg);
-        const EvolutionResult r =
-            evo.Run(MakeExpertAlpha(dataset_->window()));
-        ExpectIdentical(reference, r);
+        ExpectSameSearch(reference.result, evo.Run(init));
+        ExpectSameCache(reference.cache, evo.CacheSnapshot());
       }
     }
   }
@@ -102,36 +89,39 @@ TEST_F(PipelinedEvolutionTest, BitIdenticalToSynchronousAcrossDepthsThreads) {
 
 TEST_F(PipelinedEvolutionTest, CutoffAccountingMatchesSynchronous) {
   // With an accepted set in play, the weak-correlation cutoff runs inside
-  // the async stage; discard decisions and counters must not move.
+  // the async stage; discard decisions and counters must match the
+  // reference at depth 0 and in flight.
   EvolutionConfig cfg = BaseConfig();
   cfg.pipeline_depth = 0;
+  const AlphaProgram init = MakeExpertAlpha(dataset_->window());
   EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
   Evolution seed_run(pool, cfg);
-  const EvolutionResult seed_result =
-      seed_run.Run(MakeExpertAlpha(dataset_->window()));
+  const EvolutionResult seed_result = seed_run.Run(init);
   ASSERT_TRUE(seed_result.has_alpha);
   const std::vector<std::vector<double>> accepted = {
       seed_result.best_metrics.valid_portfolio_returns};
 
   cfg.seed = 91;
-  Evolution sync_evo(pool, cfg, accepted);
-  const EvolutionResult reference =
-      sync_evo.Run(MakeExpertAlpha(dataset_->window()));
+  Evaluator evaluator(*dataset_, EvaluatorConfig{});
+  const testutil::ReferenceSearch reference =
+      RunReferenceEvolution(evaluator, cfg, init, accepted);
+  EXPECT_GT(reference.result.stats.cutoff_discarded, 0);
 
-  cfg.pipeline_depth = 2;
-  Evolution pipelined(pool, cfg, accepted);
-  const EvolutionResult r = pipelined.Run(MakeExpertAlpha(dataset_->window()));
-  ExpectIdentical(reference, r);
-  EXPECT_GT(reference.stats.cutoff_discarded, 0);
+  for (const int depth : {0, 2}) {
+    SCOPED_TRACE(::testing::Message() << "depth=" << depth);
+    cfg.pipeline_depth = depth;
+    Evolution evo(pool, cfg, accepted);
+    ExpectSameSearch(reference.result, evo.Run(init));
+    ExpectSameCache(reference.cache, evo.CacheSnapshot());
+  }
 }
 
 TEST_F(PipelinedEvolutionTest, SharedRoundCacheSequentialAttributionUnchanged) {
   // Two searches sharing one round cache, run back to back (the
-  // deterministic sharing schedule): the pipelined driver must reproduce
-  // the synchronous per-search hit/evaluated attribution exactly, and leave
-  // the shared cache with the same number of entries — its speculative
-  // frontier probes stand in for precisely the inserts the synchronous
-  // driver would have committed.
+  // deterministic sharing schedule): depth 2 must reproduce depth 0's
+  // per-search hit/evaluated attribution exactly, and leave the shared
+  // cache with the same contents — its speculative frontier probes stand in
+  // for precisely the inserts depth 0 would have committed.
   const AlphaProgram init = MakeExpertAlpha(dataset_->window());
   auto run_pair = [&](int depth, FingerprintCache* cache,
                       std::vector<EvolutionResult>* out) {
@@ -157,21 +147,19 @@ TEST_F(PipelinedEvolutionTest, SharedRoundCacheSequentialAttributionUnchanged) {
   ASSERT_EQ(sync_results.size(), pipelined_results.size());
   for (size_t i = 0; i < sync_results.size(); ++i) {
     SCOPED_TRACE(::testing::Message() << "search " << i);
-    ExpectIdentical(sync_results[i], pipelined_results[i]);
+    ExpectSameSearch(sync_results[i], pipelined_results[i]);
   }
   // The second search must actually have hit the first one's entries, and
-  // the cache contents (entry count; values are determined by fingerprints)
-  // must match the synchronous run's.
+  // the shared cache must end with the depth-0 run's entries.
   EXPECT_GT(sync_results[1].stats.cache_hits, 0);
-  EXPECT_EQ(sync_cache.size(), pipelined_cache.size());
+  ExpectSameCache(sync_cache.Snapshot(), pipelined_cache.Snapshot());
 }
 
 TEST_F(PipelinedEvolutionTest, ConcurrentSharedRoundMinerPreservesResults) {
   // A concurrent multi-seed round with the shared round cache and pipelined
   // searches: results must match isolated serial searches; the per-search
   // attribution still partitions each search's candidates (the split itself
-  // is schedule-dependent under concurrent sharing, as for the synchronous
-  // driver).
+  // is schedule-dependent under concurrent sharing, at any depth).
   EvolutionConfig cfg = BaseConfig();
   cfg.max_candidates = 250;
   cfg.batch_size = 4;
@@ -225,7 +213,9 @@ TEST_F(PipelinedEvolutionTest, TimeBudgetedRunTerminatesAndPartitions) {
                                     r.stats.pruned_redundant);
 }
 
-TEST_F(PipelinedEvolutionTest, EvaluateBatchAsyncMatchesSynchronousBatch) {
+TEST_F(PipelinedEvolutionTest, ForEachAsyncMatchesSynchronousBatch) {
+  // The driver's launch path: work-stealing workers submitted into a
+  // TaskGroup must score exactly what the blocking batch API scores.
   EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
   Mutator mutator{MutatorConfig{}};
   Rng rng(21);
@@ -241,8 +231,18 @@ TEST_F(PipelinedEvolutionTest, EvaluateBatchAsyncMatchesSynchronousBatch) {
   }
 
   const std::vector<AlphaMetrics> sync = pool.EvaluateBatch(batch);
-  auto handle = pool.EvaluateBatchAsync(batch);
-  const std::vector<AlphaMetrics>& async = handle->Wait();
+  std::vector<AlphaMetrics> async(batch.size());
+  TaskGroup group(pool.thread_pool());
+  pool.ForEachAsync(
+      static_cast<int>(batch.size()),
+      [&batch, &async](Evaluator& evaluator, int i) {
+        const EvaluatorPool::EvalRequest& req =
+            batch[static_cast<size_t>(i)];
+        async[static_cast<size_t>(i)] =
+            evaluator.Evaluate(*req.program, req.seed, req.include_test);
+      },
+      group);
+  group.WaitAll();
   ASSERT_EQ(async.size(), sync.size());
   for (size_t i = 0; i < sync.size(); ++i) {
     EXPECT_EQ(async[i].valid, sync[i].valid);
@@ -253,27 +253,15 @@ TEST_F(PipelinedEvolutionTest, EvaluateBatchAsyncMatchesSynchronousBatch) {
   }
 }
 
-TEST_F(PipelinedEvolutionTest, TaskGroupWaitUntilSeesPartialCompletions) {
-  // The hazard-resolution primitive: a waiter can observe a task's
-  // Notify-published partial progress before the task (or its siblings)
-  // complete. Whether the waiter is woken by Notify or drains the task
-  // inline, WaitUntil must return as soon as the predicate holds.
-  ThreadPool pool(2);
-  TaskGroup group(&pool);
-  std::atomic<int> progress{0};
-  for (int t = 0; t < 3; ++t) {
-    group.Submit([&] {
-      for (int i = 0; i < 4; ++i) {
-        progress.fetch_add(1, std::memory_order_release);
-        group.Notify();
-      }
-    });
-  }
-  group.WaitUntil(
-      [&] { return progress.load(std::memory_order_acquire) >= 5; });
-  EXPECT_GE(progress.load(), 5);
-  group.WaitAll();
-  EXPECT_EQ(progress.load(), 12);
+TEST_F(PipelinedEvolutionTest, NegativePipelineDepthIsRejected) {
+  // A negative depth could never generate a batch; both constructors
+  // refuse it up front.
+  EvolutionConfig cfg = BaseConfig();
+  cfg.pipeline_depth = -1;
+  Evaluator evaluator(*dataset_, EvaluatorConfig{});
+  EXPECT_THROW(Evolution(evaluator, cfg), CheckError);
+  EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
+  EXPECT_THROW(Evolution(pool, cfg), CheckError);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "core/generators.h"
 #include "core/mining.h"
 #include "market/dataset.h"
+#include "reference_evolution.h"
 #include "scenario/scenario.h"
 #include "scenario/scenario_fitness.h"
 
@@ -67,9 +69,11 @@ void ExpectIdentical(const EvolutionResult& a, const EvolutionResult& b,
 }
 
 /// One scenario-fitness mining run: pool over the scorer's baseline panel,
-/// scorer fanning out over the pool's threads.
-EvolutionResult RunWithScorer(ScenarioFitness& scorer, EvolutionConfig cfg,
-                              int num_threads) {
+/// scorer fanning out over the pool's threads. `cache` (optional) receives
+/// the run's final fingerprint-cache contents.
+EvolutionResult RunWithScorer(
+    ScenarioFitness& scorer, EvolutionConfig cfg, int num_threads,
+    std::vector<std::pair<uint64_t, double>>* cache = nullptr) {
   core::EvaluatorPool pool(scorer.baseline_panel(), core::EvaluatorConfig{},
                            num_threads);
   core::Evolution evolution(pool, cfg);
@@ -78,6 +82,7 @@ EvolutionResult RunWithScorer(ScenarioFitness& scorer, EvolutionConfig cfg,
   const EvolutionResult r =
       evolution.Run(core::MakeExpertAlpha(market::kNumFeatures));
   scorer.set_fanout_pool(nullptr);
+  if (cache != nullptr) *cache = evolution.CacheSnapshot();
   return r;
 }
 
@@ -113,17 +118,25 @@ TEST(ScenarioFitnessTest, BitIdenticalAcrossThreadCountsAndPipelineDepths) {
                          core::EvaluatorConfig{},
                          core::ScenarioFitnessOptions{});
 
+  // The serial reference search scores through the same scorer (serial
+  // regime fan-out) with a baseline evaluator of its own.
   EvolutionConfig cfg = BaseConfig();
-  cfg.pipeline_depth = 0;
-  const EvolutionResult reference = RunWithScorer(scorer, cfg, 1);
-  EXPECT_GT(reference.stats.scenario_evals, reference.stats.evaluated);
+  core::Evaluator evaluator(scorer.baseline_panel(), core::EvaluatorConfig{});
+  const testutil::ReferenceSearch reference = testutil::RunReferenceEvolution(
+      evaluator, cfg, core::MakeExpertAlpha(market::kNumFeatures), {},
+      &scorer);
+  EXPECT_GT(reference.result.stats.scenario_evals,
+            reference.result.stats.evaluated);
 
   for (const int threads : {1, 4, 8}) {
     for (const int depth : {0, 1, 2}) {
       cfg.pipeline_depth = depth;
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " depth=" + std::to_string(depth));
-      ExpectIdentical(reference, RunWithScorer(scorer, cfg, threads));
+      std::vector<std::pair<uint64_t, double>> cache;
+      testutil::ExpectSameSearch(reference.result,
+                                 RunWithScorer(scorer, cfg, threads, &cache));
+      testutil::ExpectSameCache(reference.cache, cache);
     }
   }
 }

@@ -118,5 +118,28 @@ TEST(ThreadPoolTest, ManyWaitersInterleave) {
   EXPECT_EQ(sum.load(), 20L * (99L * 100 / 2));
 }
 
+TEST(TaskGroupTest, WaitUntilSeesPartialCompletions) {
+  // The hazard-resolution primitive: a waiter can observe a task's
+  // Notify-published partial progress before the task (or its siblings)
+  // complete. Whether the waiter is woken by Notify or drains the task
+  // inline, WaitUntil must return as soon as the predicate holds.
+  ThreadPool pool(2);
+  TaskGroup group(&pool);
+  std::atomic<int> progress{0};
+  for (int t = 0; t < 3; ++t) {
+    group.Submit([&] {
+      for (int i = 0; i < 4; ++i) {
+        progress.fetch_add(1, std::memory_order_release);
+        group.Notify();
+      }
+    });
+  }
+  group.WaitUntil(
+      [&] { return progress.load(std::memory_order_acquire) >= 5; });
+  EXPECT_GE(progress.load(), 5);
+  group.WaitAll();
+  EXPECT_EQ(progress.load(), 12);
+}
+
 }  // namespace
 }  // namespace alphaevolve
