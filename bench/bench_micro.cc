@@ -639,8 +639,8 @@ BENCHMARK(BM_CheckpointOverhead)
 
 // --- Scenario-suite robustness throughput ---------------------------------
 // Fans a 2-alpha set across the standard regime suite (BENCH_3.json): each
-// (alpha, scenario) cell is a full evaluation on that scenario's dataset,
-// work-stolen by `threads` workers. Construction (dataset materialization,
+// (alpha, scenario) cell is a full evaluation on that scenario's overlay
+// view, work-stolen by `threads` workers. Construction (one base simulation,
 // per-scenario pools) happens outside the timing loop; `scenarios_per_sec`
 // counts scored cells, `speedup_vs_serial` compares against the 1-thread
 // run (registered first). Reports are bit-identical across thread counts
@@ -700,50 +700,36 @@ BENCHMARK(BM_RobustnessSuite)
     ->UseRealTime();
 
 // --- Stress-in-the-loop mining throughput (BENCH_7.json) ------------------
-// Evolution with ScenarioFitness over the full 7-regime standard suite:
-// every surviving candidate is scored on all regimes, served either as lazy
-// copy-on-write overlay views of one shared panel or as fully materialized
-// per-regime panels (bit-identical fitness either way — panel_overlay_test).
-// Args are (panel mode, screen): mode 0 = lazy overlays, 1 = materialized;
-// screen 0 = every valid candidate pays the full regime fan-out, 1 = the
-// cheap-first baseline screen (ic_valid < 0) rejects before fanning out.
-// `panel_resident_bytes` and `mem_ratio_vs_materialized` give the headline
-// memory win; `speedup_vs_no_screen` (same panel mode, screen-off run
-// registered first) gives the screening win; `scenario_evals_per_cand`
-// shows where it comes from (fewer regime evaluations per candidate).
-// Thread count comes from AE_BENCH_THREADS (default 4).
+// Evolution with ScenarioFitness over the full 7-regime standard suite,
+// served as lazy copy-on-write overlay views of one shared panel. The arg is
+// the screen: 0 = every valid candidate pays the full regime fan-out
+// (screen_min_ic = -1 never fires), 1 = the default cheap-first baseline
+// screen (ic_valid < 0) rejects before fanning out.
+// `panel_resident_bytes` and `mem_ratio_vs_materialized` (against
+// `Materialized()` copies of the same views) give the headline memory win;
+// `speedup_vs_no_screen` (screen-off run registered first) gives the
+// screening win; `scenario_evals_per_cand` shows where it comes from (fewer
+// regime evaluations per candidate). Thread count comes from
+// AE_BENCH_THREADS (default 4).
 
-scenario::ScenarioSuite ScenarioBenchSuite() {
-  market::MarketConfig mc = market::MarketConfig::BenchScale();
-  mc.num_stocks = 64;
-  mc.num_days = 300;
-  mc.seed = 11;
-  return scenario::ScenarioSuite::Standard(mc, 77);
-}
-
-std::map<int, double>& ScreenOffCandsPerSec() {
-  static auto* baselines = new std::map<int, double>();
-  return *baselines;
-}
+double g_screen_off_cands_per_sec = 0.0;
 
 void BM_ScenarioFitness(benchmark::State& state) {
-  const bool materialized = state.range(0) != 0;
-  const bool screen = state.range(1) != 0;
+  const bool screen = state.range(0) != 0;
   int threads = 4;
   if (const char* env = std::getenv("AE_BENCH_THREADS")) {
     threads = std::max(1, std::atoi(env));
   }
   core::ScenarioFitnessOptions options;
-  options.cheap_first_screen = screen;
-  // Construction — one base simulation, plus the 7-panel copy in
-  // materialized mode — happens outside the timing loop.
-  ThreadPool build_pool(threads);
-  scenario::ScenarioFitness scorer(
-      ScenarioBenchSuite(), market::DatasetConfig{}, core::EvaluatorConfig{},
-      options,
-      materialized ? scenario::PanelOverlay::Mode::kMaterialized
-                   : scenario::PanelOverlay::Mode::kLazy,
-      &build_pool);
+  if (!screen) options.screen_min_ic = -1.0;
+  // Construction — one base simulation — happens outside the timing loop.
+  market::MarketConfig mc = market::MarketConfig::BenchScale();
+  mc.num_stocks = 64;
+  mc.num_days = 300;
+  mc.seed = 11;
+  scenario::ScenarioFitness scorer(scenario::ScenarioSuite::Standard(mc, 77),
+                                   market::DatasetConfig{},
+                                   core::EvaluatorConfig{}, options);
   core::EvaluatorPool pool(scorer.baseline_panel(), core::EvaluatorConfig{},
                            threads);
   scorer.set_fanout_pool(pool.thread_pool());
@@ -770,15 +756,14 @@ void BM_ScenarioFitness(benchmark::State& state) {
   const double resident =
       static_cast<double>(scorer.panels().ResidentBytes());
   state.counters["panel_resident_bytes"] = resident;
-  // The materialized footprint is the same number the materialized-mode run
-  // reports; computing it here lets the lazy rows carry the ratio directly.
-  {
-    scenario::PanelOverlay full(ScenarioBenchSuite(), market::DatasetConfig{},
-                                scenario::PanelOverlay::Mode::kMaterialized,
-                                &build_pool);
-    state.counters["mem_ratio_vs_materialized"] =
-        static_cast<double>(full.ResidentBytes()) / resident;
+  // Every view folded into standalone storage: the S-panel footprint the
+  // overlay replaces.
+  double materialized = 0.0;
+  for (int i = 0; i < scorer.num_regimes(); ++i) {
+    materialized += static_cast<double>(
+        scorer.panels().panel(i).Materialized().StorageBytes());
   }
+  state.counters["mem_ratio_vs_materialized"] = materialized / resident;
   if (evaluated > 0) {
     state.counters["scenario_evals_per_cand"] =
         static_cast<double>(scenario_evals) / static_cast<double>(evaluated);
@@ -786,20 +771,17 @@ void BM_ScenarioFitness(benchmark::State& state) {
   if (seconds > 0.0 && candidates > 0) {
     const double cps = static_cast<double>(candidates) / seconds;
     state.counters["cands_per_sec"] = cps;
-    const int mode_key = materialized ? 1 : 0;
     if (!screen) {
-      ScreenOffCandsPerSec()[mode_key] = cps;
-    } else if (ScreenOffCandsPerSec().count(mode_key) > 0) {
+      g_screen_off_cands_per_sec = cps;
+    } else if (g_screen_off_cands_per_sec > 0.0) {
       state.counters["speedup_vs_no_screen"] =
-          cps / ScreenOffCandsPerSec()[mode_key];
+          cps / g_screen_off_cands_per_sec;
     }
   }
 }
 BENCHMARK(BM_ScenarioFitness)
-    ->Args({0, 0})  // lazy overlays, screen off: the baseline registers first
-    ->Args({0, 1})  // lazy overlays, cheap-first screen
-    ->Args({1, 0})  // materialized panels, screen off
-    ->Args({1, 1})
+    ->Arg(0)  // screen off: the baseline registers first
+    ->Arg(1)  // cheap-first screen
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

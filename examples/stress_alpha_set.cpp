@@ -1,7 +1,9 @@
 // Scenario-engine walkthrough: mine a weakly correlated alpha set, then
-// stress every accepted alpha across a regime-parameterized market suite
-// (crash / bull / sideways / sector rotation / low signal / thin universe)
-// with a cost-aware backtest. The miner's accept hook wires the
+// stress every accepted alpha across a regime suite (crash / bull /
+// sideways / sector rotation / low signal / thin universe) with a
+// cost-aware backtest. Every regime is a copy-on-write overlay view of the
+// one panel the alphas are mined on, so a stress report reads the same
+// world in-loop fitness scores. The miner's accept hook wires the
 // RobustnessEvaluator into the mining loop, so each alpha entering A is
 // scored out-of-regime the moment it is admitted; the final table is the
 // per-alpha RobustnessReport (per-scenario gross/net Sharpe, worst case,
@@ -20,11 +22,9 @@
 // AE_BENCH_THREADS (default 1), so CI can steer the smoke run through the
 // same knob as the benches. num_scenarios truncates the standard suite
 // (CI smoke uses 2). json_out writes the reports as a diffable artifact.
-// in_loop=1 mines *with* scenario fitness (worst-case IC across
-// copy-on-write overlay panels of the same suite, cheap-first screened)
-// instead of plain baseline IC — stress moves from post-hoc filter to
-// in-loop objective, and the overlay panels' resident bytes are printed
-// against the materialized robustness panels for comparison.
+// in_loop=1 mines *with* scenario fitness (worst-case IC across the same
+// suite's overlay panels, cheap-first screened) instead of plain baseline
+// IC — stress moves from post-hoc filter to in-loop objective.
 
 #include <algorithm>
 #include <chrono>
@@ -82,21 +82,21 @@ bool WriteFileOrComplain(const std::string& path, const std::string& text) {
   return true;
 }
 
-bool WriteJson(const std::string& path, const scenario::ScenarioSuite& suite,
-               const scenario::RobustnessConfig& rc,
+bool WriteJson(const std::string& path,
+               const scenario::RobustnessEvaluator& robustness,
                const std::vector<scenario::RobustnessReport>& reports) {
+  const scenario::ScenarioSuite& suite = robustness.suite();
+  const scenario::RobustnessConfig& rc = robustness.config();
   JsonWriter w;
   w.BeginObject();
   w.Key("suite_seed").Value(suite.suite_seed());
   w.Key("cost_per_side_bps").Value(rc.evaluator.costs.per_side_bps);
   w.Key("scenarios").BeginArray();
   for (int i = 0; i < suite.num_scenarios(); ++i) {
-    const market::MarketConfig mc = suite.ScenarioConfig(i);
     w.BeginObject();
     w.Key("id").Value(suite.spec(i).id);
     w.Key("description").Value(suite.spec(i).description);
-    w.Key("seed").Value(mc.seed);
-    w.Key("num_stocks").Value(mc.num_stocks);
+    w.Key("num_tasks").Value(robustness.dataset(i).num_tasks());
     w.EndObject();
   }
   w.EndArray();
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   scenario::RobustnessConfig rc;
   rc.evaluator.costs.per_side_bps = 10.0;  // 10 bps per transaction side
   rc.num_threads = num_threads;
-  std::printf("materializing %d scenario(s) on %d thread(s)...\n",
+  std::printf("building %d overlay regime(s), %d thread(s)...\n",
               suite.num_scenarios(), num_threads);
   scenario::RobustnessEvaluator robustness(suite, rc);
   for (int i = 0; i < suite.num_scenarios(); ++i) {
@@ -175,26 +175,18 @@ int main(int argc, char** argv) {
   core::EvaluatorConfig eval_config;
   eval_config.eval_budget_seconds = ck.eval_budget;
   std::unique_ptr<scenario::ScenarioFitness> scorer;
-  std::optional<market::Dataset> plain_panel;
   if (in_loop) {
     scorer = std::make_unique<scenario::ScenarioFitness>(
         suite, market::DatasetConfig{}, eval_config,
         core::ScenarioFitnessOptions{});
-    size_t materialized_bytes = 0;
-    for (int i = 0; i < suite.num_scenarios(); ++i) {
-      materialized_bytes += robustness.dataset(i).StorageBytes();
-    }
-    std::printf(
-        "in-loop scenario fitness: %d regime(s) resident in %.1f MiB "
-        "(materialized robustness panels: %.1f MiB)\n",
-        scorer->num_regimes(),
-        static_cast<double>(scorer->panels().ResidentBytes()) / (1024 * 1024),
-        static_cast<double>(materialized_bytes) / (1024 * 1024));
-  } else {
-    plain_panel.emplace(market::Dataset::Simulate(mc, {}));
+    std::printf("in-loop scenario fitness: %d regime(s) resident in %.1f MiB\n",
+                scorer->num_regimes(),
+                static_cast<double>(scorer->panels().ResidentBytes()) /
+                    (1024 * 1024));
   }
+  // Regime 0 of the robustness overlay is the plain base panel.
   const market::Dataset& dataset =
-      scorer != nullptr ? scorer->baseline_panel() : *plain_panel;
+      scorer != nullptr ? scorer->baseline_panel() : robustness.dataset(0);
   core::EvaluatorPool pool(dataset, eval_config, num_threads);
   core::EvolutionConfig config;
   config.max_candidates = ck.max_candidates;  // 0 = wall-clock budgeted
@@ -299,7 +291,7 @@ int main(int argc, char** argv) {
   for (const scenario::RobustnessReport& report : reports) {
     PrintReport(report);
   }
-  if (json_out != nullptr && !WriteJson(json_out, suite, rc, reports)) {
+  if (json_out != nullptr && !WriteJson(json_out, robustness, reports)) {
     return 1;
   }
   if (!examples::FinishTelemetry(telemetry, std::move(progress))) return 1;

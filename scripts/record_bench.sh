@@ -7,7 +7,8 @@
 #   BENCH_2.json — executor-sharding throughput (BM_ExecutorSharded at
 #                  1/2/4/8 intra-candidate threads, >=1000-task universe)
 #   BENCH_3.json — scenario-suite robustness fan-out (BM_RobustnessSuite at
-#                  1/2/4/8 threads: scenarios/sec, speedup vs serial sweep)
+#                  1/2/4/8 threads over the overlay regime views:
+#                  scenarios/sec, speedup vs serial sweep)
 #   BENCH_4.json — per-segment shard barrier cost
 #                  (BM_ArenaBarrier/BM_PoolForBarrier: persistent arena vs
 #                  pool re-submission at 2/4/8 lanes)
@@ -20,9 +21,10 @@
 #                  scalar table, registered for exactly the variants this
 #                  host can run)
 #   BENCH_7.json — stress-in-the-loop mining (BM_ScenarioFitness: cands/sec
-#                  mining against the full 7-regime suite, copy-on-write
-#                  overlay panels vs materialized ones — peak panel bytes +
-#                  memory ratio — and cheap-first screening on vs off)
+#                  mining against the full 7-regime suite of copy-on-write
+#                  overlay panels — resident panel bytes + memory ratio vs
+#                  materialized copies of the views — with cheap-first
+#                  screening on vs off)
 #   BENCH_8.json — telemetry overhead (BM_TelemetryOverhead: mining cands/sec
 #                  with the obs layer disabled / counters-only / full span
 #                  tracing; overhead_pct vs the disabled run — acceptance is

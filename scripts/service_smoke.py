@@ -139,8 +139,12 @@ def main():
     stress = daemon.ok("stress", "st1", {"job": job, "scenarios": 2},
                        timeout=300.0)
     assert len(stress["scenarios"]) == 2, stress
+    assert stress["scenarios"][0]["scenario"] == "baseline", stress
     for cell in stress["scenarios"]:
-        assert "scenario" in cell and "ic_valid" in cell, cell
+        # Each row carries the backtest's field set, `valid` included.
+        for key in ("scenario", "valid", "ic_valid", "sharpe_valid",
+                    "sharpe_test"):
+            assert key in cell, (key, cell)
 
     metrics = daemon.ok("metrics", "m1")
     assert metrics["counters"].get("service.ops_completed", 0) > 0, metrics

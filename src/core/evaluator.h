@@ -66,10 +66,10 @@ enum class ScenarioAggregation {
 struct ScenarioFitnessOptions {
   /// Evaluate the baseline regime first and reject candidates below
   /// `screen_min_ic` before paying for the remaining regimes — the pruning
-  /// analog one level up. The threshold is static by design: screening
-  /// against a moving best-so-far would make fitness depend on evaluation
-  /// order and break pipeline-depth/thread-count determinism.
-  bool cheap_first_screen = true;
+  /// analog one level up. Valid ICs lie in [-1, 1], so -1 turns the screen
+  /// off. The threshold is static by design: screening against a moving
+  /// best-so-far would make fitness depend on evaluation order and break
+  /// pipeline-depth/thread-count determinism.
   double screen_min_ic = 0.0;
 
   ScenarioAggregation aggregation = ScenarioAggregation::kWorstCase;

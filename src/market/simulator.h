@@ -23,7 +23,7 @@ namespace alphaevolve::market {
 ///
 /// so one base panel plus this trace replaces a full re-simulated copy per
 /// regime. Everything is stored as float: the trace defines the overlay
-/// perturbation (both the lazy and the materialized overlay paths read the
+/// perturbation (a lazy overlay view and its materialized copy read the
 /// same rounded values), it does not need to reproduce the base run's
 /// double-precision internals. ~12 bytes per (stock, day) cell for the
 /// three per-cell series vs ~68 bytes per cell of a full panel copy.

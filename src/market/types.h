@@ -69,11 +69,15 @@ struct MarketConfig {
   // stale into the test period. 0 disables the break.
   double relation_break_fraction = 0.0;
 
-  // --- Regime hooks (scenario engine) -----------------------------------
-  // All default to values that leave the return recursion bit-identical to
-  // the pre-hook simulator (0.0 drift adds exactly nothing; 1.0 vol scale
-  // multiplies exactly; none consume extra RNG draws), so existing seeds
-  // reproduce existing panels.
+  // --- Regime hooks (resimulated scenario regimes) ----------------------
+  // Set only by ScenarioSpec::apply, whose resimulated regimes the alpha
+  // service's `stress` op still reads; mining fitness and robustness
+  // reports use copy-on-write overlays (scenario::PanelOverlay), whose base
+  // config must leave the shift and the relation break at 0. All default to
+  // values that leave the return recursion bit-identical to the pre-hook
+  // simulator (0.0 drift adds exactly nothing; 1.0 vol scale multiplies
+  // exactly; none consume extra RNG draws), so existing seeds reproduce
+  // existing panels.
 
   // Constant daily drift of the market factor (log-return scale). Every
   // stock inherits it through its market beta: bull regimes use a positive

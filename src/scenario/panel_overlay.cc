@@ -28,10 +28,11 @@ struct OverlayCtx {
   double eps_post = 0.0;     ///< idio_vol_scale * shift_vol_scale - 1 (after)
 };
 
-/// The one label function both the lazy and the materialized path run —
-/// bitwise parity between them is parity by construction. `date`'s label is
-/// the return of trace day u = date + 1 (labels look one day ahead); the
-/// last calendar date has no next-day draw and keeps its base label (0.0).
+/// The one label function both a lazy view and its `Materialized()` copy
+/// run — bitwise parity between them is parity by construction. `date`'s
+/// label is the return of trace day u = date + 1 (labels look one day
+/// ahead); the last calendar date has no next-day draw and keeps its base
+/// label (0.0).
 double OverlayLabel(const void* vctx, int source_id, int date,
                     double base_label) {
   const auto* ctx = static_cast<const OverlayCtx*>(vctx);
@@ -112,9 +113,7 @@ std::vector<int> ThinMask(const market::Dataset& base, uint64_t key,
 }  // namespace
 
 PanelOverlay::PanelOverlay(const ScenarioSuite& suite,
-                           const market::DatasetConfig& dc, Mode mode,
-                           ThreadPool* pool)
-    : mode_(mode) {
+                           const market::DatasetConfig& dc) {
   AE_CHECK(suite.num_scenarios() >= 1);
   AE_CHECK_MSG(suite.base().shift_fraction == 0.0 &&
                    suite.base().relation_break_fraction == 0.0,
@@ -130,14 +129,14 @@ PanelOverlay::PanelOverlay(const ScenarioSuite& suite,
   auto trace = std::make_shared<market::SimTrace>();
   const market::Dataset base =
       market::Dataset::Simulate(suite.base(), dc, trace.get());
-  std::shared_ptr<const market::SimTrace> shared_trace = trace;
+  trace_ = std::move(trace);
 
   panels_.reserve(specs_.size());
   for (const ScenarioSpec& s : specs_) {
     const PanelPerturbation& p = s.overlay;
     market::Dataset view = base;  // shares storage
     if (p.PerturbsLabels()) {
-      auto ctx = MakeCtx(p, base.num_days(), shared_trace);
+      auto ctx = MakeCtx(p, base.num_days(), trace_);
       view = base.WithLabelOverlay(&OverlayLabel,
                                    std::shared_ptr<const void>(ctx));
     }
@@ -146,22 +145,6 @@ PanelOverlay::PanelOverlay(const ScenarioSuite& suite,
           base, ScenarioKey(suite.suite_seed(), s.id), p.universe_fraction));
     }
     panels_.push_back(std::move(view));
-  }
-
-  if (mode_ == Mode::kMaterialized) {
-    // Fold every view into standalone storage — the S×-memory reference the
-    // lazy path is measured against. The base + trace are dropped afterwards
-    // so ResidentBytes reflects what this mode actually keeps resident.
-    if (pool != nullptr) {
-      pool->ParallelFor(static_cast<int>(panels_.size()), [&](int i) {
-        panels_[static_cast<size_t>(i)] =
-            panels_[static_cast<size_t>(i)].Materialized();
-      });
-    } else {
-      for (auto& panel : panels_) panel = panel.Materialized();
-    }
-  } else {
-    trace_ = std::move(trace);
   }
 }
 
@@ -173,8 +156,7 @@ size_t PanelOverlay::ResidentBytes() const {
       total += panel.StorageBytes();
     }
   }
-  if (trace_ != nullptr) total += trace_->bytes();
-  return total;
+  return total + trace_->bytes();
 }
 
 }  // namespace alphaevolve::scenario

@@ -8,37 +8,31 @@
 #include "market/dataset.h"
 #include "market/simulator.h"
 #include "scenario/scenario.h"
-#include "util/threadpool.h"
 
 namespace alphaevolve::scenario {
 
-/// Copy-on-write scenario panels: one base panel, simulated once from the
-/// suite's base `MarketConfig` (with SimTrace capture), shared by every
-/// regime; each non-baseline regime is a Dataset *view* over that panel with
-/// a lazy label-perturbation overlay (ScenarioSpec::overlay) and/or a
-/// deterministic thin-universe mask. Suite memory drops from S materialized
-/// panels to ~1 panel + 1 trace + per-view indices.
+/// Copy-on-write scenario panels — how mining fitness and robustness reports
+/// turn a scenario regime into a dataset. One base panel, simulated once from the suite's base
+/// `MarketConfig` (with SimTrace capture), is shared by every regime; each
+/// non-baseline regime is a Dataset *view* over that panel with a lazy
+/// label-perturbation overlay (ScenarioSpec::overlay) and/or a deterministic
+/// thin-universe mask. Suite memory drops from S panels to ~1 panel + 1
+/// trace + per-view indices. `Dataset::Materialized()` folds a view into
+/// standalone storage through the same overlay function, so a materialized
+/// copy reads bit-identically to its view.
 ///
-/// `Mode::kMaterialized` builds the exact same views and then folds each one
-/// into standalone storage (`Dataset::Materialized`) — bit-identical reads,
-/// S× the memory. It exists as the parity reference and the bench baseline;
-/// production callers want `kLazy`.
-///
-/// The base panel keeps the base config's own seed (it is NOT reseeded with
-/// the suite key the resimulation path uses), so a single-regime overlay
-/// suite reproduces `Dataset::Simulate(base, dc)` exactly — and therefore
-/// today's mining driver. The suite seed only keys the thin-universe masks.
+/// The base panel keeps the base config's own seed (the suite seed only keys
+/// the thin-universe masks), so regime 0 reproduces `Dataset::Simulate(base,
+/// dc)` exactly — and therefore the plain mining driver. Mining fitness
+/// (ScenarioFitness) and robustness reports (RobustnessEvaluator) read these
+/// views; the alpha service's stress op still resimulates each regime
+/// (ScenarioSuite::Materialize).
 class PanelOverlay {
  public:
-  enum class Mode { kLazy, kMaterialized };
-
   /// Simulates the base panel once and derives every regime view. The base
   /// config must not itself use a late shift or relation break (the trace
-  /// records one unbroken draw history). `pool` parallelizes the
-  /// materialization fan-out in kMaterialized mode; results are
-  /// pool-independent.
-  PanelOverlay(const ScenarioSuite& suite, const market::DatasetConfig& dc,
-               Mode mode = Mode::kLazy, ThreadPool* pool = nullptr);
+  /// records one unbroken draw history).
+  PanelOverlay(const ScenarioSuite& suite, const market::DatasetConfig& dc);
 
   int num_panels() const { return static_cast<int>(panels_.size()); }
 
@@ -51,17 +45,13 @@ class PanelOverlay {
     return specs_[static_cast<size_t>(i)];
   }
 
-  Mode mode() const { return mode_; }
-
   /// Resident bytes of the suite: distinct PanelStorage tapes across all
-  /// panels (shared storage counted once) plus the retained SimTrace in lazy
-  /// mode. This is the number BENCH_7 compares between modes.
+  /// panels (shared storage counted once) plus the retained SimTrace.
   size_t ResidentBytes() const;
 
  private:
-  Mode mode_;
   std::vector<ScenarioSpec> specs_;
-  std::shared_ptr<market::SimTrace> trace_;  ///< Retained in lazy mode only.
+  std::shared_ptr<const market::SimTrace> trace_;
   std::vector<market::Dataset> panels_;
 };
 

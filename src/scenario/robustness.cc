@@ -10,7 +10,9 @@ namespace alphaevolve::scenario {
 
 RobustnessEvaluator::RobustnessEvaluator(ScenarioSuite suite,
                                          RobustnessConfig config)
-    : suite_(std::move(suite)), config_(config) {
+    : suite_(std::move(suite)),
+      config_(config),
+      panels_(suite_, config_.dataset) {
   AE_CHECK(suite_.num_scenarios() >= 1);
   AE_CHECK(config_.num_threads >= 1);
   // The (alpha, scenario) grid is this evaluator's parallelism axis;
@@ -23,14 +25,13 @@ RobustnessEvaluator::RobustnessEvaluator(ScenarioSuite suite,
     // workers.
     thread_pool_ = std::make_unique<ThreadPool>(config_.num_threads - 1);
   }
-  datasets_ = suite_.MaterializeAll(config_.dataset, thread_pool_.get());
-  pools_.reserve(datasets_.size());
-  for (const market::Dataset& ds : datasets_) {
+  pools_.reserve(static_cast<size_t>(panels_.num_panels()));
+  for (int i = 0; i < panels_.num_panels(); ++i) {
     // num_threads == 1: the per-scenario pool spawns no threads of its own;
     // it only supplies lazily created, leasable evaluators to however many
     // fan-out workers land on this scenario concurrently.
-    pools_.push_back(
-        std::make_unique<core::EvaluatorPool>(ds, config_.evaluator, 1));
+    pools_.push_back(std::make_unique<core::EvaluatorPool>(
+        panels_.panel(i), config_.evaluator, 1));
   }
 }
 
@@ -63,7 +64,7 @@ std::vector<RobustnessReport> RobustnessEvaluator::EvaluateGrid(
     const int s = cell % num_scenarios;
     const int a = cell / num_scenarios;
     const ScenarioSpec& spec = suite_.spec(s);
-    const uint64_t seed = ScenarioKey(config_.eval_seed, spec.id);
+    const uint64_t seed = RegimeSeed(config_.eval_seed, s, spec);
     core::AlphaMetrics m;
     {
       core::EvaluatorPool::Lease lease(*pools_[static_cast<size_t>(s)]);

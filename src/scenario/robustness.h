@@ -8,6 +8,7 @@
 
 #include "core/evaluator_pool.h"
 #include "core/mining.h"
+#include "scenario/panel_overlay.h"
 #include "scenario/scenario.h"
 #include "util/threadpool.h"
 
@@ -19,7 +20,7 @@ struct RobustnessConfig {
   /// ignored (forced to 1): the (alpha, scenario) grid supplies the
   /// parallelism, and per-cell sharding underneath it would oversubscribe.
   core::EvaluatorConfig evaluator;
-  market::DatasetConfig dataset;      ///< Split fractions per scenario.
+  market::DatasetConfig dataset;      ///< Split fractions of the panel.
   int num_threads = 1;                ///< Fan-out width over (alpha, scenario).
   uint64_t eval_seed = 1;             ///< Base seed for random-init ops.
 };
@@ -49,13 +50,17 @@ struct RobustnessReport {
 };
 
 /// Fans alphas across a scenario suite on the existing EvaluatorPool /
-/// ThreadPool machinery: construction materializes every scenario's dataset
-/// (in parallel) and builds one `EvaluatorPool` per scenario; evaluation
-/// work-steals (alpha, scenario) cells from a shared counter, each worker
-/// holding a per-scenario evaluator lease. Every cell is deterministic in
-/// (program, ScenarioKey(eval seed, scenario id), scenario dataset) and
-/// aggregation runs in suite order, so reports are bit-identical across
-/// thread counts.
+/// ThreadPool machinery: construction builds one PanelOverlay over (suite,
+/// config.dataset) — the same copy-on-write regime views ScenarioFitness
+/// mines on — and one `EvaluatorPool` per regime; evaluation work-steals
+/// (alpha, scenario) cells from a shared counter, each worker holding a
+/// per-scenario evaluator lease. Every cell is deterministic in (program,
+/// RegimeSeed(eval seed, i, spec), regime view) and aggregation runs in
+/// suite order, so reports are bit-identical across thread counts and a
+/// cell equals what in-loop fitness computes for the same (program, seed).
+///
+/// Like ScenarioFitness, it rejects a base config with a late shift or a
+/// relation break (PanelOverlay replays one unbroken draw history).
 class RobustnessEvaluator {
  public:
   RobustnessEvaluator(ScenarioSuite suite, RobustnessConfig config);
@@ -66,7 +71,7 @@ class RobustnessEvaluator {
   const ScenarioSuite& suite() const { return suite_; }
   const RobustnessConfig& config() const { return config_; }
   const market::Dataset& dataset(int scenario) const {
-    return datasets_[static_cast<size_t>(scenario)];
+    return panels_.panel(scenario);
   }
 
   /// Scores one alpha across all scenarios (parallel over scenarios).
@@ -90,7 +95,7 @@ class RobustnessEvaluator {
   ScenarioSuite suite_;
   RobustnessConfig config_;
   std::unique_ptr<ThreadPool> thread_pool_;  ///< null when serial
-  std::vector<market::Dataset> datasets_;    ///< One per scenario.
+  PanelOverlay panels_;                      ///< One view per scenario.
   std::vector<std::unique_ptr<core::EvaluatorPool>> pools_;
 };
 

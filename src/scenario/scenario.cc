@@ -12,6 +12,10 @@ uint64_t ScenarioKey(uint64_t seed, std::string_view id) {
   return Mix64(seed ^ core::HashString(std::string(id)));
 }
 
+uint64_t RegimeSeed(uint64_t seed, int i, const ScenarioSpec& spec) {
+  return i == 0 ? seed : ScenarioKey(seed, spec.id);
+}
+
 ScenarioSuite ScenarioSuite::Standard(const market::MarketConfig& base,
                                       uint64_t suite_seed) {
   // Each regime carries both of its forms: `apply` (resimulation recipe,
@@ -20,20 +24,19 @@ ScenarioSuite ScenarioSuite::Standard(const market::MarketConfig& base,
   // story — same drifts, same scales — even though the two paths inhabit
   // different random worlds.
   ScenarioSuite suite(base, suite_seed);
-  suite.Add({"baseline", "the base market, reseeded",
-             [](market::MarketConfig&) {},
+  suite.Add({"baseline", "the base market", [](market::MarketConfig&) {},
              PanelPerturbation{}});
   {
     ScenarioSpec s;
     s.id = "crash";
     s.description =
         "late-calendar crash: -60bp/day market drift, 2x GARCH vol spike";
+    // The default 81% train split ends at calendar fraction
+    // ~0.81 + 6/num_days (the 41-day feature warmup pushes usable days
+    // late), so 0.87 keeps every training label pre-crash for
+    // num_days >= ~120: the alpha never trains on the regime it is scored
+    // in.
     s.apply = [](market::MarketConfig& c) {
-      // The default 81% train split ends at calendar fraction
-      // ~0.81 + 6/num_days (the 41-day feature warmup pushes
-      // usable days late), so 0.87 keeps every training label
-      // pre-crash for num_days >= ~120: the alpha never trains
-      // on the regime it is scored in.
       c.shift_fraction = 0.87;
       c.shift_drift = -0.006;
       c.shift_vol_scale = 2.0;
@@ -72,15 +75,15 @@ ScenarioSuite ScenarioSuite::Standard(const market::MarketConfig& base,
   {
     ScenarioSpec s;
     s.id = "sector_rotation";
-    s.description = "mid-calendar relational break, high sector dispersion";
+    s.description = "high sector/industry dispersion";
+    // The relational break itself (betas redrawn mid-path) has no overlay
+    // term yet; the overlay keeps the dispersion half, the resimulation
+    // recipe both.
     s.apply = [](market::MarketConfig& c) {
       c.relation_break_fraction = 0.55;
       c.sector_vol *= 1.8;
       c.industry_vol *= 1.5;
     };
-    // The relational break itself (betas redrawn mid-path) has no overlay
-    // analog on a fixed draw history; the overlay keeps the dispersion half
-    // of the regime.
     s.overlay.sector_vol_scale = 1.8;
     s.overlay.industry_vol_scale = 1.5;
     suite.Add(std::move(s));
@@ -100,7 +103,7 @@ ScenarioSuite ScenarioSuite::Standard(const market::MarketConfig& base,
   {
     ScenarioSpec s;
     s.id = "thin_universe";
-    s.description = "quarter-size universe, doubled delist rate";
+    s.description = "quarter-size universe";
     s.apply = [](market::MarketConfig& c) {
       c.num_stocks = std::max(24, c.num_stocks / 4);
       c.delist_fraction = std::min(0.3, c.delist_fraction * 2.0);
@@ -130,21 +133,6 @@ market::MarketConfig ScenarioSuite::ScenarioConfig(int i) const {
 market::Dataset ScenarioSuite::Materialize(
     int i, const market::DatasetConfig& dc) const {
   return market::Dataset::Simulate(ScenarioConfig(i), dc);
-}
-
-std::vector<market::Dataset> ScenarioSuite::MaterializeAll(
-    const market::DatasetConfig& dc, ThreadPool* pool) const {
-  std::vector<market::Dataset> out(static_cast<size_t>(num_scenarios()));
-  if (pool == nullptr) {
-    for (int i = 0; i < num_scenarios(); ++i) {
-      out[static_cast<size_t>(i)] = Materialize(i, dc);
-    }
-    return out;
-  }
-  pool->ParallelFor(num_scenarios(), [&](int i) {
-    out[static_cast<size_t>(i)] = Materialize(i, dc);
-  });
-  return out;
 }
 
 }  // namespace alphaevolve::scenario

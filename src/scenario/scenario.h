@@ -5,23 +5,24 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "market/dataset.h"
 #include "market/types.h"
-#include "util/threadpool.h"
 
 namespace alphaevolve::scenario {
 
 /// Deterministic 64-bit key of (seed, scenario id): a splitmix64 finalizer
-/// over the seed XOR an FNV-1a hash of the id. Scenario panels and
-/// evaluations are keyed by this value, so the same (suite seed, scenario
-/// id) pair always reproduces the same dataset — across processes, thread
-/// counts, and suite orderings — while different ids diverge.
+/// over the seed XOR an FNV-1a hash of the id. Thin-universe masks,
+/// per-regime evaluation seeds and resimulated regime worlds are keyed by
+/// this value, so the same (seed, scenario id) pair always reproduces the
+/// same draw — across processes, thread counts, and suite orderings — while
+/// different ids diverge.
 uint64_t ScenarioKey(uint64_t seed, std::string_view id);
 
 /// Copy-on-write regime description: how a regime perturbs the *base panel's
-/// outcomes* instead of re-simulating a world of its own. All scale fields
+/// outcomes* instead of simulating a world of its own. All scale fields
 /// default to exact identity (adding 0.0 / scaling by 1.0 leaves every label
 /// bit-identical), so a default-constructed perturbation is the baseline.
 ///
@@ -37,13 +38,12 @@ uint64_t ScenarioKey(uint64_t seed, std::string_view id);
 ///              + (idio_vol_scale * ([u >= shift_day] ? shift_vol_scale : 1)
 ///                 - 1) * eps[k, u]
 ///
-/// and the overlaid label is expm1(log1p(base_label) + delta). This is the
-/// same family of regimes the resimulation path expresses, applied as a
-/// perturbation of one shared world rather than a fresh world per regime —
-/// which is what makes results comparable across regimes candidate by
-/// candidate, and what cuts suite memory from S panels to one panel + one
-/// trace. Regimes with no overlay analog (relation breaks redraw betas
-/// mid-path) keep identity here and rely on the resimulation path.
+/// and the overlaid label is expm1(log1p(base_label) + delta). Every overlay
+/// perturbs one shared world, which is what makes results comparable across
+/// regimes candidate by candidate, and what cuts suite memory from S panels
+/// to one panel + one trace. Regimes with no overlay
+/// analog yet (relation breaks redraw betas mid-path) keep identity in that
+/// term.
 struct PanelPerturbation {
   double market_drift = 0.0;       ///< Added to the market factor per day.
   double market_vol_scale = 1.0;   ///< Scales the market factor draws.
@@ -53,9 +53,9 @@ struct PanelPerturbation {
   double mr_scale = 1.0;           ///< Scales the mean-reversion signal.
   double mom_scale = 1.0;          ///< Scales the momentum signal.
 
-  // Late-calendar shift, as in MarketConfig: from day >=
-  // shift_fraction * num_days the market gains shift_drift per day and
-  // shocks are additionally scaled by shift_vol_scale. 0 disables.
+  // Late-calendar shift: from day >= shift_fraction * num_days the market
+  // gains shift_drift per day and shocks are additionally scaled by
+  // shift_vol_scale. 0 disables.
   double shift_fraction = 0.0;
   double shift_drift = 0.0;
   double shift_vol_scale = 1.0;
@@ -74,29 +74,35 @@ struct PanelPerturbation {
   bool IsIdentity() const { return !PerturbsLabels() && !MasksUniverse(); }
 };
 
-/// One named market regime: a transform applied to the suite's base
-/// `MarketConfig`. Transforms should only edit config fields (never draw
-/// randomness); the suite supplies the deterministic per-scenario seed.
-///
-/// `overlay` is the copy-on-write analog of `apply` used by PanelOverlay:
-/// the same regime expressed as a perturbation of the shared base panel
-/// rather than a resimulation recipe. The two are intentionally *different
-/// worlds* (resimulation reseeds per scenario; the overlay perturbs one
-/// draw history) — each path is internally bit-deterministic, but they are
-/// not bit-comparable to each other.
+/// One named market regime. `overlay` is the regime as mining fitness
+/// (ScenarioFitness) and robustness reports (RobustnessEvaluator) read it: a
+/// perturbation of the suite's base panel, served as a PanelOverlay view.
+/// `apply` is the regime's resimulation recipe, a transform of the base
+/// `MarketConfig` that ScenarioSuite::Materialize simulates as a fresh,
+/// reseeded world; only the alpha service's `stress` op still reads it.
+/// Transforms only edit config fields (never draw randomness). The two forms
+/// are different random worlds, and two regimes differ in content too:
+/// `sector_rotation`'s recipe also redraws betas mid-calendar, and
+/// `thin_universe`'s also doubles the delist rate.
 struct ScenarioSpec {
   std::string id;           ///< Stable identifier, e.g. "crash".
   std::string description;  ///< One line for reports.
-  std::function<void(market::MarketConfig&)> apply;  ///< Regime transform.
-  PanelPerturbation overlay;  ///< Copy-on-write form of the same regime.
+  std::function<void(market::MarketConfig&)> apply;  ///< Resimulation recipe.
+  PanelPerturbation overlay;  ///< How the regime perturbs the base panel.
 };
 
-/// A named set of market regimes derived from one base configuration.
-/// `ScenarioConfig(i)` yields the fully derived config — base, transformed
-/// by the spec, reseeded with `ScenarioKey(suite seed, id)` — and
-/// `Materialize(i)` builds its `Dataset`. Materialization is a pure
-/// function of (suite seed, scenario id, base config), so suites can be
-/// built in parallel with bit-identical results.
+/// Evaluation seed of regime `i` for a candidate seeded `seed`: regime 0 (the
+/// base panel) keeps `seed`, so it scores exactly as the plain driver does;
+/// regime i >= 1 uses ScenarioKey(seed, spec.id). Every regime consumer —
+/// in-loop fitness, robustness reports, the service's stress op — seeds
+/// through this one rule; fitness and robustness reports also read the same
+/// overlay views, so their numbers agree cell for cell.
+uint64_t RegimeSeed(uint64_t seed, int i, const ScenarioSpec& spec);
+
+/// A named set of market regimes over one base configuration. PanelOverlay
+/// turns a suite into datasets: one simulation of `base()` plus one view per
+/// regime. The suite seed keys the regimes' thin-universe masks and, for
+/// the resimulation recipe, each regime's reseeded world.
 class ScenarioSuite {
  public:
   ScenarioSuite(market::MarketConfig base, uint64_t suite_seed)
@@ -104,19 +110,19 @@ class ScenarioSuite {
 
   /// The standard robustness suite: the regimes that separate durable
   /// alphas from overfit ones.
-  ///   baseline         — the base config, reseeded.
+  ///   baseline         — the base panel itself.
   ///   crash            — late-calendar negative drift + GARCH vol spike
   ///                      (the shift lands past the train fraction, so the
   ///                      test period is genuinely out-of-regime).
   ///   bull             — persistent positive market drift, calmer vols.
   ///   sideways         — choppy range-bound tape: momentum attenuated,
   ///                      mean reversion amplified, trend vol dampened.
-  ///   sector_rotation  — mid-calendar relational break with high
-  ///                      sector/industry dispersion (§5.4.3).
+  ///   sector_rotation  — high sector/industry dispersion (the dispersion
+  ///                      half of a §5.4.3 relational break).
   ///   low_signal       — both embedded signals attenuated to 25%: how much
   ///                      of the alpha is signal capture vs. luck.
-  ///   thin_universe    — quarter-size universe with doubled delist rate:
-  ///                      small-cross-section stability.
+  ///   thin_universe    — a quarter of the universe: small-cross-section
+  ///                      stability.
   static ScenarioSuite Standard(const market::MarketConfig& base,
                                 uint64_t suite_seed);
 
@@ -132,16 +138,13 @@ class ScenarioSuite {
   const market::MarketConfig& base() const { return base_; }
   uint64_t suite_seed() const { return suite_seed_; }
 
-  /// Fully derived market config of scenario `i`.
+  /// Resimulation recipe of scenario `i`: the base config transformed by
+  /// `spec(i).apply` and reseeded with ScenarioKey(suite seed, id).
   market::MarketConfig ScenarioConfig(int i) const;
 
-  /// Builds scenario `i`'s dataset (deterministic in (suite seed, id)).
+  /// Simulates scenario `i`'s resimulated world; a pure function of (suite
+  /// seed, scenario id, base config).
   market::Dataset Materialize(int i, const market::DatasetConfig& dc) const;
-
-  /// Builds every scenario's dataset, fanning over `pool` when given.
-  /// Results are in scenario order and independent of the pool.
-  std::vector<market::Dataset> MaterializeAll(const market::DatasetConfig& dc,
-                                              ThreadPool* pool = nullptr) const;
 
  private:
   market::MarketConfig base_;

@@ -41,10 +41,8 @@ struct StageCounters {
 ScenarioFitness::ScenarioFitness(const ScenarioSuite& suite,
                                  const market::DatasetConfig& dc,
                                  const core::EvaluatorConfig& eval_config,
-                                 core::ScenarioFitnessOptions options,
-                                 PanelOverlay::Mode mode,
-                                 ThreadPool* build_pool)
-    : options_(options), overlay_(suite, dc, mode, build_pool) {
+                                 core::ScenarioFitnessOptions options)
+    : options_(options), overlay_(suite, dc) {
   // Regime evaluators shard nothing internally: one regime evaluation is
   // the fan-out's unit of work, and leasing keeps concurrent Score calls
   // on disjoint evaluators without any threads of these pools' own.
@@ -91,8 +89,7 @@ core::ScoreOutcome ScenarioFitness::Score(
   // candidate whose baseline IC already disqualifies it. Never applied to a
   // single-regime suite (stage 4 is free there), which keeps single-scenario
   // mode bit-identical to the plain driver.
-  if (regimes > 1 && options_.cheap_first_screen &&
-      out.baseline.ic_valid < options_.screen_min_ic) {
+  if (regimes > 1 && out.baseline.ic_valid < options_.screen_min_ic) {
     out.screened_out = true;
     if (obs::Enabled()) StageCounters::Get().screen_rejects.Add();
     return out;
@@ -113,7 +110,7 @@ core::ScoreOutcome ScenarioFitness::Score(
         core::EvaluatorPool::Lease lease(
             *regime_pools_[static_cast<size_t>(i - 1)]);
         metrics[static_cast<size_t>(i)] = lease->Evaluate(
-            program, ScenarioKey(seed, overlay_.spec(i).id),
+            program, RegimeSeed(seed, i, overlay_.spec(i)),
             /*include_test=*/false);
       });
     }

@@ -29,14 +29,13 @@ namespace alphaevolve::scenario {
 ///      single-scenario mode reproduces the plain driver exactly);
 ///   4. fan-out: the surviving candidate is evaluated on regimes 1..S-1,
 ///      work-stolen across `fanout_pool()` (serial without one), each regime
-///      on its own single-evaluator pool with seed ScenarioKey(seed, id);
+///      on its own single-evaluator pool with seed RegimeSeed(seed, i, spec);
 ///   5. aggregation in suite order (worst-case / mean / cost-adjusted).
 ///
 /// Score is a pure function of (program, seed): regime evaluations are
 /// deterministic, the fan-out writes into pre-sized slots and aggregates in
 /// suite order, and the screen threshold is static — so results are
-/// bit-identical at any thread count and pipeline depth, and identical
-/// between lazy and materialized panel modes (the views read identically).
+/// bit-identical at any thread count and pipeline depth.
 ///
 /// Thread-safe: concurrent Score calls lease disjoint evaluators; the only
 /// shared state is immutable after construction.
@@ -46,13 +45,10 @@ class ScenarioFitness : public core::CandidateScorer {
   /// single-evaluator pool per non-baseline regime. Regime evaluators run
   /// with intra-candidate sharding off — the fan-out itself is the
   /// parallelism — and otherwise inherit `eval_config` (costs included:
-  /// kCostAdjusted wants net-aware evaluators). `build_pool` only
-  /// parallelizes materialized-mode construction.
+  /// kCostAdjusted wants net-aware evaluators).
   ScenarioFitness(const ScenarioSuite& suite, const market::DatasetConfig& dc,
                   const core::EvaluatorConfig& eval_config,
-                  core::ScenarioFitnessOptions options,
-                  PanelOverlay::Mode mode = PanelOverlay::Mode::kLazy,
-                  ThreadPool* build_pool = nullptr);
+                  core::ScenarioFitnessOptions options);
 
   /// The regime-0 dataset — build the mining EvaluatorPool over this, so
   /// the evaluator Evolution leases to Score *is* the baseline evaluator.

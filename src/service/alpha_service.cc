@@ -585,11 +585,12 @@ std::string AlphaService::OpStress(const Request& req) {
       market::Dataset panel =
           suite.Materialize(i, market::DatasetConfig{});
       core::Evaluator evaluator(panel, pool_.config());
-      const core::AlphaMetrics m = evaluator.Evaluate(pruned, seed, true);
+      const core::AlphaMetrics m = evaluator.Evaluate(
+          pruned, scenario::RegimeSeed(seed, i, suite.spec(i)),
+          /*include_test=*/true);
       w.BeginObject();
       w.Key("scenario").Value(suite.spec(i).id);
-      w.Key("ic_valid").Value(m.ic_valid);
-      w.Key("sharpe_valid").Value(m.sharpe_valid);
+      WriteMetricsFields(w, m);
       w.EndObject();
     }
     w.EndArray();

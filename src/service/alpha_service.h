@@ -58,7 +58,8 @@ struct ServiceOptions {
 ///   query_alphas   — the mined alpha set: every DONE job's best program
 ///   signals        — per-date prediction vector of a DONE job's alpha
 ///   backtest       — re-evaluate a DONE job's alpha (test side included)
-///   stress         — evaluate a DONE job's alpha across scenario regimes
+///   stress         — evaluate a DONE job's alpha across resimulated
+///                    scenario regimes (one fresh panel per regime)
 ///   health         — liveness/readiness (answered inline, even when the
 ///                    queue is full or the service is draining)
 ///   metrics        — metrics-registry snapshot (service.* included)

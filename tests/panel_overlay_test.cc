@@ -1,8 +1,9 @@
-// Copy-on-write scenario panels: the lazy PanelOverlay views must read
-// bit-identically to their materialized counterparts for every standard
-// regime (the two paths run the same overlay function over the same base
-// tape), share one PanelStorage in lazy mode, reproduce the plain base
-// dataset as regime 0, and cut suite resident memory by >= 5x.
+// Copy-on-write scenario panels, the one way a regime becomes a dataset:
+// every standard regime's view must read bit-identically to its own
+// Materialized() copy — and score identically on it, so every evaluator
+// read honours the overlay — share one PanelStorage, reproduce the plain
+// base dataset as regime 0, rebuild deterministically, and hold the suite
+// in at least 5x less memory than materialized copies of the views.
 
 #include <algorithm>
 #include <cmath>
@@ -10,14 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
+#include "core/generators.h"
 #include "market/dataset.h"
 #include "market/simulator.h"
 #include "scenario/panel_overlay.h"
 #include "scenario/scenario.h"
-#include "util/threadpool.h"
+#include "test_util.h"
 
 namespace alphaevolve::scenario {
 namespace {
+
+using testutil::ExpectDatasetsIdentical;
 
 market::MarketConfig SmallBase() {
   market::MarketConfig mc = market::MarketConfig::BenchScale();
@@ -25,34 +30,6 @@ market::MarketConfig SmallBase() {
   mc.num_days = 220;
   mc.seed = 3;
   return mc;
-}
-
-/// Bitwise equality of two datasets through the public API (same helper as
-/// scenario_test.cc): structure, splits, labels, closes, feature rows.
-void ExpectDatasetsIdentical(const market::Dataset& a,
-                             const market::Dataset& b) {
-  ASSERT_EQ(a.num_tasks(), b.num_tasks());
-  ASSERT_EQ(a.num_days(), b.num_days());
-  ASSERT_EQ(a.first_usable_date(), b.first_usable_date());
-  for (market::Split split :
-       {market::Split::kTrain, market::Split::kValid, market::Split::kTest}) {
-    ASSERT_EQ(a.dates(split), b.dates(split));
-  }
-  for (int k = 0; k < a.num_tasks(); ++k) {
-    ASSERT_EQ(a.sector_of(k), b.sector_of(k));
-    ASSERT_EQ(a.industry_of(k), b.industry_of(k));
-    ASSERT_EQ(a.source_id(k), b.source_id(k));
-    for (market::Split split : {market::Split::kTrain, market::Split::kValid,
-                                market::Split::kTest}) {
-      for (int date : a.dates(split)) {
-        ASSERT_EQ(a.Label(k, date), b.Label(k, date));
-        ASSERT_EQ(a.Close(k, date), b.Close(k, date));
-        const float* fa = a.FeatureRow(k, date);
-        const float* fb = b.FeatureRow(k, date);
-        for (int f = 0; f < a.num_features(); ++f) ASSERT_EQ(fa[f], fb[f]);
-      }
-    }
-  }
 }
 
 TEST(PanelOverlayTest, BaselinePanelIsThePlainBaseDataset) {
@@ -83,19 +60,25 @@ TEST(PanelOverlayTest, LazyModeSharesOneStorageAcrossAllRegimes) {
 
 TEST(PanelOverlayTest, LazyAndMaterializedPanelsAreBitIdentical) {
   const ScenarioSuite suite = ScenarioSuite::Standard(SmallBase(), 7);
-  const market::DatasetConfig dc;
-  const PanelOverlay lazy(suite, dc, PanelOverlay::Mode::kLazy);
-  ThreadPool pool(3);
-  const PanelOverlay materialized(suite, dc, PanelOverlay::Mode::kMaterialized,
-                                  &pool);
-  ASSERT_EQ(lazy.num_panels(), materialized.num_panels());
-  for (int i = 0; i < lazy.num_panels(); ++i) {
-    SCOPED_TRACE(lazy.spec(i).id);
-    ExpectDatasetsIdentical(lazy.panel(i), materialized.panel(i));
-    // Materialized regimes each own their storage.
-    if (i > 0) {
-      EXPECT_NE(materialized.panel(i).storage().get(),
-                materialized.panel(0).storage().get());
+  const PanelOverlay overlay(suite, market::DatasetConfig{});
+  core::EvaluatorConfig config;
+  config.costs.per_side_bps = 10.0;  // net != gross: every field is live
+  const core::AlphaProgram alphas[] = {
+      core::MakeExpertAlpha(market::kNumFeatures),
+      core::MakeNeuralNetAlpha(market::kNumFeatures)};
+  for (int i = 0; i < overlay.num_panels(); ++i) {
+    SCOPED_TRACE(overlay.spec(i).id);
+    const market::Dataset& view = overlay.panel(i);
+    const market::Dataset copy = view.Materialized();
+    EXPECT_NE(copy.storage().get(), view.storage().get());
+    ExpectDatasetsIdentical(view, copy);
+    // The evaluator reads labels, closes and features through every path
+    // (extraction kernels, IC, backtest); each must honour the overlay.
+    core::Evaluator on_view(view, config);
+    core::Evaluator on_copy(copy, config);
+    for (const core::AlphaProgram& alpha : alphas) {
+      testutil::ExpectSameMetrics(on_view.Evaluate(alpha, 5, true),
+                                  on_copy.Evaluate(alpha, 5, true));
     }
   }
 }
@@ -134,9 +117,9 @@ TEST(PanelOverlayTest, OverlayRegimesActuallyPerturbLabels) {
     EXPECT_TRUE(any_diff) << overlay.spec(i).id;
   }
 
-  // Directional sanity, mirroring the resimulation-path assertions: the
-  // crash overlay depresses test-period returns, the bull overlay lifts
-  // full-calendar returns.
+  // Directional sanity: the crash overlay depresses test-period returns
+  // (-60bp/day of market drift through unit-ish betas), the bull overlay
+  // lifts full-calendar returns.
   ASSERT_EQ(overlay.spec(1).id, "crash");
   EXPECT_LT(mean_label(overlay.panel(1), market::Split::kTest),
             mean_label(base, market::Split::kTest) - 0.002);
@@ -166,9 +149,13 @@ TEST(PanelOverlayTest, ThinUniverseMaskIsDeterministicAndConsistent) {
   EXPECT_LT(ta.num_tasks(), base.num_tasks());
   EXPECT_NEAR(ta.num_tasks(), base.num_tasks() / 4, 1);
 
-  // Rebuilding the suite selects the same tasks (mask is a pure function of
-  // (suite seed, id, source ids)).
-  ExpectDatasetsIdentical(ta, b.panel(thin));
+  // Rebuilding the suite reproduces every regime: the same base simulation,
+  // the same overlay, and the same thin-universe tasks (the mask is a pure
+  // function of (suite seed, id, source ids)).
+  for (int i = 0; i < a.num_panels(); ++i) {
+    SCOPED_TRACE(a.spec(i).id);
+    ExpectDatasetsIdentical(a.panel(i), b.panel(i));
+  }
 
   // Dense relational groups are consistent after subsetting: every task is
   // a member of the group it reports, ids are in range, meta is re-indexed.
@@ -200,12 +187,14 @@ TEST(PanelOverlayTest, ThinUniverseMaskIsDeterministicAndConsistent) {
 
 TEST(PanelOverlayTest, LazySuiteIsAtLeastFiveTimesSmaller) {
   const ScenarioSuite suite = ScenarioSuite::Standard(SmallBase(), 7);
-  const market::DatasetConfig dc;
-  const PanelOverlay lazy(suite, dc, PanelOverlay::Mode::kLazy);
-  const PanelOverlay materialized(suite, dc, PanelOverlay::Mode::kMaterialized);
-  EXPECT_GE(materialized.ResidentBytes(), 5 * lazy.ResidentBytes())
-      << "lazy: " << lazy.ResidentBytes()
-      << " materialized: " << materialized.ResidentBytes();
+  const PanelOverlay overlay(suite, market::DatasetConfig{});
+  size_t materialized = 0;
+  for (int i = 0; i < overlay.num_panels(); ++i) {
+    materialized += overlay.panel(i).Materialized().StorageBytes();
+  }
+  EXPECT_GE(materialized, 5 * overlay.ResidentBytes())
+      << "lazy: " << overlay.ResidentBytes()
+      << " materialized: " << materialized;
 }
 
 TEST(PanelOverlayTest, SimTraceCaptureDoesNotPerturbTheSimulation) {

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <utility>
@@ -35,6 +34,7 @@
 #include "core/program.h"
 #include "core/pruning.h"
 #include "eval/metrics.h"
+#include "test_util.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -185,20 +185,6 @@ inline ReferenceSearch RunReferenceEvolution(
     }
   }
   return {result, {cache.begin(), cache.end()}};
-}
-
-/// The bit pattern of `v`: parity checks compare doubles exactly, NaN too.
-inline uint64_t Bits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
-
-inline std::vector<uint64_t> Bits(const std::vector<double>& values) {
-  std::vector<uint64_t> out;
-  out.reserve(values.size());
-  for (const double v : values) out.push_back(Bits(v));
-  return out;
 }
 
 /// Expects two searches to agree bit for bit on everything but wall-clock:

@@ -1,17 +1,28 @@
+// Scenario suites and robustness reports: the ScenarioKey / RegimeSeed
+// rules, the standard regimes and their resimulation recipes (what the
+// service's stress op reads), and the RobustnessEvaluator's contract — its
+// datasets are the overlay views ScenarioFitness mines on, each report cell
+// equals a direct evaluation of that view under RegimeSeed, reports are
+// bit-identical across thread counts, and the aggregates fold the cells.
+
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
 #include "core/generators.h"
 #include "scenario/robustness.h"
 #include "scenario/scenario.h"
+#include "scenario/scenario_fitness.h"
+#include "test_util.h"
 #include "util/stats.h"
-#include "util/threadpool.h"
 
 namespace alphaevolve::scenario {
 namespace {
+
+using testutil::Bits;
 
 market::MarketConfig SmallBase() {
   market::MarketConfig mc = market::MarketConfig::BenchScale();
@@ -21,31 +32,13 @@ market::MarketConfig SmallBase() {
   return mc;
 }
 
-/// Bitwise equality of two datasets through the public API: structure,
-/// splits, labels and feature rows over every split date.
-void ExpectDatasetsIdentical(const market::Dataset& a,
-                             const market::Dataset& b) {
-  ASSERT_EQ(a.num_tasks(), b.num_tasks());
-  ASSERT_EQ(a.num_days(), b.num_days());
-  ASSERT_EQ(a.first_usable_date(), b.first_usable_date());
-  for (market::Split split :
-       {market::Split::kTrain, market::Split::kValid, market::Split::kTest}) {
-    ASSERT_EQ(a.dates(split), b.dates(split));
-  }
-  for (int k = 0; k < a.num_tasks(); ++k) {
-    ASSERT_EQ(a.sector_of(k), b.sector_of(k));
-    ASSERT_EQ(a.industry_of(k), b.industry_of(k));
-    for (market::Split split : {market::Split::kTrain, market::Split::kValid,
-                                market::Split::kTest}) {
-      for (int date : a.dates(split)) {
-        ASSERT_EQ(a.Label(k, date), b.Label(k, date));
-        ASSERT_EQ(a.Close(k, date), b.Close(k, date));
-        const float* fa = a.FeatureRow(k, date);
-        const float* fb = b.FeatureRow(k, date);
-        for (int f = 0; f < a.num_features(); ++f) ASSERT_EQ(fa[f], fb[f]);
-      }
-    }
-  }
+std::vector<core::AcceptedAlpha> ExpertAndNeuralNet() {
+  std::vector<core::AcceptedAlpha> set(2);
+  set[0].name = "expert";
+  set[0].program = core::MakeExpertAlpha(market::kNumFeatures);
+  set[1].name = "nn";
+  set[1].program = core::MakeNeuralNetAlpha(market::kNumFeatures);
+  return set;
 }
 
 TEST(ScenarioKeyTest, DeterministicAndSensitiveToBothInputs) {
@@ -55,37 +48,45 @@ TEST(ScenarioKeyTest, DeterministicAndSensitiveToBothInputs) {
   EXPECT_NE(ScenarioKey(5, "crash"), 5u);
 }
 
+TEST(ScenarioKeyTest, RegimeSeedKeepsTheBaselineSeedAndKeysTheRest) {
+  const ScenarioSuite suite = ScenarioSuite::Standard(SmallBase(), 7);
+  EXPECT_EQ(RegimeSeed(41, 0, suite.spec(0)), 41u);
+  for (int i = 1; i < suite.num_scenarios(); ++i) {
+    EXPECT_EQ(RegimeSeed(41, i, suite.spec(i)),
+              ScenarioKey(41, suite.spec(i).id));
+  }
+}
+
 TEST(ScenarioSuiteTest, StandardSuiteHasTheNamedRegimes) {
   const ScenarioSuite suite = ScenarioSuite::Standard(SmallBase(), 7);
   ASSERT_EQ(suite.num_scenarios(), 7);
   EXPECT_EQ(suite.spec(0).id, "baseline");
+  EXPECT_TRUE(suite.spec(0).overlay.IsIdentity());
   EXPECT_EQ(suite.spec(1).id, "crash");
-  // Every scenario's derived config is reseeded by (suite seed, id).
+  // The crash overlay installs the late-calendar regime shift.
+  const PanelPerturbation& crash = suite.spec(1).overlay;
+  EXPECT_LT(crash.shift_drift, 0.0);
+  EXPECT_GT(crash.shift_vol_scale, 1.0);
+  EXPECT_GT(crash.shift_fraction, 0.0);
+  // Every scenario's resimulation recipe is reseeded by (suite seed, id),
+  // and the crash recipe installs the same shift.
   for (int i = 0; i < suite.num_scenarios(); ++i) {
     EXPECT_EQ(suite.ScenarioConfig(i).seed,
               ScenarioKey(7, suite.spec(i).id));
   }
-  // The crash transform installs the late-calendar regime shift.
-  const market::MarketConfig crash = suite.ScenarioConfig(1);
-  EXPECT_LT(crash.shift_drift, 0.0);
-  EXPECT_GT(crash.shift_vol_scale, 1.0);
-  EXPECT_GT(crash.shift_fraction, 0.0);
+  const market::MarketConfig crash_config = suite.ScenarioConfig(1);
+  EXPECT_EQ(crash_config.shift_drift, crash.shift_drift);
+  EXPECT_EQ(crash_config.shift_vol_scale, crash.shift_vol_scale);
+  EXPECT_EQ(crash_config.shift_fraction, crash.shift_fraction);
 }
 
-TEST(ScenarioSuiteTest, MaterializationIsBitIdenticalAcrossThreadCounts) {
+TEST(ScenarioSuiteTest, MaterializationIsDeterministic) {
   const ScenarioSuite suite = ScenarioSuite::Standard(SmallBase(), 11);
   const market::DatasetConfig dc;
-  const std::vector<market::Dataset> serial = suite.MaterializeAll(dc);
-  ThreadPool pool(7);  // 8-way including the caller
-  const std::vector<market::Dataset> parallel =
-      suite.MaterializeAll(dc, &pool);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    ExpectDatasetsIdentical(serial[i], parallel[i]);
-  }
-  // And a re-materialization of one (suite seed, scenario id) reproduces
-  // the panel exactly.
-  ExpectDatasetsIdentical(serial[1], suite.Materialize(1, dc));
+  // A re-materialization of one (suite seed, scenario id) reproduces the
+  // panel exactly.
+  testutil::ExpectDatasetsIdentical(suite.Materialize(1, dc),
+                                    suite.Materialize(1, dc));
 }
 
 TEST(ScenarioSuiteTest, DifferentScenarioIdsProduceDifferentPanels) {
@@ -130,15 +131,50 @@ TEST(ScenarioSuiteTest, CrashRegimeDepressesLateCalendarReturns) {
   EXPECT_LT(mean_test_label(crash), mean_test_label(baseline) - 0.002);
 }
 
+TEST(RobustnessEvaluatorTest, ReportsReadTheWorldMiningScores) {
+  const ScenarioSuite suite = ScenarioSuite::Standard(SmallBase(), 23);
+  RobustnessConfig rc;
+  rc.evaluator.costs.per_side_bps = 10.0;
+  rc.num_threads = 4;
+  rc.eval_seed = 41;
+  RobustnessEvaluator robustness(suite, rc);
+  const ScenarioFitness fitness(suite, rc.dataset, core::EvaluatorConfig{},
+                                core::ScenarioFitnessOptions{});
+  ASSERT_EQ(fitness.num_regimes(), suite.num_scenarios());
+  for (int i = 0; i < suite.num_scenarios(); ++i) {
+    SCOPED_TRACE(suite.spec(i).id);
+    testutil::ExpectDatasetsIdentical(robustness.dataset(i),
+                                      fitness.panels().panel(i));
+  }
+
+  const std::vector<core::AcceptedAlpha> set = ExpertAndNeuralNet();
+  const std::vector<RobustnessReport> reports = robustness.EvaluateSet(set);
+  ASSERT_EQ(reports.size(), set.size());
+  for (size_t a = 0; a < set.size(); ++a) {
+    ASSERT_EQ(reports[a].scenarios.size(),
+              static_cast<size_t>(suite.num_scenarios()));
+    for (int i = 0; i < suite.num_scenarios(); ++i) {
+      SCOPED_TRACE(set[a].name + " on " + suite.spec(i).id);
+      core::Evaluator direct(fitness.panels().panel(i), rc.evaluator);
+      const core::AlphaMetrics m =
+          direct.Evaluate(set[a].program,
+                          RegimeSeed(rc.eval_seed, i, suite.spec(i)), true);
+      const ScenarioScore& cell = reports[a].scenarios[static_cast<size_t>(i)];
+      EXPECT_EQ(cell.scenario_id, suite.spec(i).id);
+      ASSERT_EQ(cell.valid, m.valid);
+      if (!m.valid) continue;
+      EXPECT_EQ(Bits(cell.ic), Bits(m.ic_test));
+      EXPECT_EQ(Bits(cell.sharpe_gross), Bits(m.sharpe_test));
+      EXPECT_EQ(Bits(cell.sharpe_net), Bits(m.sharpe_test_net));
+      EXPECT_EQ(Bits(cell.mean_turnover), Bits(m.mean_turnover_test));
+    }
+  }
+}
+
 TEST(RobustnessEvaluatorTest, ReportsAreInvariantToThreadCount) {
   ScenarioSuite suite = ScenarioSuite::Standard(SmallBase(), 23);
   suite.Truncate(3);  // baseline, crash, bull — keep the test fast
-
-  std::vector<core::AcceptedAlpha> set(2);
-  set[0].name = "expert";
-  set[0].program = core::MakeExpertAlpha(market::kNumFeatures);
-  set[1].name = "nn";
-  set[1].program = core::MakeNeuralNetAlpha(market::kNumFeatures);
+  const std::vector<core::AcceptedAlpha> set = ExpertAndNeuralNet();
 
   RobustnessConfig rc;
   rc.evaluator.costs.per_side_bps = 10.0;

@@ -664,6 +664,26 @@ TEST_F(ServiceSearchTest, OpCatalogEndToEnd) {
                    result.At("result").At("metrics").At("ic_valid")
                        .AsDouble());
 
+  // stress rows carry the backtest's field set, `valid` included, so a
+  // regime whose predictions went non-finite reads as invalid rather than
+  // as a flat alpha.
+  JsonValue stress = Ok(service.Call(
+      R"({"op":"stress","id":"st","params":{"job":")" + job +
+      R"(","scenarios":2}})"));
+  const auto& rows = stress.At("result").At("scenarios").AsArray();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].At("scenario").AsString(), "baseline");
+  EXPECT_EQ(rows[1].At("scenario").AsString(), "crash");
+  for (const char* key :
+       {"valid", "ic_valid", "ic_test", "sharpe_valid", "sharpe_test",
+        "sharpe_valid_net", "sharpe_test_net", "mean_turnover_valid",
+        "mean_turnover_test"}) {
+    SCOPED_TRACE(key);
+    EXPECT_TRUE(rows[0].Contains(key));
+    EXPECT_TRUE(rows[1].Contains(key));
+    EXPECT_TRUE(backtest.At("result").Contains(key));
+  }
+
   // Signal lookups: a full prediction row per date, out-of-range rejected.
   JsonValue signals = Ok(service.Call(
       R"({"op":"signals","id":"sg","params":{"job":")" + job +
