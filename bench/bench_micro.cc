@@ -99,13 +99,14 @@ BENCHMARK(BM_ExecutorRelationOps)->Arg(32)->Arg(128);
 
 // --- Intra-candidate task sharding ----------------------------------------
 // One candidate's lockstep execution over a large simulated universe (the
-// paper's 1140-stock scale), task-sharded over intra_candidate_threads.
-// The program mixes element-wise segments with cross-task relation ops so
-// both the shard kernels and the group-parallel rank path are measured.
-// `tasks_per_sec` is the headline; `speedup_vs_serial` compares each thread
-// count against the 1-thread run (registered first) of the same program.
-// Results are bit-identical across thread counts (see
-// executor_sharded_test), so this measures pure scheduling overhead/gain.
+// paper's 1140-stock scale), task-sharded over intra_candidate_threads
+// lanes whose helpers come from the bench's own ThreadPool. The program
+// mixes element-wise segments, which run on the shards, with cross-task
+// relation ops, which rank their groups on the driving thread between
+// them. `tasks_per_sec` is the headline; `speedup_vs_serial` compares each
+// lane count against the 1-lane run (registered first) of the same program.
+// Results are bit-identical across lane counts (see executor_sharded_test),
+// so this measures pure scheduling overhead/gain.
 
 double g_sharded_serial_tasks_per_sec = 0.0;
 
@@ -114,7 +115,8 @@ void BM_ExecutorSharded(benchmark::State& state) {
   const auto& ds = BenchDataset(1100);  // >= 1000 tasks after filters
   core::ExecutorConfig cfg;
   cfg.intra_candidate_threads = threads;
-  core::Executor exec(ds, cfg);
+  ThreadPool pool(std::max(1, threads - 1));  // idle at one lane
+  core::Executor exec(ds, cfg, &pool);
   core::AlphaProgram prog = core::MakeExpertAlpha(ds.window());
   core::Instruction rank;
   rank.op = core::Op::kRank;

@@ -40,7 +40,6 @@ struct TelemetryFlags {
     obs::TelemetryConfig config;
     config.enabled = enabled;
     config.tracing = !trace_out.empty();
-    config.progress_interval_seconds = progress_every;
     return config;
   }
 };

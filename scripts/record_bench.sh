@@ -5,7 +5,8 @@
 # trajectory is a one-line append.
 #
 #   BENCH_2.json — executor-sharding throughput (BM_ExecutorSharded at
-#                  1/2/4/8 intra-candidate threads, >=1000-task universe)
+#                  1/2/4/8 shard lanes from the bench's own pool, ~1000-task
+#                  universe; relation ops rank on the driving thread)
 #   BENCH_3.json — scenario-suite robustness fan-out (BM_RobustnessSuite at
 #                  1/2/4/8 threads over the overlay regime views:
 #                  scenarios/sec, speedup vs serial sweep)

@@ -486,25 +486,16 @@ bool CheckpointWriter::PublishBlob(uint32_t kind, std::string_view payload) {
   return false;
 }
 
-bool CheckpointWriter::PublishBlobOnce(uint32_t kind,
-                                       std::string_view payload) {
-  AE_SPAN("checkpoint.write");
-  const auto t0 = std::chrono::steady_clock::now();
+bool PublishFile(const std::string& dir, const std::string& name,
+                 std::string_view bytes) {
   if (fault::InjectDelay()) {
     std::fprintf(stderr, "[ckpt] fault: injected %dms slow I/O on publish\n",
                  fault::kDelayMillis);
   }
-  std::string image = serde::Seal(kind, payload);
-
-  const int64_t generation = next_generation_;
-  const std::string final_path =
-      dir_ + "/" + GenerationFileName(stem_, generation);
+  const std::string final_path = dir + "/" + name;
   const std::string tmp_path = final_path + ".tmp";
-
   auto fail = [&](const char* what) {
-    std::fprintf(stderr,
-                 "[ckpt] WARNING: %s for %s (%s); continuing without "
-                 "this snapshot\n",
+    std::fprintf(stderr, "[ckpt] WARNING: %s for %s (%s); not published\n",
                  what, final_path.c_str(), std::strerror(errno));
     ::unlink(tmp_path.c_str());
     return false;
@@ -512,10 +503,9 @@ bool CheckpointWriter::PublishBlobOnce(uint32_t kind,
 
   const bool inject_write_error =
       fault::Fire(fault::Kind::kEnospc) || fault::Fire(fault::Kind::kEio);
-
   const int fd = ::open(tmp_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd < 0) return fail("open failed");
-  if (inject_write_error || !WriteAll(fd, image)) {
+  if (inject_write_error || !WriteAll(fd, bytes)) {
     if (inject_write_error) {
       errno = fault::Active() == fault::Kind::kEnospc ? ENOSPC : EIO;
     }
@@ -526,22 +516,30 @@ bool CheckpointWriter::PublishBlobOnce(uint32_t kind,
     ::close(fd);
     return fail("fsync failed");
   }
-  if (fault::Fire(fault::Kind::kTornWrite)) {
-    // Injected torn write: publish a file whose tail never hit the disk.
-    // The envelope's size/CRC checks must catch this on read.
-    if (::ftruncate(fd, static_cast<off_t>(image.size() / 2)) != 0 ||
-        ::fsync(fd) != 0) {
-      ::close(fd);
-      return fail("fault truncate failed");
-    }
-    std::fprintf(stderr, "[ckpt] fault: torn write injected into %s\n",
-                 final_path.c_str());
-  }
   if (::close(fd) != 0) return fail("close failed");
   if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
     return fail("rename failed");
   }
-  FsyncDir(dir_);  // best-effort: the rename itself is already atomic
+  FsyncDir(dir);  // best-effort: the rename itself is already atomic
+  return true;
+}
+
+bool CheckpointWriter::PublishBlobOnce(uint32_t kind,
+                                       std::string_view payload) {
+  AE_SPAN("checkpoint.write");
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string image = serde::Seal(kind, payload);
+  const int64_t generation = next_generation_;
+  const std::string name = GenerationFileName(stem_, generation);
+  std::string_view bytes = image;
+  if (fault::Fire(fault::Kind::kTornWrite)) {
+    // Injected torn write: publish a file whose tail never hit the disk.
+    // The envelope's size/CRC checks must catch this on read.
+    bytes = bytes.substr(0, image.size() / 2);
+    std::fprintf(stderr, "[ckpt] fault: torn write injected into %s/%s\n",
+                 dir_.c_str(), name.c_str());
+  }
+  if (!PublishFile(dir_, name, bytes)) return false;
 
   ++next_generation_;
   ++generations_written_;
@@ -570,8 +568,8 @@ bool CheckpointWriter::PublishBlobOnce(uint32_t kind,
 
   if (fault::Fire(fault::Kind::kCrashAfterWrite)) {
     std::fprintf(stderr,
-                 "[ckpt] fault: simulated crash after publishing %s\n",
-                 final_path.c_str());
+                 "[ckpt] fault: simulated crash after publishing %s/%s\n",
+                 dir_.c_str(), name.c_str());
     std::fflush(stderr);
     std::_Exit(fault::kCrashExitCode);
   }

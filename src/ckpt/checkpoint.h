@@ -66,6 +66,17 @@ CampaignState DecodeCampaign(std::string_view payload);
 // ---------------------------------------------------------------------------
 // Durable snapshot files.
 
+/// Replaces `<dir>/<name>` with `bytes` through the crash-consistency dance:
+/// write all of it to `<name>.tmp`, fsync, rename over the final name, fsync
+/// the directory. A reader sees the previous file or the new one, never a
+/// mix. On any failure — real, or ENOSPC/EIO injected via AE_FAULT — it
+/// warns on stderr, removes the temp file, leaves any previous `<name>` in
+/// place and returns false. AE_FAULT=delay slows every call. The
+/// CheckpointWriter's generations and the service's jobs manifest are both
+/// published through it.
+bool PublishFile(const std::string& dir, const std::string& name,
+                 std::string_view bytes);
+
 /// Cadence/retention policy for a CheckpointWriter.
 struct WriterOptions {
   /// Snapshot every N committed batches (<= 0 disables the batch cadence).
@@ -146,9 +157,10 @@ class CheckpointWriter : public core::CheckpointSink {
   /// One publish attempt, retried once by PublishBlob (which holds io_mu_
   /// so a direct WriteBlob and the publisher thread never interleave).
   bool PublishBlob(uint32_t kind, std::string_view payload);
-  /// The publish dance (temp + fsync + rename + retention). Warns on
-  /// failure but leaves failure counting to PublishBlob's retry wrapper —
-  /// one counted failure per publish, not per attempt.
+  /// Seals and publishes one generation (PublishFile), then applies
+  /// retention. Warns on failure but leaves failure counting to
+  /// PublishBlob's retry wrapper — one counted failure per publish, not per
+  /// attempt.
   bool PublishBlobOnce(uint32_t kind, std::string_view payload);
   void PublisherLoop();
 

@@ -11,31 +11,12 @@
 
 namespace alphaevolve::core {
 
-namespace {
-
-/// One owned pool per evaluator (not per executor): the full and probe
-/// executors never run concurrently, so they can share shard workers.
-std::unique_ptr<ThreadPool> MakeIntraPool(const EvaluatorConfig& config,
-                                          ThreadPool* external) {
-  if (external != nullptr || config.executor.intra_candidate_threads <= 1) {
-    return nullptr;
-  }
-  // The caller participates in ParallelFor, so N-way sharding needs N - 1
-  // workers.
-  return std::make_unique<ThreadPool>(
-      config.executor.intra_candidate_threads - 1);
-}
-
-}  // namespace
-
 Evaluator::Evaluator(const market::Dataset& dataset, EvaluatorConfig config,
                      ThreadPool* intra_pool)
     : dataset_(dataset),
       config_(config),
-      owned_intra_pool_(MakeIntraPool(config, intra_pool)),
-      intra_pool_(intra_pool != nullptr ? intra_pool
-                                        : owned_intra_pool_.get()),
-      executor_(dataset, config.executor, intra_pool_) {}
+      intra_pool_(intra_pool),
+      executor_(dataset, config.executor, intra_pool) {}
 
 AlphaMetrics Evaluator::Evaluate(const AlphaProgram& program, uint64_t seed,
                                  bool include_test) {

@@ -2,7 +2,6 @@
 #define ALPHAEVOLVE_CORE_EVALUATOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -113,13 +112,13 @@ class CandidateScorer {
 ///
 /// Not thread-safe (owns one Executor); use one per thread. The executors'
 /// intra-candidate task sharding (config.executor.intra_candidate_threads)
-/// may share an external re-entrant pool or, standalone, an owned one.
+/// takes its helper lanes from the caller's re-entrant pool.
 class Evaluator {
  public:
-  /// `intra_pool` (optional) supplies the shard workers for both executors
-  /// — an EvaluatorPool passes its own pool here so every lease shares one
-  /// set of threads. When null and intra_candidate_threads > 1 the evaluator
-  /// owns a single pool shared by its full and probe executors.
+  /// `intra_pool` supplies the helper shard lanes of both executors — an
+  /// EvaluatorPool passes its own pool here so every lease shares one set of
+  /// threads. It is required when intra_candidate_threads > 1 (CheckError
+  /// otherwise); the evaluator never spawns threads.
   Evaluator(const market::Dataset& dataset, EvaluatorConfig config,
             ThreadPool* intra_pool = nullptr);
 
@@ -144,8 +143,7 @@ class Evaluator {
  private:
   const market::Dataset& dataset_;
   EvaluatorConfig config_;
-  std::unique_ptr<ThreadPool> owned_intra_pool_;  // before the executors
-  ThreadPool* intra_pool_;  ///< shard workers of both executors (may be null)
+  ThreadPool* intra_pool_;  ///< shard lanes of both executors (may be null)
   Executor executor_;
   std::optional<Executor> probe_executor_;  ///< built by ProbeFingerprint
 };

@@ -99,26 +99,4 @@ void EvaluatorPool::ForEachAsync(int n,
   }
 }
 
-std::vector<AlphaMetrics> EvaluatorPool::EvaluateBatch(
-    const std::vector<EvalRequest>& batch) {
-  std::vector<AlphaMetrics> out(batch.size());
-  ForEach(static_cast<int>(batch.size()), [&](Evaluator& evaluator, int i) {
-    const EvalRequest& req = batch[static_cast<size_t>(i)];
-    out[static_cast<size_t>(i)] =
-        evaluator.Evaluate(*req.program, req.seed, req.include_test);
-  });
-  return out;
-}
-
-std::vector<uint64_t> EvaluatorPool::ProbeFingerprintBatch(
-    const std::vector<EvalRequest>& batch) {
-  std::vector<uint64_t> out(batch.size());
-  ForEach(static_cast<int>(batch.size()), [&](Evaluator& evaluator, int i) {
-    const EvalRequest& req = batch[static_cast<size_t>(i)];
-    out[static_cast<size_t>(i)] =
-        evaluator.ProbeFingerprint(*req.program, req.seed);
-  });
-  return out;
-}
-
 }  // namespace alphaevolve::core

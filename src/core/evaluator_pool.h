@@ -25,9 +25,9 @@ namespace alphaevolve::core {
 /// caps how many candidates are scored concurrently (inter-candidate), and
 /// `config.executor.intra_candidate_threads` shards each candidate's
 /// lockstep execution over task ranges (intra-candidate). Leased evaluators
-/// receive the pool's own re-entrant `ThreadPool` for their sharding — a
-/// per-lease shared pool handle, not per-worker thread isolation — so the
-/// two levels never over-subscribe the machine.
+/// receive the pool's own re-entrant `ThreadPool` as the source of their
+/// shard lanes — a per-lease shared pool handle, not per-worker thread
+/// isolation — so the two levels never over-subscribe the machine.
 ///
 /// With `num_threads == 1` and no intra-candidate sharding, no threads are
 /// spawned and every batched call runs inline on the caller — the serial
@@ -70,30 +70,14 @@ class EvaluatorPool {
     Evaluator* evaluator_;
   };
 
-  /// One entry of an evaluation batch.
-  struct EvalRequest {
-    const AlphaProgram* program = nullptr;
-    uint64_t seed = 0;
-    bool include_test = false;
-  };
-
-  /// Evaluates every request and returns metrics in request order. Results
-  /// are independent of the thread count (each evaluation is deterministic
-  /// in (program, seed) and evaluators share no mutable state).
-  std::vector<AlphaMetrics> EvaluateBatch(
-      const std::vector<EvalRequest>& batch);
-
-  /// Probe (functional) fingerprints for every request, in request order.
-  std::vector<uint64_t> ProbeFingerprintBatch(
-      const std::vector<EvalRequest>& batch);
-
   /// Runs fn(evaluator, i) for i in [0, n) over up to num_threads()
   /// concurrent workers, each with its own leased evaluator. Indices are
   /// claimed from a shared atomic counter (work stealing), so a worker that
   /// drew cheap items (probe fingerprints, cache-hit short-circuits) keeps
   /// pulling work instead of idling behind a worker stuck on expensive full
-  /// evaluations. The building block for the batched APIs above and for
-  /// the evolution driver's functional-fingerprint probes.
+  /// evaluations. Results are independent of the thread count: each fn(i)
+  /// is deterministic in its item and evaluators share no mutable state.
+  /// The evolution driver's functional-fingerprint probes run on it.
   void ForEach(int n, const std::function<void(Evaluator&, int)>& fn);
 
   /// Non-blocking ForEach: submits up to num_threads() work-stealing worker

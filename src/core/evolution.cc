@@ -62,8 +62,7 @@ Evolution::Evolution(Evaluator& evaluator, EvolutionConfig config,
       mutator_(config.mutator),
       accepted_valid_returns_(std::move(accepted_valid_returns)) {
   Init(config);
-  if (config_.num_threads > 1 ||
-      evaluator.config().executor.intra_candidate_threads > 1) {
+  if (config_.num_threads > 1) {
     owned_pool_ = std::make_unique<EvaluatorPool>(
         evaluator.dataset(), evaluator.config(), config_.num_threads);
     pool_ = owned_pool_.get();

@@ -55,11 +55,9 @@ struct EvolutionConfig {
   uint64_t seed = 42;
 
   /// Worker threads for batched candidate scoring. When Evolution is built
-  /// from a bare Evaluator and num_threads > 1 (or the evaluator's executor
-  /// shards each candidate, ExecutorConfig::intra_candidate_threads > 1), it
-  /// spins up an internal EvaluatorPool with the evaluator's dataset and
-  /// config; when built from an external EvaluatorPool, the pool's own
-  /// thread count governs.
+  /// from a bare Evaluator and num_threads > 1, it spins up an internal
+  /// EvaluatorPool with the evaluator's dataset and config; when built from
+  /// an external EvaluatorPool, the pool's own thread count governs.
   int num_threads = 1;
 
   /// Children generated, scored, and inserted per evolution step (the batch
@@ -215,9 +213,10 @@ class Evolution {
   /// `accepted_valid_returns` holds the validation portfolio-return series
   /// of the already-accepted alpha set A; candidates whose series correlates
   /// above the cutoff with any of them are discarded (fitness = -1).
-  /// If config.num_threads > 1 or the evaluator shards candidates, an
-  /// internal EvaluatorPool over the evaluator's dataset provides the
-  /// workers; otherwise every batch evaluates inline on `evaluator`.
+  /// If config.num_threads > 1, an internal EvaluatorPool over the
+  /// evaluator's dataset provides the workers; otherwise every batch
+  /// evaluates inline on `evaluator` (which shards each candidate on its
+  /// own intra pool, if it was given one).
   Evolution(Evaluator& evaluator, EvolutionConfig config,
             std::vector<std::vector<double>> accepted_valid_returns = {});
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,23 +23,13 @@ struct ExecutorConfig {
   ProgramLimits limits;
   int train_epochs = 1;  ///< Paper §5.2: one epoch for fast evaluation.
 
-  /// Worker threads for intra-candidate task sharding (1 = serial, the
-  /// default). Element-wise kernels then run over [task_begin, task_end)
-  /// shards in parallel; results are bit-identical at every thread count.
-  /// When the executor is handed an external pool, this caps the shard
-  /// fan-out instead of spawning threads.
+  /// Shard lanes for intra-candidate task sharding (1 = serial, the
+  /// default): the tasks split into ceil(tasks / lanes) contiguous shards,
+  /// one per lane, and element-wise segments run over them in parallel.
+  /// Results are bit-identical at every lane count. The helper lanes come
+  /// from the ThreadPool passed to the Executor; more than one lane without
+  /// a pool is a CheckError at construction.
   int intra_candidate_threads = 1;
-
-  /// Tasks per shard (0 = auto: split evenly across the shard workers).
-  /// Any value produces bit-identical results; the knob exists to tune
-  /// barrier overhead vs. load balance on very large universes.
-  int shard_size = 0;
-
-  /// Relation ops only fan groups out to the pool when the universe has at
-  /// least this many tasks — ranking a handful of members per group costs
-  /// less than a barrier. Bit-identical either way; lower it (e.g. to 1 in
-  /// tests) to force the concurrent group path on small datasets.
-  int group_parallel_min_tasks = 1024;
 
   /// Which per-ISA kernel variant the executor fetches its micro-op and
   /// dense kernels from: "scalar", "avx2", "avx512", "neon", or "auto".
@@ -92,45 +81,45 @@ struct ExecutionResult {
 /// bit-identical to refreshing m0 every date. The executor.runs /
 /// executor.input_matrix_runs counters record the split.
 ///
-/// Intra-candidate parallelism: with `intra_candidate_threads > 1` (or an
-/// external pool) the lockstep loop is *task-sharded*. Components are split
-/// into segments of element-wise instructions (which touch only their own
-/// task's memory) separated by RelationOps; each segment runs over task
-/// ranges with one barrier per segment, while RelationOps keep their
-/// cross-task semantics by parallelizing over sector/industry groups
-/// (gather → per-group rank/demean → scatter). Random-init ops draw from a
+/// Intra-candidate parallelism: with `intra_candidate_threads > 1` the
+/// lockstep loop is *task-sharded*. Components are split into segments of
+/// element-wise instructions (which touch only their own task's memory)
+/// separated by RelationOps; each segment runs over ceil(tasks / lanes)-task
+/// shards with one barrier per segment, while a RelationOp ranks or demeans
+/// its sector/industry groups in order on the driving thread (gather →
+/// per-group rank/demean → scatter). Random-init ops draw from a
 /// counter-based stream (`CounterRng`) keyed by (run seed, serial draw id,
 /// task, element), so results are deterministic in the seed and invariant
-/// to both the thread count and the shard size.
+/// to the lane count.
 ///
 /// Kernel path: each component is lowered once per Run into fused micro-op
 /// segments (core/fused.h) that a shard executes block-at-a-time, in blocks
 /// sized per segment from its widest operand, fetching every kernel —
 /// element-wise, matmul/matvec/transpose, the fused input refresh — from
 /// the per-ISA kernel table resolved at construction (core/dispatch.h).
-/// Relation ops execute through their in-plan lowering: one group-parallel
-/// arena round doing gather → rank/demean → scatter per group. Element-wise
+/// Relation ops execute through their in-plan lowering: gather →
+/// rank/demean → scatter per group, group after group. Element-wise
 /// ops have no cross-task reductions, so neither fusion nor blocking can
 /// reorder any per-task FP sequence: results are bit-identical to the
 /// serial, instruction-at-a-time semantics that tests/reference_executor.h
 /// keeps as the oracle. A new op needs a fused lowering and a case there.
 ///
 /// Shard workers: a parallel Run parks a `ShardArena` of persistent helpers
-/// on the pool for its whole duration — per-segment fan-out is then one
-/// epoch bump on the arena's barrier instead of re-submitting pool tasks,
-/// which PR 2 measured as the limiting overhead on small universes.
+/// on the caller's pool for its whole duration — per-segment fan-out is
+/// then one epoch bump on the arena's barrier instead of re-submitting pool
+/// tasks (BM_ArenaBarrier vs BM_PoolForBarrier, recorded in BENCH_4).
 ///
 /// Not thread-safe across Run calls: one Executor per driving thread
 /// (scratch state is reused across Run calls to avoid per-candidate
-/// allocation). The internal sharding may share a re-entrant ThreadPool
-/// with other executors.
+/// allocation). The sharding may share a re-entrant ThreadPool with other
+/// executors.
 class Executor {
  public:
-  /// `shared_pool` (optional) provides the shard workers — e.g. the
+  /// `shared_pool` provides the helper shard lanes — e.g. the
   /// EvaluatorPool's own pool, so batch-level and shard-level parallelism
-  /// share one set of threads (ParallelFor is re-entrant). When null and
-  /// `config.intra_candidate_threads > 1`, the executor spawns its own
-  /// pool of `intra_candidate_threads - 1` workers (the caller participates).
+  /// share one set of threads; the driving thread is always one lane. It is
+  /// required when `config.intra_candidate_threads > 1` (CheckError
+  /// otherwise) and unused at one lane. The executor never spawns threads.
   Executor(const market::Dataset& dataset, ExecutorConfig config,
            ThreadPool* shared_pool = nullptr);
 
@@ -178,23 +167,19 @@ class Executor {
 
   /// Zeroes task state for a new Run; the history ring only if `history`.
   void ZeroMemory(bool history);
-  /// Runs fn(task_begin, task_end) over all tasks, sharded across the
-  /// arena/pool when parallel (one barrier); inline on the caller when
-  /// serial.
+  /// Runs fn(task_begin, task_end) over all tasks: one round of the Run's
+  /// arena over the shards when parallel (one barrier), inline on the
+  /// caller when serial.
   void ParallelForTasks(const std::function<void(int, int)>& fn);
-  /// Fans fn(i) for i in [0, n) out to the shard workers (arena when a Run
-  /// is active, pool otherwise).
-  void ParallelForItems(int n, const std::function<void(int)>& fn);
   void RefreshInputs(int date);
   void RecordHistory();
-  /// Executes a relation op through its in-plan lowering: one group-parallel
-  /// round where each group gathers its members' input scalar, ranks or
-  /// demeans, and scatters the result.
+  /// Executes a relation op through its in-plan lowering on the driving
+  /// thread: group after group, gather the members' input scalar, rank or
+  /// demean, and scatter the result.
   void ExecRelationPlan(const RelationPlan& plan);
   /// Rank/demean over one group's members, reading rel_in_ and writing
-  /// rel_out_ at member indices only; `order_scratch` is a caller-provided
-  /// slice with space for the group's member count.
-  void RankGroup(const int* members, int count, int* order_scratch);
+  /// rel_out_ at member indices only (RankGroup sorts in rel_order_).
+  void RankGroup(const int* members, int count);
   void DemeanGroup(const int* members, int count);
   /// Executes one compiled segment: stamps draw ids, then every shard walks
   /// its tasks block-at-a-time through the whole micro-op list, in blocks
@@ -223,7 +208,6 @@ class Executor {
 
   // Task sharding (fixed at construction; identical results at any setting).
   ThreadPool* pool_ = nullptr;
-  std::unique_ptr<ThreadPool> owned_pool_;
   int shard_size_ = 0;
   int num_shards_ = 1;
 
@@ -264,9 +248,8 @@ class Executor {
   int hist_size_ = 0;
   int hist_head_ = 0;
 
-  // Relation-op scratch. Groups partition the task set, so each group ranks
-  // into its own disjoint slice of rel_order_ (RelationGroup::order_offset)
-  // — group-parallel execution without allocation or races.
+  // Relation-op scratch: rel_in_/rel_out_ are indexed by task, rel_order_
+  // holds one group's rank order at a time.
   std::vector<double> rel_in_;
   std::vector<double> rel_out_;
   std::vector<int> rel_order_;

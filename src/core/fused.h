@@ -30,14 +30,10 @@ struct FusedSegment {
 
 /// One relation group, pre-resolved at lowering time: a borrowed view of
 /// the member task ids (owned by the dataset / executor, stable for the
-/// executor's lifetime) plus this group's offset into the executor's
-/// rank-order scratch. Groups of one set partition the task universe, so
-/// concurrent groups touch disjoint tasks and scratch slices by
-/// construction.
+/// executor's lifetime). Groups of one set partition the task universe.
 struct RelationGroup {
   const int* members = nullptr;
   int size = 0;
-  int order_offset = 0;
 };
 
 /// The three group partitions a relation op can rank/demean over. Built
@@ -49,10 +45,9 @@ struct RelationGroupSets {
   std::vector<RelationGroup> industry;
 };
 
-/// A relation op lowered into the compiled plan: gather → per-group
-/// rank/demean → scatter runs as *one* group-parallel round on the shard
-/// arena (each group's work item gathers its members' input scalar, ranks
-/// or demeans, and scatters the result).
+/// A relation op lowered into the compiled plan: the executor walks its
+/// groups in order on the driving thread, and for each one gathers the
+/// members' input scalar, ranks or demeans, and scatters the result.
 struct RelationPlan {
   Op op = Op::kRank;
   int32_t in1 = 0;

@@ -29,9 +29,6 @@ struct TelemetryConfig {
   /// Span events retained per thread (newest win; older ones are dropped
   /// and counted). Applies to rings created after Configure.
   int trace_ring_capacity = 1 << 14;
-  /// Emit a progress line / JSON record every this many seconds (consumed
-  /// by ProgressReporter glue; <= 0 disables the stream).
-  double progress_interval_seconds = 0.0;
 };
 
 namespace internal {

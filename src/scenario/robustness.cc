@@ -1,7 +1,6 @@
 #include "scenario/robustness.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "util/check.h"
 #include "util/stats.h"
@@ -57,9 +56,9 @@ std::vector<RobustnessReport> RobustnessEvaluator::EvaluateGrid(
   const int cells = num_alphas * num_scenarios;
   std::vector<ScenarioScore> scores(static_cast<size_t>(cells));
 
-  // Every cell is independent and deterministic, so work-stealing from a
-  // shared counter (the EvaluatorPool::ForEach pattern) keeps all workers
-  // busy even when scenarios differ in universe size and cost.
+  // Every cell is independent and deterministic; ParallelFor's lanes claim
+  // cells from one shared counter, which keeps all of them busy even when
+  // scenarios differ in universe size and cost.
   auto score_cell = [&](int cell) {
     const int s = cell % num_scenarios;
     const int a = cell / num_scenarios;
@@ -82,18 +81,10 @@ std::vector<RobustnessReport> RobustnessEvaluator::EvaluateGrid(
     }
   };
 
-  const int workers =
-      thread_pool_ == nullptr ? 1 : std::min(config_.num_threads, cells);
-  if (workers <= 1) {
+  if (thread_pool_ == nullptr) {
     for (int cell = 0; cell < cells; ++cell) score_cell(cell);
   } else {
-    std::atomic<int> next{0};
-    thread_pool_->ParallelFor(workers, [&](int) {
-      int cell;
-      while ((cell = next.fetch_add(1, std::memory_order_relaxed)) < cells) {
-        score_cell(cell);
-      }
-    });
+    thread_pool_->ParallelFor(cells, score_cell);
   }
 
   // Aggregate in suite order on the caller: thread-count invariant.

@@ -61,10 +61,21 @@ bool ParamString(const Request& req, const char* key, std::string* out,
   return true;
 }
 
-/// Optional numeric param with a default.
-double ParamNumber(const Request& req, const char* key, double fallback) {
-  if (!req.params.is_object() || !req.params.Contains(key)) return fallback;
-  return req.params.At(key).AsDouble();
+/// Optional numeric param with a default. Returns false, with the reason in
+/// `err`, when the value is present but not a JSON number.
+bool ParamNumber(const Request& req, const char* key, double fallback,
+                 double* out, std::string* err) {
+  if (!req.params.is_object() || !req.params.Contains(key)) {
+    *out = fallback;
+    return true;
+  }
+  const JsonValue& value = req.params.At(key);
+  if (!value.is_number()) {
+    *err = std::string("param \"") + key + "\" must be a number";
+    return false;
+  }
+  *out = value.AsDouble();
+  return true;
 }
 
 /// Largest integer a JSON number (a double) carries exactly.
@@ -341,7 +352,9 @@ std::string AlphaService::OpSubmitSearch(const Request& req) {
       !ParamInteger(req, "tournament_size", 1, kMaxInt,
                     spec.tournament_size, &tournament, &err) ||
       !ParamInteger(req, "batch_size", 1, kMaxInt, spec.batch_size, &batch,
-                    &err)) {
+                    &err) ||
+      !ParamNumber(req, "deadline_seconds", spec.deadline_seconds,
+                   &spec.deadline_seconds, &err)) {
     return ErrorResponse(req.id, kErrInvalidArgument, err);
   }
   spec.seed = static_cast<uint64_t>(seed);
@@ -349,8 +362,6 @@ std::string AlphaService::OpSubmitSearch(const Request& req) {
   spec.population_size = static_cast<int>(population);
   spec.tournament_size = static_cast<int>(tournament);
   spec.batch_size = static_cast<int>(batch);
-  spec.deadline_seconds =
-      ParamNumber(req, "deadline_seconds", spec.deadline_seconds);
   const std::string job = supervisor_.Submit(spec);
   if (job.empty()) {
     return ErrorResponse(req.id, kErrDraining, "supervisor is draining");
@@ -484,12 +495,13 @@ std::string AlphaService::OpSignals(const Request& req) {
     return ErrorResponse(req.id, kErrInvalidArgument, err);
   }
   std::string split = "valid";
-  if (req.params.is_object() && req.params.Contains("split")) {
-    split = req.params.At("split").AsString();
+  if (req.params.Contains("split")) {
+    const JsonValue& value = req.params.At("split");
+    split = value.is_string() ? value.AsString() : "";
   }
   if (split != "valid" && split != "test") {
     return ErrorResponse(req.id, kErrInvalidArgument,
-                         "split must be \"valid\" or \"test\"");
+                         "param \"split\" must be \"valid\" or \"test\"");
   }
   int64_t date = 0;
   if (!ParamInteger(req, "date", 0, kMaxInt, 0, &date, &err)) {

@@ -528,24 +528,12 @@ void JobSupervisor::SaveManifestLocked() {
   w.EndObject();
   // The checkpoint writers create this lazily on their first publish, but
   // the manifest must be durable from the very first Submit — a daemon can
-  // be killed before any snapshot lands.
+  // be killed before any snapshot lands. A failed publish warns and keeps
+  // the previous manifest; the next transition writes it again.
   std::error_code ec;
   std::filesystem::create_directories(options_.checkpoint_dir, ec);
-  const std::string path = options_.checkpoint_dir + "/jobs.json";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "[service] warn: cannot write manifest %s\n",
-                   tmp.c_str());
-      return;
-    }
-    out << w.TakeString() << "\n";
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::fprintf(stderr, "[service] warn: cannot publish manifest %s\n",
-                 path.c_str());
-  }
+  ckpt::PublishFile(options_.checkpoint_dir, "jobs.json",
+                    w.TakeString() + "\n");
 }
 
 void JobSupervisor::Recover() {

@@ -159,7 +159,7 @@ class JobSupervisor {
   std::optional<core::EvolutionCheckpoint> LoadResume(Job& job);
   void PersistResult(Job& job);
   double NowSeconds() const;
-  /// Writes jobs.json (tmp + rename). Caller holds mu_.
+  /// Publishes jobs.json through ckpt::PublishFile. Caller holds mu_.
   void SaveManifestLocked();
   Job* FindLocked(const std::string& id);
   JobStatus SnapshotLocked(const Job& job) const;

@@ -56,7 +56,6 @@ void ThreadPool::Submit(std::function<void()> task) {
     std::unique_lock<std::mutex> lock(mu_);
     AE_CHECK(!shutdown_);
     queue_.push_back(std::move(task));
-    ++in_flight_;
   }
   if (obs::Enabled()) {
     PoolMetrics& m = PoolMetrics::Get();
@@ -70,16 +69,9 @@ void ThreadPool::SubmitLongLived(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     AE_CHECK(!shutdown_);
-    // Not counted in in_flight_: a parked helper loop "finishes" only when
-    // its arena shuts down, and WaitAll must not block on that.
     long_lived_queue_.push_back(std::move(task));
   }
   cv_task_.notify_one();
-}
-
-void ThreadPool::WaitAll() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 bool ThreadPool::TryRunOneTask() {
@@ -96,11 +88,6 @@ bool ThreadPool::TryRunOneTask() {
     m.queue_depth.Add(-1);
   }
   task();
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    --in_flight_;
-    if (in_flight_ == 0) cv_done_.notify_all();
-  }
   return true;
 }
 
@@ -109,9 +96,9 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
   // so helpers beyond n - 1 would find nothing to claim. The join is a
   // helping TaskGroup wait: a helper still queued behind other work (or
   // behind us, if we are ourselves a pool task) gets drained by this thread,
-  // which is what makes nested ParallelFor calls deadlock-free. WaitAll
-  // returns only after every helper body has, so capturing `next` and `fn`
-  // by reference is safe.
+  // which is what makes nested ParallelFor calls deadlock-free. The group's
+  // WaitAll returns only after every helper body has, so capturing `next`
+  // and `fn` by reference is safe.
   std::atomic<int> next{0};
   auto lane = [&next, n, &fn] {
     int i;
@@ -298,7 +285,6 @@ void ShardArena::ParallelFor(int n, const std::function<void(int)>& fn) {
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
-    bool long_lived = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_task_.wait(lock, [this] {
@@ -313,18 +299,12 @@ void ThreadPool::WorkerLoop() {
       } else if (!long_lived_queue_.empty()) {
         task = std::move(long_lived_queue_.front());
         long_lived_queue_.pop_front();
-        long_lived = true;
       } else {
         if (shutdown_) return;
         continue;
       }
     }
     task();
-    if (!long_lived) {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_done_.notify_all();
-    }
   }
 }
 

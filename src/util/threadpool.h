@@ -14,9 +14,12 @@
 namespace alphaevolve {
 
 /// Fixed-size worker pool for coarse-grained parallelism (batched candidate
-/// evaluation, independent search rounds, grid-search cells, seed sweeps).
-/// Tasks are plain `std::function<void()>`; exceptions escaping a task
-/// terminate the process (tasks are expected to handle their own errors).
+/// evaluation, independent search rounds, grid-search cells, seed sweeps)
+/// and the source of every executor's helper shard lanes (ShardArena): no
+/// Executor or Evaluator spawns threads of its own. Tasks are plain
+/// `std::function<void()>`; exceptions escaping a task terminate the process
+/// (tasks are expected to handle their own errors). Completion is waited
+/// for through a TaskGroup (or ParallelFor, which joins through one).
 ///
 /// `ParallelFor` is re-entrant: it may be called from inside a pool task
 /// (e.g. a concurrent search that itself evaluates batches in parallel).
@@ -45,14 +48,6 @@ class ThreadPool {
   /// lifetime of a foreign construct.
   void SubmitLongLived(std::function<void()> task);
 
-  /// Blocks until every task submitted via Submit has finished. Long-lived
-  /// tasks (SubmitLongLived) are deliberately excluded: an arena helper
-  /// parks until its arena shuts down, and WaitAll's contract stays "the
-  /// queued work is drained", not "every arena on this pool is destroyed".
-  /// Must be called from outside the pool (a worker calling WaitAll would
-  /// wait on itself).
-  void WaitAll();
-
   /// Number of worker threads.
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
@@ -78,18 +73,17 @@ class ThreadPool {
   std::deque<std::function<void()>> long_lived_queue_;  ///< see SubmitLongLived
   std::mutex mu_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_done_;
-  int in_flight_ = 0;  ///< Submit tasks not yet finished (WaitAll's gate)
   bool shutdown_ = false;
 };
 
 /// Completion tracking for tasks submitted to a ThreadPool by one driving
 /// thread — the join behind ParallelFor, the evolution driver's
 /// asynchronous evaluation batches (EvaluatorPool::ForEachAsync) and
-/// ScenarioFitness's regime fan-out. Where ThreadPool::WaitAll blocks on
-/// the *whole pool*, a TaskGroup scopes waiting to its own submissions and
-/// supports waiting on arbitrary intermediate conditions ("this one
-/// candidate's fitness landed"), not just full drain.
+/// ScenarioFitness's regime fan-out, and the only completion wait on a
+/// pool. A TaskGroup scopes waiting to its own submissions — never to other
+/// work on the pool, such as parked arena helpers — and supports waiting on
+/// arbitrary intermediate conditions ("this one candidate's fitness
+/// landed"), not just full drain.
 ///
 /// Waiting helps: while a condition is unmet, the waiter drains queued pool
 /// tasks (ThreadPool::TryRunOneTask) instead of parking, so a group whose

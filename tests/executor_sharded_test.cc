@@ -1,19 +1,24 @@
 // Parity and determinism guarantees of the task-sharded executor: sharded
-// execution must be bit-identical to serial execution at every thread count
-// and shard size (including for random-init ops, via the counter-based RNG),
-// and relation ops must keep their cross-task group semantics when groups
-// run in parallel.
+// execution must be bit-identical to serial execution at every lane count,
+// uneven last shard included (and for random-init ops, via the
+// counter-based RNG); relation ops must keep their cross-task group
+// semantics between sharded segments; and shard lanes come only from the
+// caller's pool.
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
 #include "core/executor.h"
 #include "core/generators.h"
 #include "core/mutator.h"
 #include "market/simulator.h"
 #include "test_util.h"
+#include "util/check.h"
+#include "util/threadpool.h"
 
 namespace alphaevolve::core {
 namespace {
@@ -66,11 +71,18 @@ void ExpectBitIdentical(const ExecutionResult& a, const ExecutionResult& b) {
   EXPECT_EQ(a.test_preds, b.test_preds);
 }
 
+ExecutorConfig Lanes(int lanes) {
+  ExecutorConfig cfg;
+  cfg.intra_candidate_threads = lanes;
+  return cfg;
+}
+
 class ExecutorShardedTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     // A simulated universe with real sector/industry structure (several
-    // groups of uneven size), large enough for many shard layouts.
+    // groups of uneven size): 36 tasks after filters, so 5 and 8 lanes
+    // leave a short last shard and 7 lanes fill only 6 shards.
     market::MarketConfig mc = market::MarketConfig::BenchScale();
     mc.num_stocks = 40;
     mc.num_days = 160;
@@ -87,39 +99,37 @@ class ExecutorShardedTest : public ::testing::Test {
 
 market::Dataset* ExecutorShardedTest::dataset_ = nullptr;
 
-TEST_F(ExecutorShardedTest, BitParityAtEveryThreadCount) {
+TEST_F(ExecutorShardedTest, BitParityAcrossLaneCounts) {
   const AlphaProgram prog = MakeStressAlpha(dataset_->window());
   Executor serial(*dataset_, ExecutorConfig{});
   const ExecutionResult reference = serial.Run(prog, 77);
   ASSERT_TRUE(reference.valid);
 
-  for (const int threads : {2, 3, 4, 8}) {
-    ExecutorConfig cfg;
-    cfg.intra_candidate_threads = threads;
-    cfg.group_parallel_min_tasks = 1;  // force the concurrent group path
-    Executor sharded(*dataset_, cfg);
+  // ceil(tasks / lanes) tasks per shard, one shard per lane: some of these
+  // lane counts leave a short last shard.
+  bool uneven_tail = false;
+  for (const int lanes : {2, 3, 4, 7, 8}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    ThreadPool pool(lanes - 1);
+    Executor sharded(*dataset_, Lanes(lanes), &pool);
     EXPECT_GT(sharded.num_shards(), 1);
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_LE(sharded.num_shards(), lanes);
+    const int shard = (dataset_->num_tasks() + lanes - 1) / lanes;
+    uneven_tail = uneven_tail || dataset_->num_tasks() % shard != 0;
     ExpectBitIdentical(sharded.Run(prog, 77), reference);
   }
+  EXPECT_TRUE(uneven_tail);
 }
 
-TEST_F(ExecutorShardedTest, BitParityAcrossShardSizes) {
-  const AlphaProgram prog = MakeStressAlpha(dataset_->window());
-  Executor serial(*dataset_, ExecutorConfig{});
-  const ExecutionResult reference = serial.Run(prog, 5);
-
-  // Odd shard sizes that do not divide the task count, including
-  // one-task-per-shard.
-  for (const int shard_size : {1, 7, 17, 1000}) {
-    ExecutorConfig cfg;
-    cfg.intra_candidate_threads = 4;
-    cfg.shard_size = shard_size;
-    cfg.group_parallel_min_tasks = 1;
-    Executor sharded(*dataset_, cfg);
-    SCOPED_TRACE("shard_size=" + std::to_string(shard_size));
-    ExpectBitIdentical(sharded.Run(prog, 5), reference);
-  }
+TEST_F(ExecutorShardedTest, LanesWithoutAPoolAreRejected) {
+  // Shard lanes come only from the caller's pool: neither a bare Executor
+  // nor a bare Evaluator spawns threads of its own.
+  EXPECT_THROW(Executor(*dataset_, Lanes(4)), CheckError);
+  EvaluatorConfig config;
+  config.executor = Lanes(4);
+  EXPECT_THROW(Evaluator(*dataset_, config), CheckError);
+  ThreadPool pool(3);
+  EXPECT_NO_THROW(Evaluator(*dataset_, config, &pool));
 }
 
 TEST_F(ExecutorShardedTest, MutatedProgramsStayBitIdentical) {
@@ -129,11 +139,8 @@ TEST_F(ExecutorShardedTest, MutatedProgramsStayBitIdentical) {
   Rng rng(3);
   AlphaProgram prog = MakeStressAlpha(dataset_->window());
   Executor serial(*dataset_, ExecutorConfig{});
-  ExecutorConfig cfg;
-  cfg.intra_candidate_threads = 4;
-  cfg.shard_size = 11;
-  cfg.group_parallel_min_tasks = 1;
-  Executor sharded(*dataset_, cfg);
+  ThreadPool pool(4);
+  Executor sharded(*dataset_, Lanes(5), &pool);  // 8-task shards, 4-task tail
   for (int i = 0; i < 15; ++i) {
     prog = mutator.Mutate(prog, rng);
     SCOPED_TRACE("mutation " + std::to_string(i));
@@ -153,9 +160,8 @@ TEST_F(ExecutorShardedTest, CounterRngDeterministicAcrossThreadCounts) {
   prog.update.push_back(I(Op::kNoOp, 0));
 
   Executor serial(*dataset_, ExecutorConfig{});
-  ExecutorConfig cfg;
-  cfg.intra_candidate_threads = 8;
-  Executor sharded(*dataset_, cfg);
+  ThreadPool pool(7);
+  Executor sharded(*dataset_, Lanes(8), &pool);
 
   const ExecutionResult r1 = serial.Run(prog, 99);
   const ExecutionResult r8 = sharded.Run(prog, 99);
@@ -182,10 +188,8 @@ TEST_F(ExecutorShardedTest, RelationDemeanZeroSumWithinSectorWhenSharded) {
   prog.predict.push_back(demean);
   prog.update.push_back(I(Op::kNoOp, 0));
 
-  ExecutorConfig cfg;
-  cfg.intra_candidate_threads = 4;
-  cfg.group_parallel_min_tasks = 1;
-  Executor exec(*dataset_, cfg);
+  ThreadPool pool(3);
+  Executor exec(*dataset_, Lanes(4), &pool);
   const ExecutionResult r = exec.Run(prog, 1);
   ASSERT_TRUE(r.valid);
   for (const auto& row : r.valid_preds) {
@@ -214,11 +218,8 @@ TEST_F(ExecutorShardedTest, RelationRankGroupBoundsWhenSharded) {
   prog.predict.push_back(rr);
   prog.update.push_back(I(Op::kNoOp, 0));
 
-  ExecutorConfig cfg;
-  cfg.intra_candidate_threads = 4;
-  cfg.shard_size = 3;
-  cfg.group_parallel_min_tasks = 1;
-  Executor exec(*dataset_, cfg);
+  ThreadPool pool(7);
+  Executor exec(*dataset_, Lanes(8), &pool);  // 5-task shards, 1-task tail
   const ExecutionResult r = exec.Run(prog, 1);
   ASSERT_TRUE(r.valid);
   for (const auto& row : r.valid_preds) {
@@ -252,10 +253,8 @@ TEST_F(ExecutorShardedTest, EnvThreadCountCannotChangeResults) {
   }
   const AlphaProgram prog = MakeStressAlpha(dataset_->window());
   Executor serial(*dataset_, ExecutorConfig{});
-  ExecutorConfig cfg;
-  cfg.intra_candidate_threads = env_threads;
-  cfg.group_parallel_min_tasks = 1;
-  Executor sharded(*dataset_, cfg);
+  ThreadPool pool(std::max(1, env_threads - 1));
+  Executor sharded(*dataset_, Lanes(env_threads), &pool);
   ExpectBitIdentical(sharded.Run(prog, 42), serial.Run(prog, 42));
 }
 

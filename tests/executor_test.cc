@@ -12,6 +12,7 @@
 #include "reference_executor.h"
 #include "test_util.h"
 #include "util/stats.h"
+#include "util/threadpool.h"
 
 namespace alphaevolve::core {
 namespace {
@@ -513,11 +514,19 @@ TEST_F(ExecutorTest, RelationOpsMatchHandComputedValues) {
     prog.predict.push_back(relation);
     return prog;
   };
-  Instruction sector_rank = I(Op::kRelationRank, kPredictionScalar, 5);
-  sector_rank.idx0 = 0;
-  Instruction sector_demean = I(Op::kRelationDemean, kPredictionScalar, 4);
-  sector_demean.idx0 = 0;
+  // idx0 picks the group set: 0 = sectors, 1 = industries (equal here, so
+  // both sets must give the same values).
+  const auto grouped = [](Op op, int in, int idx0) {
+    Instruction ins = I(op, kPredictionScalar, in);
+    ins.idx0 = static_cast<uint8_t>(idx0);
+    return ins;
+  };
   const double mean0 = 0.75 / 5;  // sector 0's s4 sum is exactly 0.75
+  const std::vector<double> want_group_rank = {
+      2 / 4.0, 0.5 / 4, 0.5 / 4, 3 / 4.0, 4 / 4.0, 1.0, 0.0, 0.5};
+  const std::vector<double> want_group_demean = {
+      0.5 - mean0,    0.25 - mean0, 0.25 - mean0, -0.125 - mean0,
+      -0.125 - mean0, 0.3125,       -0.3125,      0.0};
   struct Case {
     const char* name;
     Instruction relation;
@@ -532,15 +541,14 @@ TEST_F(ExecutorTest, RelationOpsMatchHandComputedValues) {
        {4 / 7.0, 1.5 / 7, 1.5 / 7, 6 / 7.0, 7 / 7.0, 5 / 7.0, 0.0, 3 / 7.0}},
       // Sector 0 over g - 1 = 4: tie at (0 + 1) / 2, stock 0, NaNs 3 then 4;
       // sector 1: stock 6 then 5; the singleton sector reads 0.5.
-      {"sector rank",
-       sector_rank,
-       {2 / 4.0, 0.5 / 4, 0.5 / 4, 3 / 4.0, 4 / 4.0, 1.0, 0.0, 0.5}},
+      {"sector rank", grouped(Op::kRelationRank, 5, 0), want_group_rank},
+      {"industry rank", grouped(Op::kRelationRank, 5, 1), want_group_rank},
       // s4 minus its sector's mean: 0.75 / 5, (0.75 + 0.125) / 2 = 0.4375,
       // and the singleton's own value.
-      {"sector demean",
-       sector_demean,
-       {0.5 - mean0, 0.25 - mean0, 0.25 - mean0, -0.125 - mean0,
-        -0.125 - mean0, 0.3125, -0.3125, 0.0}},
+      {"sector demean", grouped(Op::kRelationDemean, 4, 0),
+       want_group_demean},
+      {"industry demean", grouped(Op::kRelationDemean, 4, 1),
+       want_group_demean},
   };
 
   const auto expect_rows = [](const std::vector<std::vector<double>>& rows,
@@ -555,8 +563,8 @@ TEST_F(ExecutorTest, RelationOpsMatchHandComputedValues) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       ExecutorConfig cfg;
       cfg.intra_candidate_threads = threads;
-      cfg.group_parallel_min_tasks = 1;  // fan the groups out at 4 threads
-      Executor exec(ds, cfg);
+      ThreadPool pool(3);
+      Executor exec(ds, cfg, &pool);
       const ExecutionResult r = exec.Run(prog, 1);
       ASSERT_TRUE(r.valid);
       expect_rows(r.valid_preds, c.want);

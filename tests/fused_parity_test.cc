@@ -1,10 +1,11 @@
 // Bit-parity of the executor's fused plan against the serial reference
 // executor (reference_executor.h). The plan changes *scheduling only* —
 // lowering, block execution, persistent arena workers, in-plan relation
-// rounds — never any per-task FP sequence, so every configuration below
+// groups — never any per-task FP sequence, so every configuration below
 // must reproduce the reference's output bit-for-bit: across a program fuzz
-// (whatever the mutator emits), across {1, 4, 8} threads x {1, 16, 257}
-// shard sizes, across every per-segment block-size class on a view with
+// (whatever the mutator emits), across {1, 2, 3, 4, 8} shard lanes (each
+// with ceil(tasks / lanes)-task shards, some with a short last shard),
+// across every per-segment block-size class on a view with
 // partial blocks, with CounterRng random-init ops, with relation ops
 // splitting segments, and on both input paths (extraction from the feature
 // tape, or the m0 fill). The reference's dense kernels are checked against
@@ -30,6 +31,7 @@
 #include "obs/telemetry.h"
 #include "reference_executor.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace alphaevolve::core {
 namespace {
@@ -312,8 +314,8 @@ bool FillsInputMatrix(Executor& executor, const AlphaProgram& prog,
 class FusedParityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // Large enough that shard size 257 still yields several shards with an
-    // uneven tail, with real (uneven) sector/industry structure.
+    // Several hundred tasks with real (uneven) sector/industry structure;
+    // the 8 lanes' shards leave a short last shard.
     market::MarketConfig mc = market::MarketConfig::BenchScale();
     mc.num_stocks = 300;
     mc.num_days = 120;
@@ -321,18 +323,24 @@ class FusedParityTest : public ::testing::Test {
     dataset_ = new market::Dataset(
         market::Dataset::Simulate(mc, market::DatasetConfig{}));
     ASSERT_GT(dataset_->num_tasks(), 257);
+    pool_ = new ThreadPool(7);  // the helper lanes of up to 8-lane executors
   }
   static void TearDownTestSuite() {
+    delete pool_;
+    pool_ = nullptr;
     delete dataset_;
     dataset_ = nullptr;
   }
 
-  static ExecutorConfig Fused(int threads, int shard_size) {
+  static ExecutorConfig Fused(int lanes) {
     ExecutorConfig cfg;
-    cfg.intra_candidate_threads = threads;
-    cfg.shard_size = shard_size;
-    cfg.group_parallel_min_tasks = 1;  // force the concurrent group path
+    cfg.intra_candidate_threads = lanes;
     return cfg;
+  }
+
+  /// A fused executor drawing its helper lanes from the suite's pool.
+  static Executor Make(const market::Dataset& data, const ExecutorConfig& cfg) {
+    return Executor(data, cfg, pool_);
   }
 
   /// Every third task from 1: the rows a thin-universe Subset view keeps.
@@ -343,26 +351,24 @@ class FusedParityTest : public ::testing::Test {
   }
 
   static market::Dataset* dataset_;
+  static ThreadPool* pool_;
 };
 
 market::Dataset* FusedParityTest::dataset_ = nullptr;
+ThreadPool* FusedParityTest::pool_ = nullptr;
 
-TEST_F(FusedParityTest, ProgramFuzzAcrossThreadsAndShardSizes) {
+TEST_F(FusedParityTest, ProgramFuzzAcrossLaneCounts) {
   // The acceptance matrix: serial reference vs fused plan at
-  // {1, 4, 8} threads x {1, 16, 257} shard sizes, over mutated programs.
+  // {1, 2, 3, 4, 8} shard lanes, over mutated programs.
   Mutator mutator{MutatorConfig{}};
   Rng rng(7);
 
   ReferenceExecutor reference(*dataset_);
   std::vector<std::pair<std::string, Executor>> fused;
-  fused.emplace_back("fused serial", Executor(*dataset_, Fused(1, 0)));
-  for (const int threads : {4, 8}) {
-    for (const int shard_size : {1, 16, 257}) {
-      fused.emplace_back(
-          "fused t" + std::to_string(threads) + " s" +
-              std::to_string(shard_size),
-          Executor(*dataset_, Fused(threads, shard_size)));
-    }
+  fused.emplace_back("fused serial", Make(*dataset_, Fused(1)));
+  for (const int lanes : {2, 3, 4, 8}) {
+    fused.emplace_back("fused lanes=" + std::to_string(lanes),
+                       Make(*dataset_, Fused(lanes)));
   }
 
   AlphaProgram prog = MakeStressAlpha(dataset_->window());
@@ -394,12 +400,12 @@ TEST_F(FusedParityTest, CounterRngDrawsIdenticalAcrossPaths) {
   ReferenceExecutor reference(*dataset_);
   const testutil::ReferenceResult expect = reference.Run(prog, 99);
   ASSERT_TRUE(expect.valid);
-  for (const int threads : {1, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Executor fused(*dataset_, Fused(threads, 0));
+  for (const int lanes : {1, 8}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    Executor fused = Make(*dataset_, Fused(lanes));
     ExpectBitIdentical(fused.Run(prog, 99), expect);
   }
-  Executor fused(*dataset_, Fused(8, 0));
+  Executor fused = Make(*dataset_, Fused(8));
   const ExecutionResult other_seed = fused.Run(prog, 100);
   ASSERT_TRUE(other_seed.valid);
   EXPECT_NE(other_seed.valid_preds, expect.valid_preds);
@@ -430,7 +436,7 @@ TEST_F(FusedParityTest, RelationBoundariesBetweenFusedSegments) {
   prog.update.push_back(I(Op::kNoOp, 0));
 
   ReferenceExecutor reference(*dataset_);
-  Executor fused(*dataset_, Fused(4, 16));
+  Executor fused = Make(*dataset_, Fused(4));
   ExpectBitIdentical(fused.Run(prog, 11), reference.Run(prog, 11));
 }
 
@@ -452,9 +458,9 @@ TEST_F(FusedParityTest, FusedInputRefreshBitIdentical) {
       ReferenceExecutor reference(*data);
       const testutil::ReferenceResult expect = reference.Run(shape.program, 77);
       ASSERT_TRUE(expect.valid);
-      for (const int threads : {1, 4}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        Executor fused(*data, Fused(threads, 16));
+      for (const int lanes : {1, 4}) {
+        SCOPED_TRACE("lanes=" + std::to_string(lanes));
+        Executor fused = Make(*data, Fused(lanes));
         ExecutionResult got;
         EXPECT_EQ(FillsInputMatrix(fused, shape.program, 77, &got),
                   !shape.tape);
@@ -468,8 +474,8 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
   // Every kernel variant that was both compiled in and is runnable on this
   // host must reproduce the reference bit-for-bit on the mutated corpus —
   // the SIMD variants vectorize only across independent output elements, so
-  // there is no tolerance, ever. Each variant runs the full {1, 4, 8}
-  // threads x {1, 16, 257} shard matrix.
+  // there is no tolerance, ever. Each variant runs at {1, 2, 3, 4, 8} shard
+  // lanes.
   Mutator mutator{MutatorConfig{}};
   Rng rng(17);
 
@@ -477,17 +483,14 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
   std::vector<std::pair<std::string, Executor>> forced;
   for (const KernelVariant v : RunnableKernelVariants()) {
     const std::string vname = KernelVariantName(v);
-    for (const int threads : {1, 4, 8}) {
-      for (const int shard_size : {1, 16, 257}) {
-        ExecutorConfig cfg = Fused(threads, shard_size);
-        cfg.kernel_variant = vname;
-        forced.emplace_back(vname + " t" + std::to_string(threads) + " s" +
-                                std::to_string(shard_size),
-                            Executor(*dataset_, cfg));
-      }
+    for (const int lanes : {1, 2, 3, 4, 8}) {
+      ExecutorConfig cfg = Fused(lanes);
+      cfg.kernel_variant = vname;
+      forced.emplace_back(vname + " lanes=" + std::to_string(lanes),
+                          Make(*dataset_, cfg));
     }
   }
-  ASSERT_GE(forced.size(), 9u);  // scalar always compiles: 9 minimum
+  ASSERT_GE(forced.size(), 5u);  // scalar always compiles: 5 minimum
 
   // MakeStressAlpha keeps all three relation ops in the corpus even when a
   // mutation step rewrites other instructions.
@@ -504,7 +507,7 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
   }
 
   // One shape per auto block-size class through every variant at every
-  // thread and shard count, on the full universe and on a view whose task
+  // lane count, on the full universe and on a view whose task
   // count leaves a partial block in every class (not a multiple of 4, so
   // of neither 52 nor 256).
   std::vector<int> keep;
@@ -517,15 +520,12 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
   ReferenceExecutor uneven_reference(uneven);
   std::vector<std::pair<std::string, Executor>> uneven_forced;
   for (const KernelVariant v : RunnableKernelVariants()) {
-    for (const int threads : {1, 4, 8}) {
-      for (const int shard_size : {1, 16, 257}) {
-        ExecutorConfig cfg = Fused(threads, shard_size);
-        cfg.kernel_variant = KernelVariantName(v);
-        uneven_forced.emplace_back(std::string(KernelVariantName(v)) + " t" +
-                                       std::to_string(threads) + " s" +
-                                       std::to_string(shard_size),
-                                   Executor(uneven, cfg));
-      }
+    for (const int lanes : {1, 2, 3, 4, 8}) {
+      ExecutorConfig cfg = Fused(lanes);
+      cfg.kernel_variant = KernelVariantName(v);
+      uneven_forced.emplace_back(std::string(KernelVariantName(v)) +
+                                     " lanes=" + std::to_string(lanes),
+                                 Make(uneven, cfg));
     }
   }
   for (const InputShape& shape : SegmentWidthShapes(dataset_->window())) {
@@ -567,9 +567,9 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
         thin_reference.Run(shape.program, 808);
     for (const KernelVariant v : RunnableKernelVariants()) {
       SCOPED_TRACE(std::string(KernelVariantName(v)) + " subset view");
-      ExecutorConfig cfg = Fused(4, 16);
+      ExecutorConfig cfg = Fused(4);
       cfg.kernel_variant = KernelVariantName(v);
-      Executor thin_fused(thin, cfg);
+      Executor thin_fused = Make(thin, cfg);
       ExpectBitIdentical(thin_fused.Run(shape.program, 808), thin_expect);
     }
   }
@@ -578,9 +578,9 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
 TEST_F(FusedParityTest, RelationInPlanMatchesReference) {
   // Relation-heavy shape: back-to-back relations, a relation opening the
   // predict component, and a trailing relation writing the prediction. The
-  // in-plan lowering (gather -> group rank/demean -> scatter inside one
-  // arena round) must agree with the reference's serial whole-universe
-  // gather -> rank/demean -> scatter bit-for-bit at every fan-out, for
+  // in-plan lowering (gather -> rank/demean -> scatter per group, between
+  // sharded segments) must agree with the reference's serial whole-universe
+  // gather -> rank/demean -> scatter bit-for-bit at every lane count, for
   // every runnable variant.
   AlphaProgram prog;
   prog.predict.push_back(I(Op::kRank, 3, kPredictionScalar));
@@ -603,12 +603,12 @@ TEST_F(FusedParityTest, RelationInPlanMatchesReference) {
   const testutil::ReferenceResult expect = reference.Run(prog, 23);
   ASSERT_TRUE(expect.valid);
   for (const KernelVariant v : RunnableKernelVariants()) {
-    for (const int threads : {1, 8}) {
-      SCOPED_TRACE(std::string(KernelVariantName(v)) + " threads=" +
-                   std::to_string(threads));
-      ExecutorConfig cfg = Fused(threads, 16);
+    for (const int lanes : {1, 8}) {
+      SCOPED_TRACE(std::string(KernelVariantName(v)) + " lanes=" +
+                   std::to_string(lanes));
+      ExecutorConfig cfg = Fused(lanes);
       cfg.kernel_variant = KernelVariantName(v);
-      Executor fused(*dataset_, cfg);
+      Executor fused = Make(*dataset_, cfg);
       ExpectBitIdentical(fused.Run(prog, 23), expect);
     }
   }
@@ -642,12 +642,12 @@ TEST_F(FusedParityTest, DenseOpsOnLiveOperandsMatchReference) {
   const testutil::ReferenceResult expect = reference.Run(prog, 71);
   ASSERT_TRUE(expect.valid);
   for (const KernelVariant v : RunnableKernelVariants()) {
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE(std::string(KernelVariantName(v)) + " threads=" +
-                   std::to_string(threads));
-      ExecutorConfig cfg = Fused(threads, 16);
+    for (const int lanes : {1, 4}) {
+      SCOPED_TRACE(std::string(KernelVariantName(v)) + " lanes=" +
+                   std::to_string(lanes));
+      ExecutorConfig cfg = Fused(lanes);
       cfg.kernel_variant = KernelVariantName(v);
-      Executor fused(*dataset_, cfg);
+      Executor fused = Make(*dataset_, cfg);
       ExpectBitIdentical(fused.Run(prog, 71), expect);
     }
   }
@@ -658,24 +658,24 @@ TEST_F(FusedParityTest, ScalarVariantIsDefaultTable) {
   // precedence over the env) must reproduce the auto-dispatched results
   // exactly — the variants differ in instruction selection, never in value.
   const AlphaProgram prog = MakeStressAlpha(dataset_->window());
-  ExecutorConfig scalar_cfg = Fused(4, 16);
+  ExecutorConfig scalar_cfg = Fused(4);
   scalar_cfg.kernel_variant = "scalar";
-  Executor scalar_exec(*dataset_, scalar_cfg);
+  Executor scalar_exec = Make(*dataset_, scalar_cfg);
   EXPECT_STREQ(scalar_exec.kernel_variant_name(), "scalar");
-  Executor auto_exec(*dataset_, Fused(4, 16));
+  Executor auto_exec = Make(*dataset_, Fused(4));
   ExpectBitIdentical(scalar_exec.Run(prog, 63), auto_exec.Run(prog, 63));
 }
 
 TEST_F(FusedParityTest, EnvThreadCountCannotChangeResults) {
   // CI runs ctest under AE_BENCH_THREADS=1 and =4; this turns that into a
-  // fused-vs-reference invariance check at the env-selected fan-out.
+  // fused-vs-reference invariance check at the env-selected lane count.
   int env_threads = 4;
   if (const char* env = std::getenv("AE_BENCH_THREADS")) {
     env_threads = std::max(1, std::atoi(env));
   }
   const AlphaProgram prog = MakeStressAlpha(dataset_->window());
   ReferenceExecutor reference(*dataset_);
-  Executor fused(*dataset_, Fused(env_threads, 0));
+  Executor fused = Make(*dataset_, Fused(env_threads));
   ExpectBitIdentical(fused.Run(prog, 42), reference.Run(prog, 42));
 }
 

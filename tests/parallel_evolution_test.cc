@@ -39,7 +39,7 @@ class ParallelEvolutionTest : public ::testing::Test {
 
 market::Dataset* ParallelEvolutionTest::dataset_ = nullptr;
 
-TEST_F(ParallelEvolutionTest, EvaluateBatchMatchesSerialEvaluate) {
+TEST_F(ParallelEvolutionTest, ForEachEvaluateMatchesSerialEvaluate) {
   EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
   Evaluator serial(*dataset_, EvaluatorConfig{});
 
@@ -52,12 +52,13 @@ TEST_F(ParallelEvolutionTest, EvaluateBatchMatchesSerialEvaluate) {
     programs.push_back(program);
   }
 
-  std::vector<EvaluatorPool::EvalRequest> batch;
-  for (size_t i = 0; i < programs.size(); ++i) {
-    batch.push_back({&programs[i], /*seed=*/i + 1, /*include_test=*/true});
-  }
-  const std::vector<AlphaMetrics> pooled = pool.EvaluateBatch(batch);
-  ASSERT_EQ(pooled.size(), programs.size());
+  std::vector<AlphaMetrics> pooled(programs.size());
+  pool.ForEach(static_cast<int>(programs.size()),
+               [&](Evaluator& evaluator, int i) {
+                 const size_t k = static_cast<size_t>(i);
+                 pooled[k] = evaluator.Evaluate(programs[k], /*seed=*/k + 1,
+                                                /*include_test=*/true);
+               });
   for (size_t i = 0; i < programs.size(); ++i) {
     const AlphaMetrics expected = serial.Evaluate(programs[i], i + 1, true);
     EXPECT_EQ(pooled[i].valid, expected.valid);
@@ -69,16 +70,19 @@ TEST_F(ParallelEvolutionTest, EvaluateBatchMatchesSerialEvaluate) {
   }
 }
 
-TEST_F(ParallelEvolutionTest, ProbeFingerprintBatchMatchesSerial) {
+TEST_F(ParallelEvolutionTest, ForEachProbeFingerprintMatchesSerial) {
   EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 3);
   Evaluator serial(*dataset_, EvaluatorConfig{});
   const AlphaProgram expert = MakeExpertAlpha(dataset_->window());
   const AlphaProgram noop = MakeNoOpAlpha();
 
-  const std::vector<EvaluatorPool::EvalRequest> batch = {
-      {&expert, 1, false}, {&noop, 2, false}, {&expert, 1, false}};
-  const std::vector<uint64_t> prints = pool.ProbeFingerprintBatch(batch);
-  ASSERT_EQ(prints.size(), 3u);
+  const std::vector<const AlphaProgram*> programs = {&expert, &noop, &expert};
+  const std::vector<uint64_t> seeds = {1, 2, 1};
+  std::vector<uint64_t> prints(programs.size());
+  pool.ForEach(3, [&](Evaluator& evaluator, int i) {
+    const size_t k = static_cast<size_t>(i);
+    prints[k] = evaluator.ProbeFingerprint(*programs[k], seeds[k]);
+  });
   EXPECT_EQ(prints[0], serial.ProbeFingerprint(expert, 1));
   EXPECT_EQ(prints[1], serial.ProbeFingerprint(noop, 2));
   EXPECT_EQ(prints[2], prints[0]);

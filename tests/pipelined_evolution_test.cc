@@ -215,7 +215,7 @@ TEST_F(PipelinedEvolutionTest, TimeBudgetedRunTerminatesAndPartitions) {
 
 TEST_F(PipelinedEvolutionTest, ForEachAsyncMatchesSynchronousBatch) {
   // The driver's launch path: work-stealing workers submitted into a
-  // TaskGroup must score exactly what the blocking batch API scores.
+  // TaskGroup must score exactly what the blocking ForEach scores.
   EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
   Mutator mutator{MutatorConfig{}};
   Rng rng(21);
@@ -225,23 +225,20 @@ TEST_F(PipelinedEvolutionTest, ForEachAsyncMatchesSynchronousBatch) {
     program = mutator.Mutate(program, rng);
     programs.push_back(program);
   }
-  std::vector<EvaluatorPool::EvalRequest> batch;
-  for (size_t i = 0; i < programs.size(); ++i) {
-    batch.push_back({&programs[i], /*seed=*/i + 1, /*include_test=*/true});
-  }
+  const int n = static_cast<int>(programs.size());
+  auto score_into = [&programs](std::vector<AlphaMetrics>& out) {
+    return [&programs, &out](Evaluator& evaluator, int i) {
+      const size_t k = static_cast<size_t>(i);
+      out[k] = evaluator.Evaluate(programs[k], /*seed=*/k + 1,
+                                  /*include_test=*/true);
+    };
+  };
 
-  const std::vector<AlphaMetrics> sync = pool.EvaluateBatch(batch);
-  std::vector<AlphaMetrics> async(batch.size());
+  std::vector<AlphaMetrics> sync(programs.size());
+  pool.ForEach(n, score_into(sync));
+  std::vector<AlphaMetrics> async(programs.size());
   TaskGroup group(pool.thread_pool());
-  pool.ForEachAsync(
-      static_cast<int>(batch.size()),
-      [&batch, &async](Evaluator& evaluator, int i) {
-        const EvaluatorPool::EvalRequest& req =
-            batch[static_cast<size_t>(i)];
-        async[static_cast<size_t>(i)] =
-            evaluator.Evaluate(*req.program, req.seed, req.include_test);
-      },
-      group);
+  pool.ForEachAsync(n, score_into(async), group);
   group.WaitAll();
   ASSERT_EQ(async.size(), sync.size());
   for (size_t i = 0; i < sync.size(); ++i) {

@@ -10,6 +10,9 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <future>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -400,6 +403,50 @@ TEST(JobSupervisorTest, ManifestRecoverServesPersistedResultWithoutRerun) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(JobSupervisorTest, FailedManifestWriteKeepsThePreviousManifest) {
+  // jobs.json is published like every checkpoint generation (write all,
+  // fsync, rename, fsync the directory): a failed write warns and leaves the
+  // previous manifest in place instead of truncating it.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("ae_service_" + std::to_string(::getpid()) + "_manifest"))
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SupervisorOptions options = FastOptions();
+  options.checkpoint_dir = dir;
+  fault::SetForTesting(fault::Kind::kNone);
+  {
+    // Never started: Submit only records the job and publishes the manifest.
+    JobSupervisor sup(options,
+                      [](const JobSpec&, core::CheckpointSink*,
+                         const core::EvolutionCheckpoint*,
+                         const std::atomic<bool>*) -> core::EvolutionResult {
+                        ADD_FAILURE() << "the supervisor was never started";
+                        return FakeDone(0.0);
+                      });
+    const std::string first = sup.Submit(JobSpec{});
+    fault::SetForTesting(fault::Kind::kEnospc);
+    const std::string second = sup.Submit(JobSpec{});
+    fault::SetForTesting(fault::Kind::kNone);
+    ASSERT_FALSE(second.empty());
+    EXPECT_NE(second, first);
+
+    // Read before the supervisor's destructor drains, which publishes the
+    // manifest again with the fault disarmed.
+    std::ifstream in(dir + "/jobs.json");
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const JsonValue manifest = JsonValue::Parse(buf.str());
+    const auto& jobs = manifest.At("jobs").AsArray();
+    ASSERT_EQ(jobs.size(), 1u);
+    EXPECT_EQ(jobs[0].At("id").AsString(), first);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/jobs.json.tmp"));
+  }
+  fault::ClearForTesting();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(JobSupervisorTest, DrainParksRunningJobsPendingForNextProcess) {
   const std::string dir =
       (std::filesystem::temp_directory_path() /
@@ -696,6 +743,14 @@ TEST_F(ServiceSearchTest, OpCatalogEndToEnd) {
                 R"(","split":"valid","date":99999}})")),
             std::string(kErrInvalidArgument));
 
+  // A finished job is terminal: neither cancel_job nor resume_job applies.
+  for (const char* op : {"cancel_job", "resume_job"}) {
+    EXPECT_EQ(ErrCode(service.Call(std::string(R"({"op":")") + op +
+                                   R"(","id":"t","params":{"job":")" + job +
+                                   R"("}})")),
+              std::string(kErrNotFound));
+  }
+
   // metrics exposes the service.* instruments when telemetry is on; the
   // op itself must work either way.
   Ok(service.Call(R"({"op":"metrics","id":"m"})"));
@@ -709,71 +764,87 @@ TEST_F(ServiceSearchTest, OpCatalogEndToEnd) {
             "draining");
 }
 
+/// Holds a search at batch barrier `at` until its stop token reads true, so
+/// a cancel always lands mid-run: the job can neither finish before the
+/// cancel arrives nor be cancelled before it starts. Fulfils `parked` once
+/// the search is held.
+class ParkAtBarrierSink : public core::CheckpointSink {
+ public:
+  ParkAtBarrierSink(core::CheckpointSink* inner,
+                    const std::atomic<bool>* stop, int64_t at,
+                    std::promise<void>* parked)
+      : inner_(inner), stop_(stop), at_(at), parked_(parked) {}
+  bool WantCheckpoint(int64_t batches_committed) override {
+    const bool want = inner_->WantCheckpoint(batches_committed);
+    if (batches_committed == at_) {
+      parked_->set_value();
+      while (!stop_->load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    }
+    return want;
+  }
+  void WriteCheckpoint(const core::EvolutionCheckpoint& ck) override {
+    inner_->WriteCheckpoint(ck);
+  }
+
+ private:
+  core::CheckpointSink* inner_;
+  const std::atomic<bool>* stop_;
+  int64_t at_;
+  std::promise<void>* parked_;
+};
+
 TEST_F(ServiceSearchTest, CancelledJobResumesByteIdenticalToUninterrupted) {
-  // The tentpole's acceptance contract, in-process: job-1 is cancelled
-  // mid-run, then resumed; job-2 runs the same spec uninterrupted. Their
-  // job_result payloads must be byte-identical.
-  AlphaService service(SmallService(dir_));
+  // The service's resume contract, through the supervisor that runs its
+  // jobs on the real engine: job 1 is cancelled mid-run, then resumed; job 2
+  // runs the same search uninterrupted. Their encoded results must be
+  // byte-identical. Job 1's first attempt parks at barrier 2 until its stop
+  // token flips, so the cancel always lands mid-run.
+  core::EvaluatorPool pool(*dataset_, core::EvaluatorConfig{}, 2);
+  std::promise<void> parked;
+  std::future<void> held = parked.get_future();
+  std::atomic<bool> park_next{true};
+  SupervisorOptions options = FastOptions();
+  options.checkpoint_dir = dir_;
+  options.checkpoint_every_batches = 2;
+  JobSupervisor sup(options, [&](const JobSpec&, core::CheckpointSink* sink,
+                                 const core::EvolutionCheckpoint* resume,
+                                 const std::atomic<bool>* stop) {
+    ParkAtBarrierSink park(sink, stop, /*at=*/2, &parked);
+    core::Evolution evolution(pool, SearchConfig());
+    evolution.UseCheckpointSink(park_next.exchange(false) ? &park : sink);
+    evolution.UseStopToken(stop);
+    if (resume != nullptr) evolution.ResumeFrom(*resume);
+    return evolution.Run(core::MakeExpertAlpha(dataset_->window()));
+  });
+  sup.Start();
 
-  JsonValue submitted = Ok(service.Call(
-      R"({"op":"submit_search","id":"s1","params":{"seed":7,"max_candidates":240}})"));
-  const std::string job1 = submitted.At("result").At("job").AsString();
-
-  // Wait until at least two barriers committed, then cancel mid-run.
+  const std::string job1 = sup.Submit(JobSpec{});
+  held.wait();
+  ASSERT_TRUE(sup.Cancel(job1));
   ASSERT_TRUE(WaitFor(
-      [&] {
-        JsonValue doc = Ok(service.Call(
-            R"({"op":"job_status","id":"p","params":{"job":")" + job1 +
-            R"("}})"));
-        return doc.At("result").At("batches_committed").AsInt() >= 2;
-      },
-      60000ms));
-  Ok(service.Call(R"({"op":"cancel_job","id":"c","params":{"job":")" + job1 +
-                  R"("}})"));
-  ASSERT_TRUE(WaitFor(
-      [&] {
-        JsonValue doc = Ok(service.Call(
-            R"({"op":"job_status","id":"p2","params":{"job":")" + job1 +
-            R"("}})"));
-        return doc.At("result").At("state").AsString() == "cancelled";
-      },
-      60000ms));
-  // The cancel left a valid newest checkpoint behind.
+      [&] { return StateOf(sup, job1) == JobState::kCancelled; }, 60000ms));
+  // The cancel left a valid newest checkpoint behind, and no result.
   EXPECT_TRUE(ckpt::LoadNewest(dir_, job1).has_value());
-  EXPECT_EQ(ErrCode(service.Call(
-                R"({"op":"job_result","id":"nr","params":{"job":")" + job1 +
-                R"("}})")),
-            std::string(kErrNotFound));
+  EXPECT_FALSE(sup.Status(job1)->has_result);
 
-  Ok(service.Call(R"({"op":"resume_job","id":"rs","params":{"job":")" + job1 +
-                  R"("}})"));
-  JsonValue submitted2 = Ok(service.Call(
-      R"({"op":"submit_search","id":"s2","params":{"seed":7,"max_candidates":240}})"));
-  const std::string job2 = submitted2.At("result").At("job").AsString();
-
-  auto done = [&](const std::string& job) {
-    JsonValue doc = Ok(service.Call(
-        R"({"op":"job_status","id":"w","params":{"job":")" + job + R"("}})"));
-    return doc.At("result").At("state").AsString() == "done";
-  };
-  ASSERT_TRUE(WaitFor([&] { return done(job1) && done(job2); }, 120000ms));
-
-  const std::string result1 = service.Call(
-      R"({"op":"job_result","id":"x","params":{"job":")" + job1 + R"("}})");
-  const std::string result2 = service.Call(
-      R"({"op":"job_result","id":"x","params":{"job":")" + job2 + R"("}})");
-  // Strip the distinct request-id envelopes down to the result objects.
-  const size_t cut1 = result1.find("\"result\":");
-  const size_t cut2 = result2.find("\"result\":");
-  ASSERT_NE(cut1, std::string::npos);
-  ASSERT_NE(cut2, std::string::npos);
-  EXPECT_EQ(result1.substr(cut1), result2.substr(cut2))
+  ASSERT_TRUE(sup.Resume(job1));
+  const std::string job2 = sup.Submit(JobSpec{});
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        return StateOf(sup, job1) == JobState::kDone &&
+               StateOf(sup, job2) == JobState::kDone;
+      },
+      120000ms));
+  const JobStatus status1 = *sup.Status(job1);
+  const JobStatus status2 = *sup.Status(job2);
+  EXPECT_GE(status1.resumes, 1);  // resumed, not restarted
+  EXPECT_EQ(status2.resumes, 0);
+  EXPECT_EQ(JobSupervisor::EncodeResult(status1.result),
+            JobSupervisor::EncodeResult(status2.result))
       << "resumed job result must be byte-identical to uninterrupted run";
-
-  // The resumed job really did resume (not restart).
-  JsonValue status1 = Ok(service.Call(
-      R"({"op":"job_status","id":"f","params":{"job":")" + job1 + R"("}})"));
-  EXPECT_GE(status1.At("result").At("resumes").AsInt(), 1);
+  sup.Drain();
 }
 
 TEST_F(ServiceSearchTest, DeadlineExceededUnderInjectedDelay) {
@@ -832,6 +903,8 @@ TEST_F(ServiceSearchTest, NumericParamsAreCheckedIntegers) {
   // Client numbers are doubles; each integer param must be integral and in
   // range before any cast, or the op answers invalid_argument (1e300 or a
   // negative seed would be undefined behaviour, 2.5 silently truncated).
+  // Every other typed param is checked at the edge too: a wrong JSON type
+  // answers invalid_argument naming the param, never an internal error.
   AlphaService service(SmallService(dir_));
   struct Case {
     const char* op;
@@ -844,7 +917,9 @@ TEST_F(ServiceSearchTest, NumericParamsAreCheckedIntegers) {
       {"submit_search", "population_size", {"1", "1e10", "20.5", "null"}},
       {"submit_search", "tournament_size", {"0", "-1e300", "2.25"}},
       {"submit_search", "batch_size", {"0", "3e9", "1.5", "true"}},
+      {"submit_search", "deadline_seconds", {"\"soon\"", "null", "[1]"}},
       {"signals", "date", {"-1", "1e300", "0.5", "\"0\""}},
+      {"signals", "split", {"5", "null", "\"train\""}},
       {"stress", "scenarios", {"-1", "1e300", "1.5"}},
   };
   int n = 0;

@@ -92,8 +92,9 @@ TEST(ShardArenaTest, SaturatedPoolDegradesToCallerWithoutDeadlock) {
   // after the rounds have already completed on the caller.
   ThreadPool pool(2);
   std::atomic<bool> release{false};
+  TaskGroup blockers(&pool);
   for (int i = 0; i < 2; ++i) {
-    pool.Submit([&release] {
+    blockers.Submit([&release] {
       while (!release.load()) std::this_thread::yield();
     });
   }
@@ -106,7 +107,7 @@ TEST(ShardArenaTest, SaturatedPoolDegradesToCallerWithoutDeadlock) {
     EXPECT_EQ(counter.load(), 80);
   }
   release.store(true);
-  pool.WaitAll();
+  blockers.WaitAll();
 }
 
 TEST(ShardArenaTest, NestsInsidePoolTasksLikeEvaluatorPoolDoes) {
@@ -142,17 +143,18 @@ TEST(ShardArenaTest, SequentialArenasOnOnePoolReleaseHelpers) {
   }
 }
 
-TEST(ShardArenaTest, WaitAllDoesNotBlockOnParkedHelpers) {
-  // WaitAll's contract is "Submit work drained" — a live arena's parked
-  // helper loops must not be counted, or any coordinator waiting for side
-  // work on a shared pool would stall for a whole executor Run. One worker
+TEST(ShardArenaTest, TaskGroupWaitDoesNotBlockOnParkedHelpers) {
+  // A TaskGroup waits for its own submissions only — a live arena's parked
+  // helper loops must not hold it, or the evolution driver waiting for a
+  // batch on a shared pool would stall for a whole executor Run. One worker
   // stays free for the side task (a parked helper does occupy its worker).
   ThreadPool pool(2);
   ShardArena arena(&pool, 1);
   arena.ParallelFor(4, [](int) {});
   std::atomic<int> side{0};
-  pool.Submit([&side] { side.store(1); });
-  pool.WaitAll();  // a helper stays parked; must return anyway
+  TaskGroup group(&pool);
+  group.Submit([&side] { side.store(1); });
+  group.WaitAll();  // a helper stays parked; must return anyway
   EXPECT_EQ(side.load(), 1);
 }
 
@@ -186,7 +188,8 @@ TEST(ShardArenaTest, DestructionWithParkedHelpersIsClean) {
     // Helpers are parked on the epoch barrier here; the destructor must
     // wake and release them without waiting for anything else.
   }
-  pool.WaitAll();
+  // The pool's destructor joins its workers, which requires every helper
+  // loop to have exited.
 }
 
 }  // namespace

@@ -13,21 +13,12 @@ namespace {
 TEST(ThreadPoolTest, SubmitRunsEveryTask) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
+  TaskGroup group(&pool);
   for (int i = 0; i < 200; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    group.Submit([&counter] { counter.fetch_add(1); });
   }
-  pool.WaitAll();
+  group.WaitAll();
   EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPoolTest, WaitAllIsIdempotentAndReturnsWhenIdle) {
-  ThreadPool pool(2);
-  pool.WaitAll();  // nothing submitted: must not hang
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.WaitAll();
-  pool.WaitAll();
-  EXPECT_EQ(counter.load(), 1);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -51,11 +42,15 @@ TEST(ThreadPoolTest, ParallelForHandlesEdgeCounts) {
 TEST(ThreadPoolTest, NestedSubmitFromTaskCompletes) {
   ThreadPool pool(1);  // single worker: the nested task queues behind us
   std::atomic<int> counter{0};
-  pool.Submit([&] {
+  TaskGroup outer(&pool);
+  outer.Submit([&] {
     counter.fetch_add(1);
-    pool.Submit([&] { counter.fetch_add(10); });
+    // The nested group's wait drains its own task off the queue, so it
+    // cannot deadlock behind the one worker it is running on.
+    TaskGroup inner(&pool);
+    inner.Submit([&] { counter.fetch_add(10); });
   });
-  pool.WaitAll();
+  outer.WaitAll();
   EXPECT_EQ(counter.load(), 11);
 }
 
@@ -85,12 +80,13 @@ TEST(ThreadPoolTest, DeeplyNestedParallelForCompletes) {
 TEST(ThreadPoolTest, ParallelForFromSubmittedTaskCompletes) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
+  TaskGroup group(&pool);
   for (int t = 0; t < 4; ++t) {
-    pool.Submit([&] {
+    group.Submit([&] {
       pool.ParallelFor(16, [&](int) { total.fetch_add(1); });
     });
   }
-  pool.WaitAll();
+  group.WaitAll();
   EXPECT_EQ(total.load(), 4 * 16);
 }
 
@@ -104,7 +100,7 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
         counter.fetch_add(1);
       });
     }
-    // No WaitAll: the destructor must finish the queue before joining.
+    // No wait: the destructor must finish the queue before joining.
   }
   EXPECT_EQ(counter.load(), 50);
 }
