@@ -21,8 +21,7 @@ int main() {
   PrintBanner("Figure 6: evolutionary trajectories of round winners", opt,
               dataset);
 
-  core::EvaluatorPool pool(dataset, MakeEvaluatorConfig(opt),
-                           opt.num_threads);
+  core::EvaluatorPool pool(dataset, core::EvaluatorConfig{}, opt.num_threads);
   const AeStudyResult ae = RunAeStudy(pool, opt);
 
   alphaevolve::CsvWriter csv(ResultsDir() + "/fig6_trajectories.csv",

@@ -33,7 +33,6 @@
 #include "service/alpha_service.h"
 #include "util/json.h"
 #include "util/rng.h"
-#include "util/threadpool.h"
 
 namespace {
 
@@ -96,118 +95,6 @@ void BM_ExecutorRelationOps(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecutorRelationOps)->Arg(32)->Arg(128);
-
-// --- Intra-candidate task sharding ----------------------------------------
-// One candidate's lockstep execution over a large simulated universe (the
-// paper's 1140-stock scale), task-sharded over intra_candidate_threads
-// lanes whose helpers come from the bench's own ThreadPool. The program
-// mixes element-wise segments, which run on the shards, with cross-task
-// relation ops, which rank their groups on the driving thread between
-// them. `tasks_per_sec` is the headline; `speedup_vs_serial` compares each
-// lane count against the 1-lane run (registered first) of the same program.
-// Results are bit-identical across lane counts (see executor_sharded_test),
-// so this measures pure scheduling overhead/gain.
-
-double g_sharded_serial_tasks_per_sec = 0.0;
-
-void BM_ExecutorSharded(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const auto& ds = BenchDataset(1100);  // >= 1000 tasks after filters
-  core::ExecutorConfig cfg;
-  cfg.intra_candidate_threads = threads;
-  ThreadPool pool(std::max(1, threads - 1));  // idle at one lane
-  core::Executor exec(ds, cfg, &pool);
-  core::AlphaProgram prog = core::MakeExpertAlpha(ds.window());
-  core::Instruction rank;
-  rank.op = core::Op::kRank;
-  rank.out = core::kPredictionScalar;
-  rank.in1 = core::kPredictionScalar;
-  prog.predict.push_back(rank);
-  core::Instruction rrank;
-  rrank.op = core::Op::kRelationRank;
-  rrank.out = core::kPredictionScalar;
-  rrank.in1 = core::kPredictionScalar;
-  rrank.idx0 = 1;  // industry groups
-  prog.predict.push_back(rrank);
-
-  int64_t runs = 0;
-  double seconds = 0.0;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(exec.Run(prog, 1));
-    seconds += std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-    ++runs;
-  }
-  const int64_t tasks = runs * ds.num_tasks();
-  state.SetItemsProcessed(tasks);
-  if (seconds > 0.0) {
-    const double tps = static_cast<double>(tasks) / seconds;
-    state.counters["tasks_per_sec"] = tps;
-    if (threads == 1) {
-      g_sharded_serial_tasks_per_sec = tps;
-    } else if (g_sharded_serial_tasks_per_sec > 0.0) {
-      state.counters["speedup_vs_serial"] =
-          tps / g_sharded_serial_tasks_per_sec;
-    }
-  }
-}
-BENCHMARK(BM_ExecutorSharded)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// --- Per-segment barrier cost: arena vs pool re-submission (BENCH_4.json) -
-// The synchronization a sharded executor pays per element-wise segment:
-// PR 2 re-submitted helper tasks through the pool queue every segment
-// (BM_PoolForBarrier); the persistent ShardArena parks its helpers on an
-// epoch barrier between segments (BM_ArenaBarrier). The empty body makes
-// each iteration ≈ one barrier; `barrier_ns_per_segment` is the headline.
-
-void BM_ArenaBarrier(benchmark::State& state) {
-  const int lanes = static_cast<int>(state.range(0));
-  ThreadPool pool(lanes - 1);
-  ShardArena arena(&pool, lanes - 1);
-  int64_t rounds = 0;
-  double seconds = 0.0;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    arena.ParallelFor(lanes, [](int) {});
-    seconds += std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-    ++rounds;
-  }
-  if (rounds > 0) {
-    state.counters["barrier_ns_per_segment"] =
-        1e9 * seconds / static_cast<double>(rounds);
-  }
-}
-BENCHMARK(BM_ArenaBarrier)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-void BM_PoolForBarrier(benchmark::State& state) {
-  const int lanes = static_cast<int>(state.range(0));
-  ThreadPool pool(lanes - 1);
-  int64_t rounds = 0;
-  double seconds = 0.0;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    pool.ParallelFor(lanes, [](int) {});
-    seconds += std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-    ++rounds;
-  }
-  if (rounds > 0) {
-    state.counters["barrier_ns_per_segment"] =
-        1e9 * seconds / static_cast<double>(rounds);
-  }
-}
-BENCHMARK(BM_PoolForBarrier)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // --- Runtime-dispatched kernel variants (BENCH_6.json) --------------------
 // The same row-tiled matmul body compiled per ISA (core/kernels_impl.inc),

@@ -21,8 +21,7 @@ int main() {
   const market::Dataset dataset = MakeBenchDataset(opt);
   PrintBanner("Table 6: pruning-technique efficiency", opt, dataset);
 
-  core::EvaluatorPool pool(dataset, MakeEvaluatorConfig(opt),
-                           opt.num_threads);
+  core::EvaluatorPool pool(dataset, core::EvaluatorConfig{}, opt.num_threads);
 
   core::EvolutionConfig pruned_cfg = MakeEvolutionConfig(opt, 1);
   core::EvolutionConfig nofp_cfg = pruned_cfg;

@@ -35,8 +35,6 @@ BenchOptions BenchOptions::FromEnv() {
   opt.search_seconds = EnvDouble("AE_BENCH_TIME", opt.search_seconds);
   opt.rounds = EnvInt("AE_BENCH_ROUNDS", opt.rounds);
   opt.num_threads = std::max(1, EnvInt("AE_BENCH_THREADS", opt.num_threads));
-  opt.intra_threads =
-      std::max(1, EnvInt("AE_BENCH_INTRA_THREADS", opt.intra_threads));
   opt.pipeline_depth =
       std::max(0, EnvInt("AE_BENCH_PIPELINE", opt.pipeline_depth));
   opt.full = EnvInt("AE_BENCH_FULL", 0) != 0;
@@ -68,12 +66,6 @@ market::Dataset MakeBenchDataset(const BenchOptions& opt) {
     dc.valid_fraction = 0.20;
   }
   return market::Dataset::Simulate(mc, dc);
-}
-
-core::EvaluatorConfig MakeEvaluatorConfig(const BenchOptions& opt) {
-  core::EvaluatorConfig cfg;
-  cfg.executor.intra_candidate_threads = opt.intra_threads;
-  return cfg;
 }
 
 core::EvolutionConfig MakeEvolutionConfig(const BenchOptions& opt,
@@ -284,14 +276,14 @@ void PrintBanner(const char* title, const BenchOptions& opt,
   std::printf(
       "synthetic NASDAQ: %d tasks x %d days "
       "(%zu train / %zu valid / %zu test), market seed %llu, "
-      "%.1fs per search, %d thread%s, %d task shard%s%s\n\n",
+      "%.1fs per search, %d thread%s%s\n\n",
       dataset.num_tasks(), dataset.num_days(),
       dataset.dates(market::Split::kTrain).size(),
       dataset.dates(market::Split::kValid).size(),
       dataset.dates(market::Split::kTest).size(),
       static_cast<unsigned long long>(opt.market_seed), opt.search_seconds,
-      opt.num_threads, opt.num_threads == 1 ? "" : "s", opt.intra_threads,
-      opt.intra_threads == 1 ? "" : "s", opt.full ? " [FULL]" : "");
+      opt.num_threads, opt.num_threads == 1 ? "" : "s",
+      opt.full ? " [FULL]" : "");
 }
 
 std::string ResultsDir() {

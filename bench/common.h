@@ -25,7 +25,6 @@ namespace ga = alphaevolve::ga;
 ///   AE_BENCH_TIME     per-search wall budget, secs   (default 4)
 ///   AE_BENCH_ROUNDS   mining rounds                  (default 5)
 ///   AE_BENCH_THREADS  evaluation worker threads      (default 1)
-///   AE_BENCH_INTRA_THREADS  task shards per candidate execution (default 1)
 ///   AE_BENCH_PIPELINE evolution pipeline depth: in-flight evaluation
 ///                     batches overlapped with next-batch generation
 ///                     (default 1; 0 = lockstep; bit-identical at any
@@ -38,7 +37,6 @@ struct BenchOptions {
   double search_seconds = 5.0;
   int rounds = 5;
   int num_threads = 1;
-  int intra_threads = 1;
   int pipeline_depth = 1;
   bool full = false;
 
@@ -49,11 +47,6 @@ struct BenchOptions {
 /// strengths chosen so achievable ICs land in the paper's 0.01–0.07 band;
 /// see DESIGN.md "Substitutions").
 market::Dataset MakeBenchDataset(const BenchOptions& opt);
-
-/// Evaluator configuration with the bench's intra-candidate shard count
-/// (AE_BENCH_INTRA_THREADS) applied; pass to Evaluator/EvaluatorPool so
-/// each candidate's lockstep execution is task-sharded.
-core::EvaluatorConfig MakeEvaluatorConfig(const BenchOptions& opt);
 
 /// Evolution configuration matching the paper's §5.2 settings, with the
 /// bench time budget and the bench thread count (batch size auto-derived).

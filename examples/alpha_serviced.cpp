@@ -50,6 +50,7 @@
 namespace {
 
 using alphaevolve::service::AlphaService;
+using alphaevolve::service::ReadRequestLine;
 using alphaevolve::service::ServiceOptions;
 
 const char* ValueOf(const char* arg, const char* prefix) {
@@ -110,9 +111,10 @@ int main(int argc, char** argv) {
                    ? "in-memory"
                    : options.supervisor.checkpoint_dir.c_str());
 
-  // Reader loop: stdin lines in, stdout lines out. Responses arrive from op
-  // workers, so writes go through one mutex and flush per line (a consumer
-  // must never wait on a response stuck in a buffer).
+  // Reader loop: stdin lines in (each buffered up to the request cap; see
+  // ReadRequestLine), stdout lines out. Responses arrive from op workers, so
+  // writes go through one mutex and flush per line (a consumer must never
+  // wait on a response stuck in a buffer).
   std::mutex out_mu;
   auto respond = [&out_mu](const std::string& response) {
     std::lock_guard<std::mutex> lock(out_mu);
@@ -121,7 +123,7 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   };
   std::string line;
-  while (!service.drain_requested() && std::getline(std::cin, line)) {
+  while (!service.drain_requested() && ReadRequestLine(std::cin, &line)) {
     if (line.empty()) continue;
     service.Submit(line, respond);
   }

@@ -6,9 +6,8 @@
 // higher validation Sharpe ratio.
 //
 // Run: ./build/mine_alpha_set [rounds] [seconds_per_search] [num_threads]
-//                             [intra_candidate_threads] [json_out]
-//                             [pipeline_depth] [scenario_regimes]
-//                             [aggregation]
+//                             [json_out] [pipeline_depth]
+//                             [scenario_regimes] [aggregation]
 //
 // scenario_regimes > 0 switches fitness to stress-in-the-loop mining: every
 // candidate is scored across the first N standard scenario regimes (served
@@ -18,17 +17,15 @@
 // (turnover-penalized mean). scenario_regimes=0 (default) is exactly the
 // plain single-panel driver.
 //
-// num_threads evaluates candidates concurrently (inter-candidate);
-// intra_candidate_threads task-shards each candidate's lockstep execution
-// (intra-candidate). Both levels share one thread pool. json_out emits the
-// accepted alpha set (program text + metrics) and every round's per-search
-// SearchStats as a diffable JSON artifact — the mining-side counterpart of
-// stress_alpha_set's robustness report. pipeline_depth sets how many
-// evaluation batches each search keeps in flight while it generates the
-// next (default 1; 0 = lockstep, each batch committed before the next is
-// generated; any depth is bit-identical for candidate-bounded searches —
-// time-budgeted ones, like this example's, simply cover more candidates per
-// wall-second).
+// num_threads evaluates candidates concurrently, each candidate on one
+// thread. json_out emits the accepted alpha set (program text + metrics) and
+// every round's per-search SearchStats as a diffable JSON artifact — the
+// mining-side counterpart of stress_alpha_set's robustness report.
+// pipeline_depth sets how many evaluation batches each search keeps in
+// flight while it generates the next (default 1; 0 = lockstep, each batch
+// committed before the next is generated; any depth is bit-identical for
+// candidate-bounded searches — time-budgeted ones, like this example's,
+// simply cover more candidates per wall-second).
 //
 // Telemetry (position-independent, see telemetry_flags.h): --telemetry,
 // --metrics-out=PATH, --trace-out=PATH, --progress-every=SECS.
@@ -74,18 +71,16 @@ int main(int argc, char** argv) {
   const int rounds = argc > 1 ? std::atoi(argv[1]) : 3;
   const double seconds = argc > 2 ? std::atof(argv[2]) : 3.0;
   const int num_threads = std::max(1, argc > 3 ? std::atoi(argv[3]) : 1);
-  const int intra_threads = std::max(1, argc > 4 ? std::atoi(argv[4]) : 1);
-  const char* json_out = argc > 5 ? argv[5] : nullptr;
-  const int pipeline_depth = std::max(0, argc > 6 ? std::atoi(argv[6]) : 1);
-  const int scenario_regimes = std::max(0, argc > 7 ? std::atoi(argv[7]) : 0);
-  const char* aggregation_name = argc > 8 ? argv[8] : "worst";
+  const char* json_out = argc > 4 ? argv[4] : nullptr;
+  const int pipeline_depth = std::max(0, argc > 5 ? std::atoi(argv[5]) : 1);
+  const int scenario_regimes = std::max(0, argc > 6 ? std::atoi(argv[6]) : 0);
+  const char* aggregation_name = argc > 7 ? argv[7] : "worst";
 
   market::MarketConfig mc = market::MarketConfig::BenchScale();
   mc.num_stocks = 80;
   mc.num_days = 420;
   mc.seed = 9;
   core::EvaluatorConfig eval_config;
-  eval_config.executor.intra_candidate_threads = intra_threads;
   eval_config.eval_budget_seconds = ck.eval_budget;
 
   // Stress-in-the-loop mode: the scorer owns the base panel plus the
@@ -129,9 +124,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "mining %d rounds, %.1fs each, cutoff %.0f%%, %d thread(s), "
-      "%d task shard(s) per candidate, pipeline depth %d\n",
+      "pipeline depth %d\n",
       rounds, seconds, config.correlation_cutoff * 100, num_threads,
-      intra_threads, pipeline_depth);
+      pipeline_depth);
   if (scorer != nullptr) {
     std::printf(
         "scenario fitness: %d regime(s), %s aggregation, panels resident "

@@ -28,10 +28,9 @@ fi
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
-# 2 rounds (two concurrent searches each), 2 threads, 1 task shard per
-# candidate, pipeline depth 2, no stress suite; candidate-bounded with a
-# tight snapshot cadence.
-MINE_ARGS=(2 0 2 1)
+# 2 rounds (two concurrent searches each), 2 threads, pipeline depth 2, no
+# stress suite; candidate-bounded with a tight snapshot cadence.
+MINE_ARGS=(2 0 2)
 MINE_TAIL=(2 0 worst --max-candidates=300 --checkpoint-every=2)
 
 echo "== reference run (uninterrupted, checkpointed) =="

@@ -4,15 +4,9 @@
 # "<default_out> <benchmark_filter>" line per record — adding a bench to the
 # trajectory is a one-line append.
 #
-#   BENCH_2.json — executor-sharding throughput (BM_ExecutorSharded at
-#                  1/2/4/8 shard lanes from the bench's own pool, ~1000-task
-#                  universe; relation ops rank on the driving thread)
 #   BENCH_3.json — scenario-suite robustness fan-out (BM_RobustnessSuite at
 #                  1/2/4/8 threads over the overlay regime views:
 #                  scenarios/sec, speedup vs serial sweep)
-#   BENCH_4.json — per-segment shard barrier cost
-#                  (BM_ArenaBarrier/BM_PoolForBarrier: persistent arena vs
-#                  pool re-submission at 2/4/8 lanes)
 #   BENCH_5.json — async pipelined evolution driver (BM_EvolutionPipelined:
 #                  cands/sec at pipeline depths 0/1/2, speedup vs
 #                  lockstep depth 0; AE_BENCH_THREADS sets the
@@ -41,6 +35,10 @@
 #                  signals lookups / submit+cancel round trips against a
 #                  live AlphaService)
 #
+# BENCH_2.json (executor sharding) and BENCH_4.json (shard barriers) stay
+# committed as history; the executor no longer shards a candidate, so their
+# micro-benches are gone.
+#
 # Every record gets a top-level "machine" object (core count, CPU model,
 # AE_NATIVE on/off, hostname, and — from bench_micro's own context — the
 # detected and active kernel variant) so numbers from the 1-core dev box and
@@ -57,9 +55,7 @@ shift $(( $# > 0 ? 1 : 0 ))
 
 # The bench manifest: "<default_out> <benchmark_filter>".
 BENCHES=(
-  "BENCH_2.json BM_ExecutorSharded"
   "BENCH_3.json BM_RobustnessSuite"
-  "BENCH_4.json BM_ArenaBarrier|BM_PoolForBarrier"
   "BENCH_5.json BM_EvolutionPipelined"
   "BENCH_6.json BM_DispatchedMatMul"
   "BENCH_7.json BM_ScenarioFitness"

@@ -11,12 +11,8 @@
 
 namespace alphaevolve::core {
 
-Evaluator::Evaluator(const market::Dataset& dataset, EvaluatorConfig config,
-                     ThreadPool* intra_pool)
-    : dataset_(dataset),
-      config_(config),
-      intra_pool_(intra_pool),
-      executor_(dataset, config.executor, intra_pool) {}
+Evaluator::Evaluator(const market::Dataset& dataset, EvaluatorConfig config)
+    : dataset_(dataset), config_(config), executor_(dataset, config.executor) {}
 
 AlphaMetrics Evaluator::Evaluate(const AlphaProgram& program, uint64_t seed,
                                  bool include_test) {
@@ -64,7 +60,7 @@ uint64_t Evaluator::ProbeFingerprint(const AlphaProgram& program,
                                      uint64_t seed, int probe_train,
                                      int probe_valid) {
   if (!probe_executor_.has_value()) {
-    probe_executor_.emplace(dataset_, config_.executor, intra_pool_);
+    probe_executor_.emplace(dataset_, config_.executor);
   }
   ExecutionResult r = probe_executor_->Run(program, seed,
                                            /*include_test=*/false, probe_train,

@@ -9,7 +9,6 @@
 #include "core/program.h"
 #include "eval/portfolio.h"
 #include "market/dataset.h"
-#include "util/threadpool.h"
 
 namespace alphaevolve::core {
 
@@ -110,17 +109,11 @@ class CandidateScorer {
 /// evolutionary fitness, long-short portfolio returns and Sharpe for the
 /// weak-correlation cutoff and the paper's tables.
 ///
-/// Not thread-safe (owns one Executor); use one per thread. The executors'
-/// intra-candidate task sharding (config.executor.intra_candidate_threads)
-/// takes its helper lanes from the caller's re-entrant pool.
+/// Not thread-safe (owns its Executors); use one per thread. An evaluation
+/// runs on the calling thread and the evaluator never spawns threads.
 class Evaluator {
  public:
-  /// `intra_pool` supplies the helper shard lanes of both executors — an
-  /// EvaluatorPool passes its own pool here so every lease shares one set of
-  /// threads. It is required when intra_candidate_threads > 1 (CheckError
-  /// otherwise); the evaluator never spawns threads.
-  Evaluator(const market::Dataset& dataset, EvaluatorConfig config,
-            ThreadPool* intra_pool = nullptr);
+  Evaluator(const market::Dataset& dataset, EvaluatorConfig config);
 
   /// Full evaluation. `seed` drives any random-init ops deterministically
   /// (evolution passes the program fingerprint). When `include_test` is
@@ -143,7 +136,6 @@ class Evaluator {
  private:
   const market::Dataset& dataset_;
   EvaluatorConfig config_;
-  ThreadPool* intra_pool_;  ///< shard lanes of both executors (may be null)
   Executor executor_;
   std::optional<Executor> probe_executor_;  ///< built by ProbeFingerprint
 };

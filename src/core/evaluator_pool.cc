@@ -12,14 +12,7 @@ EvaluatorPool::EvaluatorPool(const market::Dataset& dataset,
                              EvaluatorConfig config, int num_threads)
     : dataset_(dataset), config_(config), num_threads_(num_threads) {
   AE_CHECK(num_threads >= 1);
-  // One pool serves both levels: batch workers (num_threads) and each
-  // lease's intra-candidate shards. Size it for whichever level wants more
-  // concurrency; ParallelFor's caller participation supplies the +1.
-  const int intra = std::max(1, config.executor.intra_candidate_threads);
-  const int pool_threads = std::max(num_threads, intra - 1);
-  if (pool_threads > 1 || intra > 1) {
-    thread_pool_ = std::make_unique<ThreadPool>(pool_threads);
-  }
+  if (num_threads > 1) thread_pool_ = std::make_unique<ThreadPool>(num_threads);
 }
 
 Evaluator* EvaluatorPool::Acquire() {
@@ -28,14 +21,12 @@ Evaluator* EvaluatorPool::Acquire() {
   AE_SPAN("pool.lease_acquire");
   std::lock_guard<std::mutex> lock(mu_);
   if (free_.empty()) {
-    // The lease shares the pool's own (re-entrant) threads for its
-    // intra-candidate sharding instead of spawning per-evaluator pools.
     if (obs::Enabled()) {
       static obs::Counter& created =
           obs::MetricsRegistry::Default().GetCounter("pool.evaluators_created");
       created.Add();
     }
-    evaluators_.emplace_back(dataset_, config_, thread_pool_.get());
+    evaluators_.emplace_back(dataset_, config_);
     return &evaluators_.back();
   }
   Evaluator* evaluator = free_.back();

@@ -21,17 +21,11 @@ namespace alphaevolve::core {
 /// lazily on first demand and reused afterwards, so concurrent searches
 /// sharing one pool never contend on executor scratch state.
 ///
-/// Two composable parallelism levels share the same threads: `num_threads`
-/// caps how many candidates are scored concurrently (inter-candidate), and
-/// `config.executor.intra_candidate_threads` shards each candidate's
-/// lockstep execution over task ranges (intra-candidate). Leased evaluators
-/// receive the pool's own re-entrant `ThreadPool` as the source of their
-/// shard lanes — a per-lease shared pool handle, not per-worker thread
-/// isolation — so the two levels never over-subscribe the machine.
-///
-/// With `num_threads == 1` and no intra-candidate sharding, no threads are
-/// spawned and every batched call runs inline on the caller — the serial
-/// path stays allocation- and synchronization-free in the hot loop.
+/// Parallelism has one level: `num_threads` caps how many candidates are
+/// scored concurrently, and each candidate runs on the one thread that
+/// leased its evaluator. With `num_threads == 1` no threads are spawned and
+/// every batched call runs inline on the caller — the serial path stays
+/// allocation- and synchronization-free in the hot loop.
 ///
 /// The evaluation watchdog rides the shared config: set
 /// `config.eval_budget_seconds > 0` and every leased evaluator abandons
@@ -49,8 +43,7 @@ class EvaluatorPool {
   const market::Dataset& dataset() const { return dataset_; }
   const EvaluatorConfig& config() const { return config_; }
 
-  /// The driving pool; nullptr when fully serial (num_threads == 1 and no
-  /// intra-candidate sharding configured).
+  /// The driving pool; nullptr when fully serial (num_threads == 1).
   ThreadPool* thread_pool() { return thread_pool_.get(); }
 
   /// RAII checkout of one evaluator (used by workers and by callers that

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <unordered_map>
 
 #include "core/pruning.h"
@@ -158,16 +157,12 @@ void Evolution::EvaluateCandidate(Evaluator& evaluator, Candidate& c) {
       evaluator.Evaluate(program, c.eval_seed, /*include_test=*/false);
   c.timed_out = metrics.timed_out;
   double fitness = metrics.valid ? metrics.ic_valid : kInvalidFitness;
-  if (metrics.valid && !accepted_valid_returns_.empty()) {
-    for (const auto& accepted : accepted_valid_returns_) {
-      const double corr = eval::PortfolioCorrelation(
-          metrics.valid_portfolio_returns, accepted);
-      if (std::abs(corr) > config_.correlation_cutoff) {
-        c.cutoff_discarded = true;
-        fitness = kInvalidFitness;
-        break;
-      }
-    }
+  if (metrics.valid &&
+      eval::BreaksCorrelationCutoff(metrics.valid_portfolio_returns,
+                                    accepted_valid_returns_,
+                                    config_.correlation_cutoff)) {
+    c.cutoff_discarded = true;
+    fitness = kInvalidFitness;
   }
   c.fitness = fitness;
   cache_->Insert(c.fingerprint, fitness);

@@ -215,8 +215,7 @@ class Evolution {
   /// above the cutoff with any of them are discarded (fitness = -1).
   /// If config.num_threads > 1, an internal EvaluatorPool over the
   /// evaluator's dataset provides the workers; otherwise every batch
-  /// evaluates inline on `evaluator` (which shards each candidate on its
-  /// own intra pool, if it was given one).
+  /// evaluates inline on `evaluator`.
   Evolution(Evaluator& evaluator, EvolutionConfig config,
             std::vector<std::vector<double>> accepted_valid_returns = {});
 

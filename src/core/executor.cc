@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
-#include <optional>
 
 #include "core/opcode.h"
 #include "obs/telemetry.h"
@@ -53,25 +52,7 @@ bool ContainsOp(const std::vector<Instruction>& instrs, Op op) {
 
 }  // namespace
 
-/// Parks a persistent worker arena on the pool for the duration of one Run:
-/// per-segment fan-out becomes an epoch bump on the arena barrier instead
-/// of re-submitting pool tasks. One helper per shard beyond the first; the
-/// driving thread is always a lane.
-struct RunArenaScope {
-  explicit RunArenaScope(Executor& e) : executor(e) {
-    if (e.num_shards_ > 1) {
-      arena.emplace(e.pool_, e.num_shards_ - 1);
-      e.arena_ = &*arena;
-    }
-  }
-  ~RunArenaScope() { executor.arena_ = nullptr; }
-
-  Executor& executor;
-  std::optional<ShardArena> arena;
-};
-
-Executor::Executor(const market::Dataset& dataset, ExecutorConfig config,
-                   ThreadPool* shared_pool)
+Executor::Executor(const market::Dataset& dataset, ExecutorConfig config)
     : dataset_(dataset),
       config_(config),
       num_tasks_(dataset.num_tasks()),
@@ -116,19 +97,8 @@ Executor::Executor(const market::Dataset& dataset, ExecutorConfig config,
         {members.data(), static_cast<int>(members.size())});
   }
 
-  // Shard schedule: ceil(tasks / lanes) contiguous tasks per shard, one
-  // shard per lane (the last may be short, and a tiny universe may fill
-  // fewer lanes). The helper lanes come from the caller's pool.
-  const int lanes = std::max(1, config_.intra_candidate_threads);
-  AE_CHECK_MSG(lanes == 1 || shared_pool != nullptr,
-               "intra_candidate_threads = "
-                   << lanes << " needs a ThreadPool for its helper lanes");
-  pool_ = shared_pool;
-  shard_size_ = std::max(1, (num_tasks_ + lanes - 1) / lanes);
-  num_shards_ = std::max(1, (num_tasks_ + shard_size_ - 1) / shard_size_);
-  // One n*n temp per shard: a shard works through its tasks sequentially,
-  // so tasks can share a slice while shards never do.
-  mat_scratch_.resize(static_cast<size_t>(num_shards_) * n_ * n_);
+  // One n*n temp: tasks run one at a time, so they all share it.
+  mat_scratch_.resize(static_cast<size_t>(n_) * n_);
 
   // Resolve the per-ISA kernel table once: config override, then the
   // AE_KERNEL_VARIANT environment variable, then CPUID/HWCAP detection.
@@ -144,28 +114,12 @@ void Executor::ZeroMemory(bool history) {
   hist_head_ = 0;
 }
 
-void Executor::ParallelForTasks(const std::function<void(int, int)>& fn) {
-  if (arena_ == nullptr) {  // one shard
-    fn(0, num_tasks_);
-    return;
-  }
-  arena_->ParallelFor(num_shards_, [&](int s) {
-    const int t0 = s * shard_size_;
-    fn(t0, std::min(num_tasks_, t0 + shard_size_));
-  });
-}
-
 void Executor::RefreshInputs(int date) {
-  ParallelForTasks([&](int t0, int t1) {
-    for (int k = t0; k < t1; ++k) {
-      dataset_.FillInputMatrix(k, date, Mat(k, kInputMatrix));
-    }
-  });
+  for (int k = 0; k < num_tasks_; ++k) {
+    dataset_.FillInputMatrix(k, date, Mat(k, kInputMatrix));
+  }
 }
 
-// RecordHistory and PredictionsFinite touch a handful of doubles per task;
-// a shard barrier costs more than the whole loop, so they stay serial
-// (sharding them would be bit-identical anyway).
 void Executor::RecordHistory() {
   for (int k = 0; k < num_tasks_; ++k) {
     double* slot = history_.data() +
@@ -235,9 +189,6 @@ void Executor::DemeanGroup(const int* members, int count) {
 }
 
 void Executor::ExecRelationPlan(const RelationPlan& plan) {
-  // Group after group on the driving thread: gather the members' input
-  // scalar, rank or demean, scatter. Fanning the groups out over the shard
-  // lanes measured no faster (994 tasks, 4 lanes).
   for (const RelationGroup& group : *plan.groups) {
     for (int i = 0; i < group.size; ++i) {
       const int t = group.members[i];
@@ -256,9 +207,8 @@ void Executor::ExecRelationPlan(const RelationPlan& plan) {
 }
 
 void Executor::ExecFusedSegment(FusedSegment& segment, int refresh_date) {
-  // Draw ids are stamped serially on the driving thread, one per random-op
-  // *execution* — so (seed, draw id) never depends on how the segment's
-  // tasks are then sharded.
+  // Draw ids are stamped serially, one per random-op *execution*, so
+  // (seed, draw id) never depends on how the segment walks its tasks.
   for (const int idx : segment.random_ops) {
     segment.ops[static_cast<size_t>(idx)].draw_id = draw_counter_++;
   }
@@ -266,46 +216,44 @@ void Executor::ExecFusedSegment(FusedSegment& segment, int refresh_date) {
   // fill writes a whole matrix per task, so a segment carrying it counts
   // as n*n.
   const int block = AutoBlockSize(refresh_date >= 0 ? n_ * n_ : segment.widest);
-  ParallelForTasks([&](int t0, int t1) {
-    MicroCtx ctx;
-    ctx.scalars = scalars_.data();
-    ctx.vectors = vectors_.data();
-    ctx.matrices = matrices_.data();
-    ctx.history = history_.data();
-    ctx.scratch = Scratch(t0);
-    ctx.scalar_stride = static_cast<size_t>(num_scalars_);
-    ctx.vec_stride = static_cast<size_t>(num_vectors_) * n_;
-    ctx.mat_stride = static_cast<size_t>(num_matrices_) * n_ * n_;
-    ctx.hist_stride = static_cast<size_t>(kHistoryCap) * num_scalars_;
-    ctx.num_scalars = num_scalars_;
-    ctx.hist_cap = kHistoryCap;
-    ctx.hist_size = hist_size_;
-    ctx.hist_head = hist_head_;
-    ctx.n = n_;
-    ctx.run_seed = run_seed_;
-    ctx.feature_rows = feature_rows_.data();
-    ctx.day_stride = dataset_.day_stride();
-    ctx.date0 = window_start_;
-    // Block-at-a-time: a cache-resident block of tasks runs the whole
-    // segment before the next block is touched. A fused input refresh fills
-    // the block's m0 matrices right before the segment consumes them —
-    // still warm — instead of a separate whole-universe sweep per date.
-    // The fill is fetched from the dispatched kernel table like every other
-    // fused kernel (a pure float→double widening copy of
-    // Dataset::FillInputMatrix, bitwise exact on any variant).
-    const size_t first_col =
-        static_cast<size_t>(refresh_date - n_ + 1) * ctx.day_stride;
-    for (int b0 = t0; b0 < t1; b0 += block) {
-      const int b1 = std::min(t1, b0 + block);
-      if (refresh_date >= 0) {
-        for (int k = b0; k < b1; ++k) {
-          ktable_->fill_input(feature_rows_[static_cast<size_t>(k)] + first_col,
-                              ctx.day_stride, n_, Mat(k, kInputMatrix));
-        }
+  MicroCtx ctx;
+  ctx.scalars = scalars_.data();
+  ctx.vectors = vectors_.data();
+  ctx.matrices = matrices_.data();
+  ctx.history = history_.data();
+  ctx.scratch = mat_scratch_.data();
+  ctx.scalar_stride = static_cast<size_t>(num_scalars_);
+  ctx.vec_stride = static_cast<size_t>(num_vectors_) * n_;
+  ctx.mat_stride = static_cast<size_t>(num_matrices_) * n_ * n_;
+  ctx.hist_stride = static_cast<size_t>(kHistoryCap) * num_scalars_;
+  ctx.num_scalars = num_scalars_;
+  ctx.hist_cap = kHistoryCap;
+  ctx.hist_size = hist_size_;
+  ctx.hist_head = hist_head_;
+  ctx.n = n_;
+  ctx.run_seed = run_seed_;
+  ctx.feature_rows = feature_rows_.data();
+  ctx.day_stride = dataset_.day_stride();
+  ctx.date0 = window_start_;
+  // Block-at-a-time: a cache-resident block of tasks runs the whole
+  // segment before the next block is touched. A fused input refresh fills
+  // the block's m0 matrices right before the segment consumes them —
+  // still warm — instead of a separate whole-universe sweep per date.
+  // The fill is fetched from the dispatched kernel table like every other
+  // fused kernel (a pure float→double widening copy of
+  // Dataset::FillInputMatrix, bitwise exact on any variant).
+  const size_t first_col =
+      static_cast<size_t>(refresh_date - n_ + 1) * ctx.day_stride;
+  for (int b0 = 0; b0 < num_tasks_; b0 += block) {
+    const int b1 = std::min(num_tasks_, b0 + block);
+    if (refresh_date >= 0) {
+      for (int k = b0; k < b1; ++k) {
+        ktable_->fill_input(feature_rows_[static_cast<size_t>(k)] + first_col,
+                            ctx.day_stride, n_, Mat(k, kInputMatrix));
       }
-      for (const MicroOp& op : segment.ops) op.fn(ctx, op, b0, b1);
     }
-  });
+    for (const MicroOp& op : segment.ops) op.fn(ctx, op, b0, b1);
+  }
 }
 
 void Executor::ExecCompiled(CompiledComponent& compiled, int refresh_date) {
@@ -368,9 +316,7 @@ ExecutionResult Executor::Run(const AlphaProgram& program, uint64_t seed,
   if (!tape) counters.input_matrix_runs.Add();
   if (history) counters.history_runs.Add();
 
-  // Persistent shard workers for this Run (no-op when serial), and the
-  // once-per-Run lowering that the date loop amortizes.
-  RunArenaScope arena_scope(*this);
+  // The once-per-Run lowering that the date loop amortizes.
   CompileComponent(program.setup, n_, kHistoryCap, *ktable_, rel_groups_,
                    /*tape_extraction=*/false, &compiled_[0]);
   CompileComponent(program.predict, n_, kHistoryCap, *ktable_, rel_groups_,

@@ -2,7 +2,6 @@
 #define ALPHAEVOLVE_CORE_EXECUTOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -11,7 +10,6 @@
 #include "core/program.h"
 #include "market/dataset.h"
 #include "util/rng.h"
-#include "util/threadpool.h"
 
 namespace alphaevolve::core {
 
@@ -22,14 +20,6 @@ inline constexpr int kHistoryCap = 16;
 struct ExecutorConfig {
   ProgramLimits limits;
   int train_epochs = 1;  ///< Paper §5.2: one epoch for fast evaluation.
-
-  /// Shard lanes for intra-candidate task sharding (1 = serial, the
-  /// default): the tasks split into ceil(tasks / lanes) contiguous shards,
-  /// one per lane, and element-wise segments run over them in parallel.
-  /// Results are bit-identical at every lane count. The helper lanes come
-  /// from the ThreadPool passed to the Executor; more than one lane without
-  /// a pool is a CheckError at construction.
-  int intra_candidate_threads = 1;
 
   /// Which per-ISA kernel variant the executor fetches its micro-op and
   /// dense kernels from: "scalar", "avx2", "avx512", "neon", or "auto".
@@ -81,19 +71,15 @@ struct ExecutionResult {
 /// bit-identical to refreshing m0 every date. The executor.runs /
 /// executor.input_matrix_runs counters record the split.
 ///
-/// Intra-candidate parallelism: with `intra_candidate_threads > 1` the
-/// lockstep loop is *task-sharded*. Components are split into segments of
-/// element-wise instructions (which touch only their own task's memory)
-/// separated by RelationOps; each segment runs over ceil(tasks / lanes)-task
-/// shards with one barrier per segment, while a RelationOp ranks or demeans
-/// its sector/industry groups in order on the driving thread (gather →
-/// per-group rank/demean → scatter). Random-init ops draw from a
-/// counter-based stream (`CounterRng`) keyed by (run seed, serial draw id,
-/// task, element), so results are deterministic in the seed and invariant
-/// to the lane count.
+/// Segments: components are split into segments of element-wise
+/// instructions (which touch only their own task's memory) separated by
+/// RelationOps; a RelationOp ranks or demeans its sector/industry groups in
+/// order (gather → per-group rank/demean → scatter). Random-init ops draw
+/// from a counter-based stream (`CounterRng`) keyed by (run seed, serial
+/// draw id, task, element), so results are deterministic in the seed.
 ///
 /// Kernel path: each component is lowered once per Run into fused micro-op
-/// segments (core/fused.h) that a shard executes block-at-a-time, in blocks
+/// segments (core/fused.h) that run over all tasks block-at-a-time, in blocks
 /// sized per segment from its widest operand, fetching every kernel —
 /// element-wise, matmul/matvec/transpose, the fused input refresh — from
 /// the per-ISA kernel table resolved at construction (core/dispatch.h).
@@ -104,24 +90,14 @@ struct ExecutionResult {
 /// serial, instruction-at-a-time semantics that tests/reference_executor.h
 /// keeps as the oracle. A new op needs a fused lowering and a case there.
 ///
-/// Shard workers: a parallel Run parks a `ShardArena` of persistent helpers
-/// on the caller's pool for its whole duration — per-segment fan-out is
-/// then one epoch bump on the arena's barrier instead of re-submitting pool
-/// tasks (BM_ArenaBarrier vs BM_PoolForBarrier, recorded in BENCH_4).
-///
-/// Not thread-safe across Run calls: one Executor per driving thread
-/// (scratch state is reused across Run calls to avoid per-candidate
-/// allocation). The sharding may share a re-entrant ThreadPool with other
-/// executors.
+/// Single-threaded: a Run executes on the calling thread and the executor
+/// never spawns threads; parallelism lives one level up, across candidates
+/// (EvaluatorPool). Not thread-safe across Run calls: one Executor per
+/// driving thread (scratch state is reused across Run calls to avoid
+/// per-candidate allocation).
 class Executor {
  public:
-  /// `shared_pool` provides the helper shard lanes — e.g. the
-  /// EvaluatorPool's own pool, so batch-level and shard-level parallelism
-  /// share one set of threads; the driving thread is always one lane. It is
-  /// required when `config.intra_candidate_threads > 1` (CheckError
-  /// otherwise) and unused at one lane. The executor never spawns threads.
-  Executor(const market::Dataset& dataset, ExecutorConfig config,
-           ThreadPool* shared_pool = nullptr);
+  Executor(const market::Dataset& dataset, ExecutorConfig config);
 
   /// Runs the program. `seed` drives the random-init ops; the evaluator
   /// seeds it from the program fingerprint so results are reproducible and
@@ -142,8 +118,6 @@ class Executor {
 
   int num_tasks() const { return num_tasks_; }
   int n() const { return n_; }
-  /// Number of task shards a parallel section fans out to (1 = serial).
-  int num_shards() const { return num_shards_; }
   /// The kernel variant resolved at construction.
   const char* kernel_variant_name() const { return ktable_->name; }
 
@@ -156,34 +130,21 @@ class Executor {
     return matrices_.data() +
            (static_cast<size_t>(task) * num_matrices_ + i) * n_ * n_;
   }
-  /// Per-shard n*n scratch (matmul/transpose temporaries), addressed by the
-  /// shard-aligned range start `t0`: a shard processes its tasks one at a
-  /// time, so tasks within a shard can reuse one slice while concurrent
-  /// shards never touch each other's.
-  double* Scratch(int t0) {
-    return mat_scratch_.data() +
-           static_cast<size_t>(t0 / shard_size_) * n_ * n_;
-  }
-
   /// Zeroes task state for a new Run; the history ring only if `history`.
   void ZeroMemory(bool history);
-  /// Runs fn(task_begin, task_end) over all tasks: one round of the Run's
-  /// arena over the shards when parallel (one barrier), inline on the
-  /// caller when serial.
-  void ParallelForTasks(const std::function<void(int, int)>& fn);
   void RefreshInputs(int date);
   void RecordHistory();
-  /// Executes a relation op through its in-plan lowering on the driving
-  /// thread: group after group, gather the members' input scalar, rank or
-  /// demean, and scatter the result.
+  /// Executes a relation op through its in-plan lowering: group after
+  /// group, gather the members' input scalar, rank or demean, and scatter
+  /// the result.
   void ExecRelationPlan(const RelationPlan& plan);
   /// Rank/demean over one group's members, reading rel_in_ and writing
   /// rel_out_ at member indices only (RankGroup sorts in rel_order_).
   void RankGroup(const int* members, int count);
   void DemeanGroup(const int* members, int count);
-  /// Executes one compiled segment: stamps draw ids, then every shard walks
-  /// its tasks block-at-a-time through the whole micro-op list, in blocks
-  /// sized from the segment's widest operand (AutoBlockSize).
+  /// Executes one compiled segment: stamps draw ids, then walks all tasks
+  /// block-at-a-time through the whole micro-op list, in blocks sized from
+  /// the segment's widest operand (AutoBlockSize).
   /// `refresh_date >= 0` prepends the input-matrix fill for that date to
   /// each block — the per-date m0 refresh rides the segment's cache pass
   /// instead of sweeping task state separately (bit-identical: the fill
@@ -194,8 +155,8 @@ class Executor {
   /// Walks a compiled component in program order. `refresh_date >= 0`
   /// fuses RefreshInputs(date) into the first piece when it is an
   /// element-wise segment (the common predict shape), saving one full
-  /// barrier + task-state sweep per date; when the component starts with a
-  /// relation op (or is empty), the refresh runs standalone first.
+  /// task-state sweep per date; when the component starts with a relation
+  /// op (or is empty), the refresh runs standalone first.
   void ExecCompiled(CompiledComponent& compiled, int refresh_date = -1);
   /// True iff every task's s1 is finite.
   bool PredictionsFinite();
@@ -206,22 +167,14 @@ class Executor {
   int n_;  // feature/window dimension (f == w)
   int num_scalars_, num_vectors_, num_matrices_;
 
-  // Task sharding (fixed at construction; identical results at any setting).
-  ThreadPool* pool_ = nullptr;
-  int shard_size_ = 0;
-  int num_shards_ = 1;
-
   // Compiled plan. The compiled components are rebuilt at each Run from the
   // program (capacity reused); a block of tasks, sized per segment, stays
   // cache-hot across one whole segment. ktable_ is the per-ISA kernel table
   // resolved once at construction (core/dispatch.h); every variant is
-  // bit-identical. arena_ points at the Run-scoped worker arena while a
-  // parallel Run is in flight (see RunArenaScope in executor.cc).
+  // bit-identical.
   const KernelTable* ktable_ = nullptr;
   RelationGroupSets rel_groups_;
   CompiledComponent compiled_[kNumComponents];
-  ShardArena* arena_ = nullptr;
-  friend struct RunArenaScope;
 
   // Tape extraction: each task's day-0 feature row in the shared,
   // date-major PanelStorage (resolved once, through the view's row map; a
@@ -231,9 +184,9 @@ class Executor {
   std::vector<const float*> feature_rows_;
   int window_start_ = 0;
 
-  // Counter-based random-op state: draw ids are assigned serially on the
-  // driving thread (one per random-op execution), so the (seed, draw id,
-  // task, element) key never depends on scheduling.
+  // Counter-based random-op state: draw ids are assigned serially, one per
+  // random-op execution, so the (seed, draw id, task, element) key never
+  // depends on how a segment walks its tasks.
   uint64_t run_seed_ = 0;
   uint64_t draw_counter_ = 0;
 
@@ -241,7 +194,7 @@ class Executor {
   std::vector<double> scalars_;
   std::vector<double> vectors_;
   std::vector<double> matrices_;
-  std::vector<double> mat_scratch_;  // per-task n*n temp (see Scratch())
+  std::vector<double> mat_scratch_;  // one n*n temp, reused task by task
 
   // ts_rank history ring: [task][slot][scalar addr].
   std::vector<double> history_;

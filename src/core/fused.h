@@ -46,8 +46,8 @@ struct RelationGroupSets {
 };
 
 /// A relation op lowered into the compiled plan: the executor walks its
-/// groups in order on the driving thread, and for each one gathers the
-/// members' input scalar, ranks or demeans, and scatters the result.
+/// groups in order, and for each one gathers the members' input scalar,
+/// ranks or demeans, and scatters the result.
 struct RelationPlan {
   Op op = Op::kRank;
   int32_t in1 = 0;

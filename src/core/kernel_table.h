@@ -8,9 +8,9 @@ namespace alphaevolve::core {
 
 /// Everything a micro-op kernel needs to address one task's state: base
 /// pointers into the executor's task-major arrays plus per-task strides (in
-/// doubles). Built per shard per segment execution — `scratch` is the
-/// shard's private n×n temporary and the history fields advance every date
-/// (they are only read by kTsRank, whose programs record the ring).
+/// doubles). Built per segment execution — `scratch` is the executor's n×n
+/// temporary, reused task by task, and the history fields advance every
+/// date (they are only read by kTsRank, whose programs record the ring).
 struct MicroCtx {
   double* scalars = nullptr;
   double* vectors = nullptr;
@@ -51,9 +51,9 @@ using MicroKernelFn = void (*)(const MicroCtx&, const MicroOp&, int t0,
 /// from the vector array and `in2` from the scalar array, exactly like its
 /// reference-executor case). Immediates are copied and indices pre-clamped
 /// (extraction `% n`, ts-rank window), so the kernels branch only on data.
-/// `draw_id` is stamped serially by the driving thread before each
-/// execution of the enclosing segment (random ops only), keeping the
-/// (seed, draw id, task, element) CounterRng key schedule-independent.
+/// `draw_id` is stamped serially before each execution of the enclosing
+/// segment (random ops only), keeping the (seed, draw id, task, element)
+/// CounterRng key independent of how the segment walks its tasks.
 struct MicroOp {
   MicroKernelFn fn = nullptr;
   int32_t out = 0;

@@ -38,4 +38,13 @@ double PortfolioCorrelation(const std::vector<double>& returns_a,
   return PearsonCorrelation(returns_a, returns_b);
 }
 
+bool BreaksCorrelationCutoff(const std::vector<double>& returns,
+                             const std::vector<std::vector<double>>& accepted,
+                             double cutoff) {
+  for (const std::vector<double>& other : accepted) {
+    if (std::abs(PortfolioCorrelation(returns, other)) > cutoff) return true;
+  }
+  return false;
+}
+
 }  // namespace alphaevolve::eval

@@ -25,6 +25,14 @@ double SharpeRatio(const std::vector<double>& portfolio_returns);
 double PortfolioCorrelation(const std::vector<double>& returns_a,
                             const std::vector<double>& returns_b);
 
+/// The weak-correlation cutoff (paper §5.4.1): true iff `returns` correlates
+/// with some series of `accepted` beyond `cutoff` in absolute value
+/// (|corr| > cutoff, so a correlation of exactly the cutoff is kept). Scans
+/// `accepted` in order and stops at the first breach.
+bool BreaksCorrelationCutoff(const std::vector<double>& returns,
+                             const std::vector<std::vector<double>>& accepted,
+                             double cutoff);
+
 }  // namespace alphaevolve::eval
 
 #endif  // ALPHAEVOLVE_EVAL_METRICS_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 #include "eval/metrics.h"
 #include "util/check.h"
@@ -58,15 +57,10 @@ double GeneticAlgorithm::Score(const GpNode& tree,
   *valid_returns =
       eval::PortfolioReturns(dataset_, valid_dates, preds, config_.portfolio);
 
-  if (!accepted_valid_returns_.empty()) {
-    for (const auto& accepted : accepted_valid_returns_) {
-      const double corr =
-          eval::PortfolioCorrelation(*valid_returns, accepted);
-      if (std::abs(corr) > config_.correlation_cutoff) {
-        ++stats_.cutoff_discarded;
-        return -1.0;
-      }
-    }
+  if (eval::BreaksCorrelationCutoff(*valid_returns, accepted_valid_returns_,
+                                    config_.correlation_cutoff)) {
+    ++stats_.cutoff_discarded;
+    return -1.0;
   }
   return ic;
 }

@@ -14,11 +14,6 @@ RobustnessEvaluator::RobustnessEvaluator(ScenarioSuite suite,
       panels_(suite_, config_.dataset) {
   AE_CHECK(suite_.num_scenarios() >= 1);
   AE_CHECK(config_.num_threads >= 1);
-  // The (alpha, scenario) grid is this evaluator's parallelism axis;
-  // intra-candidate task sharding underneath it would spawn a nested
-  // ThreadPool per scenario pool and oversubscribe the machine, so it is
-  // forced off here (see RobustnessConfig).
-  config_.evaluator.executor.intra_candidate_threads = 1;
   if (config_.num_threads > 1) {
     // The caller participates in ParallelFor, so N-way fan-out needs N - 1
     // workers.

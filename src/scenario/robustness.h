@@ -16,9 +16,7 @@ namespace alphaevolve::scenario {
 
 /// Options of a robustness run.
 struct RobustnessConfig {
-  /// Executor + portfolio + costs. `executor.intra_candidate_threads` is
-  /// ignored (forced to 1): the (alpha, scenario) grid supplies the
-  /// parallelism, and per-cell sharding underneath it would oversubscribe.
+  /// Executor + portfolio + costs.
   core::EvaluatorConfig evaluator;
   market::DatasetConfig dataset;      ///< Split fractions of the panel.
   int num_threads = 1;                ///< Fan-out width over (alpha, scenario).

@@ -1,7 +1,6 @@
 #include "scenario/scenario_fitness.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "eval/metrics.h"
 #include "obs/trace.h"
@@ -43,14 +42,12 @@ ScenarioFitness::ScenarioFitness(const ScenarioSuite& suite,
                                  const core::EvaluatorConfig& eval_config,
                                  core::ScenarioFitnessOptions options)
     : options_(options), overlay_(suite, dc) {
-  // Regime evaluators shard nothing internally: one regime evaluation is
-  // the fan-out's unit of work, and leasing keeps concurrent Score calls
-  // on disjoint evaluators without any threads of these pools' own.
-  core::EvaluatorConfig regime_config = eval_config;
-  regime_config.executor.intra_candidate_threads = 1;
+  // One regime evaluation is the fan-out's unit of work; leasing keeps
+  // concurrent Score calls on disjoint evaluators without any threads of
+  // these pools' own.
   for (int i = 1; i < overlay_.num_panels(); ++i) {
     regime_pools_.push_back(std::make_unique<core::EvaluatorPool>(
-        overlay_.panel(i), regime_config, /*num_threads=*/1));
+        overlay_.panel(i), eval_config, /*num_threads=*/1));
   }
 }
 
@@ -73,14 +70,12 @@ core::ScoreOutcome ScenarioFitness::Score(
   }
 
   // Stage 2 — weak-correlation cutoff on the baseline validation returns.
-  for (const auto& accepted : accepted_valid_returns) {
-    const double corr = eval::PortfolioCorrelation(
-        out.baseline.valid_portfolio_returns, accepted);
-    if (std::abs(corr) > correlation_cutoff) {
-      out.cutoff_discarded = true;
-      if (obs::Enabled()) StageCounters::Get().cutoff_rejects.Add();
-      return out;
-    }
+  if (eval::BreaksCorrelationCutoff(out.baseline.valid_portfolio_returns,
+                                    accepted_valid_returns,
+                                    correlation_cutoff)) {
+    out.cutoff_discarded = true;
+    if (obs::Enabled()) StageCounters::Get().cutoff_rejects.Add();
+    return out;
   }
 
   const int regimes = num_regimes();

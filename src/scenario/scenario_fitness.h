@@ -42,10 +42,9 @@ namespace alphaevolve::scenario {
 class ScenarioFitness : public core::CandidateScorer {
  public:
   /// Simulates the base panel once (PanelOverlay) and prepares one
-  /// single-evaluator pool per non-baseline regime. Regime evaluators run
-  /// with intra-candidate sharding off — the fan-out itself is the
-  /// parallelism — and otherwise inherit `eval_config` (costs included:
-  /// kCostAdjusted wants net-aware evaluators).
+  /// single-evaluator pool per non-baseline regime. Regime evaluators
+  /// inherit `eval_config` (costs included: kCostAdjusted wants net-aware
+  /// evaluators).
   ScenarioFitness(const ScenarioSuite& suite, const market::DatasetConfig& dc,
                   const core::EvaluatorConfig& eval_config,
                   core::ScenarioFitnessOptions options);

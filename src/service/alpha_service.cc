@@ -196,6 +196,12 @@ void AlphaService::Drain() {
 
 void AlphaService::Submit(const std::string& line,
                           std::function<void(const std::string&)> respond) {
+  if (line.size() > kMaxRequestBytes) {
+    respond(ErrorResponse("", kErrInvalidArgument,
+                          "request line exceeds " +
+                              std::to_string(kMaxRequestBytes) + " bytes"));
+    return;
+  }
   std::string parse_error;
   std::optional<Request> req = ParseRequest(line, &parse_error);
   if (!req.has_value()) {

@@ -78,9 +78,10 @@ class AlphaService {
   AlphaService& operator=(const AlphaService&) = delete;
 
   /// Intake: parses `line`, answers health inline, admits everything else
-  /// to the op queue. `respond` is invoked exactly once with the response
-  /// line — possibly synchronously (rejections) or from an op worker.
-  /// Never blocks on queue capacity.
+  /// to the op queue. A line longer than kMaxRequestBytes is answered with
+  /// invalid_argument before parsing. `respond` is invoked exactly once
+  /// with the response line — possibly synchronously (rejections) or from
+  /// an op worker. Never blocks on queue capacity.
   void Submit(const std::string& line,
               std::function<void(const std::string&)> respond);
 

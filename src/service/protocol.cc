@@ -4,6 +4,20 @@
 
 namespace alphaevolve::service {
 
+bool ReadRequestLine(std::istream& in, std::string* line) {
+  line->clear();
+  std::streambuf* buf = in.rdbuf();
+  bool read_any = false;
+  for (int c = buf->sbumpc(); c != std::char_traits<char>::eof();
+       c = buf->sbumpc()) {
+    if (c == '\n') return true;
+    read_any = true;
+    if (line->size() <= kMaxRequestBytes) line->push_back(static_cast<char>(c));
+  }
+  in.setstate(std::ios::eofbit);
+  return read_any;
+}
+
 std::optional<Request> ParseRequest(const std::string& line,
                                     std::string* error) {
   JsonValue doc;

@@ -1,7 +1,9 @@
 #ifndef ALPHAEVOLVE_SERVICE_PROTOCOL_H_
 #define ALPHAEVOLVE_SERVICE_PROTOCOL_H_
 
+#include <cstddef>
 #include <functional>
+#include <istream>
 #include <optional>
 #include <string>
 
@@ -20,6 +22,17 @@ inline constexpr char kErrDeadlineExceeded[] = "deadline_exceeded";
 inline constexpr char kErrNotFound[] = "not_found";
 inline constexpr char kErrCancelled[] = "cancelled";
 inline constexpr char kErrInternal[] = "internal";
+
+/// Longest request line the service accepts, in bytes (newline excluded).
+/// A longer line is answered with invalid_argument and never parsed.
+inline constexpr size_t kMaxRequestBytes = size_t{1} << 20;
+
+/// Reads one '\n'-terminated request line from `in` into `*line` (newline
+/// stripped), buffering at most kMaxRequestBytes + 1 bytes — enough for
+/// AlphaService::Submit to see that the line is over the cap — and
+/// discarding the rest of the line, so one endless line cannot grow the
+/// reader's memory. Returns false at end of input with nothing read.
+bool ReadRequestLine(std::istream& in, std::string* line);
 
 /// One parsed protocol line:
 ///   {"op":"submit_search","id":"r1","deadline_ms":500,"params":{...}}

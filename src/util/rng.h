@@ -76,12 +76,12 @@ uint64_t Mix64(uint64_t z);
 /// (seed, stream, index), computed with a splitmix64-style finalizer. Unlike
 /// `Rng` there is no mutable stream to advance, so any number of threads can
 /// draw concurrently and the value at a given index never depends on which
-/// worker (or in which order) it was requested — the property the sharded
-/// executor needs to keep random-init ops bit-identical across thread counts
-/// and shard sizes.
+/// worker (or in which order) it was requested — the property that keeps
+/// the executor's random-init ops bit-identical to the reference executor
+/// however each walks its tasks.
 ///
 /// Typical use: one `CounterRng(seed, draw_id)` per random-op execution
-/// (`draw_id` assigned serially on the driving thread), indexed by the
+/// (`draw_id` assigned serially, one per execution), indexed by the
 /// flattened (task, element) position.
 class CounterRng {
  public:

@@ -14,9 +14,8 @@
 namespace alphaevolve {
 
 /// Fixed-size worker pool for coarse-grained parallelism (batched candidate
-/// evaluation, independent search rounds, grid-search cells, seed sweeps)
-/// and the source of every executor's helper shard lanes (ShardArena): no
-/// Executor or Evaluator spawns threads of its own. Tasks are plain
+/// evaluation, independent search rounds, grid-search cells, seed sweeps):
+/// no Executor or Evaluator spawns threads of its own. Tasks are plain
 /// `std::function<void()>`; exceptions escaping a task terminate the process
 /// (tasks are expected to handle their own errors). Completion is waited
 /// for through a TaskGroup (or ParallelFor, which joins through one).
@@ -41,13 +40,6 @@ class ThreadPool {
   /// Enqueues a task for execution. Safe to call from inside a task.
   void Submit(std::function<void()> task);
 
-  /// Enqueues a *long-lived* task (e.g. a ShardArena helper loop that parks
-  /// until its arena shuts down). Only the dedicated workers pick these up;
-  /// the queue-drain inside a waiting ParallelFor caller skips them, so a
-  /// thread that is merely helping out can never be captured for the
-  /// lifetime of a foreign construct.
-  void SubmitLongLived(std::function<void()> task);
-
   /// Number of worker threads.
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
@@ -57,9 +49,8 @@ class ThreadPool {
   /// call from inside a pool task (see class comment).
   void ParallelFor(int n, const std::function<void(int)>& fn);
 
-  /// Pops and runs one queued short-lived task on the calling thread;
-  /// returns false if none was available (long-lived tasks are left for the
-  /// dedicated workers). This is the "help instead of blocking" primitive
+  /// Pops and runs one queued task on the calling thread; returns false if
+  /// none was available. This is the "help instead of blocking" primitive
   /// behind TaskGroup::WaitUntil (and so behind ParallelFor's join): work
   /// submitted by a thread that then waits can never deadlock behind a full
   /// pool.
@@ -69,8 +60,7 @@ class ThreadPool {
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;             ///< short-lived tasks
-  std::deque<std::function<void()>> long_lived_queue_;  ///< see SubmitLongLived
+  std::deque<std::function<void()>> queue_;
   std::mutex mu_;
   std::condition_variable cv_task_;
   bool shutdown_ = false;
@@ -81,9 +71,8 @@ class ThreadPool {
 /// asynchronous evaluation batches (EvaluatorPool::ForEachAsync) and
 /// ScenarioFitness's regime fan-out, and the only completion wait on a
 /// pool. A TaskGroup scopes waiting to its own submissions — never to other
-/// work on the pool, such as parked arena helpers — and supports waiting on
-/// arbitrary intermediate conditions ("this one candidate's fitness
-/// landed"), not just full drain.
+/// work on the pool — and supports waiting on arbitrary intermediate
+/// conditions ("this one candidate's fitness landed"), not just full drain.
 ///
 /// Waiting helps: while a condition is unmet, the waiter drains queued pool
 /// tasks (ThreadPool::TryRunOneTask) instead of parking, so a group whose
@@ -185,56 +174,6 @@ class TaskGroup {
   ThreadPool* pool_;
   std::shared_ptr<State> state_;
   int64_t submitted_ = 0;  ///< submitter thread only
-};
-
-/// Persistent worker arena for a run of many small parallel rounds (the
-/// executor's per-segment fan-out). `ThreadPool::ParallelFor` pays queue
-/// traffic — submit N closures, wake workers, tear the round down — on every
-/// call; an arena instead parks `max_helpers` long-lived helper loops on a
-/// lightweight epoch barrier once, and each `ParallelFor` round is then just
-/// an epoch bump: helpers spin briefly (catching back-to-back rounds without
-/// a syscall), fall back to a condvar, and pull indices from a shared atomic
-/// counter.
-///
-/// Helpers are *optional*: they are plain pool tasks and may start late (or
-/// never, if the pool is saturated). The driving thread always participates
-/// and completes a round alone if it must, so arenas sharing a pool with
-/// other work — or with other arenas — cannot deadlock; a missing helper
-/// only costs parallelism. A claimed round index carries the round's epoch
-/// tag, so a helper that oversleeps a round can never execute stale work.
-///
-/// Single-driver: only the constructing thread may call ParallelFor, and
-/// rounds never overlap. Destroying the arena releases the helpers back to
-/// their pool (without blocking on them).
-class ShardArena {
- public:
-  /// Parks up to `max_helpers` helper loops from `pool` (capped at
-  /// pool->num_threads()). `pool == nullptr` or `max_helpers <= 0` is valid:
-  /// every round then runs inline on the caller.
-  ShardArena(ThreadPool* pool, int max_helpers);
-
-  /// Signals the helpers to leave; does not wait for them (they hold the
-  /// shared round state alive until they exit).
-  ~ShardArena();
-
-  ShardArena(const ShardArena&) = delete;
-  ShardArena& operator=(const ShardArena&) = delete;
-
-  /// Runs fn(i) for i in [0, n) across the caller + any parked helpers and
-  /// returns once all n calls completed. Must be called from the
-  /// constructing thread only.
-  void ParallelFor(int n, const std::function<void(int)>& fn);
-
-  /// Helper loops submitted at construction (an upper bound on concurrency;
-  /// the caller always participates as one extra lane).
-  int num_helpers() const { return num_helpers_; }
-
- private:
-  struct State;
-  static void HelperLoop(const std::shared_ptr<State>& state);
-
-  std::shared_ptr<State> state_;
-  int num_helpers_ = 0;
 };
 
 }  // namespace alphaevolve

@@ -111,6 +111,78 @@ TEST(MetricsTest, InformationCoefficientConstantPredictionIsZero) {
   EXPECT_DOUBLE_EQ(InformationCoefficient(ds, dates, preds), 0.0);
 }
 
+TEST(MetricsTest, InformationCoefficientMatchesHandDerivedDates) {
+  // Each stock's close alternates between 64 on even days and 64 (1 + r_k)
+  // on odd days, so its label (next-day return) on every even day is
+  // exactly r_k. Four even dates, one prediction shape each.
+  const std::vector<double> r = {0.25, -0.125, 0.5, 0.0625, -0.25, 0.125};
+  const int n = static_cast<int>(r.size());
+  const auto ds = market::Dataset::Build(
+      testutil::MakePanel(
+          n, 90,
+          [&](int k, int t) { return t % 2 == 0 ? 64.0 : 64.0 * (1 + r[k]); },
+          [](int k) { return k % 2; }),
+      market::DatasetConfig{});
+  ASSERT_EQ(ds.num_tasks(), n);
+  std::vector<int> dates;
+  for (int date : ds.dates(market::Split::kTrain)) {
+    if (date % 2 == 0 && dates.size() < 4) dates.push_back(date);
+  }
+  ASSERT_EQ(dates.size(), 4u);
+  for (int date : dates) {
+    for (int k = 0; k < n; ++k) ASSERT_EQ(ds.Label(k, date), r[k]);
+  }
+
+  // Date 0 predicts the label (IC 1), date 1 its negation (-1), date 2 a
+  // constant (0), and date 3 the two-level prediction 1 for stocks
+  // {0, 2, 5} and -2 for {1, 3, 4}.
+  std::vector<double> negated;
+  for (double v : r) negated.push_back(-v);
+  const std::vector<std::vector<double>> preds = {
+      r, negated, std::vector<double>(r.size(), 0.5),
+      {1.0, -2.0, 1.0, -2.0, -2.0, 1.0}};
+  // A two-level prediction correlates with the label as the point-biserial
+  // r = (mean_high - mean_low) sqrt(n_high n_low) / (n sigma), with sigma
+  // the labels' population standard deviation.
+  const double mean_high = (r[0] + r[2] + r[5]) / 3;
+  const double mean_low = (r[1] + r[3] + r[4]) / 3;
+  double mean = 0.0;
+  for (double v : r) mean += v / n;
+  double var = 0.0;
+  for (double v : r) var += (v - mean) * (v - mean) / n;
+  const double point_biserial =
+      (mean_high - mean_low) * std::sqrt(3.0 * 3.0) / (n * std::sqrt(var));
+  EXPECT_NEAR(InformationCoefficient(ds, dates, preds),
+              (1.0 - 1.0 + 0.0 + point_biserial) / 4, 1e-12);
+}
+
+TEST(MetricsTest, CorrelationCutoffIsStrictAtItsBoundary) {
+  // Over zero-mean, orthogonal x and y of equal norm, the series
+  // rho x + sqrt(1 - rho^2) y correlates with x at exactly rho (up to
+  // rounding, far below the 1e-9 margins used here).
+  const std::vector<double> x = {1, -1, 1, -1, 1, -1, 1, -1};
+  const std::vector<double> y = {1, 1, -1, -1, 1, 1, -1, -1};
+  const auto with_corr = [&](double rho) {
+    std::vector<double> out;
+    for (size_t i = 0; i < x.size(); ++i) {
+      out.push_back(rho * x[i] + std::sqrt(1 - rho * rho) * y[i]);
+    }
+    EXPECT_NEAR(PortfolioCorrelation(x, out), rho, 1e-12);
+    return out;
+  };
+  const double cutoff = 0.15;
+  const std::vector<double> under = with_corr(cutoff - 1e-9);
+  const std::vector<double> over = with_corr(cutoff + 1e-9);
+  const std::vector<double> negative = with_corr(-cutoff - 1e-9);
+  EXPECT_FALSE(BreaksCorrelationCutoff(x, {under}, cutoff));
+  EXPECT_TRUE(BreaksCorrelationCutoff(x, {over}, cutoff));
+  EXPECT_TRUE(BreaksCorrelationCutoff(x, {negative}, cutoff));
+  // One breach anywhere in the accepted set discards; none keeps.
+  EXPECT_TRUE(BreaksCorrelationCutoff(x, {under, under, negative}, cutoff));
+  EXPECT_FALSE(BreaksCorrelationCutoff(x, {under, under}, cutoff));
+  EXPECT_FALSE(BreaksCorrelationCutoff(x, {}, cutoff));
+}
+
 TEST(MetricsTest, PortfolioCorrelationMatchesPearson) {
   const std::vector<double> a{0.01, -0.02, 0.03, 0.0};
   const std::vector<double> b{0.02, -0.04, 0.06, 0.0};

@@ -12,7 +12,6 @@
 #include "reference_executor.h"
 #include "test_util.h"
 #include "util/stats.h"
-#include "util/threadpool.h"
 
 namespace alphaevolve::core {
 namespace {
@@ -559,17 +558,11 @@ TEST_F(ExecutorTest, RelationOpsMatchHandComputedValues) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const AlphaProgram prog = program(c.relation);
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      ExecutorConfig cfg;
-      cfg.intra_candidate_threads = threads;
-      ThreadPool pool(3);
-      Executor exec(ds, cfg, &pool);
-      const ExecutionResult r = exec.Run(prog, 1);
-      ASSERT_TRUE(r.valid);
-      expect_rows(r.valid_preds, c.want);
-      expect_rows(r.test_preds, c.want);
-    }
+    Executor exec(ds, ExecutorConfig{});
+    const ExecutionResult r = exec.Run(prog, 1);
+    ASSERT_TRUE(r.valid);
+    expect_rows(r.valid_preds, c.want);
+    expect_rows(r.test_preds, c.want);
     SCOPED_TRACE("reference");
     testutil::ReferenceExecutor reference(ds);
     const testutil::ReferenceResult ref = reference.Run(prog, 1);

@@ -1,19 +1,15 @@
 // Bit-parity of the executor's fused plan against the serial reference
 // executor (reference_executor.h). The plan changes *scheduling only* —
-// lowering, block execution, persistent arena workers, in-plan relation
-// groups — never any per-task FP sequence, so every configuration below
-// must reproduce the reference's output bit-for-bit: across a program fuzz
-// (whatever the mutator emits), across {1, 2, 3, 4, 8} shard lanes (each
-// with ceil(tasks / lanes)-task shards, some with a short last shard),
-// across every per-segment block-size class on a view with
-// partial blocks, with CounterRng random-init ops, with relation ops
-// splitting segments, and on both input paths (extraction from the feature
-// tape, or the m0 fill). The reference's dense kernels are checked against
-// naive loops.
+// lowering, block execution, in-plan relation groups — never any per-task
+// FP sequence, so every configuration below must reproduce the reference's
+// output bit-for-bit: across a program fuzz (whatever the mutator emits),
+// across every compiled kernel variant, across every per-segment block-size
+// class on a view with partial blocks, with CounterRng random-init ops,
+// with relation ops splitting segments, and on both input paths
+// (extraction from the feature tape, or the m0 fill). The reference's dense
+// kernels are checked against naive loops.
 
-#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -31,7 +27,6 @@
 #include "obs/telemetry.h"
 #include "reference_executor.h"
 #include "util/rng.h"
-#include "util/threadpool.h"
 
 namespace alphaevolve::core {
 namespace {
@@ -314,8 +309,8 @@ bool FillsInputMatrix(Executor& executor, const AlphaProgram& prog,
 class FusedParityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // Several hundred tasks with real (uneven) sector/industry structure;
-    // the 8 lanes' shards leave a short last shard.
+    // Several hundred tasks with real (uneven) sector/industry structure,
+    // more than one 256-task block.
     market::MarketConfig mc = market::MarketConfig::BenchScale();
     mc.num_stocks = 300;
     mc.num_days = 120;
@@ -323,24 +318,17 @@ class FusedParityTest : public ::testing::Test {
     dataset_ = new market::Dataset(
         market::Dataset::Simulate(mc, market::DatasetConfig{}));
     ASSERT_GT(dataset_->num_tasks(), 257);
-    pool_ = new ThreadPool(7);  // the helper lanes of up to 8-lane executors
   }
   static void TearDownTestSuite() {
-    delete pool_;
-    pool_ = nullptr;
     delete dataset_;
     dataset_ = nullptr;
   }
 
-  static ExecutorConfig Fused(int lanes) {
+  /// An executor pinned to kernel variant `v`.
+  static Executor Pinned(const market::Dataset& data, KernelVariant v) {
     ExecutorConfig cfg;
-    cfg.intra_candidate_threads = lanes;
-    return cfg;
-  }
-
-  /// A fused executor drawing its helper lanes from the suite's pool.
-  static Executor Make(const market::Dataset& data, const ExecutorConfig& cfg) {
-    return Executor(data, cfg, pool_);
+    cfg.kernel_variant = KernelVariantName(v);
+    return Executor(data, cfg);
   }
 
   /// Every third task from 1: the rows a thin-universe Subset view keeps.
@@ -351,35 +339,23 @@ class FusedParityTest : public ::testing::Test {
   }
 
   static market::Dataset* dataset_;
-  static ThreadPool* pool_;
 };
 
 market::Dataset* FusedParityTest::dataset_ = nullptr;
-ThreadPool* FusedParityTest::pool_ = nullptr;
 
-TEST_F(FusedParityTest, ProgramFuzzAcrossLaneCounts) {
-  // The acceptance matrix: serial reference vs fused plan at
-  // {1, 2, 3, 4, 8} shard lanes, over mutated programs.
+TEST_F(FusedParityTest, ProgramFuzzMatchesReference) {
+  // The acceptance matrix: serial reference vs fused plan over mutated
+  // programs.
   Mutator mutator{MutatorConfig{}};
   Rng rng(7);
 
   ReferenceExecutor reference(*dataset_);
-  std::vector<std::pair<std::string, Executor>> fused;
-  fused.emplace_back("fused serial", Make(*dataset_, Fused(1)));
-  for (const int lanes : {2, 3, 4, 8}) {
-    fused.emplace_back("fused lanes=" + std::to_string(lanes),
-                       Make(*dataset_, Fused(lanes)));
-  }
-
+  Executor fused(*dataset_, ExecutorConfig{});
   AlphaProgram prog = MakeStressAlpha(dataset_->window());
   for (int i = 0; i < 12; ++i) {
     SCOPED_TRACE("mutation " + std::to_string(i));
     const uint64_t seed = 4000 + static_cast<uint64_t>(i);
-    const testutil::ReferenceResult expect = reference.Run(prog, seed);
-    for (auto& [name, executor] : fused) {
-      SCOPED_TRACE(name);
-      ExpectBitIdentical(executor.Run(prog, seed), expect);
-    }
+    ExpectBitIdentical(fused.Run(prog, seed), reference.Run(prog, seed));
     prog = mutator.Mutate(prog, rng);
   }
 }
@@ -387,7 +363,7 @@ TEST_F(FusedParityTest, ProgramFuzzAcrossLaneCounts) {
 TEST_F(FusedParityTest, CounterRngDrawsIdenticalAcrossPaths) {
   // A pure random program: the fused plan stamps serial draw ids on its
   // micro-ops, the reference on its instructions — the streams must line
-  // up draw for draw, at any thread count.
+  // up draw for draw.
   AlphaProgram prog;
   prog.setup.push_back(RandomInit(Op::kMatrixGaussian, 1, 0.0, 1.0));
   prog.predict.push_back(RandomInit(Op::kVectorUniform, 2, -1.0, 1.0));
@@ -400,12 +376,8 @@ TEST_F(FusedParityTest, CounterRngDrawsIdenticalAcrossPaths) {
   ReferenceExecutor reference(*dataset_);
   const testutil::ReferenceResult expect = reference.Run(prog, 99);
   ASSERT_TRUE(expect.valid);
-  for (const int lanes : {1, 8}) {
-    SCOPED_TRACE("lanes=" + std::to_string(lanes));
-    Executor fused = Make(*dataset_, Fused(lanes));
-    ExpectBitIdentical(fused.Run(prog, 99), expect);
-  }
-  Executor fused = Make(*dataset_, Fused(8));
+  Executor fused(*dataset_, ExecutorConfig{});
+  ExpectBitIdentical(fused.Run(prog, 99), expect);
   const ExecutionResult other_seed = fused.Run(prog, 100);
   ASSERT_TRUE(other_seed.valid);
   EXPECT_NE(other_seed.valid_preds, expect.valid_preds);
@@ -436,7 +408,7 @@ TEST_F(FusedParityTest, RelationBoundariesBetweenFusedSegments) {
   prog.update.push_back(I(Op::kNoOp, 0));
 
   ReferenceExecutor reference(*dataset_);
-  Executor fused = Make(*dataset_, Fused(4));
+  Executor fused(*dataset_, ExecutorConfig{});
   ExpectBitIdentical(fused.Run(prog, 11), reference.Run(prog, 11));
 }
 
@@ -458,14 +430,10 @@ TEST_F(FusedParityTest, FusedInputRefreshBitIdentical) {
       ReferenceExecutor reference(*data);
       const testutil::ReferenceResult expect = reference.Run(shape.program, 77);
       ASSERT_TRUE(expect.valid);
-      for (const int lanes : {1, 4}) {
-        SCOPED_TRACE("lanes=" + std::to_string(lanes));
-        Executor fused = Make(*data, Fused(lanes));
-        ExecutionResult got;
-        EXPECT_EQ(FillsInputMatrix(fused, shape.program, 77, &got),
-                  !shape.tape);
-        ExpectBitIdentical(got, expect);
-      }
+      Executor fused(*data, ExecutorConfig{});
+      ExecutionResult got;
+      EXPECT_EQ(FillsInputMatrix(fused, shape.program, 77, &got), !shape.tape);
+      ExpectBitIdentical(got, expect);
     }
   }
 }
@@ -474,23 +442,16 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
   // Every kernel variant that was both compiled in and is runnable on this
   // host must reproduce the reference bit-for-bit on the mutated corpus —
   // the SIMD variants vectorize only across independent output elements, so
-  // there is no tolerance, ever. Each variant runs at {1, 2, 3, 4, 8} shard
-  // lanes.
+  // there is no tolerance, ever.
   Mutator mutator{MutatorConfig{}};
   Rng rng(17);
 
   ReferenceExecutor reference(*dataset_);
   std::vector<std::pair<std::string, Executor>> forced;
   for (const KernelVariant v : RunnableKernelVariants()) {
-    const std::string vname = KernelVariantName(v);
-    for (const int lanes : {1, 2, 3, 4, 8}) {
-      ExecutorConfig cfg = Fused(lanes);
-      cfg.kernel_variant = vname;
-      forced.emplace_back(vname + " lanes=" + std::to_string(lanes),
-                          Make(*dataset_, cfg));
-    }
+    forced.emplace_back(KernelVariantName(v), Pinned(*dataset_, v));
   }
-  ASSERT_GE(forced.size(), 5u);  // scalar always compiles: 5 minimum
+  ASSERT_GE(forced.size(), 1u);  // scalar always compiles
 
   // MakeStressAlpha keeps all three relation ops in the corpus even when a
   // mutation step rewrites other instructions.
@@ -506,10 +467,9 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
     prog = mutator.Mutate(prog, rng);
   }
 
-  // One shape per auto block-size class through every variant at every
-  // lane count, on the full universe and on a view whose task
-  // count leaves a partial block in every class (not a multiple of 4, so
-  // of neither 52 nor 256).
+  // One shape per auto block-size class through every variant, on the full
+  // universe and on a view whose task count leaves a partial block in every
+  // class (not a multiple of 4, so of neither 52 nor 256).
   std::vector<int> keep;
   for (int k = 0; k < dataset_->num_tasks(); ++k) {
     if (k % 29 != 5) keep.push_back(k);
@@ -520,13 +480,7 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
   ReferenceExecutor uneven_reference(uneven);
   std::vector<std::pair<std::string, Executor>> uneven_forced;
   for (const KernelVariant v : RunnableKernelVariants()) {
-    for (const int lanes : {1, 2, 3, 4, 8}) {
-      ExecutorConfig cfg = Fused(lanes);
-      cfg.kernel_variant = KernelVariantName(v);
-      uneven_forced.emplace_back(std::string(KernelVariantName(v)) +
-                                     " lanes=" + std::to_string(lanes),
-                                 Make(uneven, cfg));
-    }
+    uneven_forced.emplace_back(KernelVariantName(v), Pinned(uneven, v));
   }
   for (const InputShape& shape : SegmentWidthShapes(dataset_->window())) {
     SCOPED_TRACE(shape.name);
@@ -567,9 +521,7 @@ TEST_F(FusedParityTest, KernelVariantParityFuzz) {
         thin_reference.Run(shape.program, 808);
     for (const KernelVariant v : RunnableKernelVariants()) {
       SCOPED_TRACE(std::string(KernelVariantName(v)) + " subset view");
-      ExecutorConfig cfg = Fused(4);
-      cfg.kernel_variant = KernelVariantName(v);
-      Executor thin_fused = Make(thin, cfg);
+      Executor thin_fused = Pinned(thin, v);
       ExpectBitIdentical(thin_fused.Run(shape.program, 808), thin_expect);
     }
   }
@@ -579,9 +531,9 @@ TEST_F(FusedParityTest, RelationInPlanMatchesReference) {
   // Relation-heavy shape: back-to-back relations, a relation opening the
   // predict component, and a trailing relation writing the prediction. The
   // in-plan lowering (gather -> rank/demean -> scatter per group, between
-  // sharded segments) must agree with the reference's serial whole-universe
-  // gather -> rank/demean -> scatter bit-for-bit at every lane count, for
-  // every runnable variant.
+  // fused segments) must agree with the reference's whole-universe
+  // gather -> rank/demean -> scatter bit-for-bit, for every runnable
+  // variant.
   AlphaProgram prog;
   prog.predict.push_back(I(Op::kRank, 3, kPredictionScalar));
   Instruction get;
@@ -603,14 +555,9 @@ TEST_F(FusedParityTest, RelationInPlanMatchesReference) {
   const testutil::ReferenceResult expect = reference.Run(prog, 23);
   ASSERT_TRUE(expect.valid);
   for (const KernelVariant v : RunnableKernelVariants()) {
-    for (const int lanes : {1, 8}) {
-      SCOPED_TRACE(std::string(KernelVariantName(v)) + " lanes=" +
-                   std::to_string(lanes));
-      ExecutorConfig cfg = Fused(lanes);
-      cfg.kernel_variant = KernelVariantName(v);
-      Executor fused = Make(*dataset_, cfg);
-      ExpectBitIdentical(fused.Run(prog, 23), expect);
-    }
+    SCOPED_TRACE(KernelVariantName(v));
+    Executor fused = Pinned(*dataset_, v);
+    ExpectBitIdentical(fused.Run(prog, 23), expect);
   }
 }
 
@@ -642,14 +589,9 @@ TEST_F(FusedParityTest, DenseOpsOnLiveOperandsMatchReference) {
   const testutil::ReferenceResult expect = reference.Run(prog, 71);
   ASSERT_TRUE(expect.valid);
   for (const KernelVariant v : RunnableKernelVariants()) {
-    for (const int lanes : {1, 4}) {
-      SCOPED_TRACE(std::string(KernelVariantName(v)) + " lanes=" +
-                   std::to_string(lanes));
-      ExecutorConfig cfg = Fused(lanes);
-      cfg.kernel_variant = KernelVariantName(v);
-      Executor fused = Make(*dataset_, cfg);
-      ExpectBitIdentical(fused.Run(prog, 71), expect);
-    }
+    SCOPED_TRACE(KernelVariantName(v));
+    Executor fused = Pinned(*dataset_, v);
+    ExpectBitIdentical(fused.Run(prog, 71), expect);
   }
 }
 
@@ -658,25 +600,10 @@ TEST_F(FusedParityTest, ScalarVariantIsDefaultTable) {
   // precedence over the env) must reproduce the auto-dispatched results
   // exactly — the variants differ in instruction selection, never in value.
   const AlphaProgram prog = MakeStressAlpha(dataset_->window());
-  ExecutorConfig scalar_cfg = Fused(4);
-  scalar_cfg.kernel_variant = "scalar";
-  Executor scalar_exec = Make(*dataset_, scalar_cfg);
+  Executor scalar_exec = Pinned(*dataset_, KernelVariant::kScalar);
   EXPECT_STREQ(scalar_exec.kernel_variant_name(), "scalar");
-  Executor auto_exec = Make(*dataset_, Fused(4));
+  Executor auto_exec(*dataset_, ExecutorConfig{});
   ExpectBitIdentical(scalar_exec.Run(prog, 63), auto_exec.Run(prog, 63));
-}
-
-TEST_F(FusedParityTest, EnvThreadCountCannotChangeResults) {
-  // CI runs ctest under AE_BENCH_THREADS=1 and =4; this turns that into a
-  // fused-vs-reference invariance check at the env-selected lane count.
-  int env_threads = 4;
-  if (const char* env = std::getenv("AE_BENCH_THREADS")) {
-    env_threads = std::max(1, std::atoi(env));
-  }
-  const AlphaProgram prog = MakeStressAlpha(dataset_->window());
-  ReferenceExecutor reference(*dataset_);
-  Executor fused = Make(*dataset_, Fused(env_threads));
-  ExpectBitIdentical(fused.Run(prog, 42), reference.Run(prog, 42));
 }
 
 // ---- the reference's blocked dense kernels vs naive loops -----------------

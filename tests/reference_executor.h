@@ -5,7 +5,7 @@
 // interpreter that runs one instruction at a time over every task. It is
 // the oracle core::Executor's fused plan must match bit for bit
 // (fused_parity_test, executor_test), so it shares none of the plan's
-// machinery: no lowering, kernel table, pool or arena. It keeps its own
+// machinery: no lowering, blocks or kernel table. It keeps its own
 // copies of the rank/demean arithmetic and of the three dense kernels, and
 // takes the plain route wherever the executor takes a shortcut:
 //  - m0 is refreshed through Dataset::FillInputMatrix before every predict,

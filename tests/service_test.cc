@@ -106,6 +106,25 @@ TEST(ProtocolTest, RejectsMalformedLinesWithoutThrowing) {
       ParseRequest(R"({"op":"health","params":[1]})", &err).has_value());
 }
 
+TEST(ProtocolTest, ReadRequestLineStopsBufferingAtTheCap) {
+  // A line three times the cap, then a normal request: the reader keeps one
+  // byte over the cap (so Submit rejects the line), drops the rest, and
+  // resumes at the next line.
+  const std::string endless(3 * kMaxRequestBytes, 'x');
+  std::istringstream in(endless + "\n" + R"({"op":"health"})" + "\n\nlast");
+  std::string line;
+  ASSERT_TRUE(ReadRequestLine(in, &line));
+  EXPECT_EQ(line.size(), kMaxRequestBytes + 1);
+  EXPECT_EQ(line, endless.substr(0, kMaxRequestBytes + 1));
+  ASSERT_TRUE(ReadRequestLine(in, &line));
+  EXPECT_EQ(line, R"({"op":"health"})");
+  ASSERT_TRUE(ReadRequestLine(in, &line));
+  EXPECT_EQ(line, "");
+  ASSERT_TRUE(ReadRequestLine(in, &line));  // unterminated last line
+  EXPECT_EQ(line, "last");
+  EXPECT_FALSE(ReadRequestLine(in, &line));
+}
+
 TEST(ProtocolTest, ResponsesCarryStructuredEnvelopes) {
   const JsonValue err =
       JsonValue::Parse(ErrorResponse("r9", kErrQueueFull, "try later"));
@@ -897,6 +916,25 @@ TEST_F(ServiceSearchTest, FullQueueRejectsWithStructuredError) {
   EXPECT_GE(full, 1); // and the overflow was told so, immediately
   // health answers inline even with the queue busy.
   Ok(service.Call(R"({"op":"health","id":"h"})"));
+}
+
+TEST_F(ServiceSearchTest, RequestLinesAreCappedBeforeParsing) {
+  // A health request padded with whitespace to exactly the cap is served;
+  // one byte more and the same request is refused unparsed.
+  AlphaService service(SmallService(dir_));
+  const std::string head = R"({"op":"health","id":"pad")";
+  const std::string at_cap =
+      head + std::string(kMaxRequestBytes - head.size() - 1, ' ') + "}";
+  ASSERT_EQ(at_cap.size(), kMaxRequestBytes);
+  EXPECT_EQ(Ok(service.Call(at_cap)).At("result").At("status").AsString(),
+            "ok");
+  const std::string over_cap = head + std::string(kMaxRequestBytes - head.size(),
+                                                  ' ') + "}";
+  ASSERT_EQ(over_cap.size(), kMaxRequestBytes + 1);
+  const std::string response = service.Call(over_cap);
+  EXPECT_EQ(ErrCode(response), std::string(kErrInvalidArgument));
+  EXPECT_NE(response.find(std::to_string(kMaxRequestBytes)), std::string::npos)
+      << response;
 }
 
 TEST_F(ServiceSearchTest, NumericParamsAreCheckedIntegers) {
