@@ -383,10 +383,11 @@ void BM_TelemetryOverhead(benchmark::State& state) {
   }
   const auto& ds = BenchDataset(64);
   core::EvaluatorPool pool(ds, core::EvaluatorConfig{}, threads);
-  core::EvolutionConfig cfg = MicroEvolutionConfig();
-  cfg.telemetry.enabled = mode >= 1;
-  cfg.telemetry.tracing = mode >= 2;
-  obs::Configure(cfg.telemetry);  // Run() only applies enabled configs
+  const core::EvolutionConfig cfg = MicroEvolutionConfig();
+  obs::TelemetryConfig telemetry;
+  telemetry.enabled = mode >= 1;
+  telemetry.tracing = mode >= 2;
+  obs::Configure(telemetry);
   const auto prog = core::MakeExpertAlpha(ds.window());
   int64_t candidates = 0;
   double seconds = 0.0;
@@ -775,18 +776,16 @@ BENCHMARK(BM_MarketSimulation)->Arg(64)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Custom main: stamps the kernel-variant context (detected by CPUID, active
-// after the AE_KERNEL_VARIANT override, compiled into this binary) into the
-// benchmark JSON so a committed BENCH record states which ISA produced it,
-// and registers the per-variant matmul benchmarks for exactly the variants
-// this host can run.
+// Custom main: stamps the kernel-variant context (detected by CPUID and
+// used by every executor, compiled into this binary) into the benchmark
+// JSON so a committed BENCH record states which ISA produced it, and
+// registers the per-variant matmul benchmarks for exactly the variants this
+// host can run.
 int main(int argc, char** argv) {
   namespace core = alphaevolve::core;
   benchmark::AddCustomContext(
       "ae_kernel_variant_detected",
       core::KernelVariantName(core::DetectKernelVariant()));
-  benchmark::AddCustomContext("ae_kernel_variant_active",
-                              core::ResolveKernelTable("").name);
   std::string compiled;
   for (const core::KernelVariant v : core::CompiledKernelVariants()) {
     if (!compiled.empty()) compiled += ",";

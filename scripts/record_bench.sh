@@ -109,11 +109,9 @@ doc["machine"] = {
 # (AddCustomContext); lift it next to the machine facts so one object says
 # what ISA actually ran.
 ctx = doc.get("context", {})
-for key in ("ae_kernel_variant_detected", "ae_kernel_variant_active",
-            "ae_kernel_variants_compiled"):
+for key in ("ae_kernel_variant_detected", "ae_kernel_variants_compiled"):
     if key in ctx:
         doc["machine"][key] = ctx[key]
-doc["machine"]["kernel_variant_env"] = os.environ.get("AE_KERNEL_VARIANT", "")
 with open(path, "w") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")

@@ -435,14 +435,7 @@ bool CheckpointWriter::WantCheckpoint(int64_t batches_committed) {
                          batches_committed % options_.every_batches == 0;
   const bool time_due =
       options_.every_seconds > 0 && since_last >= options_.every_seconds;
-  if (!batch_due && !time_due) return false;
-  // The throttle applies only to the batch cadence: a time-due snapshot by
-  // definition waited at least every_seconds already.
-  if (!time_due && options_.min_interval_seconds > 0 && wrote_any_ &&
-      since_last < options_.min_interval_seconds) {
-    return false;
-  }
-  return true;
+  return batch_due || time_due;
 }
 
 void CheckpointWriter::WriteCheckpoint(
@@ -544,7 +537,6 @@ bool CheckpointWriter::PublishBlobOnce(uint32_t kind,
   ++next_generation_;
   ++generations_written_;
   last_snapshot_bytes_ = image.size();
-  wrote_any_ = true;
   const auto now = std::chrono::steady_clock::now();
   last_write_seconds_ =
       std::chrono::duration<double>(now - epoch_).count();

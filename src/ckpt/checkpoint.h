@@ -87,9 +87,6 @@ struct WriterOptions {
   /// but every snapshot is committed-barrier state, so resuming from any of
   /// them is still bit-exact.
   double every_seconds = 0.0;
-  /// Throttle: never write two snapshots closer than this (<= 0 disables).
-  /// Protects tiny-batch configs from turning the writer into the hot loop.
-  double min_interval_seconds = 0.0;
   /// Retain the newest K generation files; older ones are unlinked after
   /// each successful publish (<= 0 keeps everything).
   int keep = 3;
@@ -127,7 +124,7 @@ class CheckpointWriter : public core::CheckpointSink {
   ~CheckpointWriter() override;
 
   /// core::CheckpointSink: due every `every_batches` commits or
-  /// `every_seconds` of wall-clock, throttled by `min_interval_seconds`.
+  /// `every_seconds` of wall-clock.
   bool WantCheckpoint(int64_t batches_committed) override;
   void WriteCheckpoint(const core::EvolutionCheckpoint& checkpoint) override;
 
@@ -173,7 +170,6 @@ class CheckpointWriter : public core::CheckpointSink {
   std::atomic<int64_t> publish_retries_{0};
   std::atomic<size_t> last_snapshot_bytes_{0};
   std::atomic<double> total_write_seconds_{0.0};
-  std::atomic<bool> wrote_any_{false};
   /// Seconds since construction of the last publish (read by WantCheckpoint
   /// on the driving thread, written by whichever thread publishes).
   std::atomic<double> last_write_seconds_{0.0};

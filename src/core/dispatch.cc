@@ -1,11 +1,5 @@
 #include "core/dispatch.h"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-
-#include "util/check.h"
-
 namespace alphaevolve::core {
 namespace {
 
@@ -42,16 +36,6 @@ bool HostSupports(KernelVariant v) {
   return false;
 }
 
-void WarnFallback(const char* requested, const char* reason) {
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    std::fprintf(stderr,
-                 "alphaevolve: kernel variant '%s' %s; falling back to "
-                 "'scalar' (bit-identical, slower)\n",
-                 requested, reason);
-  }
-}
-
 }  // namespace
 
 const char* KernelVariantName(KernelVariant v) {
@@ -63,17 +47,6 @@ const char* KernelVariantName(KernelVariant v) {
     case KernelVariant::kNumKernelVariants: break;
   }
   return "unknown";
-}
-
-bool ParseKernelVariant(std::string_view name, KernelVariant* out) {
-  for (int i = 0; i < kNumKernelVariants; ++i) {
-    const auto v = static_cast<KernelVariant>(i);
-    if (name == KernelVariantName(v)) {
-      *out = v;
-      return true;
-    }
-  }
-  return false;
 }
 
 const KernelTable* GetKernelTable(KernelVariant v) {
@@ -116,6 +89,10 @@ KernelVariant DetectKernelVariant() {
   return KernelVariant::kScalar;
 }
 
+const KernelTable& DetectedKernelTable() {
+  return *GetKernelTable(DetectKernelVariant());
+}
+
 std::vector<KernelVariant> CompiledKernelVariants() {
   std::vector<KernelVariant> out;
   for (int i = 0; i < kNumKernelVariants; ++i) {
@@ -132,29 +109,6 @@ std::vector<KernelVariant> RunnableKernelVariants() {
     if (GetKernelTable(v) != nullptr && HostSupports(v)) out.push_back(v);
   }
   return out;
-}
-
-const KernelTable& ResolveKernelTable(const std::string& requested) {
-  std::string name = requested;
-  if (name.empty()) {
-    if (const char* env = std::getenv("AE_KERNEL_VARIANT")) name = env;
-  }
-  if (name.empty() || name == "auto") {
-    return *GetKernelTable(DetectKernelVariant());
-  }
-  KernelVariant v;
-  AE_CHECK_MSG(ParseKernelVariant(name, &v),
-               "unknown kernel variant (want scalar/avx2/avx512/neon/auto)");
-  const KernelTable* table = GetKernelTable(v);
-  if (table == nullptr) {
-    WarnFallback(name.c_str(), "is not compiled into this binary");
-    return kernels_scalar::Table();
-  }
-  if (!HostSupports(v)) {
-    WarnFallback(name.c_str(), "is not supported by this CPU");
-    return kernels_scalar::Table();
-  }
-  return *table;
 }
 
 }  // namespace alphaevolve::core

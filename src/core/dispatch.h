@@ -1,8 +1,6 @@
 #ifndef ALPHAEVOLVE_CORE_DISPATCH_H_
 #define ALPHAEVOLVE_CORE_DISPATCH_H_
 
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/kernel_table.h"
@@ -10,27 +8,16 @@
 namespace alphaevolve::core {
 
 /// Runtime kernel-variant selection. The variant translation units
-/// (core/kernels_<variant>.cc) are compiled with per-file arch flags at
-/// configure time; this layer answers, once per Executor construction,
-/// "which of those may this machine run, and which did the user ask for?".
-///
-/// Resolution order (ResolveKernelTable):
-///   1. the explicit `requested` name (ExecutorConfig::kernel_variant);
-///   2. the AE_KERNEL_VARIANT environment variable;
-///   3. "auto": the fastest variant that is both compiled in and supported
-///      by this CPU (CPUID on x86, architectural on AArch64).
-/// A requested variant that is compiled out or unsupported by the hardware
-/// falls back to scalar with a one-time stderr warning (never a crash — a
-/// pinned CI matrix leg still runs, just on the reference kernels); an
-/// unrecognized name aborts loudly. Every variant is bit-identical, so the
-/// knob can never change results — only throughput.
+/// (core/kernels_<variant>.cc) are compiled with per-file arch flags
+/// whenever the target arch matches and the compiler accepts the flags;
+/// this layer answers "which of those may this machine run?". Executors and
+/// the nn kernels use the fastest one (DetectedKernelTable: CPUID on x86,
+/// architectural on AArch64). Every variant is bit-identical, so the pick
+/// can never change results — only throughput; the parity suites pass each
+/// runnable table to an Executor directly.
 
 /// Human-readable variant name ("scalar", "avx2", "avx512", "neon").
 const char* KernelVariantName(KernelVariant v);
-
-/// Parses a variant name (as accepted by AE_KERNEL_VARIANT). Returns false
-/// for unknown names; "auto" is not a variant — callers handle it first.
-bool ParseKernelVariant(std::string_view name, KernelVariant* out);
 
 /// The table for `v`, or nullptr when that variant was not compiled in.
 const KernelTable* GetKernelTable(KernelVariant v);
@@ -41,16 +28,15 @@ bool KernelVariantSupported(KernelVariant v);
 /// Best variant that is both compiled in and supported here (>= kScalar).
 KernelVariant DetectKernelVariant();
 
+/// The table of DetectKernelVariant(). Never null.
+const KernelTable& DetectedKernelTable();
+
 /// Variants compiled into this binary (always includes kScalar).
 std::vector<KernelVariant> CompiledKernelVariants();
 
 /// Variants this process can actually run: compiled in AND supported by
-/// the host CPU. What the parity fuzz suite iterates.
+/// the host CPU. What the parity suites iterate.
 std::vector<KernelVariant> RunnableKernelVariants();
-
-/// Resolves a table per the order documented above. `requested` empty means
-/// "defer to AE_KERNEL_VARIANT, then auto-detect". Never returns null.
-const KernelTable& ResolveKernelTable(const std::string& requested);
 
 }  // namespace alphaevolve::core
 

@@ -56,8 +56,11 @@ struct EvaluatorConfig {
 enum class ScenarioAggregation {
   kWorstCase,     ///< min over regimes of ic_valid — durable alphas only.
   kMean,          ///< mean over regimes of ic_valid.
-  kCostAdjusted,  ///< mean ic_valid − cost_penalty × mean valid turnover.
+  kCostAdjusted,  ///< mean ic_valid − kCostPenalty × mean valid turnover.
 };
+
+/// Penalty per unit of mean valid turnover under kCostAdjusted.
+inline constexpr double kCostPenalty = 0.1;
 
 /// Knobs of the staged scenario fitness; scenario::ScenarioFitness takes
 /// them in its constructor.
@@ -71,9 +74,6 @@ struct ScenarioFitnessOptions {
   double screen_min_ic = 0.0;
 
   ScenarioAggregation aggregation = ScenarioAggregation::kWorstCase;
-
-  /// Penalty per unit of mean valid turnover under kCostAdjusted.
-  double cost_penalty = 0.1;
 };
 
 /// What a CandidateScorer decided about one candidate.

@@ -6,6 +6,7 @@
 
 #include "core/pruning.h"
 #include "eval/metrics.h"
+#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/threadpool.h"
@@ -272,12 +273,6 @@ void Evolution::FinishResult(EvolutionResult& result,
 }
 
 EvolutionResult Evolution::Run(const AlphaProgram& init) {
-  // Only a config that turns something ON is applied globally: the common
-  // default-off config must not silence telemetry an embedding binary (or
-  // test) configured for the whole process.
-  if (config_.telemetry.enabled || config_.telemetry.tracing) {
-    obs::Configure(config_.telemetry);
-  }
   rng_ = Rng(config_.seed);
   // A shared cache belongs to all its sharers (it outlives any one run and
   // must keep earlier sharers' entries); only the per-run cache is reset.

@@ -15,7 +15,6 @@
 #include "core/fingerprint_cache.h"
 #include "core/mutator.h"
 #include "core/program.h"
-#include "obs/telemetry.h"
 
 namespace alphaevolve::core {
 
@@ -82,13 +81,6 @@ struct EvolutionConfig {
   /// help when generation cost per batch approaches evaluation cost
   /// (functional fingerprints, large programs).
   int pipeline_depth = 1;
-
-  /// Observability knobs. Run() applies them process-globally via
-  /// obs::Configure only when something is switched on, so the default-off
-  /// config never clobbers a state installed by the embedding binary.
-  /// Default off ⇒ every instrument site is a relaxed load + branch and
-  /// results are bit-identical to an uninstrumented build.
-  obs::TelemetryConfig telemetry;
 };
 
 /// Search counters. `candidates` = pruned_redundant + cache_hits + evaluated;
@@ -185,8 +177,7 @@ class CheckpointSink {
   /// Called once per batch commit with the committed-batch count. Returning
   /// true asks the driver to capture a snapshot at the next safe barrier,
   /// once its in-flight batches have drained (at depth 0, immediately). The
-  /// sink owns the cadence policy — every N batches, every N seconds,
-  /// throttled.
+  /// sink owns the cadence policy — every N batches or every N seconds.
   virtual bool WantCheckpoint(int64_t batches_committed) = 0;
   /// Receives the captured snapshot; the sink owns durability and is free
   /// to fail internally (a failed write must not stop the search).

@@ -52,15 +52,16 @@ bool ContainsOp(const std::vector<Instruction>& instrs, Op op) {
 
 }  // namespace
 
-Executor::Executor(const market::Dataset& dataset, ExecutorConfig config)
+Executor::Executor(const market::Dataset& dataset, ExecutorConfig config,
+                   const KernelTable& kernels)
     : dataset_(dataset),
       config_(config),
       num_tasks_(dataset.num_tasks()),
       n_(dataset.window()),
       num_scalars_(config.limits.num_scalars),
       num_vectors_(config.limits.num_vectors),
-      num_matrices_(config.limits.num_matrices) {
-  AE_CHECK(dataset.num_features() == dataset.window());
+      num_matrices_(config.limits.num_matrices),
+      ktable_(&kernels) {
   AE_CHECK(num_scalars_ > 1 && num_vectors_ > 0 && num_matrices_ > 0);
   scalars_.resize(static_cast<size_t>(num_tasks_) * num_scalars_);
   vectors_.resize(static_cast<size_t>(num_tasks_) * num_vectors_ * n_);
@@ -99,10 +100,6 @@ Executor::Executor(const market::Dataset& dataset, ExecutorConfig config)
 
   // One n*n temp: tasks run one at a time, so they all share it.
   mat_scratch_.resize(static_cast<size_t>(n_) * n_);
-
-  // Resolve the per-ISA kernel table once: config override, then the
-  // AE_KERNEL_VARIANT environment variable, then CPUID/HWCAP detection.
-  ktable_ = &ResolveKernelTable(config_.kernel_variant);
 }
 
 void Executor::ZeroMemory(bool history) {

@@ -2,7 +2,6 @@
 #define ALPHAEVOLVE_CORE_EXECUTOR_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/dispatch.h"
@@ -20,16 +19,6 @@ inline constexpr int kHistoryCap = 16;
 struct ExecutorConfig {
   ProgramLimits limits;
   int train_epochs = 1;  ///< Paper §5.2: one epoch for fast evaluation.
-
-  /// Which per-ISA kernel variant the executor fetches its micro-op and
-  /// dense kernels from: "scalar", "avx2", "avx512", "neon", or "auto".
-  /// Empty (the default) defers to the AE_KERNEL_VARIANT environment
-  /// variable, then to CPUID/HWCAP auto-detection. Every variant is
-  /// bit-identical (kernels vectorize only across independent output
-  /// elements); the knob exists for benchmarking and the parity fuzz suite.
-  /// A requested variant this build or machine cannot run falls back to
-  /// scalar with a warning (see core/dispatch.h).
-  std::string kernel_variant;
 };
 
 /// Output of one full run: predictions per evaluation date per task.
@@ -82,7 +71,7 @@ struct ExecutionResult {
 /// segments (core/fused.h) that run over all tasks block-at-a-time, in blocks
 /// sized per segment from its widest operand, fetching every kernel —
 /// element-wise, matmul/matvec/transpose, the fused input refresh — from
-/// the per-ISA kernel table resolved at construction (core/dispatch.h).
+/// the per-ISA kernel table given at construction (core/dispatch.h).
 /// Relation ops execute through their in-plan lowering: gather →
 /// rank/demean → scatter per group, group after group. Element-wise
 /// ops have no cross-task reductions, so neither fusion nor blocking can
@@ -97,7 +86,11 @@ struct ExecutionResult {
 /// per-candidate allocation).
 class Executor {
  public:
-  Executor(const market::Dataset& dataset, ExecutorConfig config);
+  /// `kernels` defaults to the fastest table this machine runs. Every
+  /// table is bit-identical (kernels vectorize only across independent
+  /// output elements); the parity suites pass each runnable one.
+  Executor(const market::Dataset& dataset, ExecutorConfig config,
+           const KernelTable& kernels = DetectedKernelTable());
 
   /// Runs the program. `seed` drives the random-init ops; the evaluator
   /// seeds it from the program fingerprint so results are reproducible and
@@ -118,8 +111,6 @@ class Executor {
 
   int num_tasks() const { return num_tasks_; }
   int n() const { return n_; }
-  /// The kernel variant resolved at construction.
-  const char* kernel_variant_name() const { return ktable_->name; }
 
  private:
   double* Scalars(int task) { return scalars_.data() + task * num_scalars_; }
@@ -170,9 +161,8 @@ class Executor {
   // Compiled plan. The compiled components are rebuilt at each Run from the
   // program (capacity reused); a block of tasks, sized per segment, stays
   // cache-hot across one whole segment. ktable_ is the per-ISA kernel table
-  // resolved once at construction (core/dispatch.h); every variant is
-  // bit-identical.
-  const KernelTable* ktable_ = nullptr;
+  // given at construction (core/dispatch.h); every variant is bit-identical.
+  const KernelTable* ktable_;
   RelationGroupSets rel_groups_;
   CompiledComponent compiled_[kNumComponents];
 

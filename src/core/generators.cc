@@ -95,29 +95,30 @@ AlphaProgram MakeExpertAlpha(int input_dim) {
 AlphaProgram MakeNeuralNetAlpha(int input_dim) {
   AE_CHECK(input_dim >= 2);
   const int last_day = input_dim - 1;
+  // Brace lists, not push_back: GCC 12's -Wstringop-overflow misreads the
+  // push_back reallocations here as an overflow.
   AlphaProgram prog;
   // Setup: m1 = W1, v1 = w2, s2 = learning rate.
-  prog.setup.push_back(MakeRandomInit(Op::kMatrixGaussian, 1, 0.0, 0.1));
-  prog.setup.push_back(MakeRandomInit(Op::kVectorGaussian, 1, 0.0, 0.1));
-  prog.setup.push_back(MakeConst(2, 0.01));
+  prog.setup = {MakeRandomInit(Op::kMatrixGaussian, 1, 0.0, 0.1),
+                MakeRandomInit(Op::kVectorGaussian, 1, 0.0, 0.1),
+                MakeConst(2, 0.01)};
   // Predict: v0 = x (today's features), v2 = W1·x, v3 = relu mask,
   // v4 = relu(v2), s1 = w2·v4.
-  prog.predict.push_back(MakeGetColumn(0, last_day));
-  prog.predict.push_back(Make(Op::kMatrixVectorProduct, 2, 1, 0));
-  prog.predict.push_back(Make(Op::kVectorHeaviside, 3, 2));
-  prog.predict.push_back(Make(Op::kVectorMul, 4, 2, 3));
-  prog.predict.push_back(Make(Op::kVectorDot, kPredictionScalar, 1, 4));
+  prog.predict = {MakeGetColumn(0, last_day),
+                  Make(Op::kMatrixVectorProduct, 2, 1, 0),
+                  Make(Op::kVectorHeaviside, 3, 2),
+                  Make(Op::kVectorMul, 4, 2, 3),
+                  Make(Op::kVectorDot, kPredictionScalar, 1, 4)};
   // Update: s3 = y - s1, s4 = lr*err, w2 += s4*v4,
   // backprop: v6 = s4*w2, v7 = v6 ⊙ mask, W1 += v7 ⊗ x.
-  prog.update.push_back(Make(Op::kScalarSub, 3, kLabelScalar,
-                             kPredictionScalar));
-  prog.update.push_back(Make(Op::kScalarMul, 4, 3, 2));
-  prog.update.push_back(Make(Op::kVectorScale, 5, 4, 4));  // v5 = s4 * v4
-  prog.update.push_back(Make(Op::kVectorAdd, 1, 1, 5));    // w2 update
-  prog.update.push_back(Make(Op::kVectorScale, 6, 1, 4));  // v6 = s4 * w2
-  prog.update.push_back(Make(Op::kVectorMul, 7, 6, 3));    // ⊙ relu mask
-  prog.update.push_back(Make(Op::kVectorOuter, 2, 7, 0));  // m2 = v7 ⊗ x
-  prog.update.push_back(Make(Op::kMatrixAdd, 1, 1, 2));    // W1 update
+  prog.update = {Make(Op::kScalarSub, 3, kLabelScalar, kPredictionScalar),
+                 Make(Op::kScalarMul, 4, 3, 2),
+                 Make(Op::kVectorScale, 5, 4, 4),   // v5 = s4 * v4
+                 Make(Op::kVectorAdd, 1, 1, 5),     // w2 update
+                 Make(Op::kVectorScale, 6, 1, 4),   // v6 = s4 * w2
+                 Make(Op::kVectorMul, 7, 6, 3),     // ⊙ relu mask
+                 Make(Op::kVectorOuter, 2, 7, 0),   // m2 = v7 ⊗ x
+                 Make(Op::kMatrixAdd, 1, 1, 2)};    // W1 update
   return prog;
 }
 

@@ -103,10 +103,11 @@ enum class MicroKernelId : int32_t {
 inline constexpr int kNumMicroKernels =
     static_cast<int>(MicroKernelId::kNumMicroKernels);
 
-/// The per-ISA kernel variants this build knows about. Which ones are
-/// actually compiled in is decided at configure time (per-file arch flags;
-/// see CMakeLists and core/dispatch.h) — `GetKernelTable` returns nullptr
-/// for the rest.
+/// The per-ISA kernel variants this build knows about. A variant is
+/// compiled in whenever the target arch matches and the compiler accepts
+/// its per-file arch flags (see CMakeLists and core/dispatch.h) —
+/// `GetKernelTable` returns nullptr for the rest. Executors use the widest
+/// one the CPU supports.
 enum class KernelVariant : int32_t {
   kScalar = 0,  ///< portable reference build, always compiled
   kAvx2,        ///< x86-64, -mavx2

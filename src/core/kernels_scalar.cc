@@ -4,5 +4,5 @@
 // fused-parity fuzz suite compares against.
 #define AE_KERNEL_NS kernels_scalar
 #define AE_KERNEL_NAME "scalar"
-#define AE_KERNEL_VARIANT_ENUM KernelVariant::kScalar
+#define AE_KERNEL_ENUM KernelVariant::kScalar
 #include "core/kernels_impl.inc"

@@ -30,15 +30,10 @@ namespace alphaevolve::eval {
 /// — i.e. 2×bps per day at full rotation, exactly bps per side.
 struct CostConfig {
   /// Cost per transaction side (each buy and each sell) in basis points of
-  /// traded notional. 0 disables the term: net returns are then the gross
-  /// returns, bit for bit.
+  /// traded notional: commission plus any linear market-impact slippage.
+  /// 0 disables the term: net returns are then the gross returns, bit for
+  /// bit.
   double per_side_bps = 0.0;
-
-  /// Market-impact slippage per side, in basis points of traded notional.
-  /// Modeled linearly, so it simply adds to `per_side_bps` in the turnover
-  /// term: a config with {per_side_bps=a, slippage_bps=b} nets bit-identical
-  /// to one with {per_side_bps=a+b}.
-  double slippage_bps = 0.0;
 
   /// Daily financing charge on the short book, in basis points of shorted
   /// notional per calendar day. The book shorts 0.5 of gross capital at all
@@ -48,12 +43,12 @@ struct CostConfig {
   double borrow_bps_per_day = 0.0;
 
   bool enabled() const {
-    return per_side_bps > 0.0 || slippage_bps > 0.0 || borrow_bps_per_day > 0.0;
+    return per_side_bps > 0.0 || borrow_bps_per_day > 0.0;
   }
 };
 
 /// Net daily returns:
-///   gross[d] − 2 * turnover[d] * (per_side_bps + slippage_bps) * 1e-4
+///   gross[d] − 2 * turnover[d] * per_side_bps * 1e-4
 ///            − 0.5 * borrow_bps_per_day * 1e-4.
 /// With a zero-cost config the gross series is returned unchanged.
 std::vector<double> ApplyCosts(const std::vector<double>& gross,

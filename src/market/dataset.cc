@@ -31,8 +31,6 @@ size_t PanelStorage::bytes() const {
 
 Dataset Dataset::Build(const std::vector<StockSeries>& panel,
                        const DatasetConfig& config) {
-  AE_CHECK_MSG(config.window == kNumFeatures,
-               "the input matrix X must be square (f == w == 13)");
   AE_CHECK_MSG(config.train_fraction > 0.0 && config.valid_fraction > 0.0 &&
                    config.train_fraction + config.valid_fraction < 1.0,
                "split fractions must be positive and leave room for a test "
@@ -47,7 +45,6 @@ Dataset Dataset::Build(const std::vector<StockSeries>& panel,
   }
 
   Dataset ds;
-  ds.window_ = config.window;
   ds.num_days_ = num_days;
 
   // Survivors first, so the date-major tape is allocated once at its final
@@ -126,7 +123,7 @@ Dataset Dataset::Build(const std::vector<StockSeries>& panel,
   ds.storage_ = std::move(storage);
 
   // Usable dates: full feature window available and a next-day label exists.
-  ds.first_usable_date_ = kFeatureWarmup - 1 + config.window - 1;
+  ds.first_usable_date_ = kFeatureWarmup - 1 + kNumFeatures - 1;
   const int last_usable_date = num_days - 2;
   AE_CHECK_MSG(ds.first_usable_date_ <= last_usable_date,
                "calendar too short for the feature window");
@@ -263,7 +260,7 @@ const std::vector<int>& Dataset::dates(Split split) const {
 }
 
 void Dataset::FillInputMatrix(int task, int date, double* out) const {
-  const int w = window_;
+  const int w = kNumFeatures;
   const size_t stride = day_stride();
   const float* col = FeatureRow(task, date - w + 1);
   for (int j = 0; j < w; ++j, col += stride) {

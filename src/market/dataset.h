@@ -21,7 +21,6 @@ enum class Split { kTrain, kValid, kTest };
 
 /// Dataset assembly options.
 struct DatasetConfig {
-  int window = 13;             ///< w; must equal kNumFeatures (13) so X is square.
   double train_fraction = 0.81;
   double valid_fraction = 0.095;
   double min_price = 1.0;      ///< Filter 2: drop stocks that ever trade below.
@@ -132,7 +131,9 @@ class Dataset {
 
   int num_tasks() const { return static_cast<int>(meta_.size()); }
   int num_features() const { return kNumFeatures; }
-  int window() const { return window_; }
+  /// w, the days of the input window: equal to kNumFeatures (13), so the
+  /// input matrix X is square.
+  int window() const { return kNumFeatures; }
 
   const StockMeta& task_meta(int task) const { return meta_[task]; }
 
@@ -211,7 +212,6 @@ class Dataset {
  private:
   size_t rows() const { return static_cast<size_t>(storage_->rows); }
 
-  int window_ = 13;
   int num_days_ = 0;
   int first_usable_date_ = 0;
   std::vector<StockMeta> meta_;

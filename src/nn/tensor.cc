@@ -11,10 +11,9 @@ namespace {
 // The float kernels ride the same dispatched variant tables as the executor
 // (core/kernels_impl.inc defines nn_matvec / nn_mattvec / nn_addouter with
 // these functions' exact accumulation contracts, so the variant choice can
-// never change a trained model's bits — only its throughput). Resolved once,
-// honoring AE_KERNEL_VARIANT.
+// never change a trained model's bits — only its throughput). Detected once.
 const core::KernelTable& Table() {
-  static const core::KernelTable& table = core::ResolveKernelTable("");
+  static const core::KernelTable& table = core::DetectedKernelTable();
   return table;
 }
 

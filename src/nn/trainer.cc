@@ -60,8 +60,7 @@ void Aggregate(const std::vector<TestScores>& test_scores,
 /// One shared pool per experiment: outer grid cells / seed sweeps and the
 /// per-batch forward fan-out inside each model draw from the same workers
 /// (ThreadPool::ParallelFor is re-entrant, so nesting cannot deadlock).
-int ExperimentThreads(const ExperimentOptions& options) {
-  if (options.threads > 0) return options.threads;
+int ExperimentThreads() {
   return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
@@ -71,7 +70,7 @@ ModelExperimentResult RunRankLstmExperiment(const market::Dataset& dataset,
                                             const ExperimentOptions& options) {
   ModelExperimentResult result;
   result.best_valid_ic = -2.0;
-  ThreadPool pool(ExperimentThreads(options));
+  ThreadPool pool(ExperimentThreads());
 
   // Grid search on the validation split (one fixed seed, as in the paper's
   // protocol of selecting hyper-parameters before the 5-seed report). Cells
@@ -131,7 +130,7 @@ ModelExperimentResult RunRsrExperiment(const market::Dataset& dataset,
                                        const ExperimentOptions& options) {
   ModelExperimentResult result;
   result.best_config = base;
-  ThreadPool pool(ExperimentThreads(options));
+  ThreadPool pool(ExperimentThreads());
   std::vector<TestScores> test_scores(static_cast<size_t>(options.num_seeds));
   std::vector<TestScores> valid_scores(static_cast<size_t>(options.num_seeds));
   pool.ParallelFor(options.num_seeds, [&](int seed) {

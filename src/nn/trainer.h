@@ -14,18 +14,16 @@ namespace alphaevolve::nn {
 /// (paper §5.2, Table 5): grid-search Rank_LSTM on the validation split,
 /// keep the winning hyper-parameters, then report mean ± std of the test
 /// metrics over `num_seeds` random seeds; RSR reuses the winning
-/// hyper-parameters.
+/// hyper-parameters. Grid cells, the seed sweep and the per-batch forward
+/// fan-out inside each model share one pool of hardware-concurrency
+/// workers; every cell is an independent deterministic computation, so the
+/// thread count can never change the reported numbers.
 struct ExperimentOptions {
   std::vector<int> seq_lens = {4, 8};
   std::vector<int> hiddens = {16, 32};
   std::vector<double> alphas = {0.1, 1.0};
   int epochs = 4;
   int num_seeds = 5;
-  /// Shared worker count for the grid cells / seed sweep and the per-batch
-  /// forward fan-out inside each model; <= 0 means hardware concurrency.
-  /// Every cell is an independent deterministic computation, so the thread
-  /// count can never change the reported numbers.
-  int threads = 0;
   eval::PortfolioConfig portfolio;
 
   /// The paper's full grid (§5.2) — 64 cells; heavy, opt-in.

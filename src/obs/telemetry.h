@@ -16,9 +16,9 @@ namespace alphaevolve::obs {
 /// Process-wide telemetry knobs. Everything defaults to OFF: with both flags
 /// false every instrumented hot path is a single relaxed atomic load plus a
 /// predictable branch, the search results are bit-identical to an
-/// uninstrumented build, and nothing is allocated. Plumbed through
-/// EvolutionConfig::telemetry and the example binaries' --trace-out /
-/// --metrics-out / --progress-every flags.
+/// uninstrumented build, and nothing is allocated. Set once per process
+/// through Configure (the example binaries' --trace-out / --metrics-out /
+/// --progress-every flags do this); the library itself never calls it.
 struct TelemetryConfig {
   /// Master switch for the metrics registry (counters/gauges/histograms).
   bool enabled = false;

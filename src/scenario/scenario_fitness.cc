@@ -146,7 +146,7 @@ core::ScoreOutcome ScenarioFitness::Score(
         ic_sum += m.ic_valid;
         turnover_sum += m.mean_turnover_valid;
       }
-      out.fitness = (ic_sum - options_.cost_penalty * turnover_sum) /
+      out.fitness = (ic_sum - core::kCostPenalty * turnover_sum) /
                     static_cast<double>(regimes);
       break;
     }

@@ -153,7 +153,6 @@ AlphaService::AlphaService(ServiceOptions options)
                     cfg.population_size = spec.population_size;
                     cfg.tournament_size = spec.tournament_size;
                     cfg.batch_size = spec.batch_size;
-                    cfg.pipeline_depth = options_.pipeline_depth;
                     // Checkpointing needs the per-run cache (see
                     // Evolution::UseCheckpointSink).
                     cfg.share_round_cache = false;
@@ -232,7 +231,6 @@ void AlphaService::Submit(const std::string& line,
                                     std::chrono::duration<double, std::milli>(
                                         deadline_ms));
   }
-  op.cancel = std::make_shared<std::atomic<bool>>(false);
 
   // TryPush never blocks: admission control is an immediate structured
   // answer, whatever the workers are doing.
@@ -290,12 +288,6 @@ void AlphaService::WorkerLoop() {
       if (obs::Enabled()) OpCounters::Get().deadline_exceeded.Add(1);
       op->respond(ErrorResponse(op->request.id, kErrDeadlineExceeded,
                                 "deadline expired during execution"));
-      continue;
-    }
-    if (op->cancel != nullptr &&
-        op->cancel->load(std::memory_order_acquire)) {
-      op->respond(ErrorResponse(op->request.id, kErrCancelled,
-                                "op cancelled before execution"));
       continue;
     }
     std::string response;
@@ -369,8 +361,13 @@ std::string AlphaService::OpSubmitSearch(const Request& req) {
   spec.tournament_size = static_cast<int>(tournament);
   spec.batch_size = static_cast<int>(batch);
   const std::string job = supervisor_.Submit(spec);
-  if (job.empty()) {
+  if (job.empty() && supervisor_.draining()) {
     return ErrorResponse(req.id, kErrDraining, "supervisor is draining");
+  }
+  if (job.empty()) {
+    return ErrorResponse(req.id, kErrQueueFull,
+                         std::to_string(kMaxActiveJobs) +
+                             " jobs pending or running, retry later");
   }
   return OkResponse(req.id, [&](JsonWriter& w) {
     w.Key("job").Value(job);

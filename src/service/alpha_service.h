@@ -30,7 +30,6 @@ struct ServiceOptions {
   int num_days = 220;
   uint64_t data_seed = 13;
   int eval_threads = 2;
-  int pipeline_depth = 1;  ///< EvolutionConfig::pipeline_depth per search
 
   /// Intake: bounded command queue + op worker threads. A full queue is a
   /// structured rejection at admission, never a blocked intake thread.
@@ -49,6 +48,7 @@ struct ServiceOptions {
 /// line-delimited JSON protocol (service/protocol.h):
 ///
 ///   submit_search  — queue a supervised evolution job; returns its id
+///                    (queue_full while kMaxActiveJobs are pending/running)
 ///   job_status     — one job's supervision state
 ///   job_result     — a DONE job's deterministic result (byte-stable across
 ///                    crash/resume chains: elapsed wall-clock is excluded)
@@ -65,9 +65,9 @@ struct ServiceOptions {
 ///   metrics        — metrics-registry snapshot (service.* included)
 ///   drain          — begin graceful shutdown
 ///
-/// Every queued op carries an absolute deadline and a cancellation token;
-/// an op picked up past its deadline is answered with a structured
-/// deadline_exceeded error, not silently executed late.
+/// Every queued op carries an absolute deadline; an op picked up past it is
+/// answered with a structured deadline_exceeded error, not silently
+/// executed late.
 class AlphaService {
  public:
   explicit AlphaService(ServiceOptions options);

@@ -170,6 +170,12 @@ void JobSupervisor::Start() {
 std::string JobSupervisor::Submit(const JobSpec& spec) {
   std::lock_guard<std::mutex> lock(mu_);
   if (draining_.load(std::memory_order_acquire)) return "";
+  const auto active =
+      std::count_if(jobs_.begin(), jobs_.end(), [](const auto& entry) {
+        return entry.second->state == JobState::kPending ||
+               entry.second->state == JobState::kRunning;
+      });
+  if (static_cast<size_t>(active) >= kMaxActiveJobs) return "";
   std::string id = "job-" + std::to_string(next_job_++);
   auto job = std::make_unique<Job>();
   job->id = id;

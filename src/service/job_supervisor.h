@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -18,6 +19,11 @@
 #include "service/job.h"
 
 namespace alphaevolve::service {
+
+/// Most jobs that may be PENDING or RUNNING at once. Submit refuses the
+/// next one (the service answers queue_full, a retryable refusal) until a
+/// job finishes, fails or is cancelled.
+inline constexpr size_t kMaxActiveJobs = 1024;
 
 /// Supervision policy for search jobs.
 struct SupervisorOptions {
@@ -87,7 +93,7 @@ class JobSupervisor {
   void Start();
 
   /// Queues a new job; returns its id ("job-N"). Rejects (empty string)
-  /// after Drain began.
+  /// after Drain began or while kMaxActiveJobs jobs are pending or running.
   std::string Submit(const JobSpec& spec);
 
   /// Flips the job's cancel token with a structured code ("cancelled",

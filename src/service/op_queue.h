@@ -1,12 +1,10 @@
 #ifndef ALPHAEVOLVE_SERVICE_OP_QUEUE_H_
 #define ALPHAEVOLVE_SERVICE_OP_QUEUE_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -17,15 +15,14 @@ namespace alphaevolve::service {
 
 /// One admitted operation moving from the intake thread to an op worker.
 /// Every op carries its absolute deadline (resolved at admission from the
-/// request's relative `deadline_ms`) and a cancellation token the worker
-/// polls — the evaluation watchdog's liveness idea generalized to op
-/// granularity.
+/// request's relative `deadline_ms`), which the worker checks before and
+/// during execution — the evaluation watchdog's liveness idea generalized
+/// to op granularity.
 struct Op {
   Request request;
   std::function<void(const std::string&)> respond;
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
-  std::shared_ptr<std::atomic<bool>> cancel;
   std::chrono::steady_clock::time_point enqueued{};
 };
 

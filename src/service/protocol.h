@@ -20,7 +20,6 @@ inline constexpr char kErrQueueFull[] = "queue_full";
 inline constexpr char kErrDraining[] = "draining";
 inline constexpr char kErrDeadlineExceeded[] = "deadline_exceeded";
 inline constexpr char kErrNotFound[] = "not_found";
-inline constexpr char kErrCancelled[] = "cancelled";
 inline constexpr char kErrInternal[] = "internal";
 
 /// Longest request line the service accepts, in bytes (newline excluded).

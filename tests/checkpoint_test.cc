@@ -340,13 +340,6 @@ TEST_F(CheckpointFileTest, WantCheckpointFollowsBatchCadence) {
   EXPECT_TRUE(writer.WantCheckpoint(4));
   EXPECT_FALSE(writer.WantCheckpoint(5));
   EXPECT_TRUE(writer.WantCheckpoint(8));
-
-  // A huge min-interval throttles the batch cadence after the first write.
-  options.min_interval_seconds = 3600.0;
-  CheckpointWriter throttled(dir_, "t", options);
-  EXPECT_TRUE(throttled.WantCheckpoint(4));  // nothing written yet
-  ASSERT_TRUE(throttled.WriteBlob(kSearchSnapshotKind, "x"));
-  EXPECT_FALSE(throttled.WantCheckpoint(8));
 }
 
 TEST_F(CheckpointFileTest, BackgroundSinkPublishesNewestAfterFlush) {

@@ -106,32 +106,6 @@ TEST(CostsTest, ApplyCostsChargesProportionallyToTurnover) {
   EXPECT_NEAR(net[2], 0.01 - 2.0 * 10.0 * 1e-4, 1e-15);
 }
 
-TEST(CostsTest, SlippageFoldsIntoPerSideRateBitForBit) {
-  // Slippage is modeled as extra per-side cost on every traded dollar, so
-  // {per_side=a, slippage=b} must price exactly like {per_side=a+b}: the
-  // rate is computed as 2*(a+b)*1e-4 in both configs — same operands, same
-  // order, bitwise-equal nets.
-  const std::vector<double> gross{0.01, -0.004, 0.02, 0.0};
-  const std::vector<double> turnover{0.0, 0.3, 1.0, 0.7};
-  CostConfig split;
-  split.per_side_bps = 7.0;
-  split.slippage_bps = 5.0;
-  CostConfig merged;
-  merged.per_side_bps = 12.0;
-  const auto net_split = ApplyCosts(gross, turnover, split);
-  const auto net_merged = ApplyCosts(gross, turnover, merged);
-  ASSERT_EQ(net_split.size(), net_merged.size());
-  for (size_t d = 0; d < net_split.size(); ++d) {
-    EXPECT_EQ(net_split[d], net_merged[d]);  // bitwise
-  }
-  // And slippage alone charges turnover-proportionally.
-  CostConfig slip_only;
-  slip_only.slippage_bps = 5.0;
-  const auto net = ApplyCosts(gross, turnover, slip_only);
-  EXPECT_EQ(net[0], gross[0]);  // no churn, no slippage
-  EXPECT_NEAR(net[2], gross[2] - 2.0 * 5.0 * 1e-4, 1e-15);
-}
-
 TEST(CostsTest, BorrowChargesEveryDayIndependentOfTurnover) {
   // Financing the short book accrues daily on the 0.5 short notional even
   // when the book never trades — including establishment day, which is free
@@ -148,14 +122,11 @@ TEST(CostsTest, BorrowChargesEveryDayIndependentOfTurnover) {
   EXPECT_EQ(gross[2] - net[2], gross[1] - net[1]);  // carry is flat
 }
 
-TEST(CostsTest, EnabledCoversAllThreeTerms) {
+TEST(CostsTest, EnabledCoversBothTerms) {
   EXPECT_FALSE(CostConfig{}.enabled());
   CostConfig a;
   a.per_side_bps = 1.0;
   EXPECT_TRUE(a.enabled());
-  CostConfig b;
-  b.slippage_bps = 1.0;
-  EXPECT_TRUE(b.enabled());
   CostConfig c;
   c.borrow_bps_per_day = 1.0;
   EXPECT_TRUE(c.enabled());

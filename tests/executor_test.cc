@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dispatch.h"
 #include "core/generators.h"
 #include "market/features.h"
 #include "obs/telemetry.h"
@@ -108,21 +109,24 @@ TEST_F(ExecutorTest, GetRowAndColumnReadTheFeatureWindow) {
   prog.predict.push_back(I(Op::kVectorMean, 5, 3));
   prog.predict.push_back(I(Op::kScalarSub, kPredictionScalar, 4, 5));
 
-  Executor exec(*dataset_, ExecutorConfig{});
-  const auto r = exec.Run(prog, 1);
-  ASSERT_TRUE(r.valid);
-  const auto& dates = dataset_->dates(Split::kValid);
-  for (size_t d = 0; d < dates.size(); ++d) {
-    for (int k = 0; k < dataset_->num_tasks(); ++k) {
-      double row_sum = 0.0, col_sum = 0.0;
-      for (int j = 0; j < w; ++j) {
-        row_sum += static_cast<double>(
-            dataset_->FeatureRow(k, dates[d] - w + 1 + j)[market::kClose]);
-        col_sum +=
-            static_cast<double>(dataset_->FeatureRow(k, dates[d] - 1)[j]);
+  for (const KernelVariant v : RunnableKernelVariants()) {
+    SCOPED_TRACE(KernelVariantName(v));
+    Executor exec(*dataset_, ExecutorConfig{}, *GetKernelTable(v));
+    const auto r = exec.Run(prog, 1);
+    ASSERT_TRUE(r.valid);
+    const auto& dates = dataset_->dates(Split::kValid);
+    for (size_t d = 0; d < dates.size(); ++d) {
+      for (int k = 0; k < dataset_->num_tasks(); ++k) {
+        double row_sum = 0.0, col_sum = 0.0;
+        for (int j = 0; j < w; ++j) {
+          row_sum += static_cast<double>(
+              dataset_->FeatureRow(k, dates[d] - w + 1 + j)[market::kClose]);
+          col_sum +=
+              static_cast<double>(dataset_->FeatureRow(k, dates[d] - 1)[j]);
+        }
+        EXPECT_DOUBLE_EQ(r.valid_preds[d][static_cast<size_t>(k)],
+                         row_sum / w - col_sum / w);
       }
-      EXPECT_DOUBLE_EQ(r.valid_preds[d][static_cast<size_t>(k)],
-                       row_sum / w - col_sum / w);
     }
   }
 }
@@ -236,34 +240,44 @@ TEST_F(ExecutorTest, HistoryRingNeverLeaksAcrossRuns) {
   in_setup.setup.push_back(I(Op::kTsRank, 4, 3));
   in_setup.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 4, 2));
 
-  Executor reused(*dataset_, ExecutorConfig{});
-  testutil::ReferenceExecutor reused_reference(*dataset_);
-  for (const AlphaProgram* prog : {&plain, &in_predict, &in_update,
-                                   &in_setup, &plain, &in_predict}) {
-    const ExecutionResult got = reused.Run(*prog, 3);
-    Executor fresh(*dataset_, ExecutorConfig{});
-    const ExecutionResult want = fresh.Run(*prog, 3);
-    ASSERT_TRUE(got.valid);
-    EXPECT_EQ(got.valid_preds, want.valid_preds);
-    EXPECT_EQ(got.test_preds, want.test_preds);
-    testutil::ReferenceExecutor reference(*dataset_);
-    const testutil::ReferenceResult ref = reference.Run(*prog, 3);
-    EXPECT_EQ(got.valid_preds, ref.valid_preds);
-    EXPECT_EQ(got.test_preds, ref.test_preds);
-    const testutil::ReferenceResult reused_ref = reused_reference.Run(*prog, 3);
-    EXPECT_EQ(reused_ref.valid_preds, ref.valid_preds);
-    EXPECT_EQ(reused_ref.test_preds, ref.test_preds);
-  }
-
   // An update-only ts_rank must read the same ring a predict ts_rank would
   // record: a dead predict ts_rank changes nothing.
   AlphaProgram also_in_predict = in_update;
   also_in_predict.predict.push_back(I(Op::kTsRank, 8, 3));
-  Executor exec(*dataset_, ExecutorConfig{});
-  const ExecutionResult want = exec.Run(also_in_predict, 3);
-  const ExecutionResult got = exec.Run(in_update, 3);
-  EXPECT_EQ(got.valid_preds, want.valid_preds);
-  EXPECT_EQ(got.test_preds, want.test_preds);
+
+  const std::vector<const AlphaProgram*> programs = {
+      &plain, &in_predict, &in_update, &in_setup, &plain, &in_predict};
+  std::vector<testutil::ReferenceResult> refs;
+  testutil::ReferenceExecutor reused_reference(*dataset_);
+  for (const AlphaProgram* prog : programs) {
+    testutil::ReferenceExecutor reference(*dataset_);
+    refs.push_back(reference.Run(*prog, 3));
+    const testutil::ReferenceResult reused_ref = reused_reference.Run(*prog, 3);
+    EXPECT_EQ(reused_ref.valid_preds, refs.back().valid_preds);
+    EXPECT_EQ(reused_ref.test_preds, refs.back().test_preds);
+  }
+
+  for (const KernelVariant v : RunnableKernelVariants()) {
+    SCOPED_TRACE(KernelVariantName(v));
+    const KernelTable& kernels = *GetKernelTable(v);
+    Executor reused(*dataset_, ExecutorConfig{}, kernels);
+    for (size_t i = 0; i < programs.size(); ++i) {
+      const ExecutionResult got = reused.Run(*programs[i], 3);
+      Executor fresh(*dataset_, ExecutorConfig{}, kernels);
+      const ExecutionResult want = fresh.Run(*programs[i], 3);
+      ASSERT_TRUE(got.valid);
+      EXPECT_EQ(got.valid_preds, want.valid_preds);
+      EXPECT_EQ(got.test_preds, want.test_preds);
+      EXPECT_EQ(got.valid_preds, refs[i].valid_preds);
+      EXPECT_EQ(got.test_preds, refs[i].test_preds);
+    }
+
+    Executor exec(*dataset_, ExecutorConfig{}, kernels);
+    const ExecutionResult want = exec.Run(also_in_predict, 3);
+    const ExecutionResult got = exec.Run(in_update, 3);
+    EXPECT_EQ(got.valid_preds, want.valid_preds);
+    EXPECT_EQ(got.test_preds, want.test_preds);
+  }
 }
 
 TEST_F(ExecutorTest, TsRankInSetupReadsHalf) {
@@ -558,11 +572,14 @@ TEST_F(ExecutorTest, RelationOpsMatchHandComputedValues) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const AlphaProgram prog = program(c.relation);
-    Executor exec(ds, ExecutorConfig{});
-    const ExecutionResult r = exec.Run(prog, 1);
-    ASSERT_TRUE(r.valid);
-    expect_rows(r.valid_preds, c.want);
-    expect_rows(r.test_preds, c.want);
+    for (const KernelVariant v : RunnableKernelVariants()) {
+      SCOPED_TRACE(KernelVariantName(v));
+      Executor exec(ds, ExecutorConfig{}, *GetKernelTable(v));
+      const ExecutionResult r = exec.Run(prog, 1);
+      ASSERT_TRUE(r.valid);
+      expect_rows(r.valid_preds, c.want);
+      expect_rows(r.test_preds, c.want);
+    }
     SCOPED_TRACE("reference");
     testutil::ReferenceExecutor reference(ds);
     const testutil::ReferenceResult ref = reference.Run(prog, 1);

@@ -326,9 +326,7 @@ class FusedParityTest : public ::testing::Test {
 
   /// An executor pinned to kernel variant `v`.
   static Executor Pinned(const market::Dataset& data, KernelVariant v) {
-    ExecutorConfig cfg;
-    cfg.kernel_variant = KernelVariantName(v);
-    return Executor(data, cfg);
+    return Executor(data, ExecutorConfig{}, *GetKernelTable(v));
   }
 
   /// Every third task from 1: the rows a thin-universe Subset view keeps.
@@ -593,17 +591,6 @@ TEST_F(FusedParityTest, DenseOpsOnLiveOperandsMatchReference) {
     Executor fused = Pinned(*dataset_, v);
     ExpectBitIdentical(fused.Run(prog, 71), expect);
   }
-}
-
-TEST_F(FusedParityTest, ScalarVariantIsDefaultTable) {
-  // AE_KERNEL_VARIANT=scalar (here forced through the config, which takes
-  // precedence over the env) must reproduce the auto-dispatched results
-  // exactly — the variants differ in instruction selection, never in value.
-  const AlphaProgram prog = MakeStressAlpha(dataset_->window());
-  Executor scalar_exec = Pinned(*dataset_, KernelVariant::kScalar);
-  EXPECT_STREQ(scalar_exec.kernel_variant_name(), "scalar");
-  Executor auto_exec(*dataset_, ExecutorConfig{});
-  ExpectBitIdentical(scalar_exec.Run(prog, 63), auto_exec.Run(prog, 63));
 }
 
 // ---- the reference's blocked dense kernels vs naive loops -----------------

@@ -212,12 +212,6 @@ TEST(DatasetTest, RejectsInvalidSplitFractions) {
   EXPECT_THROW(Dataset::Simulate(mc, negative_train), CheckError);
 }
 
-TEST(DatasetTest, RejectsNonSquareWindow) {
-  DatasetConfig cfg;
-  cfg.window = 12;  // X must be square: window == kNumFeatures == 13
-  EXPECT_THROW(Dataset::Simulate(SmallConfig(), cfg), CheckError);
-}
-
 TEST(DatasetTest, SplitsAreChronologicalAndDisjoint) {
   const Dataset ds = Dataset::Simulate(SmallConfig(), DatasetConfig{});
   const auto& tr = ds.dates(Split::kTrain);

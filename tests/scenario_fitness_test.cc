@@ -234,12 +234,12 @@ TEST(ScenarioFitnessTest, AggregationModesMatchHandComputedValues) {
   EXPECT_EQ(outcome_mean.fitness, ic_sum / 3.0);
 
   opts.aggregation = ScenarioAggregation::kCostAdjusted;
-  opts.cost_penalty = 0.2;
   ScenarioFitness cost_scorer(suite, dc, core::EvaluatorConfig{}, opts);
   const auto outcome_cost = cost_scorer.Score(baseline, program, seed, {}, 0.15);
   double turnover_sum = 0.0;
   for (const auto& m : per_regime) turnover_sum += m.mean_turnover_valid;
-  EXPECT_EQ(outcome_cost.fitness, (ic_sum - 0.2 * turnover_sum) / 3.0);
+  EXPECT_EQ(outcome_cost.fitness,
+            (ic_sum - core::kCostPenalty * turnover_sum) / 3.0);
   EXPECT_LE(outcome_cost.fitness, outcome_mean.fitness);
 }
 

@@ -236,6 +236,25 @@ TEST(JobSupervisorTest, RunsJobToDone) {
   EXPECT_EQ(JobStateName(status->state), std::string("done"));
 }
 
+TEST(JobSupervisorTest, ActiveJobCapRefusesSubmitsUntilOneLeaves) {
+  // Never started, so every admitted job stays PENDING.
+  JobSupervisor sup(FastOptions(),
+                    [](const JobSpec&, core::CheckpointSink*,
+                       const core::EvolutionCheckpoint*,
+                       const std::atomic<bool>*) { return FakeDone(0.5); });
+  std::vector<std::string> ids;
+  for (size_t i = 0; i < kMaxActiveJobs; ++i) {
+    ids.push_back(sup.Submit(JobSpec{}));
+    ASSERT_FALSE(ids.back().empty()) << "submit " << i;
+  }
+  EXPECT_TRUE(sup.Submit(JobSpec{}).empty());
+  EXPECT_FALSE(sup.draining());
+  // A cancelled job no longer counts: exactly one more gets in.
+  ASSERT_TRUE(sup.Cancel(ids[7]));
+  EXPECT_FALSE(sup.Submit(JobSpec{}).empty());
+  EXPECT_TRUE(sup.Submit(JobSpec{}).empty());
+}
+
 TEST(JobSupervisorTest, RetriesThrowingAttemptsUnderBackoff) {
   std::atomic<int> calls{0};
   JobSupervisor sup(FastOptions(),

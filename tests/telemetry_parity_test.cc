@@ -85,13 +85,10 @@ class TelemetryParityTest : public ::testing::Test {
                                    bool telemetry_on) {
     EvolutionConfig cfg = BaseConfig();
     cfg.pipeline_depth = depth;
-    cfg.telemetry.enabled = telemetry_on;
-    cfg.telemetry.tracing = telemetry_on;
-    if (!telemetry_on) {
-      // Run() only applies an *enabled* config globally, so clear any state
-      // a previous telemetry-on run in this process left behind.
-      obs::Configure(obs::TelemetryConfig{});
-    }
+    obs::TelemetryConfig telemetry;
+    telemetry.enabled = telemetry_on;
+    telemetry.tracing = telemetry_on;
+    obs::Configure(telemetry);
     EvaluatorPool pool(*dataset_, EvaluatorConfig{}, threads);
     Evolution evo(pool, cfg);
     return evo.Run(MakeExpertAlpha(dataset_->window()));
