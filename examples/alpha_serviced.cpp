@@ -28,7 +28,8 @@
 //   --default-deadline-ms=F   deadline for ops that carry none (default 0)
 //   --job-workers=N           concurrent searches (default 1)
 //   --max-attempts=N          attempts per job incl. first (default 4)
-//   --stall-timeout=SECS      heartbeat staleness -> presumed wedged
+//   --stall-timeout=SECS      batch barriers more than SECS apart -> stopped
+//                             at the late barrier and retried
 //   --backoff-initial=SECS --backoff-cap=SECS   retry backoff shape
 //   --checkpoint-every=N --checkpoint-keep=K    snapshot cadence/retention
 //   --max-candidates=N        default per-job candidate budget (default 240)

@@ -4,7 +4,9 @@
 Starts ./alpha_serviced on pipes, drives the full op catalog over the
 line-delimited JSON protocol — health, submit_search, job_status polling,
 job_result, query_alphas, signals, backtest, stress, metrics, error paths —
-and finishes with a drain op, asserting the daemon exits 0.
+then a job whose deadline expires mid-search, which must stop at a batch
+barrier and park cancelled with deadline_exceeded while the daemon keeps
+serving, and finishes with a drain op, asserting the daemon exits 0.
 
 Usage: scripts/service_smoke.py [build_dir]
 """
@@ -148,6 +150,16 @@ def main():
 
     metrics = daemon.ok("metrics", "m1")
     assert metrics["counters"].get("service.ops_completed", 0) > 0, metrics
+
+    # A job deadline through the real search driver: a budget far beyond
+    # the deadline, so the search is stopped at a batch barrier past it.
+    late = daemon.ok("submit_search", "s2", {
+        "seed": 8, "max_candidates": 10**7, "deadline_seconds": 0.5})["job"]
+    status = wait_for_state(daemon, late, {"done", "failed", "cancelled"})
+    assert status["state"] == "cancelled", status
+    assert status["error"] == "deadline_exceeded", status
+    assert status["attempts"] == 1, status
+    assert daemon.ok("health", "h2")["status"] == "ok"
 
     # Drain: the daemon acknowledges, refuses new work, exits 0.
     drained = daemon.ok("drain", "d1")

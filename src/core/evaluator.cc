@@ -59,12 +59,8 @@ AlphaMetrics Evaluator::Evaluate(const AlphaProgram& program, uint64_t seed,
 uint64_t Evaluator::ProbeFingerprint(const AlphaProgram& program,
                                      uint64_t seed, int probe_train,
                                      int probe_valid) {
-  if (!probe_executor_.has_value()) {
-    probe_executor_.emplace(dataset_, config_.executor);
-  }
-  ExecutionResult r = probe_executor_->Run(program, seed,
-                                           /*include_test=*/false, probe_train,
-                                           probe_valid);
+  ExecutionResult r = executor_.Run(program, seed, /*include_test=*/false,
+                                    probe_train, probe_valid);
   if (!r.valid) return 0;  // all invalid alphas share one bucket
   std::string text;
   text.reserve(1024);

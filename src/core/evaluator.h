@@ -2,7 +2,6 @@
 #define ALPHAEVOLVE_CORE_EVALUATOR_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/executor.h"
@@ -109,7 +108,7 @@ class CandidateScorer {
 /// evolutionary fitness, long-short portfolio returns and Sharpe for the
 /// weak-correlation cutoff and the paper's tables.
 ///
-/// Not thread-safe (owns its Executors); use one per thread. An evaluation
+/// Not thread-safe (owns its Executor); use one per thread. An evaluation
 /// runs on the calling thread and the evaluator never spawns threads.
 class Evaluator {
  public:
@@ -124,9 +123,10 @@ class Evaluator {
   /// AutoML-Zero-style functional fingerprint (the paper's Table-6 `_N`
   /// baseline): runs the program on a small probe slice (`probe_train`
   /// training dates, `probe_valid` validation dates) and hashes the rounded
-  /// predictions. Costs a fraction of a full evaluation. The probe executor
-  /// (a second full-size task state) is built on the first call: only
-  /// searches without redundancy pruning ever probe.
+  /// predictions. Costs a fraction of a full evaluation. Runs on the same
+  /// executor as Evaluate: every Executor::Run starts from a reset seed,
+  /// draw counter, task state and plan, so interleaving the two calls
+  /// changes no result.
   uint64_t ProbeFingerprint(const AlphaProgram& program, uint64_t seed,
                             int probe_train = 10, int probe_valid = 4);
 
@@ -137,7 +137,6 @@ class Evaluator {
   const market::Dataset& dataset_;
   EvaluatorConfig config_;
   Executor executor_;
-  std::optional<Executor> probe_executor_;  ///< built by ProbeFingerprint
 };
 
 }  // namespace alphaevolve::core

@@ -7,10 +7,10 @@ namespace alphaevolve::eval {
 
 /// Transaction-cost model for the long-short backtest.
 ///
-/// Book convention (matches `PortfolioReturns`): the portfolio holds 0.5
-/// units of capital long and 0.5 short, equal-weighted over `top_n` names
-/// per side, so R_p = 0.5 * (mean long return − mean short return) is the
-/// return per unit of gross capital.
+/// Book convention (that of `RunBacktest`'s gross series): the portfolio
+/// holds 0.5 units of capital long and 0.5 short, equal-weighted over
+/// `top_n` names per side, so R_p = 0.5 * (mean long return − mean short
+/// return) is the return per unit of gross capital.
 ///
 /// Turnover on a date is the fraction of book positions replaced relative
 /// to the previous date's membership:

@@ -35,26 +35,6 @@ int PortfolioConfig::ResolveTopN(int num_tasks) const {
   return std::max(1, num_tasks / 10);
 }
 
-std::vector<double> PortfolioReturns(
-    const market::Dataset& dataset, const std::vector<int>& dates,
-    const std::vector<std::vector<double>>& predictions,
-    const PortfolioConfig& config) {
-  AE_CHECK(predictions.size() == dates.size());
-  const int num_tasks = dataset.num_tasks();
-  const int top_n = config.ResolveTopN(num_tasks);
-  AE_CHECK(top_n >= 1 && 2 * top_n <= num_tasks);
-
-  std::vector<double> returns;
-  returns.reserve(dates.size());
-  for (size_t d = 0; d < dates.size(); ++d) {
-    const auto& preds = predictions[d];
-    AE_CHECK(static_cast<int>(preds.size()) == num_tasks);
-    const std::vector<int> order = ArgSort(preds);  // ascending
-    returns.push_back(GrossReturn(dataset, dates[d], order, top_n));
-  }
-  return returns;
-}
-
 Backtest RunBacktest(const market::Dataset& dataset,
                      const std::vector<int>& dates,
                      const std::vector<std::vector<double>>& predictions,

@@ -11,41 +11,33 @@ namespace alphaevolve::eval {
 /// Long-short portfolio construction (paper §5.3).
 struct PortfolioConfig {
   /// Number of stocks on each side. The paper uses 50 with 1,026 stocks;
-  /// at bench scale the default is resolved as max(1, num_tasks/20) when
+  /// at bench scale the default is resolved as max(1, num_tasks/10) when
   /// set to 0 (auto).
   int top_n = 0;
 
   int ResolveTopN(int num_tasks) const;
 };
 
-/// Daily portfolio returns of the long-short strategy: at each date, long
-/// the `top_n` highest predicted returns and short the `top_n` lowest,
+/// Cost-aware backtest of the long-short strategy: at each date, long the
+/// `top_n` highest predicted returns and short the `top_n` lowest,
 /// equal-weighted and dollar-neutral against the cash position, so
 ///
-///   R_p(t) = (mean(realized return of longs) −
-///             mean(realized return of shorts)) / 2.
+///   gross[d] = (mean(realized return of longs) −
+///               mean(realized return of shorts)) / 2.
 ///
 /// `predictions[d][k]` and the dataset's labels over `dates` supply the
-/// rankings and the realized next-day returns.
-std::vector<double> PortfolioReturns(
-    const market::Dataset& dataset, const std::vector<int>& dates,
-    const std::vector<std::vector<double>>& predictions,
-    const PortfolioConfig& config);
-
-/// Cost-aware backtest output. `gross` is bit-identical to what
-/// `PortfolioReturns` computes; `turnover` follows the day-over-day
-/// membership convention of `CostConfig` (first date free, ∈ [0, 1]); `net`
-/// is `ApplyCosts(gross, turnover, costs)` when the cost model is enabled
-/// and empty otherwise (net would equal gross bit for bit).
+/// rankings and the realized next-day returns; ties rank in task order.
+/// `turnover` follows the day-over-day membership convention of
+/// `CostConfig` (first date free, ∈ [0, 1]); `net` is
+/// `ApplyCosts(gross, turnover, costs)` when the cost model is enabled and
+/// empty otherwise (net would equal gross bit for bit). Callers that want
+/// only the gross series pass `CostConfig{}`.
 struct Backtest {
   std::vector<double> gross;
   std::vector<double> net;
   std::vector<double> turnover;
 };
 
-/// Runs the long-short strategy of `PortfolioReturns` and additionally
-/// tracks day-over-day long/short membership to charge transaction costs.
-/// With `costs.per_side_bps == 0`, `net == gross` bit for bit.
 Backtest RunBacktest(const market::Dataset& dataset,
                      const std::vector<int>& dates,
                      const std::vector<std::vector<double>>& predictions,

@@ -54,8 +54,9 @@ double GeneticAlgorithm::Score(const GpNode& tree,
     if (!AllFinite(row)) return -1.0;
   }
   const double ic = eval::InformationCoefficient(dataset_, valid_dates, preds);
-  *valid_returns =
-      eval::PortfolioReturns(dataset_, valid_dates, preds, config_.portfolio);
+  *valid_returns = eval::RunBacktest(dataset_, valid_dates, preds,
+                                     config_.portfolio, eval::CostConfig{})
+                       .gross;
 
   if (eval::BreaksCorrelationCutoff(*valid_returns, accepted_valid_returns_,
                                     config_.correlation_cutoff)) {
@@ -221,8 +222,10 @@ GaResult GeneticAlgorithm::Run() {
     const auto test_preds = Predict(dataset_, test_dates, *best->tree);
     result.ic_test =
         eval::InformationCoefficient(dataset_, test_dates, test_preds);
-    result.test_portfolio_returns = eval::PortfolioReturns(
-        dataset_, test_dates, test_preds, config_.portfolio);
+    result.test_portfolio_returns =
+        eval::RunBacktest(dataset_, test_dates, test_preds, config_.portfolio,
+                          eval::CostConfig{})
+            .gross;
     result.sharpe_test = eval::SharpeRatio(result.test_portfolio_returns);
   }
   return result;

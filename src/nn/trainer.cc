@@ -26,7 +26,8 @@ TestScores ScoreOnSplit(const market::Dataset& dataset, market::Split split,
   TestScores s;
   s.ic = eval::InformationCoefficient(dataset, dates, preds);
   s.sharpe = eval::SharpeRatio(
-      eval::PortfolioReturns(dataset, dates, preds, portfolio));
+      eval::RunBacktest(dataset, dates, preds, portfolio, eval::CostConfig{})
+          .gross);
   return s;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "obs/trace.h"
 #include "util/json.h"
 
 namespace alphaevolve::obs {
@@ -23,7 +22,6 @@ int ThreadStripe() {
 }  // namespace internal
 
 void Configure(const TelemetryConfig& config) {
-  TraceRecorder::Default().set_ring_capacity(config.trace_ring_capacity);
   internal::g_metrics_enabled.store(config.enabled,
                                     std::memory_order_relaxed);
   internal::g_tracing_enabled.store(config.tracing,

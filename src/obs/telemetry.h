@@ -24,11 +24,9 @@ struct TelemetryConfig {
   bool enabled = false;
   /// Span tracing into per-thread ring buffers (Chrome-trace export).
   /// Implies nothing about `enabled`; spans feed their latency histograms
-  /// only when `enabled` is also set.
+  /// only when `enabled` is also set. Each thread's ring keeps its newest
+  /// 16,384 span events; older ones are dropped and counted.
   bool tracing = false;
-  /// Span events retained per thread (newest win; older ones are dropped
-  /// and counted). Applies to rings created after Configure.
-  int trace_ring_capacity = 1 << 14;
 };
 
 namespace internal {

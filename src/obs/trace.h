@@ -56,7 +56,8 @@ class TraceRecorder {
   void Clear();
 
   /// Capacity for rings created after this call (existing rings keep
-  /// theirs). Values < 1 are clamped to 1.
+  /// theirs; the default is 1 << 14). Values < 1 are clamped to 1. Only the
+  /// ring-overflow test sets it.
   void set_ring_capacity(int capacity);
 
  private:

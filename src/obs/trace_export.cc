@@ -65,7 +65,7 @@ void PrintSpanSummary(const TraceRecorder& recorder, std::ostream& os) {
   const int64_t dropped = recorder.DroppedCount();
   if (dropped > 0) {
     os << "(" << dropped
-       << " span events dropped; raise TelemetryConfig::trace_ring_capacity)"
+       << " span events dropped; each thread keeps its newest ones)"
        << "\n";
   }
 }

@@ -273,21 +273,14 @@ void AlphaService::WorkerLoop() {
     if (obs::Enabled()) {
       OpCounters::Get().queue_depth.Set(static_cast<int64_t>(queue_.depth()));
     }
-    const auto now = std::chrono::steady_clock::now();
-    if (op->has_deadline && now > op->deadline) {
-      if (obs::Enabled()) OpCounters::Get().deadline_exceeded.Add(1);
-      op->respond(ErrorResponse(op->request.id, kErrDeadlineExceeded,
-                                "deadline expired before execution"));
-      continue;
-    }
-    // AE_FAULT=delay@<n> injects slow handling right here — between the
-    // first deadline check and the recheck — so deadline tests are
-    // deterministic instead of racing a real workload.
+    // AE_FAULT=delay@<n> injects slow handling right here, before the
+    // deadline check, so deadline tests are deterministic instead of racing
+    // a real workload.
     fault::InjectDelay();
     if (op->has_deadline && std::chrono::steady_clock::now() > op->deadline) {
       if (obs::Enabled()) OpCounters::Get().deadline_exceeded.Add(1);
       op->respond(ErrorResponse(op->request.id, kErrDeadlineExceeded,
-                                "deadline expired during execution"));
+                                "deadline expired before execution"));
       continue;
     }
     std::string response;
@@ -472,8 +465,7 @@ std::string AlphaService::OpQueryAlphas(const Request& req) {
 bool AlphaService::BestOf(const std::string& job_id,
                           core::AlphaProgram* pruned, uint64_t* seed,
                           std::string* error) const {
-  std::optional<JobStatus> status =
-      const_cast<JobSupervisor&>(supervisor_).Status(job_id);
+  std::optional<JobStatus> status = supervisor_.Status(job_id);
   if (!status.has_value()) {
     *error = "unknown job: " + job_id;
     return false;
@@ -615,8 +607,7 @@ std::string AlphaService::OpStress(const Request& req) {
 std::string AlphaService::HealthJson(const std::string& id) const {
   const bool draining = intake_closed_.load(std::memory_order_acquire);
   int64_t running = 0, pending = 0, done = 0, failed = 0, cancelled = 0;
-  for (const JobStatus& s :
-       const_cast<JobSupervisor&>(supervisor_).List()) {
+  for (const JobStatus& s : supervisor_.List()) {
     switch (s.state) {
       case JobState::kRunning: ++running; break;
       case JobState::kPending: ++pending; break;

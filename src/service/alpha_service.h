@@ -114,7 +114,7 @@ class AlphaService {
 
  private:
   void WorkerLoop();
-  /// Executes one admitted op (deadline/cancel already checked).
+  /// Executes one admitted op (deadline already checked).
   std::string Dispatch(const Request& req);
 
   std::string OpSubmitSearch(const Request& req);

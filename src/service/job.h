@@ -41,9 +41,10 @@ struct JobSpec {
   int population_size = 20;
   int tournament_size = 5;
   int batch_size = 8;
-  /// Wall-clock deadline for the whole job (0 = none): a job still RUNNING
-  /// past it is cancelled with a structured deadline_exceeded error — the
-  /// op-level deadline generalized to job granularity.
+  /// Wall-clock deadline for the whole job (0 = none), the op-level deadline
+  /// generalized to job granularity. A job past it never starts, and a
+  /// running job stops at its next batch barrier; either way it parks
+  /// CANCELLED with a structured deadline_exceeded error.
   double deadline_seconds = 0.0;
 };
 
@@ -67,8 +68,8 @@ struct JobStatus {
   int attempts = 0;      ///< runs started (first run included)
   int resumes = 0;       ///< runs that continued from a checkpoint
   std::string error;     ///< structured code when FAILED/CANCELLED
-  int64_t candidates = 0;          ///< progress, from the last heartbeat
-  int64_t batches_committed = 0;
+  int64_t candidates = 0;          ///< progress, from the last snapshot
+  int64_t batches_committed = 0;   ///< progress, from the last barrier
   double backoff_seconds = 0.0;    ///< pending retry delay (0 = none)
   bool has_result = false;
   JobResult result;                ///< meaningful when has_result

@@ -105,21 +105,42 @@ JobResult JobSupervisor::DecodeResult(std::string_view payload) {
 }
 
 // ---------------------------------------------------------------------------
-// Heartbeat wrapper: sits between Evolution and the real sink, stamping the
-// job's liveness at every batch barrier (the stall detector's signal) and its
-// progress counters at every snapshot.
+// Heartbeat wrapper: sits between Evolution and the real sink. At every batch
+// barrier, the one point where a search reads its stop token, it stamps the
+// job's progress and stops the attempt if the job is past its deadline or the
+// barrier came more than stall_timeout_seconds after the attempt's start or
+// its previous barrier. Deadline takes precedence over stall, and neither
+// overrides a code already set (cancel, drain).
 
 class JobSupervisor::HeartbeatSink : public core::CheckpointSink {
  public:
   HeartbeatSink(JobSupervisor* sup, Job* job, core::CheckpointSink* inner,
                 int every_batches)
-      : sup_(sup), job_(job), inner_(inner), every_batches_(every_batches) {}
+      : sup_(sup),
+        job_(job),
+        inner_(inner),
+        every_batches_(every_batches),
+        last_barrier_seconds_(sup->NowSeconds()) {}
 
   bool WantCheckpoint(int64_t batches_committed) override {
-    job_->heartbeat_seconds.store(sup_->NowSeconds(),
-                                  std::memory_order_release);
     job_->batches_committed.store(batches_committed,
                                   std::memory_order_release);
+    const double now = sup_->NowSeconds();
+    const double stall = sup_->options_.stall_timeout_seconds;
+    const char* code = nullptr;
+    if (job_->deadline_seconds_abs > 0.0 && now > job_->deadline_seconds_abs) {
+      code = "deadline_exceeded";
+    } else if (stall > 0.0 && now - last_barrier_seconds_ > stall) {
+      code = "stalled";
+    }
+    last_barrier_seconds_ = now;
+    if (code != nullptr) {
+      std::lock_guard<std::mutex> lock(sup_->mu_);
+      if (job_->cancel_code.empty()) {
+        job_->cancel_code = code;
+        job_->cancel->store(true, std::memory_order_release);
+      }
+    }
     if (inner_ != nullptr) return inner_->WantCheckpoint(batches_committed);
     return every_batches_ > 0 && batches_committed % every_batches_ == 0;
   }
@@ -138,6 +159,7 @@ class JobSupervisor::HeartbeatSink : public core::CheckpointSink {
   Job* job_;
   core::CheckpointSink* inner_;  ///< null in in-memory mode
   int every_batches_;
+  double last_barrier_seconds_;  ///< attempt start, then previous barrier
 };
 
 // ---------------------------------------------------------------------------
@@ -164,7 +186,6 @@ void JobSupervisor::Start() {
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  monitor_ = std::thread([this] { MonitorLoop(); });
 }
 
 std::string JobSupervisor::Submit(const JobSpec& spec) {
@@ -221,7 +242,7 @@ bool JobSupervisor::Resume(const std::string& id) {
   job->error.clear();
   job->wants_resume = true;
   job->backoff_seconds = 0.0;
-  job->next_attempt_seconds = 0.0;
+  std::erase_if(retries_, [&](const auto& due) { return due.second == id; });
   EnqueueLocked(*job);
   SaveManifestLocked();
   return true;
@@ -261,7 +282,6 @@ void JobSupervisor::Drain() {
     if (w.joinable()) w.join();
   }
   workers_.clear();
-  if (monitor_.joinable()) monitor_.join();
   std::lock_guard<std::mutex> lock(mu_);
   SaveManifestLocked();
 }
@@ -270,26 +290,49 @@ void JobSupervisor::Drain() {
 // Worker threads.
 
 void JobSupervisor::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    Job* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_ || !ready_.empty(); });
-      if (stop_) return;  // drain: queued jobs stay PENDING in the manifest
-      const std::string id = ready_.front();
-      ready_.pop_front();
-      job = FindLocked(id);
-      if (job == nullptr || job->state != JobState::kPending) continue;
-      job->state = JobState::kRunning;
-      job->attempts += 1;
-      job->error.clear();
-      job->cancel = std::make_shared<std::atomic<bool>>(false);
-      job->cancel_code.clear();
-      job->heartbeat_seconds.store(NowSeconds(), std::memory_order_release);
-      if (obs::Enabled()) JobCounters::Get().running.Add(1);
+    if (stop_) return;  // drain: queued jobs stay PENDING in the manifest
+    // Requeue every retry whose backoff has elapsed, unless a drain began.
+    const double now = NowSeconds();
+    const bool draining = draining_.load(std::memory_order_acquire);
+    while (!draining && !retries_.empty() && retries_.begin()->first <= now) {
+      Job& due = *FindLocked(retries_.begin()->second);
+      retries_.erase(retries_.begin());
+      due.state = JobState::kPending;
+      EnqueueLocked(due);
     }
+    if (ready_.empty()) {
+      if (draining || retries_.empty()) {
+        work_cv_.wait(lock);
+      } else {
+        work_cv_.wait_for(lock, std::chrono::duration<double>(
+                                    retries_.begin()->first - now));
+      }
+      continue;
+    }
+    const std::string id = ready_.front();
+    ready_.pop_front();
+    Job* job = FindLocked(id);
+    if (job == nullptr || job->state != JobState::kPending) continue;
+    if (job->deadline_seconds_abs > 0.0 && now > job->deadline_seconds_abs) {
+      // Past its deadline before a worker got to it: it never starts.
+      job->state = JobState::kCancelled;
+      job->error = "deadline_exceeded";
+      if (obs::Enabled()) JobCounters::Get().cancelled.Add(1);
+      SaveManifestLocked();
+      continue;
+    }
+    job->state = JobState::kRunning;
+    job->attempts += 1;
+    job->error.clear();
+    job->cancel = std::make_shared<std::atomic<bool>>(false);
+    job->cancel_code.clear();
+    if (obs::Enabled()) JobCounters::Get().running.Add(1);
+    lock.unlock();
     RunAttempt(*job);
     if (obs::Enabled()) JobCounters::Get().running.Add(-1);
+    lock.lock();
   }
 }
 
@@ -331,7 +374,7 @@ void JobSupervisor::RunAttempt(Job& job) {
 
   // The durable sink (one writer per attempt: generation numbering continues
   // from the newest file, so attempt N+1 extends attempt N's stream), or the
-  // in-memory stand-in, both wrapped for heartbeats.
+  // in-memory stand-in, both wrapped by the barrier rules.
   std::unique_ptr<ckpt::CheckpointWriter> writer;
   if (!options_.checkpoint_dir.empty()) {
     ckpt::WriterOptions wo;
@@ -396,13 +439,7 @@ void JobSupervisor::FinishAttempt(Job& job,
     job.state = JobState::kFailed;
     job.error = code;
     if (obs::Enabled()) JobCounters::Get().stalled.Add(1);
-    if (job.attempts < options_.max_attempts) {
-      job.backoff_seconds =
-          std::min(options_.backoff_initial_seconds *
-                       std::ldexp(1.0, job.attempts - 1),
-                   options_.backoff_cap_seconds);
-      job.next_attempt_seconds = NowSeconds() + job.backoff_seconds;
-    }
+    ScheduleRetryLocked(job);
   } else {
     // Explicit cancel or deadline: park resumable, no auto-retry.
     job.state = JobState::kCancelled;
@@ -418,89 +455,35 @@ void JobSupervisor::FailAttempt(Job& job, const std::string& why) {
   job.error = why;
   job.wants_resume = true;
   if (obs::Enabled()) JobCounters::Get().failed.Add(1);
-  if (job.attempts < options_.max_attempts &&
-      !draining_.load(std::memory_order_acquire)) {
-    job.backoff_seconds = std::min(
-        options_.backoff_initial_seconds * std::ldexp(1.0, job.attempts - 1),
-        options_.backoff_cap_seconds);
-    job.next_attempt_seconds = NowSeconds() + job.backoff_seconds;
-  } else {
-    job.backoff_seconds = 0.0;
-    job.next_attempt_seconds = 0.0;
-  }
+  ScheduleRetryLocked(job);
   SaveManifestLocked();
+}
+
+void JobSupervisor::ScheduleRetryLocked(Job& job) {
+  if (job.attempts >= options_.max_attempts ||
+      draining_.load(std::memory_order_acquire)) {
+    job.backoff_seconds = 0.0;
+    return;
+  }
+  job.backoff_seconds =
+      std::min(options_.backoff_initial_seconds *
+                   std::ldexp(1.0, job.attempts - 1),
+               options_.backoff_cap_seconds);
+  retries_.emplace(NowSeconds() + job.backoff_seconds, job.id);
+  // Every idle worker re-arms its wait, so one of them wakes when this (or
+  // an earlier) retry is due.
+  work_cv_.notify_all();
 }
 
 void JobSupervisor::PersistResult(Job& job) {
   if (options_.checkpoint_dir.empty()) return;
   ckpt::WriterOptions wo;
   wo.keep = 1;
-  wo.background = false;
   ckpt::CheckpointWriter writer(options_.checkpoint_dir, job.id + ".result",
                                 wo);
   writer.WriteBlob(kJobResultKind, EncodeResult(job.result));
   // The search stream is spent: the result blob is the durable artifact now.
   ckpt::RemoveCheckpoints(options_.checkpoint_dir, job.id);
-}
-
-// ---------------------------------------------------------------------------
-// Monitor thread: deadlines, stall detection, retry promotion.
-
-void JobSupervisor::MonitorLoop() {
-  const auto poll = std::chrono::duration<double>(
-      std::max(0.001, options_.poll_interval_seconds));
-  for (;;) {
-    std::this_thread::sleep_for(poll);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    const double now = NowSeconds();
-    for (auto& [id, job] : jobs_) {
-      switch (job->state) {
-        case JobState::kRunning: {
-          if (job->deadline_seconds_abs > 0.0 &&
-              now > job->deadline_seconds_abs &&
-              job->cancel_code.empty()) {
-            job->cancel_code = "deadline_exceeded";
-            if (job->cancel) {
-              job->cancel->store(true, std::memory_order_release);
-            }
-          }
-          const double hb =
-              job->heartbeat_seconds.load(std::memory_order_acquire);
-          if (options_.stall_timeout_seconds > 0.0 &&
-              now - hb > options_.stall_timeout_seconds &&
-              job->cancel_code.empty()) {
-            job->cancel_code = "stalled";
-            if (job->cancel) {
-              job->cancel->store(true, std::memory_order_release);
-            }
-          }
-          break;
-        }
-        case JobState::kPending: {
-          if (job->deadline_seconds_abs > 0.0 &&
-              now > job->deadline_seconds_abs) {
-            job->state = JobState::kCancelled;
-            job->error = "deadline_exceeded";
-            if (obs::Enabled()) JobCounters::Get().cancelled.Add(1);
-          }
-          break;
-        }
-        case JobState::kFailed: {
-          if (job->next_attempt_seconds > 0.0 &&
-              now >= job->next_attempt_seconds &&
-              !draining_.load(std::memory_order_acquire)) {
-            job->next_attempt_seconds = 0.0;
-            job->state = JobState::kPending;
-            EnqueueLocked(*job);
-          }
-          break;
-        }
-        default:
-          break;
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

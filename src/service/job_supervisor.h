@@ -37,15 +37,16 @@ struct SupervisorOptions {
   /// parked FAILED once the budget is spent.
   int max_attempts = 4;
   /// Capped exponential backoff between failing attempts:
-  /// min(initial * 2^(attempts-1), cap).
+  /// min(initial * 2^(attempts-1), cap). An idle worker requeues the retry
+  /// once it is due.
   double backoff_initial_seconds = 0.05;
   double backoff_cap_seconds = 2.0;
-  /// A RUNNING job whose heartbeat (stamped at every batch barrier) is older
-  /// than this is presumed wedged: the monitor cancels it with code
-  /// "stalled" and reschedules from its newest checkpoint. <= 0 disables.
+  /// A RUNNING attempt that reaches a batch barrier more than this many
+  /// seconds after its start or its previous barrier is presumed wedged: it
+  /// stops at that late barrier with code "stalled" and is retried from its
+  /// newest checkpoint. An attempt that never reaches another barrier is not
+  /// stopped. <= 0 disables.
   double stall_timeout_seconds = 30.0;
-  /// Monitor thread cadence (deadlines, stall detection, retry promotion).
-  double poll_interval_seconds = 0.02;
   /// Checkpoint cadence and retention handed to each job's CheckpointWriter.
   int checkpoint_every_batches = 4;
   int checkpoint_keep = 3;
@@ -54,8 +55,10 @@ struct SupervisorOptions {
 /// Runs one (possibly resumed) search attempt. Arguments: the job's spec,
 /// the checkpoint sink to install (never null), the snapshot to resume from
 /// (null = fresh start), and the cancellation token to install. The function
-/// must honor the token at batch barriers (core::Evolution::UseStopToken
-/// does) and may throw — a throw is a FAILED attempt, retried under backoff.
+/// must call the sink's WantCheckpoint at each batch barrier (that call
+/// applies the job's deadline and stall rules) and honor the token there
+/// (core::Evolution does both), and may throw — a throw is a FAILED attempt,
+/// retried under backoff.
 using RunFn = std::function<core::EvolutionResult(
     const JobSpec& spec, core::CheckpointSink* sink,
     const core::EvolutionCheckpoint* resume, const std::atomic<bool>* stop)>;
@@ -67,13 +70,16 @@ using RunFn = std::function<core::EvolutionResult(
 ///                 │ └──→ CANCELLED          (resume_job / Recover reopens)
 ///                 └─(drain)→ PENDING                (next start auto-resumes)
 ///
-/// Every transition is driven by one of three forces: the worker threads
-/// (run attempts), the monitor thread (deadlines, stall detection via
-/// heartbeats, due-retry promotion), and explicit ops (cancel, resume,
-/// drain). Each attempt after the first resumes from the job's newest valid
-/// on-disk checkpoint, so for candidate-bounded specs the eventual result is
-/// bit-identical to an uninterrupted run no matter how many crashes,
-/// cancels, stalls or process restarts happened in between.
+/// Every transition is driven by one of two forces: the worker threads and
+/// explicit ops (cancel, resume, drain). A worker runs attempts, requeues
+/// due retries, and parks a job that is past its deadline when it dequeues
+/// it. While an attempt runs, each batch barrier stops it if the job is past
+/// its deadline or the barrier came late (a stall); a search changes course
+/// only at its barriers, so no thread watches it in between. Each attempt
+/// after the first resumes from the job's newest valid on-disk checkpoint,
+/// so for candidate-bounded specs the eventual result is bit-identical to an
+/// uninterrupted run no matter how many crashes, cancels, stalls or process
+/// restarts happened in between.
 ///
 /// All public methods are thread-safe.
 class JobSupervisor {
@@ -88,8 +94,8 @@ class JobSupervisor {
   /// from their newest checkpoint. Call once, before Start.
   void Recover();
 
-  /// Spawns the worker + monitor threads. Jobs submitted before Start sit
-  /// PENDING until it runs.
+  /// Spawns the worker threads. Jobs submitted before Start sit PENDING
+  /// until it runs.
   void Start();
 
   /// Queues a new job; returns its id ("job-N"). Rejects (empty string)
@@ -111,7 +117,7 @@ class JobSupervisor {
 
   /// Graceful shutdown: stop intake, cancel RUNNING jobs with code
   /// "drained" (they force-checkpoint and park PENDING so the next process
-  /// resumes them), join workers and monitor, persist the manifest.
+  /// resumes them), join the workers, persist the manifest.
   /// Idempotent.
   void Drain();
 
@@ -139,28 +145,29 @@ class JobSupervisor {
     /// a stale cancel can never kill a fresh run.
     std::shared_ptr<std::atomic<bool>> cancel;
     std::string cancel_code;  ///< why the token was flipped
-    /// Attempt liveness, stamped (steady seconds) at every batch barrier by
-    /// the sink wrapper; read by the monitor's stall detector.
-    std::atomic<double> heartbeat_seconds{0.0};
     std::atomic<int64_t> candidates{0};
     std::atomic<int64_t> batches_committed{0};
 
     bool wants_resume = false;  ///< next attempt loads the newest checkpoint
     double backoff_seconds = 0.0;       ///< current retry delay
-    double next_attempt_seconds = 0.0;  ///< steady time the retry is due
     double deadline_seconds_abs = 0.0;  ///< steady time of the job deadline
     /// In-memory checkpoint stream (empty checkpoint_dir only).
     std::optional<core::EvolutionCheckpoint> memory_ckpt;
   };
 
-  class HeartbeatSink;  ///< wraps the real sink to stamp liveness
+  /// Wraps the real sink: stamps progress and applies the deadline and
+  /// stall rules at every batch barrier.
+  class HeartbeatSink;
 
   void WorkerLoop();
-  void MonitorLoop();
   /// Runs one attempt of `job` (already marked RUNNING under mu_).
   void RunAttempt(Job& job);
   void FinishAttempt(Job& job, const core::EvolutionResult& result);
   void FailAttempt(Job& job, const std::string& why);
+  /// Sets the capped backoff of `job`'s next attempt and schedules it when
+  /// it is due, or clears the backoff when no attempt is left or a drain
+  /// began. Caller holds mu_.
+  void ScheduleRetryLocked(Job& job);
   /// Loads the newest resumable snapshot for `job` (disk or memory).
   std::optional<core::EvolutionCheckpoint> LoadResume(Job& job);
   void PersistResult(Job& job);
@@ -180,6 +187,9 @@ class JobSupervisor {
   std::condition_variable work_cv_;
   std::map<std::string, std::unique_ptr<Job>> jobs_;
   std::deque<std::string> ready_;  ///< PENDING job ids awaiting a worker
+  /// FAILED jobs awaiting their retry, by due time (steady seconds). Resume
+  /// removes a job's entry; a worker requeues the job once it is due.
+  std::multimap<double, std::string> retries_;
   int64_t next_job_ = 1;
   bool started_ = false;
   std::atomic<bool> draining_{false};
@@ -189,7 +199,6 @@ class JobSupervisor {
   bool drained_ = false;
 
   std::vector<std::thread> workers_;
-  std::thread monitor_;
 };
 
 }  // namespace alphaevolve::service

@@ -15,9 +15,9 @@ namespace alphaevolve::service {
 
 /// One admitted operation moving from the intake thread to an op worker.
 /// Every op carries its absolute deadline (resolved at admission from the
-/// request's relative `deadline_ms`), which the worker checks before and
-/// during execution — the evaluation watchdog's liveness idea generalized
-/// to op granularity.
+/// request's relative `deadline_ms`), which the worker checks once, just
+/// before dispatch — the evaluation watchdog's liveness idea generalized to
+/// op granularity.
 struct Op {
   Request request;
   std::function<void(const std::string&)> respond;

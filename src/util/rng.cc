@@ -96,18 +96,6 @@ int Rng::WeightedChoice(const std::vector<double>& weights) {
   return static_cast<int>(weights.size()) - 1;
 }
 
-std::vector<int> Rng::Permutation(int n) {
-  std::vector<int> perm(n);
-  for (int i = 0; i < n; ++i) perm[i] = i;
-  for (int i = n - 1; i > 0; --i) {
-    const int j = UniformInt(i + 1);
-    std::swap(perm[i], perm[j]);
-  }
-  return perm;
-}
-
-Rng Rng::Fork() { return Rng(NextU64()); }
-
 uint64_t Mix64(uint64_t z) {
   z += 0x9E3779B97F4A7C15ULL;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;

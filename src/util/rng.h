@@ -11,7 +11,8 @@ namespace alphaevolve {
 /// splitmix64). Every stochastic component of the library takes an explicit
 /// `Rng` or seed so that experiments are exactly reproducible.
 ///
-/// Not thread-safe; use `Fork()` to derive independent streams per worker.
+/// Not thread-safe; give each worker its own generator (distinct seeds), or
+/// draw through `CounterRng`, which any number of threads may share.
 class Rng {
  public:
   /// Seeds the generator. Distinct seeds give statistically independent
@@ -46,12 +47,6 @@ class Rng {
   /// Samples an index in [0, weights.size()) proportionally to weights.
   /// Requires at least one strictly positive weight.
   int WeightedChoice(const std::vector<double>& weights);
-
-  /// Fisher-Yates shuffle of indices [0, n); returns the permutation.
-  std::vector<int> Permutation(int n);
-
-  /// Derives an independent child generator (e.g., one per thread/task).
-  Rng Fork();
 
   /// Raw xoshiro256** state — the checkpoint layer's "RNG cursor". Capturing
   /// and restoring the four words reproduces the stream exactly in O(1),

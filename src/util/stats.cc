@@ -77,14 +77,6 @@ std::vector<double> RanksWithTies(std::span<const double> xs) {
   return ranks;
 }
 
-double SpearmanCorrelation(std::span<const double> xs,
-                           std::span<const double> ys) {
-  AE_CHECK(xs.size() == ys.size());
-  const std::vector<double> rx = RanksWithTies(xs);
-  const std::vector<double> ry = RanksWithTies(ys);
-  return PearsonCorrelation(rx, ry);
-}
-
 bool AllFinite(std::span<const double> xs) {
   for (double x : xs) {
     if (!std::isfinite(x)) return false;

@@ -26,10 +26,6 @@ double PearsonCorrelation(std::span<const double> xs,
 /// Fractional ranks with average ties, in [1, n] (rank 1 = smallest).
 std::vector<double> RanksWithTies(std::span<const double> xs);
 
-/// Spearman rank correlation (Pearson over `RanksWithTies`).
-double SpearmanCorrelation(std::span<const double> xs,
-                           std::span<const double> ys);
-
 /// Indices that would sort `xs` ascending (stable).
 std::vector<int> ArgSort(std::span<const double> xs);
 

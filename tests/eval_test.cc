@@ -12,7 +12,7 @@ namespace {
 
 TEST(PortfolioConfigTest, ResolveTopN) {
   PortfolioConfig cfg;
-  EXPECT_EQ(cfg.ResolveTopN(100), 10);   // auto: K/20
+  EXPECT_EQ(cfg.ResolveTopN(100), 10);   // auto: K/10
   EXPECT_EQ(cfg.ResolveTopN(10), 1);
   cfg.top_n = 50;
   EXPECT_EQ(cfg.ResolveTopN(1026), 50); // paper setting
@@ -31,7 +31,7 @@ TEST(PortfolioTest, LongShortReturnsHandComputed) {
   }
   PortfolioConfig cfg;
   cfg.top_n = 2;
-  const auto returns = PortfolioReturns(ds, dates, preds, cfg);
+  const auto returns = RunBacktest(ds, dates, preds, cfg, CostConfig{}).gross;
   ASSERT_EQ(returns.size(), dates.size());
   for (size_t d = 0; d < dates.size(); ++d) {
     const double expect =
@@ -54,8 +54,10 @@ TEST(PortfolioTest, PerfectForesightBeatsInverted) {
   }
   PortfolioConfig cfg;
   cfg.top_n = 2;
-  const auto r_oracle = PortfolioReturns(ds, dates, oracle, cfg);
-  const auto r_inv = PortfolioReturns(ds, dates, inverted, cfg);
+  const auto r_oracle =
+      RunBacktest(ds, dates, oracle, cfg, CostConfig{}).gross;
+  const auto r_inv =
+      RunBacktest(ds, dates, inverted, cfg, CostConfig{}).gross;
   for (size_t d = 0; d < dates.size(); ++d) {
     EXPECT_GE(r_oracle[d], 0.0);  // oracle long-short can't lose
     EXPECT_DOUBLE_EQ(r_oracle[d], -r_inv[d]);

@@ -129,27 +129,6 @@ TEST(RngTest, WeightedChoiceProportions) {
   EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.25, 0.02);
 }
 
-TEST(RngTest, PermutationIsValid) {
-  Rng rng(17);
-  const auto perm = rng.Permutation(50);
-  std::vector<int> sorted = perm;
-  std::sort(sorted.begin(), sorted.end());
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(sorted[i], i);
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(123);
-  Rng child = a.Fork();
-  // The fork must not replay the parent stream.
-  Rng b(123);
-  b.NextU64();  // consume what Fork consumed
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (child.NextU64() == b.NextU64()) ++same;
-  }
-  EXPECT_LT(same, 4);
-}
-
 TEST(CounterRngTest, PureAndOrderIndependent) {
   const CounterRng a(123, 7);
   // Same (seed, stream, index) -> same value, regardless of query order or

@@ -184,7 +184,6 @@ TEST(JobResultCodecTest, RoundTripsAndExcludesWallClock) {
 
 SupervisorOptions FastOptions() {
   SupervisorOptions options;
-  options.poll_interval_seconds = 0.002;
   options.backoff_initial_seconds = 0.005;
   options.backoff_cap_seconds = 0.02;
   options.stall_timeout_seconds = 0.0;  // individual tests opt in
@@ -293,6 +292,34 @@ TEST(JobSupervisorTest, ExhaustedRetryBudgetParksFailed) {
   EXPECT_TRUE(sup.Resume(id));
 }
 
+TEST(JobSupervisorTest, ResumeDuringBackoffRunsAtOnceAndOnlyOnce) {
+  // Attempt 1 throws under a long backoff; resume_job runs attempt 2 at once,
+  // and the retry it replaced never runs once its due time passes.
+  SupervisorOptions options = FastOptions();
+  options.backoff_initial_seconds = 0.5;
+  options.backoff_cap_seconds = 0.5;
+  std::atomic<int> calls{0};
+  JobSupervisor sup(options,
+                    [&](const JobSpec&, core::CheckpointSink*,
+                        const core::EvolutionCheckpoint*,
+                        const std::atomic<bool>*) {
+                      if (calls.fetch_add(1) == 0) {
+                        throw std::runtime_error("evaluator exploded");
+                      }
+                      return FakeDone(0.25);
+                    });
+  sup.Start();
+  const std::string id = sup.Submit(JobSpec{});
+  ASSERT_TRUE(WaitFor([&] { return StateOf(sup, id) == JobState::kFailed; }));
+  EXPECT_EQ(sup.Status(id)->backoff_seconds, 0.5);
+  ASSERT_TRUE(sup.Resume(id));
+  ASSERT_TRUE(WaitFor([&] { return StateOf(sup, id) == JobState::kDone; }));
+  std::this_thread::sleep_for(600ms);  // past the replaced retry's due time
+  EXPECT_EQ(StateOf(sup, id), JobState::kDone);
+  EXPECT_EQ(sup.Status(id)->attempts, 2);
+  EXPECT_EQ(calls.load(), 2);
+}
+
 TEST(JobSupervisorTest, CancelParksResumableThenResumeContinues) {
   // First attempt: loop at "batch barriers" until cancelled, checkpointing
   // through the sink. Resumed attempt: must receive the last snapshot.
@@ -323,7 +350,9 @@ TEST(JobSupervisorTest, CancelParksResumableThenResumeContinues) {
           return stopped;
         }
         EXPECT_NE(resume, nullptr);
-        if (resume != nullptr) EXPECT_GT(resume->batches_committed, 0);
+        if (resume != nullptr) {
+          EXPECT_GT(resume->batches_committed, 0);
+        }
         return FakeDone(0.75);
       });
   sup.Start();
@@ -369,6 +398,35 @@ TEST(JobSupervisorTest, JobDeadlineCancelsWithStructuredError) {
   EXPECT_EQ(sup.Status(id)->error, "deadline_exceeded");
 }
 
+TEST(JobSupervisorTest, OverduePendingJobNeverStarts) {
+  // Submitted before Start and past its deadline by the time a worker takes
+  // it: the job parks CANCELLED without its run function ever being called.
+  std::atomic<int> calls{0};
+  JobSupervisor sup(FastOptions(),
+                    [&](const JobSpec&, core::CheckpointSink*,
+                        const core::EvolutionCheckpoint*,
+                        const std::atomic<bool>*) {
+                      calls.fetch_add(1);
+                      return FakeDone(0.5);
+                    });
+  JobSpec spec;
+  spec.deadline_seconds = 0.01;
+  const std::string id = sup.Submit(spec);
+  ASSERT_FALSE(id.empty());
+  std::this_thread::sleep_for(30ms);
+  sup.Start();
+  ASSERT_TRUE(WaitFor([&] {
+    const JobState state = StateOf(sup, id);
+    return state != JobState::kPending && state != JobState::kRunning;
+  }));
+  const JobStatus status = *sup.Status(id);
+  EXPECT_EQ(status.state, JobState::kCancelled);
+  EXPECT_EQ(status.error, "deadline_exceeded");
+  EXPECT_EQ(status.attempts, 0);
+  sup.Drain();
+  EXPECT_EQ(calls.load(), 0);
+}
+
 TEST(JobSupervisorTest, StalledJobIsDetectedAndRetried) {
   SupervisorOptions options = FastOptions();
   options.stall_timeout_seconds = 0.05;
@@ -378,7 +436,11 @@ TEST(JobSupervisorTest, StalledJobIsDetectedAndRetried) {
       [&](const JobSpec&, core::CheckpointSink* sink,
           const core::EvolutionCheckpoint*, const std::atomic<bool>* stop) {
         if (attempt.fetch_add(1) == 0) {
-          // Wedged attempt: never heartbeats, only watches the token.
+          // A late barrier: the second one lands past the stall timeout, and
+          // the attempt stops once its token reads true.
+          sink->WantCheckpoint(1);
+          std::this_thread::sleep_for(100ms);
+          sink->WantCheckpoint(2);
           while (!stop->load(std::memory_order_acquire)) {
             std::this_thread::sleep_for(1ms);
           }
@@ -395,6 +457,41 @@ TEST(JobSupervisorTest, StalledJobIsDetectedAndRetried) {
   auto status = sup.Status(id);
   EXPECT_EQ(status->attempts, 2);
   EXPECT_TRUE(status->error.empty());
+}
+
+TEST(JobSupervisorTest, StallOnLastAttemptParksFailedWithoutBackoff) {
+  // Attempt 1 throws and is retried under backoff; attempt 2, the last,
+  // stalls. The job parks FAILED "stalled" and reports no pending retry.
+  SupervisorOptions options = FastOptions();
+  options.max_attempts = 2;
+  options.stall_timeout_seconds = 0.05;
+  std::atomic<int> attempt{0};
+  JobSupervisor sup(
+      options,
+      [&](const JobSpec&, core::CheckpointSink* sink,
+          const core::EvolutionCheckpoint*,
+          const std::atomic<bool>* stop) -> core::EvolutionResult {
+        if (attempt.fetch_add(1) == 0) {
+          throw std::runtime_error("evaluator exploded");
+        }
+        std::this_thread::sleep_for(100ms);
+        sink->WantCheckpoint(1);
+        while (!stop->load(std::memory_order_acquire)) {
+          std::this_thread::sleep_for(1ms);
+        }
+        core::EvolutionResult stopped;
+        stopped.stopped = true;
+        return stopped;
+      });
+  sup.Start();
+  const std::string id = sup.Submit(JobSpec{});
+  ASSERT_TRUE(WaitFor([&] {
+    auto s = sup.Status(id);
+    return s->state == JobState::kFailed && s->attempts == 2;
+  }));
+  const JobStatus status = *sup.Status(id);
+  EXPECT_EQ(status.error, "stalled");
+  EXPECT_EQ(status.backoff_seconds, 0.0);
 }
 
 TEST(JobSupervisorTest, ManifestRecoverServesPersistedResultWithoutRerun) {
@@ -680,7 +777,6 @@ ServiceOptions SmallService(const std::string& dir) {
   options.eval_threads = 2;
   options.op_workers = 2;
   options.supervisor.checkpoint_dir = dir;
-  options.supervisor.poll_interval_seconds = 0.005;
   options.supervisor.checkpoint_every_batches = 2;
   options.default_job.max_candidates = 96;
   options.default_job.population_size = 20;

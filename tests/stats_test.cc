@@ -89,15 +89,6 @@ TEST(StatsTest, RanksAllEqual) {
   for (double v : r) EXPECT_DOUBLE_EQ(v, 2.0);
 }
 
-TEST(StatsTest, SpearmanMonotoneNonlinear) {
-  // y = x^3 is monotone: Spearman 1, Pearson < 1.
-  const std::vector<double> xs{-2, -1, 0, 1, 2, 3};
-  std::vector<double> ys;
-  for (double x : xs) ys.push_back(x * x * x);
-  EXPECT_NEAR(SpearmanCorrelation(xs, ys), 1.0, 1e-12);
-  EXPECT_LT(PearsonCorrelation(xs, ys), 1.0);
-}
-
 TEST(StatsTest, AllFinite) {
   EXPECT_TRUE(AllFinite(std::vector<double>{1.0, -2.0, 0.0}));
   EXPECT_FALSE(AllFinite(std::vector<double>{1.0, std::nan("")}));
