@@ -16,7 +16,8 @@
 // boot — finished jobs reload their persisted result blobs; jobs that were
 // running (or pending) when the previous process died are requeued and
 // auto-resume from their newest checkpoint, finishing bit-identical to an
-// uninterrupted run (candidate-bounded specs; wall-clock excluded).
+// uninterrupted run (candidate-bounded specs; wall-clock excluded). Failed
+// and cancelled jobs stay parked until resume_job: no job retries itself.
 //
 // Flags (all --key=value):
 //   --checkpoint-dir=DIR      durable root (default: in-memory only)
@@ -27,10 +28,6 @@
 //   --queue-capacity=N        bounded op queue (default 64)
 //   --default-deadline-ms=F   deadline for ops that carry none (default 0)
 //   --job-workers=N           concurrent searches (default 1)
-//   --max-attempts=N          attempts per job incl. first (default 4)
-//   --stall-timeout=SECS      batch barriers more than SECS apart -> stopped
-//                             at the late barrier and retried
-//   --backoff-initial=SECS --backoff-cap=SECS   retry backoff shape
 //   --checkpoint-every=N --checkpoint-keep=K    snapshot cadence/retention
 //   --max-candidates=N        default per-job candidate budget (default 240)
 //
@@ -84,14 +81,6 @@ int main(int argc, char** argv) {
       options.default_deadline_ms = std::atof(v);
     } else if (const char* v = ValueOf(arg, "--job-workers=")) {
       options.supervisor.worker_threads = std::atoi(v);
-    } else if (const char* v = ValueOf(arg, "--max-attempts=")) {
-      options.supervisor.max_attempts = std::atoi(v);
-    } else if (const char* v = ValueOf(arg, "--stall-timeout=")) {
-      options.supervisor.stall_timeout_seconds = std::atof(v);
-    } else if (const char* v = ValueOf(arg, "--backoff-initial=")) {
-      options.supervisor.backoff_initial_seconds = std::atof(v);
-    } else if (const char* v = ValueOf(arg, "--backoff-cap=")) {
-      options.supervisor.backoff_cap_seconds = std::atof(v);
     } else if (const char* v = ValueOf(arg, "--checkpoint-every=")) {
       options.supervisor.checkpoint_every_batches = std::atoi(v);
     } else if (const char* v = ValueOf(arg, "--checkpoint-keep=")) {

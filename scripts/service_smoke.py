@@ -3,10 +3,12 @@
 
 Starts ./alpha_serviced on pipes, drives the full op catalog over the
 line-delimited JSON protocol — health, submit_search, job_status polling,
-job_result, query_alphas, signals, backtest, stress, metrics, error paths —
-then a job whose deadline expires mid-search, which must stop at a batch
-barrier and park cancelled with deadline_exceeded while the daemon keeps
-serving, and finishes with a drain op, asserting the daemon exits 0.
+job_result, query_alphas, signals, backtest, stress, metrics, error paths
+(a tournament larger than the population is refused at submit) — then a
+job whose deadline expires mid-search, which must stop at a batch barrier
+and park cancelled with deadline_exceeded while the daemon keeps serving,
+checks health's per-state job counts, and finishes with a drain op,
+asserting the daemon exits 0.
 
 Usage: scripts/service_smoke.py [build_dir]
 """
@@ -112,6 +114,9 @@ def main():
     assert daemon.err("submit_search", "e2", {"batch_size": 0}) == \
         "invalid_argument"
     assert daemon.err("teleport", "e3") == "bad_request"
+    # A tournament larger than the population could only fail: nothing runs.
+    assert daemon.err("submit_search", "e4", {
+        "population_size": 4, "tournament_size": 5}) == "invalid_argument"
 
     # One full supervised search through the protocol.
     submitted = daemon.ok("submit_search", "s1", {"seed": 7})
@@ -159,7 +164,10 @@ def main():
     assert status["state"] == "cancelled", status
     assert status["error"] == "deadline_exceeded", status
     assert status["attempts"] == 1, status
-    assert daemon.ok("health", "h2")["status"] == "ok"
+    health = daemon.ok("health", "h2")
+    assert health["status"] == "ok", health
+    assert health["jobs"] == {"pending": 0, "running": 0, "done": 1,
+                              "failed": 0, "cancelled": 1}, health
 
     # Drain: the daemon acknowledges, refuses new work, exits 0.
     drained = daemon.ok("drain", "d1")

@@ -336,25 +336,23 @@ ExecutionResult Executor::Run(const AlphaProgram& program, uint64_t seed,
       limit_train < 0
           ? static_cast<int>(train_dates.size())
           : std::min<int>(limit_train, static_cast<int>(train_dates.size()));
-  for (int epoch = 0; epoch < config_.train_epochs; ++epoch) {
-    for (int di = 0; di < num_train; ++di) {
-      if (over_budget()) {
-        result.valid = false;
-        result.timed_out = true;
-        return result;
-      }
-      const int date = train_dates[static_cast<size_t>(di)];
-      predict_at(date);
-      if (!PredictionsFinite()) {
-        result.valid = false;
-        return result;
-      }
-      for (int k = 0; k < num_tasks_; ++k) {
-        Scalars(k)[kLabelScalar] = dataset_.Label(k, date);
-      }
-      ExecCompiled(compiled_[2]);
-      if (history) RecordHistory();
+  for (int di = 0; di < num_train; ++di) {
+    if (over_budget()) {
+      result.valid = false;
+      result.timed_out = true;
+      return result;
     }
+    const int date = train_dates[static_cast<size_t>(di)];
+    predict_at(date);
+    if (!PredictionsFinite()) {
+      result.valid = false;
+      return result;
+    }
+    for (int k = 0; k < num_tasks_; ++k) {
+      Scalars(k)[kLabelScalar] = dataset_.Label(k, date);
+    }
+    ExecCompiled(compiled_[2]);
+    if (history) RecordHistory();
   }
 
   auto infer = [&](market::Split split, int limit,

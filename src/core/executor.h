@@ -18,7 +18,6 @@ inline constexpr int kHistoryCap = 16;
 /// Executor options.
 struct ExecutorConfig {
   ProgramLimits limits;
-  int train_epochs = 1;  ///< Paper §5.2: one epoch for fast evaluation.
 };
 
 /// Output of one full run: predictions per evaluation date per task.
@@ -35,8 +34,8 @@ struct ExecutionResult {
 ///
 /// Run phases:
 ///  1. zero memory; Setup once per task;
-///  2. for each training date (x epochs): refresh m0, Predict, s0 ← label,
-///     Update, record scalar history;
+///  2. for each training date (one epoch, paper §5.2): refresh m0, Predict,
+///     s0 ← label, Update, record scalar history;
 ///  3. for each validation (then test) date: refresh m0, Predict, record s1
 ///     (and scalar history).
 ///

@@ -127,7 +127,6 @@ void WriteStatusFields(JsonWriter& w, const JobStatus& s) {
   w.Key("error").Value(s.error);
   w.Key("candidates").Value(s.candidates);
   w.Key("batches_committed").Value(s.batches_committed);
-  w.Key("backoff_seconds").Value(s.backoff_seconds);
   w.Key("has_result").Value(s.has_result);
   if (s.has_result) {
     w.Key("best_fitness").Value(s.result.best_fitness);
@@ -347,6 +346,14 @@ std::string AlphaService::OpSubmitSearch(const Request& req) {
       !ParamNumber(req, "deadline_seconds", spec.deadline_seconds,
                    &spec.deadline_seconds, &err)) {
     return ErrorResponse(req.id, kErrInvalidArgument, err);
+  }
+  // Evolution refuses a tournament larger than the population, so such a
+  // job could only fail.
+  if (tournament > population) {
+    return ErrorResponse(req.id, kErrInvalidArgument,
+                         "param \"tournament_size\" must not exceed "
+                         "population_size (" +
+                             std::to_string(population) + ")");
   }
   spec.seed = static_cast<uint64_t>(seed);
   spec.max_candidates = max_candidates;
@@ -606,16 +613,7 @@ std::string AlphaService::OpStress(const Request& req) {
 
 std::string AlphaService::HealthJson(const std::string& id) const {
   const bool draining = intake_closed_.load(std::memory_order_acquire);
-  int64_t running = 0, pending = 0, done = 0, failed = 0, cancelled = 0;
-  for (const JobStatus& s : supervisor_.List()) {
-    switch (s.state) {
-      case JobState::kRunning: ++running; break;
-      case JobState::kPending: ++pending; break;
-      case JobState::kDone: ++done; break;
-      case JobState::kFailed: ++failed; break;
-      case JobState::kCancelled: ++cancelled; break;
-    }
-  }
+  const auto counts = supervisor_.StateCounts();
   const double uptime =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();
@@ -626,11 +624,10 @@ std::string AlphaService::HealthJson(const std::string& id) const {
     w.Key("queue_depth").Value(static_cast<int64_t>(queue_.depth()));
     w.Key("queue_capacity").Value(static_cast<int64_t>(queue_.capacity()));
     w.Key("jobs").BeginObject();
-    w.Key("pending").Value(pending);
-    w.Key("running").Value(running);
-    w.Key("done").Value(done);
-    w.Key("failed").Value(failed);
-    w.Key("cancelled").Value(cancelled);
+    for (size_t s = 0; s < kNumJobStates; ++s) {
+      w.Key(JobStateName(static_cast<JobState>(s)))
+          .Value(static_cast<uint64_t>(counts[s]));
+    }
     w.EndObject();
   });
 }

@@ -1,6 +1,7 @@
 #ifndef ALPHAEVOLVE_SERVICE_JOB_H_
 #define ALPHAEVOLVE_SERVICE_JOB_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -17,10 +18,11 @@ namespace alphaevolve::service {
 inline constexpr uint32_t kJobResultKind = 3;
 
 /// Supervised-job state machine. PENDING and RUNNING are transient; DONE,
-/// FAILED and CANCELLED are terminal for the supervisor loop (a FAILED job
-/// with retry budget left goes back to PENDING after its backoff; CANCELLED
-/// and crash-interrupted jobs resume from their newest checkpoint — via the
-/// resume_job op or daemon restart — bit-identical to an uninterrupted run).
+/// FAILED and CANCELLED are terminal for the supervisor loop, which never
+/// moves a job out of them by itself. FAILED (its attempt threw) and
+/// CANCELLED jobs resume from their newest checkpoint via the resume_job op,
+/// crash-interrupted PENDING and RUNNING jobs via daemon restart — either
+/// way bit-identical to an uninterrupted run.
 enum class JobState {
   kPending,
   kRunning,
@@ -28,6 +30,9 @@ enum class JobState {
   kFailed,
   kCancelled,
 };
+/// Number of JobState values; JobSupervisor::StateCounts indexes by them.
+inline constexpr size_t kNumJobStates =
+    static_cast<size_t>(JobState::kCancelled) + 1;
 
 const char* JobStateName(JobState state);
 
@@ -67,10 +72,9 @@ struct JobStatus {
   JobState state = JobState::kPending;
   int attempts = 0;      ///< runs started (first run included)
   int resumes = 0;       ///< runs that continued from a checkpoint
-  std::string error;     ///< structured code when FAILED/CANCELLED
+  std::string error;     ///< thrown message when FAILED, code when CANCELLED
   int64_t candidates = 0;          ///< progress, from the last snapshot
   int64_t batches_committed = 0;   ///< progress, from the last barrier
-  double backoff_seconds = 0.0;    ///< pending retry delay (0 = none)
   bool has_result = false;
   JobResult result;                ///< meaningful when has_result
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -26,7 +25,6 @@ struct JobCounters {
   obs::Counter& done;
   obs::Counter& failed;
   obs::Counter& cancelled;
-  obs::Counter& stalled;
   obs::Counter& resumed;
   obs::Gauge& running;
   static JobCounters& Get() {
@@ -35,7 +33,6 @@ struct JobCounters {
         obs::MetricsRegistry::Default().GetCounter("service.jobs_done"),
         obs::MetricsRegistry::Default().GetCounter("service.jobs_failed"),
         obs::MetricsRegistry::Default().GetCounter("service.jobs_cancelled"),
-        obs::MetricsRegistry::Default().GetCounter("service.jobs_stalled"),
         obs::MetricsRegistry::Default().GetCounter("service.jobs_resumed"),
         obs::MetricsRegistry::Default().GetGauge("service.jobs_running"),
     };
@@ -107,37 +104,23 @@ JobResult JobSupervisor::DecodeResult(std::string_view payload) {
 // ---------------------------------------------------------------------------
 // Heartbeat wrapper: sits between Evolution and the real sink. At every batch
 // barrier, the one point where a search reads its stop token, it stamps the
-// job's progress and stops the attempt if the job is past its deadline or the
-// barrier came more than stall_timeout_seconds after the attempt's start or
-// its previous barrier. Deadline takes precedence over stall, and neither
-// overrides a code already set (cancel, drain).
+// job's progress and stops the attempt if the job is past its deadline,
+// unless a code is already set (cancel, drain).
 
 class JobSupervisor::HeartbeatSink : public core::CheckpointSink {
  public:
   HeartbeatSink(JobSupervisor* sup, Job* job, core::CheckpointSink* inner,
                 int every_batches)
-      : sup_(sup),
-        job_(job),
-        inner_(inner),
-        every_batches_(every_batches),
-        last_barrier_seconds_(sup->NowSeconds()) {}
+      : sup_(sup), job_(job), inner_(inner), every_batches_(every_batches) {}
 
   bool WantCheckpoint(int64_t batches_committed) override {
     job_->batches_committed.store(batches_committed,
                                   std::memory_order_release);
-    const double now = sup_->NowSeconds();
-    const double stall = sup_->options_.stall_timeout_seconds;
-    const char* code = nullptr;
-    if (job_->deadline_seconds_abs > 0.0 && now > job_->deadline_seconds_abs) {
-      code = "deadline_exceeded";
-    } else if (stall > 0.0 && now - last_barrier_seconds_ > stall) {
-      code = "stalled";
-    }
-    last_barrier_seconds_ = now;
-    if (code != nullptr) {
+    if (job_->deadline_seconds_abs > 0.0 &&
+        sup_->NowSeconds() > job_->deadline_seconds_abs) {
       std::lock_guard<std::mutex> lock(sup_->mu_);
       if (job_->cancel_code.empty()) {
-        job_->cancel_code = code;
+        job_->cancel_code = "deadline_exceeded";
         job_->cancel->store(true, std::memory_order_release);
       }
     }
@@ -159,7 +142,6 @@ class JobSupervisor::HeartbeatSink : public core::CheckpointSink {
   Job* job_;
   core::CheckpointSink* inner_;  ///< null in in-memory mode
   int every_batches_;
-  double last_barrier_seconds_;  ///< attempt start, then previous barrier
 };
 
 // ---------------------------------------------------------------------------
@@ -191,12 +173,10 @@ void JobSupervisor::Start() {
 std::string JobSupervisor::Submit(const JobSpec& spec) {
   std::lock_guard<std::mutex> lock(mu_);
   if (draining_.load(std::memory_order_acquire)) return "";
-  const auto active =
-      std::count_if(jobs_.begin(), jobs_.end(), [](const auto& entry) {
-        return entry.second->state == JobState::kPending ||
-               entry.second->state == JobState::kRunning;
-      });
-  if (static_cast<size_t>(active) >= kMaxActiveJobs) return "";
+  const auto counts = StateCountsLocked();
+  const size_t active = counts[static_cast<size_t>(JobState::kPending)] +
+                        counts[static_cast<size_t>(JobState::kRunning)];
+  if (active >= kMaxActiveJobs) return "";
   std::string id = "job-" + std::to_string(next_job_++);
   auto job = std::make_unique<Job>();
   job->id = id;
@@ -241,8 +221,6 @@ bool JobSupervisor::Resume(const std::string& id) {
   job->state = JobState::kPending;
   job->error.clear();
   job->wants_resume = true;
-  job->backoff_seconds = 0.0;
-  std::erase_if(retries_, [&](const auto& due) { return due.second == id; });
   EnqueueLocked(*job);
   SaveManifestLocked();
   return true;
@@ -261,6 +239,11 @@ std::vector<JobStatus> JobSupervisor::List() const {
   out.reserve(jobs_.size());
   for (const auto& [id, job] : jobs_) out.push_back(SnapshotLocked(*job));
   return out;
+}
+
+std::array<size_t, kNumJobStates> JobSupervisor::StateCounts() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return StateCountsLocked();
 }
 
 void JobSupervisor::Drain() {
@@ -292,30 +275,14 @@ void JobSupervisor::Drain() {
 void JobSupervisor::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
+    work_cv_.wait(lock, [this] { return stop_ || !ready_.empty(); });
     if (stop_) return;  // drain: queued jobs stay PENDING in the manifest
-    // Requeue every retry whose backoff has elapsed, unless a drain began.
-    const double now = NowSeconds();
-    const bool draining = draining_.load(std::memory_order_acquire);
-    while (!draining && !retries_.empty() && retries_.begin()->first <= now) {
-      Job& due = *FindLocked(retries_.begin()->second);
-      retries_.erase(retries_.begin());
-      due.state = JobState::kPending;
-      EnqueueLocked(due);
-    }
-    if (ready_.empty()) {
-      if (draining || retries_.empty()) {
-        work_cv_.wait(lock);
-      } else {
-        work_cv_.wait_for(lock, std::chrono::duration<double>(
-                                    retries_.begin()->first - now));
-      }
-      continue;
-    }
     const std::string id = ready_.front();
     ready_.pop_front();
     Job* job = FindLocked(id);
     if (job == nullptr || job->state != JobState::kPending) continue;
-    if (job->deadline_seconds_abs > 0.0 && now > job->deadline_seconds_abs) {
+    if (job->deadline_seconds_abs > 0.0 &&
+        NowSeconds() > job->deadline_seconds_abs) {
       // Past its deadline before a worker got to it: it never starts.
       job->state = JobState::kCancelled;
       job->error = "deadline_exceeded";
@@ -434,14 +401,8 @@ void JobSupervisor::FinishAttempt(Job& job,
     // Graceful drain: back to PENDING so the next process auto-resumes.
     job.state = JobState::kPending;
     job.error.clear();
-  } else if (code == "stalled") {
-    // Presumed-wedged attempt: retry from the checkpoint under backoff.
-    job.state = JobState::kFailed;
-    job.error = code;
-    if (obs::Enabled()) JobCounters::Get().stalled.Add(1);
-    ScheduleRetryLocked(job);
   } else {
-    // Explicit cancel or deadline: park resumable, no auto-retry.
+    // Explicit cancel or deadline: park resumable.
     job.state = JobState::kCancelled;
     job.error = code;
     if (obs::Enabled()) JobCounters::Get().cancelled.Add(1);
@@ -455,24 +416,7 @@ void JobSupervisor::FailAttempt(Job& job, const std::string& why) {
   job.error = why;
   job.wants_resume = true;
   if (obs::Enabled()) JobCounters::Get().failed.Add(1);
-  ScheduleRetryLocked(job);
   SaveManifestLocked();
-}
-
-void JobSupervisor::ScheduleRetryLocked(Job& job) {
-  if (job.attempts >= options_.max_attempts ||
-      draining_.load(std::memory_order_acquire)) {
-    job.backoff_seconds = 0.0;
-    return;
-  }
-  job.backoff_seconds =
-      std::min(options_.backoff_initial_seconds *
-                   std::ldexp(1.0, job.attempts - 1),
-               options_.backoff_cap_seconds);
-  retries_.emplace(NowSeconds() + job.backoff_seconds, job.id);
-  // Every idle worker re-arms its wait, so one of them wakes when this (or
-  // an earlier) retry is due.
-  work_cv_.notify_all();
 }
 
 void JobSupervisor::PersistResult(Job& job) {
@@ -585,11 +529,11 @@ void JobSupervisor::Recover() {
         job->state = JobState::kPending;
         job->wants_resume = true;
       }
-    } else if (state == JobState::kCancelled) {
-      job->state = JobState::kCancelled;
+    } else if (state == JobState::kFailed || state == JobState::kCancelled) {
+      job->state = state;  // parked until resume_job
     } else {
-      // PENDING, RUNNING (crashed mid-attempt) and FAILED all requeue; the
-      // next attempt resumes from the newest checkpoint if one exists.
+      // PENDING and RUNNING (crashed mid-attempt) requeue; the next attempt
+      // resumes from the newest checkpoint if one exists.
       job->state = JobState::kPending;
       job->wants_resume = true;
       job->error.clear();
@@ -623,10 +567,15 @@ JobStatus JobSupervisor::SnapshotLocked(const Job& job) const {
   s.error = job.error;
   s.candidates = job.candidates.load(std::memory_order_acquire);
   s.batches_committed = job.batches_committed.load(std::memory_order_acquire);
-  s.backoff_seconds = job.backoff_seconds;
   s.has_result = job.has_result;
   if (job.has_result) s.result = job.result;
   return s;
+}
+
+std::array<size_t, kNumJobStates> JobSupervisor::StateCountsLocked() const {
+  std::array<size_t, kNumJobStates> counts{};
+  for (const auto& [id, job] : jobs_) ++counts[static_cast<size_t>(job->state)];
+  return counts;
 }
 
 void JobSupervisor::EnqueueLocked(Job& job) {

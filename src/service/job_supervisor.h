@@ -1,6 +1,7 @@
 #ifndef ALPHAEVOLVE_SERVICE_JOB_SUPERVISOR_H_
 #define ALPHAEVOLVE_SERVICE_JOB_SUPERVISOR_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -33,20 +34,6 @@ struct SupervisorOptions {
   /// process restart loses everything, but in-process resume still works.
   std::string checkpoint_dir;
   int worker_threads = 1;   ///< concurrent searches (they share the pool)
-  /// Attempts per job including the first run; a job that keeps failing is
-  /// parked FAILED once the budget is spent.
-  int max_attempts = 4;
-  /// Capped exponential backoff between failing attempts:
-  /// min(initial * 2^(attempts-1), cap). An idle worker requeues the retry
-  /// once it is due.
-  double backoff_initial_seconds = 0.05;
-  double backoff_cap_seconds = 2.0;
-  /// A RUNNING attempt that reaches a batch barrier more than this many
-  /// seconds after its start or its previous barrier is presumed wedged: it
-  /// stops at that late barrier with code "stalled" and is retried from its
-  /// newest checkpoint. An attempt that never reaches another barrier is not
-  /// stopped. <= 0 disables.
-  double stall_timeout_seconds = 30.0;
   /// Checkpoint cadence and retention handed to each job's CheckpointWriter.
   int checkpoint_every_batches = 4;
   int checkpoint_keep = 3;
@@ -56,9 +43,8 @@ struct SupervisorOptions {
 /// the checkpoint sink to install (never null), the snapshot to resume from
 /// (null = fresh start), and the cancellation token to install. The function
 /// must call the sink's WantCheckpoint at each batch barrier (that call
-/// applies the job's deadline and stall rules) and honor the token there
-/// (core::Evolution does both), and may throw — a throw is a FAILED attempt,
-/// retried under backoff.
+/// applies the job's deadline rule) and honor the token there (core::Evolution
+/// does both), and may throw — a throw parks the job FAILED until resume_job.
 using RunFn = std::function<core::EvolutionResult(
     const JobSpec& spec, core::CheckpointSink* sink,
     const core::EvolutionCheckpoint* resume, const std::atomic<bool>* stop)>;
@@ -66,20 +52,23 @@ using RunFn = std::function<core::EvolutionResult(
 /// Supervises search jobs as crash-recovering state machines:
 ///
 ///   PENDING ─→ RUNNING ─→ DONE                      (result blob persisted)
-///                 │ ├──→ FAILED ─(backoff, attempts left)→ PENDING
-///                 │ └──→ CANCELLED          (resume_job / Recover reopens)
+///                 │ ├──→ FAILED     (the attempt threw)  ┐ parked until
+///                 │ └──→ CANCELLED  (cancel or deadline) ┘ resume_job
 ///                 └─(drain)→ PENDING                (next start auto-resumes)
 ///
 /// Every transition is driven by one of two forces: the worker threads and
-/// explicit ops (cancel, resume, drain). A worker runs attempts, requeues
-/// due retries, and parks a job that is past its deadline when it dequeues
-/// it. While an attempt runs, each batch barrier stops it if the job is past
-/// its deadline or the barrier came late (a stall); a search changes course
-/// only at its barriers, so no thread watches it in between. Each attempt
+/// explicit ops (cancel, resume, drain). A worker runs attempts and parks a
+/// job that is past its deadline when it dequeues it. While an attempt runs,
+/// each batch barrier stops it if the job is past its deadline; a search
+/// changes course only at its barriers, so no thread watches it in between.
+/// A job never retries itself: a search is a pure function of its spec and
+/// its newest snapshot, so a rerun mostly repeats a decided failure. A FAILED
+/// job waits for resume_job as a CANCELLED one does, and a transient failure
+/// (say std::bad_alloc) reruns only when a client resumes it. Each attempt
 /// after the first resumes from the job's newest valid on-disk checkpoint,
 /// so for candidate-bounded specs the eventual result is bit-identical to an
-/// uninterrupted run no matter how many crashes, cancels, stalls or process
-/// restarts happened in between.
+/// uninterrupted run no matter how many crashes, failures, cancels or
+/// process restarts happened in between.
 ///
 /// All public methods are thread-safe.
 class JobSupervisor {
@@ -89,9 +78,10 @@ class JobSupervisor {
   ~JobSupervisor();
 
   /// Replays `jobs.json` from checkpoint_dir (no-op when in-memory or no
-  /// manifest): DONE jobs reload their persisted result blob; jobs that were
-  /// PENDING/RUNNING/FAILED-with-budget at the crash are requeued to resume
-  /// from their newest checkpoint. Call once, before Start.
+  /// manifest): DONE jobs reload their persisted result blob; FAILED and
+  /// CANCELLED jobs stay parked until resume_job; jobs that were PENDING or
+  /// RUNNING at the crash are requeued to resume from their newest
+  /// checkpoint. Call once, before Start.
   void Recover();
 
   /// Spawns the worker threads. Jobs submitted before Start sit PENDING
@@ -114,6 +104,8 @@ class JobSupervisor {
 
   std::optional<JobStatus> Status(const std::string& id) const;
   std::vector<JobStatus> List() const;
+  /// Jobs in each state, indexed by JobState; copies no job.
+  std::array<size_t, kNumJobStates> StateCounts() const;
 
   /// Graceful shutdown: stop intake, cancel RUNNING jobs with code
   /// "drained" (they force-checkpoint and park PENDING so the next process
@@ -149,14 +141,13 @@ class JobSupervisor {
     std::atomic<int64_t> batches_committed{0};
 
     bool wants_resume = false;  ///< next attempt loads the newest checkpoint
-    double backoff_seconds = 0.0;       ///< current retry delay
     double deadline_seconds_abs = 0.0;  ///< steady time of the job deadline
     /// In-memory checkpoint stream (empty checkpoint_dir only).
     std::optional<core::EvolutionCheckpoint> memory_ckpt;
   };
 
-  /// Wraps the real sink: stamps progress and applies the deadline and
-  /// stall rules at every batch barrier.
+  /// Wraps the real sink: stamps progress and applies the deadline rule at
+  /// every batch barrier.
   class HeartbeatSink;
 
   void WorkerLoop();
@@ -164,10 +155,6 @@ class JobSupervisor {
   void RunAttempt(Job& job);
   void FinishAttempt(Job& job, const core::EvolutionResult& result);
   void FailAttempt(Job& job, const std::string& why);
-  /// Sets the capped backoff of `job`'s next attempt and schedules it when
-  /// it is due, or clears the backoff when no attempt is left or a drain
-  /// began. Caller holds mu_.
-  void ScheduleRetryLocked(Job& job);
   /// Loads the newest resumable snapshot for `job` (disk or memory).
   std::optional<core::EvolutionCheckpoint> LoadResume(Job& job);
   void PersistResult(Job& job);
@@ -176,6 +163,7 @@ class JobSupervisor {
   void SaveManifestLocked();
   Job* FindLocked(const std::string& id);
   JobStatus SnapshotLocked(const Job& job) const;
+  std::array<size_t, kNumJobStates> StateCountsLocked() const;
   /// Queues `job` for a worker. Caller holds mu_.
   void EnqueueLocked(Job& job);
 
@@ -187,9 +175,6 @@ class JobSupervisor {
   std::condition_variable work_cv_;
   std::map<std::string, std::unique_ptr<Job>> jobs_;
   std::deque<std::string> ready_;  ///< PENDING job ids awaiting a worker
-  /// FAILED jobs awaiting their retry, by due time (steady seconds). Resume
-  /// removes a job's entry; a worker requeues the job once it is due.
-  std::multimap<double, std::string> retries_;
   int64_t next_job_ = 1;
   bool started_ = false;
   std::atomic<bool> draining_{false};

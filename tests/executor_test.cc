@@ -346,22 +346,6 @@ TEST_F(ExecutorTest, MemoryPersistsAcrossDatesAsParameters) {
   }
 }
 
-TEST_F(ExecutorTest, MultipleEpochsMultiplyUpdates) {
-  AlphaProgram prog;
-  prog.setup.push_back(Const(4, 1.0));
-  prog.predict.push_back(I(Op::kScalarAdd, kPredictionScalar, 2, 2));
-  prog.update.push_back(I(Op::kScalarAdd, 2, 2, 4));
-
-  ExecutorConfig cfg;
-  cfg.train_epochs = 3;
-  Executor exec(*dataset_, cfg);
-  const auto r = exec.Run(prog, 1);
-  ASSERT_TRUE(r.valid);
-  const double n_train =
-      static_cast<double>(dataset_->dates(Split::kTrain).size());
-  EXPECT_DOUBLE_EQ(r.valid_preds[0][0], 2.0 * 3.0 * n_train);
-}
-
 TEST_F(ExecutorTest, UpdateSeesLabelPredictSeesYesterdaysLabel) {
   // Predict: s1 = s5; Update: s5 = s0. During inference there is no update,
   // so every inference prediction equals the *last training* label.

@@ -1,9 +1,10 @@
 // Resident-service tests: op-queue admission control, the line protocol,
-// the job supervisor's state machine (completion, retry-with-backoff, stall
-// detection, deadline enforcement, manifest recovery), op-level cancellation
-// leaving a valid newest checkpoint, and the end-to-end AlphaService op
-// catalog — including the bit-identity contract: a search cancelled mid-run
-// and resumed finishes byte-identical to an uninterrupted run.
+// the job supervisor's state machine (completion, a throwing attempt parked
+// FAILED until resume_job, deadline enforcement, manifest recovery),
+// op-level cancellation leaving a valid newest checkpoint, and the
+// end-to-end AlphaService op catalog — including the bit-identity contract:
+// a search cancelled mid-run and resumed finishes byte-identical to an
+// uninterrupted run.
 
 #include <unistd.h>
 
@@ -182,14 +183,6 @@ TEST(JobResultCodecTest, RoundTripsAndExcludesWallClock) {
 // ---------------------------------------------------------------------------
 // Supervisor state machine (fake run functions, in-memory checkpoints).
 
-SupervisorOptions FastOptions() {
-  SupervisorOptions options;
-  options.backoff_initial_seconds = 0.005;
-  options.backoff_cap_seconds = 0.02;
-  options.stall_timeout_seconds = 0.0;  // individual tests opt in
-  return options;
-}
-
 core::EvolutionResult FakeDone(double fitness) {
   core::EvolutionResult result;
   result.has_alpha = true;
@@ -216,7 +209,7 @@ JobState StateOf(JobSupervisor& sup, const std::string& id) {
 }
 
 TEST(JobSupervisorTest, RunsJobToDone) {
-  JobSupervisor sup(FastOptions(),
+  JobSupervisor sup(SupervisorOptions{},
                     [](const JobSpec&, core::CheckpointSink*,
                        const core::EvolutionCheckpoint* resume,
                        const std::atomic<bool>*) {
@@ -237,7 +230,7 @@ TEST(JobSupervisorTest, RunsJobToDone) {
 
 TEST(JobSupervisorTest, ActiveJobCapRefusesSubmitsUntilOneLeaves) {
   // Never started, so every admitted job stays PENDING.
-  JobSupervisor sup(FastOptions(),
+  JobSupervisor sup(SupervisorOptions{},
                     [](const JobSpec&, core::CheckpointSink*,
                        const core::EvolutionCheckpoint*,
                        const std::atomic<bool>*) { return FakeDone(0.5); });
@@ -254,52 +247,11 @@ TEST(JobSupervisorTest, ActiveJobCapRefusesSubmitsUntilOneLeaves) {
   EXPECT_TRUE(sup.Submit(JobSpec{}).empty());
 }
 
-TEST(JobSupervisorTest, RetriesThrowingAttemptsUnderBackoff) {
+TEST(JobSupervisorTest, ThrowingAttemptParksFailedUntilResumed) {
+  // A throw parks the job FAILED with the thrown message, and it stays
+  // there: only resume_job runs it again.
   std::atomic<int> calls{0};
-  JobSupervisor sup(FastOptions(),
-                    [&](const JobSpec&, core::CheckpointSink*,
-                        const core::EvolutionCheckpoint*,
-                        const std::atomic<bool>*) {
-                      if (calls.fetch_add(1) < 2) {
-                        throw std::runtime_error("evaluator exploded");
-                      }
-                      return FakeDone(0.25);
-                    });
-  sup.Start();
-  const std::string id = sup.Submit(JobSpec{});
-  ASSERT_TRUE(WaitFor([&] { return StateOf(sup, id) == JobState::kDone; }));
-  EXPECT_EQ(sup.Status(id)->attempts, 3);
-}
-
-TEST(JobSupervisorTest, ExhaustedRetryBudgetParksFailed) {
-  SupervisorOptions options = FastOptions();
-  options.max_attempts = 2;
-  JobSupervisor sup(options,
-                    [](const JobSpec&, core::CheckpointSink*,
-                       const core::EvolutionCheckpoint*,
-                       const std::atomic<bool>*) -> core::EvolutionResult {
-                      throw std::runtime_error("always broken");
-                    });
-  sup.Start();
-  const std::string id = sup.Submit(JobSpec{});
-  ASSERT_TRUE(WaitFor([&] {
-    auto s = sup.Status(id);
-    return s->state == JobState::kFailed && s->attempts == 2 &&
-           s->backoff_seconds == 0.0;
-  }));
-  EXPECT_EQ(sup.Status(id)->error, "always broken");
-  // Explicit resume_job reopens a parked-FAILED job.
-  EXPECT_TRUE(sup.Resume(id));
-}
-
-TEST(JobSupervisorTest, ResumeDuringBackoffRunsAtOnceAndOnlyOnce) {
-  // Attempt 1 throws under a long backoff; resume_job runs attempt 2 at once,
-  // and the retry it replaced never runs once its due time passes.
-  SupervisorOptions options = FastOptions();
-  options.backoff_initial_seconds = 0.5;
-  options.backoff_cap_seconds = 0.5;
-  std::atomic<int> calls{0};
-  JobSupervisor sup(options,
+  JobSupervisor sup(SupervisorOptions{},
                     [&](const JobSpec&, core::CheckpointSink*,
                         const core::EvolutionCheckpoint*,
                         const std::atomic<bool>*) {
@@ -311,12 +263,18 @@ TEST(JobSupervisorTest, ResumeDuringBackoffRunsAtOnceAndOnlyOnce) {
   sup.Start();
   const std::string id = sup.Submit(JobSpec{});
   ASSERT_TRUE(WaitFor([&] { return StateOf(sup, id) == JobState::kFailed; }));
-  EXPECT_EQ(sup.Status(id)->backoff_seconds, 0.5);
+  std::this_thread::sleep_for(100ms);  // no rerun comes by itself
+  const JobStatus failed = *sup.Status(id);
+  EXPECT_EQ(failed.state, JobState::kFailed);
+  EXPECT_EQ(failed.error, "evaluator exploded");
+  EXPECT_EQ(failed.attempts, 1);
+  EXPECT_EQ(calls.load(), 1);
+
   ASSERT_TRUE(sup.Resume(id));
   ASSERT_TRUE(WaitFor([&] { return StateOf(sup, id) == JobState::kDone; }));
-  std::this_thread::sleep_for(600ms);  // past the replaced retry's due time
-  EXPECT_EQ(StateOf(sup, id), JobState::kDone);
-  EXPECT_EQ(sup.Status(id)->attempts, 2);
+  const JobStatus done = *sup.Status(id);
+  EXPECT_EQ(done.attempts, 2);
+  EXPECT_TRUE(done.error.empty());
   EXPECT_EQ(calls.load(), 2);
 }
 
@@ -325,7 +283,7 @@ TEST(JobSupervisorTest, CancelParksResumableThenResumeContinues) {
   // through the sink. Resumed attempt: must receive the last snapshot.
   std::atomic<int> attempt{0};
   JobSupervisor sup(
-      FastOptions(),
+      SupervisorOptions{},
       [&](const JobSpec&, core::CheckpointSink* sink,
           const core::EvolutionCheckpoint* resume,
           const std::atomic<bool>* stop) {
@@ -376,7 +334,7 @@ TEST(JobSupervisorTest, CancelParksResumableThenResumeContinues) {
 }
 
 TEST(JobSupervisorTest, JobDeadlineCancelsWithStructuredError) {
-  JobSupervisor sup(FastOptions(),
+  JobSupervisor sup(SupervisorOptions{},
                     [](const JobSpec&, core::CheckpointSink* sink,
                        const core::EvolutionCheckpoint*,
                        const std::atomic<bool>* stop) {
@@ -402,7 +360,7 @@ TEST(JobSupervisorTest, OverduePendingJobNeverStarts) {
   // Submitted before Start and past its deadline by the time a worker takes
   // it: the job parks CANCELLED without its run function ever being called.
   std::atomic<int> calls{0};
-  JobSupervisor sup(FastOptions(),
+  JobSupervisor sup(SupervisorOptions{},
                     [&](const JobSpec&, core::CheckpointSink*,
                         const core::EvolutionCheckpoint*,
                         const std::atomic<bool>*) {
@@ -427,73 +385,6 @@ TEST(JobSupervisorTest, OverduePendingJobNeverStarts) {
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(JobSupervisorTest, StalledJobIsDetectedAndRetried) {
-  SupervisorOptions options = FastOptions();
-  options.stall_timeout_seconds = 0.05;
-  std::atomic<int> attempt{0};
-  JobSupervisor sup(
-      options,
-      [&](const JobSpec&, core::CheckpointSink* sink,
-          const core::EvolutionCheckpoint*, const std::atomic<bool>* stop) {
-        if (attempt.fetch_add(1) == 0) {
-          // A late barrier: the second one lands past the stall timeout, and
-          // the attempt stops once its token reads true.
-          sink->WantCheckpoint(1);
-          std::this_thread::sleep_for(100ms);
-          sink->WantCheckpoint(2);
-          while (!stop->load(std::memory_order_acquire)) {
-            std::this_thread::sleep_for(1ms);
-          }
-          core::EvolutionResult stopped;
-          stopped.stopped = true;
-          return stopped;
-        }
-        sink->WantCheckpoint(1);
-        return FakeDone(0.3);
-      });
-  sup.Start();
-  const std::string id = sup.Submit(JobSpec{});
-  ASSERT_TRUE(WaitFor([&] { return StateOf(sup, id) == JobState::kDone; }));
-  auto status = sup.Status(id);
-  EXPECT_EQ(status->attempts, 2);
-  EXPECT_TRUE(status->error.empty());
-}
-
-TEST(JobSupervisorTest, StallOnLastAttemptParksFailedWithoutBackoff) {
-  // Attempt 1 throws and is retried under backoff; attempt 2, the last,
-  // stalls. The job parks FAILED "stalled" and reports no pending retry.
-  SupervisorOptions options = FastOptions();
-  options.max_attempts = 2;
-  options.stall_timeout_seconds = 0.05;
-  std::atomic<int> attempt{0};
-  JobSupervisor sup(
-      options,
-      [&](const JobSpec&, core::CheckpointSink* sink,
-          const core::EvolutionCheckpoint*,
-          const std::atomic<bool>* stop) -> core::EvolutionResult {
-        if (attempt.fetch_add(1) == 0) {
-          throw std::runtime_error("evaluator exploded");
-        }
-        std::this_thread::sleep_for(100ms);
-        sink->WantCheckpoint(1);
-        while (!stop->load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(1ms);
-        }
-        core::EvolutionResult stopped;
-        stopped.stopped = true;
-        return stopped;
-      });
-  sup.Start();
-  const std::string id = sup.Submit(JobSpec{});
-  ASSERT_TRUE(WaitFor([&] {
-    auto s = sup.Status(id);
-    return s->state == JobState::kFailed && s->attempts == 2;
-  }));
-  const JobStatus status = *sup.Status(id);
-  EXPECT_EQ(status.error, "stalled");
-  EXPECT_EQ(status.backoff_seconds, 0.0);
-}
-
 TEST(JobSupervisorTest, ManifestRecoverServesPersistedResultWithoutRerun) {
   const std::string dir =
       (std::filesystem::temp_directory_path() /
@@ -501,7 +392,7 @@ TEST(JobSupervisorTest, ManifestRecoverServesPersistedResultWithoutRerun) {
           .string();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  SupervisorOptions options = FastOptions();
+  SupervisorOptions options;
   options.checkpoint_dir = dir;
 
   std::string id;
@@ -538,6 +429,58 @@ TEST(JobSupervisorTest, ManifestRecoverServesPersistedResultWithoutRerun) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(JobSupervisorTest, ManifestRecoverKeepsFailedJobsParked) {
+  // A FAILED manifest entry survives a restart as FAILED, error included,
+  // and the restarted supervisor runs it only once it is resumed.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("ae_service_" + std::to_string(::getpid()) + "_failed"))
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SupervisorOptions options;
+  options.checkpoint_dir = dir;
+
+  std::string id;
+  {
+    JobSupervisor sup(options,
+                      [](const JobSpec&, core::CheckpointSink*,
+                         const core::EvolutionCheckpoint*,
+                         const std::atomic<bool>*) -> core::EvolutionResult {
+                        throw std::runtime_error("always broken");
+                      });
+    sup.Start();
+    id = sup.Submit(JobSpec{});
+    ASSERT_TRUE(
+        WaitFor([&] { return StateOf(sup, id) == JobState::kFailed; }));
+    sup.Drain();
+  }
+
+  std::atomic<int> calls{0};
+  JobSupervisor restarted(options,
+                          [&](const JobSpec&, core::CheckpointSink*,
+                              const core::EvolutionCheckpoint*,
+                              const std::atomic<bool>*) {
+                            calls.fetch_add(1);
+                            return FakeDone(0.4);
+                          });
+  restarted.Recover();
+  restarted.Start();
+  std::this_thread::sleep_for(100ms);  // no rerun comes by itself
+  const JobStatus parked = *restarted.Status(id);
+  EXPECT_EQ(parked.state, JobState::kFailed);
+  EXPECT_EQ(parked.error, "always broken");
+  EXPECT_EQ(calls.load(), 0);
+
+  ASSERT_TRUE(restarted.Resume(id));
+  ASSERT_TRUE(
+      WaitFor([&] { return StateOf(restarted, id) == JobState::kDone; }));
+  EXPECT_EQ(restarted.Status(id)->attempts, 2);
+  EXPECT_EQ(calls.load(), 1);
+  restarted.Drain();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(JobSupervisorTest, FailedManifestWriteKeepsThePreviousManifest) {
   // jobs.json is published like every checkpoint generation (write all,
   // fsync, rename, fsync the directory): a failed write warns and leaves the
@@ -548,7 +491,7 @@ TEST(JobSupervisorTest, FailedManifestWriteKeepsThePreviousManifest) {
           .string();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  SupervisorOptions options = FastOptions();
+  SupervisorOptions options;
   options.checkpoint_dir = dir;
   fault::SetForTesting(fault::Kind::kNone);
   {
@@ -589,7 +532,7 @@ TEST(JobSupervisorTest, DrainParksRunningJobsPendingForNextProcess) {
           .string();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  SupervisorOptions options = FastOptions();
+  SupervisorOptions options;
   options.checkpoint_dir = dir;
 
   std::string id;
@@ -826,6 +769,14 @@ TEST_F(ServiceSearchTest, OpCatalogEndToEnd) {
         return doc.At("result").At("state").AsString() == "done";
       },
       60000ms));
+  // health counts the jobs in each state.
+  const JsonValue counts = Ok(service.Call(R"({"op":"health","id":"h1"})"))
+                               .At("result")
+                               .At("jobs");
+  EXPECT_EQ(counts.At("done").AsInt(), 1);
+  for (const char* state : {"pending", "running", "failed", "cancelled"}) {
+    EXPECT_EQ(counts.At(state).AsInt(), 0) << state;
+  }
 
   JsonValue result = Ok(service.Call(
       R"({"op":"job_result","id":"r","params":{"job":")" + job + R"("}})"));
@@ -939,7 +890,7 @@ TEST_F(ServiceSearchTest, CancelledJobResumesByteIdenticalToUninterrupted) {
   std::promise<void> parked;
   std::future<void> held = parked.get_future();
   std::atomic<bool> park_next{true};
-  SupervisorOptions options = FastOptions();
+  SupervisorOptions options;
   options.checkpoint_dir = dir_;
   options.checkpoint_every_batches = 2;
   JobSupervisor sup(options, [&](const JobSpec&, core::CheckpointSink* sink,
@@ -1068,7 +1019,7 @@ TEST_F(ServiceSearchTest, NumericParamsAreCheckedIntegers) {
       {"submit_search", "seed", {"-1", "1e300", "2.5", "\"7\""}},
       {"submit_search", "max_candidates", {"0", "-5", "1e300", "9.5"}},
       {"submit_search", "population_size", {"1", "1e10", "20.5", "null"}},
-      {"submit_search", "tournament_size", {"0", "-1e300", "2.25"}},
+      {"submit_search", "tournament_size", {"0", "-1e300", "2.25", "21"}},
       {"submit_search", "batch_size", {"0", "3e9", "1.5", "true"}},
       {"submit_search", "deadline_seconds", {"\"soon\"", "null", "[1]"}},
       {"signals", "date", {"-1", "1e300", "0.5", "\"0\""}},
