@@ -12,12 +12,14 @@
 // drain: intake stops, admitted ops finish, running jobs checkpoint and
 // park, telemetry flushes, then the process exits 0.
 //
-// Crash recovery: with --checkpoint-dir the daemon replays DIR/jobs.json at
-// boot — finished jobs reload their persisted result blobs; jobs that were
-// running (or pending) when the previous process died are requeued and
-// auto-resume from their newest checkpoint, finishing bit-identical to an
-// uninterrupted run (candidate-bounded specs; wall-clock excluded). Failed
-// and cancelled jobs stay parked until resume_job: no job retries itself.
+// Crash recovery: with --checkpoint-dir each job keeps its own directory,
+// DIR/<id>/, holding its record (job) and its snapshot stream, and the
+// daemon reads every record at boot: finished jobs serve the result their
+// record holds; jobs that were running (or pending) when the previous
+// process died are requeued and auto-resume from their newest checkpoint,
+// finishing bit-identical to an uninterrupted run (candidate-bounded specs;
+// wall-clock excluded). Failed and cancelled jobs stay parked until
+// resume_job: no job retries itself.
 //
 // Flags (all --key=value):
 //   --checkpoint-dir=DIR      durable root (default: in-memory only)

@@ -2,7 +2,9 @@
 # Daemon kill-and-resume smoke: SIGKILL alpha_serviced while a supervised
 # search job is mid-run, restart it on the same checkpoint directory, and
 # require the auto-resumed job's job_result response to be byte-identical to
-# the one an uninterrupted daemon produces for the same spec.
+# the one an uninterrupted daemon produces for the same spec. A third daemon
+# then reloads the DONE job from its record alone and must serve the same
+# status and the same job_result line without running it.
 #
 # The kill is timed off the job's own progress (job_status polling — SIGKILL
 # once >= 2 batch barriers committed, well before the ~30-batch budget), so
@@ -110,10 +112,10 @@ for n in range(2000):
     # Kill only once a snapshot is durable on disk: the background publisher
     # lags the batch barrier that queued it, and a kill before the first
     # publish would test the fresh-start path, not resume.
-    durable = any(f.endswith(".ckpt") and ".result." not in f
-                  for f in os.listdir(crash_dir))
+    durable = any(f.endswith(".ckpt")
+                  for f in os.listdir(f"{crash_dir}/{job2}"))
     if state["batches_committed"] >= 2 and durable:
-        victim.kill()  # SIGKILL: no handlers, no flush, no manifest save
+        victim.kill()  # SIGKILL: no handlers, no flush, no drain
         victim.wait()
         killed = True
         print(f"SIGKILLed at batch {state['batches_committed']}")
@@ -132,7 +134,7 @@ if not killed:
     assert status == 42, f"crash injection did not fire (exit {status})"
     print("crashed after the 3rd snapshot publish (exit 42)")
 
-ckpts = [f for f in os.listdir(crash_dir) if f.endswith(".ckpt")]
+ckpts = [f for f in os.listdir(f"{crash_dir}/{job2}") if f.endswith(".ckpt")]
 assert ckpts, "no snapshots survived the kill"
 
 # --- Restart on the same directory: Recover requeues and auto-resumes.
@@ -151,4 +153,24 @@ if out_line != ref_line:
     print(f"  got: {out_line}", file=sys.stderr)
     sys.exit(1)
 print("PASS: resumed job_result is byte-identical to the uninterrupted run")
+
+# --- Reload: a third daemon serves the DONE job from its record alone.
+print("== reloaded daemon (DONE job from its record) ==")
+reloaded = start(crash_dir)
+doc, _ = call(reloaded, "job_status", "r", {"job": job2})
+assert doc["result"]["state"] == "done", doc
+assert doc["result"]["attempts"] == status["attempts"], (doc, status)
+reload_line = result_line(reloaded, job2)
+reloaded.stdin.close()
+assert reloaded.wait(timeout=120) == 0
+if reload_line != ref_line:
+    print("FAIL: reloaded job_result differs from the uninterrupted "
+          "reference", file=sys.stderr)
+    print(f"  ref: {ref_line}", file=sys.stderr)
+    print(f"  got: {reload_line}", file=sys.stderr)
+    sys.exit(1)
+left = sorted(os.listdir(f"{crash_dir}/{job2}"))
+assert left == ["job"], f"{job2}/ should hold only its record: {left}"
+print("PASS: reloaded job_result is byte-identical; the job's directory "
+      "holds only its record")
 PY

@@ -147,6 +147,8 @@ bool WriteAll(int fd, std::string_view bytes) {
   return true;
 }
 
+}  // namespace
+
 bool FsyncDir(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return false;
@@ -154,8 +156,6 @@ bool FsyncDir(const std::string& dir) {
   ::close(fd);
   return ok;
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Codecs.

@@ -72,10 +72,14 @@ CampaignState DecodeCampaign(std::string_view payload);
 /// mix. On any failure — real, or ENOSPC/EIO injected via AE_FAULT — it
 /// warns on stderr, removes the temp file, leaves any previous `<name>` in
 /// place and returns false. AE_FAULT=delay slows every call. The
-/// CheckpointWriter's generations and the service's jobs manifest are both
+/// CheckpointWriter's generations and the service's per-job records are both
 /// published through it.
 bool PublishFile(const std::string& dir, const std::string& name,
                  std::string_view bytes);
+
+/// fsyncs directory `dir` so its entries (a new file or subdirectory, a
+/// rename) survive power loss; false on failure. PublishFile ends with it.
+bool FsyncDir(const std::string& dir);
 
 /// Cadence/retention policy for a CheckpointWriter.
 struct WriterOptions {

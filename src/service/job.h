@@ -11,11 +11,13 @@
 
 namespace alphaevolve::service {
 
-/// Envelope kind of a durable job result blob (see serde::Seal; kinds 1 and
-/// 2 belong to the ckpt layer's search/campaign snapshots). A finished job
-/// persists its deterministic result under `<job>.result.g*.ckpt` so a
-/// restarted daemon serves the same bytes without re-running the search.
-inline constexpr uint32_t kJobResultKind = 3;
+/// Envelope kind of a job's durable record, `<checkpoint_dir>/<id>/job`
+/// (see serde::Seal; kinds 1 and 2 belong to the ckpt layer's search and
+/// campaign snapshots). The record holds the job's spec, state, attempts,
+/// resumes, error and absolute deadline, plus, once DONE, its deterministic
+/// result, so a restarted daemon serves the same bytes without re-running
+/// the search.
+inline constexpr uint32_t kJobRecordKind = 3;
 
 /// Supervised-job state machine. PENDING and RUNNING are transient; DONE,
 /// FAILED and CANCELLED are terminal for the supervisor loop, which never
@@ -46,10 +48,12 @@ struct JobSpec {
   int population_size = 20;
   int tournament_size = 5;
   int batch_size = 8;
-  /// Wall-clock deadline for the whole job (0 = none), the op-level deadline
-  /// generalized to job granularity. A job past it never starts, and a
-  /// running job stops at its next batch barrier; either way it parks
-  /// CANCELLED with a structured deadline_exceeded error.
+  /// Wall-clock deadline for the whole job (0 = none), counted from submit,
+  /// the op-level deadline generalized to job granularity. The job's record
+  /// stores the absolute time, so a daemon restart does not extend it. A job
+  /// past it never starts, and a running job stops at its next batch
+  /// barrier; either way it parks CANCELLED with a structured
+  /// deadline_exceeded error.
   double deadline_seconds = 0.0;
 };
 

@@ -1,17 +1,16 @@
 #include "service/job_supervisor.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <utility>
 
 #include "ckpt/checkpoint.h"
 #include "obs/telemetry.h"
-#include "util/check.h"
-#include "util/json.h"
 #include "util/serde.h"
 
 namespace alphaevolve::service {
@@ -40,12 +39,14 @@ struct JobCounters {
   }
 };
 
-JobState ParseJobState(const std::string& name) {
-  if (name == "running") return JobState::kRunning;
-  if (name == "done") return JobState::kDone;
-  if (name == "failed") return JobState::kFailed;
-  if (name == "cancelled") return JobState::kCancelled;
-  return JobState::kPending;
+/// N for a directory named `job-N` (0 < N < INT64_MAX), else 0.
+int64_t JobNumber(const std::string& name) {
+  if (name.rfind("job-", 0) != 0) return 0;
+  const char* end = name.data() + name.size();
+  int64_t n = 0;
+  const auto [ptr, ec] = std::from_chars(name.data() + 4, end, n);
+  const bool ok = ec == std::errc() && ptr == end && n > 0 && n < INT64_MAX;
+  return ok ? n : 0;
 }
 
 bool Terminal(JobState s) {
@@ -72,10 +73,11 @@ const char* JobStateName(JobState state) {
 }
 
 // ---------------------------------------------------------------------------
-// Result blob codec. The encoding deliberately omits stats.elapsed_seconds —
-// the one field a resumed run cannot bitwise-reproduce — so the blob (and the
-// job_result op built from it) is byte-identical between an uninterrupted run
-// and any chain of crash/resume attempts with the same spec.
+// Result codec. The encoding deliberately omits stats.elapsed_seconds — the
+// one field a resumed run cannot bitwise-reproduce — so a DONE job's record
+// (and the job_result op a restarted daemon builds from it) is byte-identical
+// between an uninterrupted run and any chain of crash/resume attempts with
+// the same spec.
 
 std::string JobSupervisor::EncodeResult(const JobResult& result) {
   serde::Writer w;
@@ -147,15 +149,13 @@ class JobSupervisor::HeartbeatSink : public core::CheckpointSink {
 // ---------------------------------------------------------------------------
 
 JobSupervisor::JobSupervisor(SupervisorOptions options, RunFn run_fn)
-    : options_(std::move(options)),
-      run_fn_(std::move(run_fn)),
-      epoch_(std::chrono::steady_clock::now()) {}
+    : options_(std::move(options)), run_fn_(std::move(run_fn)) {}
 
 JobSupervisor::~JobSupervisor() { Drain(); }
 
-double JobSupervisor::NowSeconds() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
+double JobSupervisor::NowSeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::system_clock::now().time_since_epoch())
       .count();
 }
 
@@ -188,7 +188,7 @@ std::string JobSupervisor::Submit(const JobSpec& spec) {
   jobs_.emplace(id, std::move(job));
   EnqueueLocked(ref);
   if (obs::Enabled()) JobCounters::Get().submitted.Add(1);
-  SaveManifestLocked();
+  SaveLocked(&ref);
   return id;
 }
 
@@ -200,7 +200,7 @@ bool JobSupervisor::Cancel(const std::string& id, const std::string& code) {
     job->state = JobState::kCancelled;
     job->error = code;
     if (obs::Enabled()) JobCounters::Get().cancelled.Add(1);
-    SaveManifestLocked();
+    SaveLocked(job);
     return true;
   }
   // RUNNING: flip the attempt's token; the run stops at its next batch
@@ -220,9 +220,8 @@ bool JobSupervisor::Resume(const std::string& id) {
   }
   job->state = JobState::kPending;
   job->error.clear();
-  job->wants_resume = true;
   EnqueueLocked(*job);
-  SaveManifestLocked();
+  SaveLocked(job);
   return true;
 }
 
@@ -266,7 +265,7 @@ void JobSupervisor::Drain() {
   }
   workers_.clear();
   std::lock_guard<std::mutex> lock(mu_);
-  SaveManifestLocked();
+  SaveLocked(nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -276,7 +275,7 @@ void JobSupervisor::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     work_cv_.wait(lock, [this] { return stop_ || !ready_.empty(); });
-    if (stop_) return;  // drain: queued jobs stay PENDING in the manifest
+    if (stop_) return;  // drain: queued jobs stay PENDING in their records
     const std::string id = ready_.front();
     ready_.pop_front();
     Job* job = FindLocked(id);
@@ -287,7 +286,7 @@ void JobSupervisor::WorkerLoop() {
       job->state = JobState::kCancelled;
       job->error = "deadline_exceeded";
       if (obs::Enabled()) JobCounters::Get().cancelled.Add(1);
-      SaveManifestLocked();
+      SaveLocked(job);
       continue;
     }
     job->state = JobState::kRunning;
@@ -305,7 +304,8 @@ void JobSupervisor::WorkerLoop() {
 
 std::optional<core::EvolutionCheckpoint> JobSupervisor::LoadResume(Job& job) {
   if (options_.checkpoint_dir.empty()) return job.memory_ckpt;
-  auto loaded = ckpt::LoadNewest(options_.checkpoint_dir, job.id);
+  auto loaded =
+      ckpt::LoadNewest(options_.checkpoint_dir + "/" + job.id, "search");
   if (!loaded.has_value()) return std::nullopt;
   if (loaded->kind != ckpt::kSearchSnapshotKind) {
     std::fprintf(stderr,
@@ -324,19 +324,12 @@ std::optional<core::EvolutionCheckpoint> JobSupervisor::LoadResume(Job& job) {
 }
 
 void JobSupervisor::RunAttempt(Job& job) {
-  std::optional<core::EvolutionCheckpoint> resume;
-  bool wants_resume = false;
-  {
+  // A fresh job has no snapshot to resume from: ids are never reused.
+  std::optional<core::EvolutionCheckpoint> resume = LoadResume(job);
+  if (resume.has_value()) {
     std::lock_guard<std::mutex> lock(mu_);
-    wants_resume = job.wants_resume;
-  }
-  if (wants_resume) {
-    resume = LoadResume(job);
-    if (resume.has_value()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      job.resumes += 1;
-      if (obs::Enabled()) JobCounters::Get().resumed.Add(1);
-    }
+    job.resumes += 1;
+    if (obs::Enabled()) JobCounters::Get().resumed.Add(1);
   }
 
   // The durable sink (one writer per attempt: generation numbering continues
@@ -347,8 +340,8 @@ void JobSupervisor::RunAttempt(Job& job) {
     ckpt::WriterOptions wo;
     wo.every_batches = options_.checkpoint_every_batches;
     wo.keep = options_.checkpoint_keep;
-    writer = std::make_unique<ckpt::CheckpointWriter>(options_.checkpoint_dir,
-                                                      job.id, wo);
+    writer = std::make_unique<ckpt::CheckpointWriter>(
+        options_.checkpoint_dir + "/" + job.id, "search", wo);
   }
   HeartbeatSink sink(this, &job, writer.get(),
                      options_.checkpoint_every_batches);
@@ -367,37 +360,22 @@ void JobSupervisor::RunAttempt(Job& job) {
 
 void JobSupervisor::FinishAttempt(Job& job,
                                   const core::EvolutionResult& result) {
-  if (!result.stopped) {
-    // Completed. Persist the deterministic result blob *before* publishing
-    // the DONE state, so a crash between the two re-runs the tail instead of
-    // serving a result that never hit disk.
-    JobResult jr;
-    jr.has_alpha = result.has_alpha;
-    jr.best = result.best;
-    jr.best_fitness = result.best_fitness;
-    jr.metrics = result.best_metrics;
-    jr.stats = result.stats;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      job.result = jr;  // worker-owned while RUNNING; published below
-    }
-    PersistResult(job);
-    std::lock_guard<std::mutex> lock(mu_);
-    job.state = JobState::kDone;
-    job.has_result = true;
-    job.wants_resume = false;
-    job.error.clear();
-    if (obs::Enabled()) JobCounters::Get().done.Add(1);
-    SaveManifestLocked();
-    return;
-  }
-
-  // Stopped by the token: route on why it was flipped.
   std::lock_guard<std::mutex> lock(mu_);
-  job.wants_resume = true;  // a forced final snapshot exists
+  // A stopped run routes on why its token was flipped.
   const std::string code =
       job.cancel_code.empty() ? "cancelled" : job.cancel_code;
-  if (code == "drained") {
+  if (!result.stopped) {
+    // Completed: one record carries the DONE state and the result, so a
+    // crash before it lands reruns the tail from the search stream.
+    job.result.has_alpha = result.has_alpha;
+    job.result.best = result.best;
+    job.result.best_fitness = result.best_fitness;
+    job.result.metrics = result.best_metrics;
+    job.result.stats = result.stats;
+    job.state = JobState::kDone;
+    job.error.clear();
+    if (obs::Enabled()) JobCounters::Get().done.Add(1);
+  } else if (code == "drained") {
     // Graceful drain: back to PENDING so the next process auto-resumes.
     job.state = JobState::kPending;
     job.error.clear();
@@ -407,147 +385,101 @@ void JobSupervisor::FinishAttempt(Job& job,
     job.error = code;
     if (obs::Enabled()) JobCounters::Get().cancelled.Add(1);
   }
-  SaveManifestLocked();
+  SaveLocked(&job);
 }
 
 void JobSupervisor::FailAttempt(Job& job, const std::string& why) {
   std::lock_guard<std::mutex> lock(mu_);
   job.state = JobState::kFailed;
   job.error = why;
-  job.wants_resume = true;
   if (obs::Enabled()) JobCounters::Get().failed.Add(1);
-  SaveManifestLocked();
-}
-
-void JobSupervisor::PersistResult(Job& job) {
-  if (options_.checkpoint_dir.empty()) return;
-  ckpt::WriterOptions wo;
-  wo.keep = 1;
-  ckpt::CheckpointWriter writer(options_.checkpoint_dir, job.id + ".result",
-                                wo);
-  writer.WriteBlob(kJobResultKind, EncodeResult(job.result));
-  // The search stream is spent: the result blob is the durable artifact now.
-  ckpt::RemoveCheckpoints(options_.checkpoint_dir, job.id);
+  SaveLocked(&job);
 }
 
 // ---------------------------------------------------------------------------
-// Manifest + recovery.
+// Job records: `<checkpoint_dir>/<id>/job`, one sealed kJobRecordKind file
+// per job, beside that job's snapshot stream.
 
-void JobSupervisor::SaveManifestLocked() {
+void JobSupervisor::SaveLocked(const Job* job) {
   if (options_.checkpoint_dir.empty()) return;
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("next_job").Value(next_job_);
-  w.Key("jobs").BeginArray();
-  for (const auto& [id, job] : jobs_) {
-    w.BeginObject();
-    w.Key("id").Value(job->id);
-    w.Key("state").Value(JobStateName(job->state));
-    w.Key("attempts").Value(static_cast<int64_t>(job->attempts));
-    w.Key("resumes").Value(static_cast<int64_t>(job->resumes));
-    w.Key("error").Value(job->error);
-    w.Key("wants_resume").Value(job->wants_resume);
-    w.Key("spec").BeginObject();
-    w.Key("seed").Value(static_cast<uint64_t>(job->spec.seed));
-    w.Key("max_candidates").Value(job->spec.max_candidates);
-    w.Key("population_size").Value(job->spec.population_size);
-    w.Key("tournament_size").Value(job->spec.tournament_size);
-    w.Key("batch_size").Value(job->spec.batch_size);
-    w.Key("deadline_seconds").Value(job->spec.deadline_seconds);
-    w.EndObject();
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  // The checkpoint writers create this lazily on their first publish, but
-  // the manifest must be durable from the very first Submit — a daemon can
-  // be killed before any snapshot lands. A failed publish warns and keeps
-  // the previous manifest; the next transition writes it again.
-  std::error_code ec;
-  std::filesystem::create_directories(options_.checkpoint_dir, ec);
-  ckpt::PublishFile(options_.checkpoint_dir, "jobs.json",
-                    w.TakeString() + "\n");
+  if (job != nullptr) unsaved_.insert(job->id);
+  std::erase_if(unsaved_, [this](const std::string& id) {
+    const Job& j = *jobs_.at(id);
+    serde::Writer w;
+    w.U64(j.spec.seed);
+    w.I64(j.spec.max_candidates);
+    w.U32(static_cast<uint32_t>(j.spec.population_size));
+    w.U32(static_cast<uint32_t>(j.spec.tournament_size));
+    w.U32(static_cast<uint32_t>(j.spec.batch_size));
+    w.F64(j.spec.deadline_seconds);
+    w.U8(static_cast<uint8_t>(j.state));
+    w.U32(static_cast<uint32_t>(j.attempts));
+    w.U32(static_cast<uint32_t>(j.resumes));
+    w.Str(j.error);
+    w.F64(j.deadline_seconds_abs);
+    if (j.state == JobState::kDone) w.Str(EncodeResult(j.result));
+    const std::string dir = options_.checkpoint_dir + "/" + id;
+    std::error_code ec;
+    const bool created = std::filesystem::create_directories(dir, ec);
+    const bool saved =
+        ckpt::PublishFile(dir, "job", serde::Seal(kJobRecordKind, w.Take()));
+    // A new job's directory entry must be as durable as its record.
+    if (created) ckpt::FsyncDir(options_.checkpoint_dir);
+    // The result is on disk: the search stream is spent.
+    if (saved && j.state == JobState::kDone) {
+      ckpt::RemoveCheckpoints(dir, "search");
+    }
+    return saved;
+  });
 }
 
 void JobSupervisor::Recover() {
   if (options_.checkpoint_dir.empty()) return;
-  const std::string path = options_.checkpoint_dir + "/jobs.json";
-  std::ifstream in(path);
-  if (!in) return;  // first boot: nothing to replay
-  std::stringstream buf;
-  buf << in.rdbuf();
-  JsonValue doc;
-  try {
-    doc = JsonValue::Parse(buf.str());
-  } catch (const CheckError& e) {
-    std::fprintf(stderr, "[service] warn: manifest %s unreadable (%s)\n",
-                 path.c_str(), e.what());
-    return;
-  }
   std::lock_guard<std::mutex> lock(mu_);
-  if (doc.Contains("next_job")) {
-    next_job_ = std::max(next_job_, doc.At("next_job").AsInt());
-  }
-  if (!doc.Contains("jobs")) return;
-  for (const JsonValue& j : doc.At("jobs").AsArray()) {
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(options_.checkpoint_dir, ec)) {
+    const std::string id = entry.path().filename().string();
+    const int64_t number = JobNumber(id);
+    if (number == 0) continue;
+    next_job_ = std::max(next_job_, number + 1);
     auto job = std::make_unique<Job>();
-    job->id = j.At("id").AsString();
-    job->attempts = static_cast<int>(j.At("attempts").AsInt());
-    job->resumes = static_cast<int>(j.At("resumes").AsInt());
-    job->error = j.At("error").AsString();
-    job->wants_resume = j.At("wants_resume").AsBool();
-    const JsonValue& spec = j.At("spec");
-    job->spec.seed = static_cast<uint64_t>(spec.At("seed").AsInt());
-    job->spec.max_candidates = spec.At("max_candidates").AsInt();
-    job->spec.population_size =
-        static_cast<int>(spec.At("population_size").AsInt());
-    job->spec.tournament_size =
-        static_cast<int>(spec.At("tournament_size").AsInt());
-    job->spec.batch_size = static_cast<int>(spec.At("batch_size").AsInt());
-    job->spec.deadline_seconds = spec.At("deadline_seconds").AsDouble();
-
-    const JobState state = ParseJobState(j.At("state").AsString());
-    if (state == JobState::kDone) {
-      // Serve the persisted result; a DONE manifest entry whose blob is
-      // missing or corrupt falls back to re-running from the search stream.
-      bool loaded = false;
-      auto blob =
-          ckpt::LoadNewest(options_.checkpoint_dir, job->id + ".result");
-      if (blob.has_value() && blob->kind == kJobResultKind) {
-        try {
-          job->result = DecodeResult(blob->payload);
-          job->has_result = true;
-          job->state = JobState::kDone;
-          loaded = true;
-        } catch (const serde::Error& e) {
-          std::fprintf(stderr,
-                       "[service] warn: %s result blob undecodable (%s)\n",
-                       job->id.c_str(), e.what());
-        }
-      }
-      if (!loaded) {
-        job->state = JobState::kPending;
-        job->wants_resume = true;
-      }
-    } else if (state == JobState::kFailed || state == JobState::kCancelled) {
-      job->state = state;  // parked until resume_job
-    } else {
-      // PENDING and RUNNING (crashed mid-attempt) requeue; the next attempt
-      // resumes from the newest checkpoint if one exists.
-      job->state = JobState::kPending;
-      job->wants_resume = true;
-      job->error.clear();
+    job->id = id;
+    try {
+      std::ifstream in(entry.path() / "job", std::ios::binary);
+      const serde::Envelope env = serde::Open(
+          std::string(std::istreambuf_iterator<char>(in), {}));
+      if (env.kind != kJobRecordKind) throw serde::Error("not a job record");
+      serde::Reader r(env.payload);
+      job->spec.seed = r.U64();
+      job->spec.max_candidates = r.I64();
+      job->spec.population_size = static_cast<int>(r.U32());
+      job->spec.tournament_size = static_cast<int>(r.U32());
+      job->spec.batch_size = static_cast<int>(r.U32());
+      job->spec.deadline_seconds = r.F64();
+      const uint8_t state = r.U8();
+      if (state >= kNumJobStates) throw serde::Error("job state out of range");
+      job->state = static_cast<JobState>(state);
+      job->attempts = static_cast<int>(r.U32());
+      job->resumes = static_cast<int>(r.U32());
+      job->error = r.Str();
+      job->deadline_seconds_abs = r.F64();
+      if (job->state == JobState::kDone) job->result = DecodeResult(r.Str());
+      r.ExpectEnd();
+    } catch (const serde::Error& e) {
+      std::fprintf(stderr,
+                   "[service] warn: skipping %s: record unreadable (%s)\n",
+                   id.c_str(), e.what());
+      continue;
     }
-    if (job->spec.deadline_seconds > 0.0 &&
-        job->state == JobState::kPending) {
-      job->deadline_seconds_abs = NowSeconds() + job->spec.deadline_seconds;
-    }
-    Job& ref = *job;
-    const std::string id = job->id;
+    // A job that was running when its process died resumes from its newest
+    // snapshot, like a pending one.
+    if (job->state == JobState::kRunning) job->state = JobState::kPending;
     jobs_[id] = std::move(job);
-    if (ref.state == JobState::kPending) EnqueueLocked(ref);
   }
-  SaveManifestLocked();
+  for (auto& [id, job] : jobs_) {
+    if (job->state == JobState::kPending) EnqueueLocked(*job);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -567,8 +499,8 @@ JobStatus JobSupervisor::SnapshotLocked(const Job& job) const {
   s.error = job.error;
   s.candidates = job.candidates.load(std::memory_order_acquire);
   s.batches_committed = job.batches_committed.load(std::memory_order_acquire);
-  s.has_result = job.has_result;
-  if (job.has_result) s.result = job.result;
+  s.has_result = job.state == JobState::kDone;
+  if (s.has_result) s.result = job.result;
   return s;
 }
 

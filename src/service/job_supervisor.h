@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,10 +29,11 @@ inline constexpr size_t kMaxActiveJobs = 1024;
 
 /// Supervision policy for search jobs.
 struct SupervisorOptions {
-  /// Durable root: per-job checkpoint streams (`<id>.g*.ckpt`), result blobs
-  /// (`<id>.result.g*.ckpt`) and the jobs manifest (`jobs.json`) live here.
-  /// Empty runs fully in-memory (tests): checkpoints are held in RAM and a
-  /// process restart loses everything, but in-process resume still works.
+  /// Durable root: one directory per job, `<id>/`, holding the job's sealed
+  /// record (`job`: spec, state, deadline, and the result once DONE) and its
+  /// snapshot stream (`search.g*.ckpt`). Empty runs fully in-memory (tests):
+  /// checkpoints are held in RAM and a process restart loses everything, but
+  /// in-process resume still works.
   std::string checkpoint_dir;
   int worker_threads = 1;   ///< concurrent searches (they share the pool)
   /// Checkpoint cadence and retention handed to each job's CheckpointWriter.
@@ -51,7 +53,7 @@ using RunFn = std::function<core::EvolutionResult(
 
 /// Supervises search jobs as crash-recovering state machines:
 ///
-///   PENDING ─→ RUNNING ─→ DONE                      (result blob persisted)
+///   PENDING ─→ RUNNING ─→ DONE                   (result in the job's record)
 ///                 │ ├──→ FAILED     (the attempt threw)  ┐ parked until
 ///                 │ └──→ CANCELLED  (cancel or deadline) ┘ resume_job
 ///                 └─(drain)→ PENDING                (next start auto-resumes)
@@ -64,11 +66,14 @@ using RunFn = std::function<core::EvolutionResult(
 /// A job never retries itself: a search is a pure function of its spec and
 /// its newest snapshot, so a rerun mostly repeats a decided failure. A FAILED
 /// job waits for resume_job as a CANCELLED one does, and a transient failure
-/// (say std::bad_alloc) reruns only when a client resumes it. Each attempt
-/// after the first resumes from the job's newest valid on-disk checkpoint,
-/// so for candidate-bounded specs the eventual result is bit-identical to an
-/// uninterrupted run no matter how many crashes, failures, cancels or
-/// process restarts happened in between.
+/// (say std::bad_alloc) reruns only when a client resumes it. Every attempt
+/// resumes from the job's newest valid snapshot when one exists (a fresh job
+/// has none: ids are never reused), so for candidate-bounded specs the
+/// eventual result is bit-identical to an uninterrupted run no matter how
+/// many crashes, failures, cancels or process restarts happened in between.
+/// Each transition publishes that job's record alone; a publish that fails
+/// leaves the previous record in place and is written again by the next
+/// publish of any job, or by Drain.
 ///
 /// All public methods are thread-safe.
 class JobSupervisor {
@@ -77,11 +82,14 @@ class JobSupervisor {
   /// Drains (idempotent) and joins all threads.
   ~JobSupervisor();
 
-  /// Replays `jobs.json` from checkpoint_dir (no-op when in-memory or no
-  /// manifest): DONE jobs reload their persisted result blob; FAILED and
-  /// CANCELLED jobs stay parked until resume_job; jobs that were PENDING or
-  /// RUNNING at the crash are requeued to resume from their newest
-  /// checkpoint. Call once, before Start.
+  /// Reads the record of every `job-N` directory under checkpoint_dir, and
+  /// writes nothing (no-op when in-memory): DONE jobs serve their recorded
+  /// result; FAILED and CANCELLED jobs stay parked until resume_job; jobs
+  /// that were PENDING or RUNNING at the crash are requeued to resume from
+  /// their newest snapshot, under the deadline they were submitted with. A
+  /// record that is missing or does not decode skips its job with a warning.
+  /// The next id is past every `job-N` directory, so no id is reused. Call
+  /// once, before Start.
   void Recover();
 
   /// Spawns the worker threads. Jobs submitted before Start sit PENDING
@@ -109,16 +117,16 @@ class JobSupervisor {
 
   /// Graceful shutdown: stop intake, cancel RUNNING jobs with code
   /// "drained" (they force-checkpoint and park PENDING so the next process
-  /// resumes them), join the workers, persist the manifest.
-  /// Idempotent.
+  /// resumes them), join the workers, write again any record whose publish
+  /// failed. Idempotent.
   void Drain();
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
   const SupervisorOptions& options() const { return options_; }
 
   /// Serializes/parses the deterministic slice of a result (see JobResult:
-  /// stats.elapsed_seconds excluded). Exposed for the result-blob codec
-  /// tests and the daemon's byte-compare smoke.
+  /// stats.elapsed_seconds excluded), as a DONE job's record carries it.
+  /// Exposed for the codec tests and the resume byte-compare test.
   static std::string EncodeResult(const JobResult& result);
   static JobResult DecodeResult(std::string_view payload);
 
@@ -130,8 +138,7 @@ class JobSupervisor {
     int attempts = 0;
     int resumes = 0;
     std::string error;
-    bool has_result = false;
-    JobResult result;
+    JobResult result;  ///< meaningful once DONE, the state that sets it
 
     /// Cancellation token for the current attempt; replaced per attempt so
     /// a stale cancel can never kill a fresh run.
@@ -140,8 +147,8 @@ class JobSupervisor {
     std::atomic<int64_t> candidates{0};
     std::atomic<int64_t> batches_committed{0};
 
-    bool wants_resume = false;  ///< next attempt loads the newest checkpoint
-    double deadline_seconds_abs = 0.0;  ///< steady time of the job deadline
+    /// System-clock time (NowSeconds) of the job deadline; 0 = none.
+    double deadline_seconds_abs = 0.0;
     /// In-memory checkpoint stream (empty checkpoint_dir only).
     std::optional<core::EvolutionCheckpoint> memory_ckpt;
   };
@@ -157,10 +164,15 @@ class JobSupervisor {
   void FailAttempt(Job& job, const std::string& why);
   /// Loads the newest resumable snapshot for `job` (disk or memory).
   std::optional<core::EvolutionCheckpoint> LoadResume(Job& job);
-  void PersistResult(Job& job);
-  double NowSeconds() const;
-  /// Publishes jobs.json through ckpt::PublishFile. Caller holds mu_.
-  void SaveManifestLocked();
+  /// Seconds since the Unix epoch, from the system clock: a job deadline
+  /// must mean the same instant to the next process.
+  static double NowSeconds();
+  /// Marks `job`'s record unsaved (unless null), then publishes every
+  /// unsaved record to `<checkpoint_dir>/<id>/job` through ckpt::PublishFile.
+  /// A failed publish keeps the record unsaved for the next call. Once a
+  /// DONE record is on disk, the job's search stream is removed. Caller
+  /// holds mu_.
+  void SaveLocked(const Job* job);
   Job* FindLocked(const std::string& id);
   JobStatus SnapshotLocked(const Job& job) const;
   std::array<size_t, kNumJobStates> StateCountsLocked() const;
@@ -169,12 +181,12 @@ class JobSupervisor {
 
   SupervisorOptions options_;
   RunFn run_fn_;
-  std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
   std::map<std::string, std::unique_ptr<Job>> jobs_;
   std::deque<std::string> ready_;  ///< PENDING job ids awaiting a worker
+  std::set<std::string> unsaved_;  ///< ids whose newest record is not on disk
   int64_t next_job_ = 1;
   bool started_ = false;
   std::atomic<bool> draining_{false};

@@ -21,7 +21,7 @@ namespace alphaevolve::fault {
 ///   enospc / eio       every write from the n-th on fails as if the disk
 ///                      were full / erroring; the writer must degrade to a
 ///                      warning + counter, never abort the search, and the
-///                      service keeps its previous jobs manifest (both
+///                      service keeps each job's previous record (both
 ///                      publish through ckpt::PublishFile). Persistent.
 ///   delay              every InjectDelay site from the n-th on sleeps
 ///                      kDelayMillis — slow I/O / a slow evaluation, for

@@ -1,10 +1,11 @@
 // Resident-service tests: op-queue admission control, the line protocol,
 // the job supervisor's state machine (completion, a throwing attempt parked
-// FAILED until resume_job, deadline enforcement, manifest recovery),
-// op-level cancellation leaving a valid newest checkpoint, and the
-// end-to-end AlphaService op catalog — including the bit-identity contract:
-// a search cancelled mid-run and resumed finishes byte-identical to an
-// uninterrupted run.
+// FAILED until resume_job, deadline enforcement, recovery from per-job
+// records, including every truncated or overwritten record), op-level
+// cancellation leaving a valid newest checkpoint, and the end-to-end
+// AlphaService op catalog — including the bit-identity contract: a search
+// cancelled mid-run and resumed finishes byte-identical to an uninterrupted
+// run.
 
 #include <unistd.h>
 
@@ -32,6 +33,7 @@
 #include "service/protocol.h"
 #include "util/fault.h"
 #include "util/json.h"
+#include "util/serde.h"
 
 namespace alphaevolve::service {
 namespace {
@@ -146,7 +148,7 @@ TEST(ProtocolTest, ResponsesCarryStructuredEnvelopes) {
 }
 
 // ---------------------------------------------------------------------------
-// Result blob codec.
+// Result codec.
 
 TEST(JobResultCodecTest, RoundTripsAndExcludesWallClock) {
   JobResult result;
@@ -206,6 +208,39 @@ bool WaitFor(Pred pred, std::chrono::milliseconds limit = 5000ms) {
 JobState StateOf(JobSupervisor& sup, const std::string& id) {
   auto status = sup.Status(id);
   return status.has_value() ? status->state : JobState::kPending;
+}
+
+/// An empty checkpoint root unique to this process and `tag`.
+std::string FreshDir(const std::string& tag) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("ae_service_" + std::to_string(::getpid()) + "_" + tag))
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// The run function of a supervisor that must start no attempt.
+RunFn MustNotRun() {
+  return [](const JobSpec&, core::CheckpointSink*,
+            const core::EvolutionCheckpoint*,
+            const std::atomic<bool>*) -> core::EvolutionResult {
+    ADD_FAILURE() << "no attempt may run";
+    return FakeDone(0.0);
+  };
 }
 
 TEST(JobSupervisorTest, RunsJobToDone) {
@@ -385,7 +420,7 @@ TEST(JobSupervisorTest, OverduePendingJobNeverStarts) {
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(JobSupervisorTest, ManifestRecoverServesPersistedResultWithoutRerun) {
+TEST(JobSupervisorTest, RecoverServesPersistedResultWithoutRerun) {
   const std::string dir =
       (std::filesystem::temp_directory_path() /
        ("ae_service_" + std::to_string(::getpid()) + "_recover"))
@@ -408,8 +443,8 @@ TEST(JobSupervisorTest, ManifestRecoverServesPersistedResultWithoutRerun) {
     sup.Drain();
   }
 
-  // A restarted supervisor must serve the result from the blob: its run
-  // function aborts the test if ever invoked.
+  // A restarted supervisor must serve the result from the job's record: its
+  // run function aborts the test if ever invoked.
   JobSupervisor restarted(
       options,
       [](const JobSpec&, core::CheckpointSink*,
@@ -429,9 +464,9 @@ TEST(JobSupervisorTest, ManifestRecoverServesPersistedResultWithoutRerun) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(JobSupervisorTest, ManifestRecoverKeepsFailedJobsParked) {
-  // A FAILED manifest entry survives a restart as FAILED, error included,
-  // and the restarted supervisor runs it only once it is resumed.
+TEST(JobSupervisorTest, RecoverKeepsFailedJobsParked) {
+  // A FAILED record survives a restart as FAILED, error included, and the
+  // restarted supervisor runs it only once it is resumed.
   const std::string dir =
       (std::filesystem::temp_directory_path() /
        ("ae_service_" + std::to_string(::getpid()) + "_failed"))
@@ -481,47 +516,193 @@ TEST(JobSupervisorTest, ManifestRecoverKeepsFailedJobsParked) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(JobSupervisorTest, FailedManifestWriteKeepsThePreviousManifest) {
-  // jobs.json is published like every checkpoint generation (write all,
-  // fsync, rename, fsync the directory): a failed write warns and leaves the
-  // previous manifest in place instead of truncating it.
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("ae_service_" + std::to_string(::getpid()) + "_manifest"))
-          .string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+TEST(JobSupervisorTest, FailedRecordWriteKeepsThePreviousRecord) {
+  // A job's record is published like every checkpoint generation (write
+  // all, fsync, rename, fsync the directory): a failed write warns and
+  // leaves the previous record in place, and the next publish of any job
+  // writes it again.
+  const std::string dir = FreshDir("record");
   SupervisorOptions options;
   options.checkpoint_dir = dir;
   fault::SetForTesting(fault::Kind::kNone);
   {
-    // Never started: Submit only records the job and publishes the manifest.
-    JobSupervisor sup(options,
-                      [](const JobSpec&, core::CheckpointSink*,
-                         const core::EvolutionCheckpoint*,
-                         const std::atomic<bool>*) -> core::EvolutionResult {
-                        ADD_FAILURE() << "the supervisor was never started";
-                        return FakeDone(0.0);
-                      });
+    // Never started: jobs move only through Submit and Cancel.
+    JobSupervisor sup(options, MustNotRun());
     const std::string first = sup.Submit(JobSpec{});
     fault::SetForTesting(fault::Kind::kEnospc);
+    ASSERT_TRUE(sup.Cancel(first));
     const std::string second = sup.Submit(JobSpec{});
     fault::SetForTesting(fault::Kind::kNone);
     ASSERT_FALSE(second.empty());
     EXPECT_NE(second, first);
+    {
+      JobSupervisor reader(options, MustNotRun());
+      reader.Recover();
+      const std::vector<JobStatus> jobs = reader.List();
+      ASSERT_EQ(jobs.size(), 1u);
+      EXPECT_EQ(jobs[0].id, first);
+      EXPECT_EQ(jobs[0].state, JobState::kPending);
+    }
+    for (const std::string& id : {first, second}) {
+      EXPECT_FALSE(std::filesystem::exists(dir + "/" + id + "/job.tmp"));
+    }
 
-    // Read before the supervisor's destructor drains, which publishes the
-    // manifest again with the fault disarmed.
-    std::ifstream in(dir + "/jobs.json");
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const JsonValue manifest = JsonValue::Parse(buf.str());
-    const auto& jobs = manifest.At("jobs").AsArray();
-    ASSERT_EQ(jobs.size(), 1u);
-    EXPECT_EQ(jobs[0].At("id").AsString(), first);
-    EXPECT_FALSE(std::filesystem::exists(dir + "/jobs.json.tmp"));
+    // With the fault cleared, the next publish heals both failed writes.
+    const std::string third = sup.Submit(JobSpec{});
+    JobSupervisor reader(options, MustNotRun());
+    reader.Recover();
+    EXPECT_EQ(reader.List().size(), 3u);
+    ASSERT_TRUE(reader.Status(first).has_value());
+    EXPECT_EQ(reader.Status(first)->state, JobState::kCancelled);
+    ASSERT_TRUE(reader.Status(second).has_value());
+    ASSERT_TRUE(reader.Status(third).has_value());
   }
   fault::ClearForTesting();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(JobSupervisorTest, RecoverSkipsAnUnreadableRecordAndNeverReusesItsId) {
+  // An unreadable record costs its own job only. A job directory without a
+  // readable record still holds its id, so a new job never meets a stale
+  // stream under its own id.
+  const std::string dir = FreshDir("unreadable");
+  SupervisorOptions options;
+  options.checkpoint_dir = dir;
+  {
+    JobSupervisor sup(options,
+                      [](const JobSpec&, core::CheckpointSink*,
+                         const core::EvolutionCheckpoint*,
+                         const std::atomic<bool>*) { return FakeDone(0.6); });
+    sup.Start();
+    for (const char* id : {"job-1", "job-2", "job-3"}) {
+      ASSERT_EQ(sup.Submit(JobSpec{}), id);
+    }
+    ASSERT_TRUE(WaitFor([&] {
+      return sup.StateCounts()[static_cast<size_t>(JobState::kDone)] == 3;
+    }));
+  }
+  std::string record = ReadFile(dir + "/job-2/job");
+  ASSERT_FALSE(record.empty());
+  record[record.size() / 2] ^= 0x01;
+  WriteFile(dir + "/job-2/job", record);
+  core::EvolutionCheckpoint ck;
+  ck.rng_state = {1, 2, 3, 4};
+  ck.population.push_back({core::MakeExpertAlpha(13), 0.1});
+  std::filesystem::create_directories(dir + "/job-7");
+  WriteFile(dir + "/job-7/search.g00000001.ckpt",
+            serde::Seal(ckpt::kSearchSnapshotKind,
+                        ckpt::EncodeSearchSnapshot(ck)));
+
+  std::atomic<int> calls{0};
+  JobSupervisor restarted(options, [&](const JobSpec&, core::CheckpointSink*,
+                                       const core::EvolutionCheckpoint* resume,
+                                       const std::atomic<bool>*) {
+    calls.fetch_add(1);
+    EXPECT_EQ(resume, nullptr);
+    return FakeDone(0.3);
+  });
+  restarted.Recover();
+  restarted.Start();
+  for (const char* id : {"job-1", "job-3"}) {
+    SCOPED_TRACE(id);
+    const auto status = restarted.Status(id);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, JobState::kDone);
+    ASSERT_TRUE(status->has_result);
+    EXPECT_DOUBLE_EQ(status->result.best_fitness, 0.6);
+  }
+  EXPECT_FALSE(restarted.Status("job-2").has_value());
+  EXPECT_FALSE(restarted.Status("job-7").has_value());
+  EXPECT_EQ(restarted.List().size(), 2u);
+  const std::string next = restarted.Submit(JobSpec{});
+  EXPECT_EQ(next, "job-8");
+  ASSERT_TRUE(
+      WaitFor([&] { return StateOf(restarted, next) == JobState::kDone; }));
+  restarted.Drain();
+  EXPECT_EQ(calls.load(), 1);  // job-8's attempt, and nothing recovered
+  std::filesystem::remove_all(dir);
+}
+
+TEST(JobSupervisorTest, DeadlineSurvivesARestart) {
+  // The deadline is for the whole job: its record keeps the absolute time,
+  // so a restarted daemon does not grant the job a fresh one.
+  const std::string dir = FreshDir("deadline");
+  SupervisorOptions options;
+  options.checkpoint_dir = dir;
+  std::string id;
+  {
+    JobSupervisor sup(options, MustNotRun());  // never started
+    JobSpec spec;
+    spec.deadline_seconds = 0.05;
+    id = sup.Submit(spec);
+    ASSERT_FALSE(id.empty());
+  }
+  std::this_thread::sleep_for(100ms);
+
+  std::atomic<int> calls{0};
+  JobSupervisor restarted(options, [&](const JobSpec&, core::CheckpointSink*,
+                                       const core::EvolutionCheckpoint*,
+                                       const std::atomic<bool>*) {
+    calls.fetch_add(1);
+    return FakeDone(0.5);
+  });
+  restarted.Recover();
+  restarted.Start();
+  ASSERT_TRUE(WaitFor([&] {
+    const JobState state = StateOf(restarted, id);
+    return state != JobState::kPending && state != JobState::kRunning;
+  }));
+  const JobStatus status = *restarted.Status(id);
+  EXPECT_EQ(status.state, JobState::kCancelled);
+  EXPECT_EQ(status.error, "deadline_exceeded");
+  EXPECT_EQ(status.attempts, 0);
+  restarted.Drain();
+  EXPECT_EQ(calls.load(), 0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(JobSupervisorTest, RecoverSurvivesEveryTruncatedOrOverwrittenRecord) {
+  // Deterministic fuzzing of the record decoder: every truncation of a DONE
+  // job's record payload, and a 0xff byte at every offset, re-sealed so the
+  // CRC passes and the decoder itself sees the bytes. Each variant decodes
+  // or is skipped, brings back at most one job, and never costs an id.
+  const std::string dir = FreshDir("fuzz");
+  SupervisorOptions options;
+  options.checkpoint_dir = dir;
+  {
+    JobSupervisor sup(options,
+                      [](const JobSpec&, core::CheckpointSink*,
+                         const core::EvolutionCheckpoint*,
+                         const std::atomic<bool>*) { return FakeDone(0.6); });
+    sup.Start();
+    const std::string id = sup.Submit(JobSpec{});
+    ASSERT_EQ(id, "job-1");
+    ASSERT_TRUE(WaitFor([&] { return StateOf(sup, id) == JobState::kDone; }));
+  }
+  const serde::Envelope env = serde::Open(ReadFile(dir + "/job-1/job"));
+  ASSERT_EQ(env.kind, kJobRecordKind);
+  const std::string& payload = env.payload;
+  std::vector<std::string> variants;
+  for (size_t n = 0; n < payload.size(); ++n) {
+    variants.push_back(payload.substr(0, n));
+    variants.push_back(payload);
+    variants.back()[n] = static_cast<char>(0xff);
+  }
+  size_t recovered = 0;
+  for (size_t v = 0; v < variants.size(); ++v) {
+    SCOPED_TRACE("variant " + std::to_string(v));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir + "/job-1");
+    WriteFile(dir + "/job-1/job", serde::Seal(kJobRecordKind, variants[v]));
+    JobSupervisor sup(options, MustNotRun());  // never started
+    sup.Recover();
+    EXPECT_LE(sup.List().size(), 1u);
+    recovered += sup.List().size();
+    EXPECT_EQ(sup.Submit(JobSpec{}), "job-2");
+  }
+  // Both outcomes occur: overwritten doubles decode, truncations do not.
+  EXPECT_GT(recovered, 0u);
+  EXPECT_LT(recovered, variants.size());
   std::filesystem::remove_all(dir);
 }
 
@@ -568,7 +749,7 @@ TEST(JobSupervisorTest, DrainParksRunningJobsPendingForNextProcess) {
     EXPECT_TRUE(sup.Submit(JobSpec{}).empty());  // intake closed
   }
   // The checkpoint stream survived the drain for the next process.
-  EXPECT_TRUE(ckpt::LoadNewest(dir, id).has_value());
+  EXPECT_TRUE(ckpt::LoadNewest(dir + "/" + id, "search").has_value());
 
   JobSupervisor next(options,
                      [](const JobSpec&, core::CheckpointSink*,
@@ -911,7 +1092,7 @@ TEST_F(ServiceSearchTest, CancelledJobResumesByteIdenticalToUninterrupted) {
   ASSERT_TRUE(WaitFor(
       [&] { return StateOf(sup, job1) == JobState::kCancelled; }, 60000ms));
   // The cancel left a valid newest checkpoint behind, and no result.
-  EXPECT_TRUE(ckpt::LoadNewest(dir_, job1).has_value());
+  EXPECT_TRUE(ckpt::LoadNewest(dir_ + "/" + job1, "search").has_value());
   EXPECT_FALSE(sup.Status(job1)->has_result);
 
   ASSERT_TRUE(sup.Resume(job1));
