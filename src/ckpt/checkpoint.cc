@@ -88,6 +88,12 @@ std::vector<core::Instruction> DecodeInstructions(serde::Reader& r) {
     ins.idx1 = r.U8();
     ins.imm0 = r.F64();
     ins.imm1 = r.F64();
+    // A CRC-valid record can still name a register or an immediate that no
+    // search writes; running it would index past the executor's and the
+    // pruner's register files.
+    const std::string bad =
+        core::ValidateInstruction(ins, core::ProgramLimits{});
+    if (!bad.empty()) throw serde::Error("checkpoint: " + bad);
     list.push_back(ins);
   }
   return list;

@@ -16,6 +16,16 @@ Evaluator::Evaluator(const market::Dataset& dataset, EvaluatorConfig config)
 
 AlphaMetrics Evaluator::Evaluate(const AlphaProgram& program, uint64_t seed,
                                  bool include_test) {
+  return Measure(program, seed, /*with_book=*/true, include_test);
+}
+
+AlphaMetrics Evaluator::EvaluateFitness(const AlphaProgram& program,
+                                        uint64_t seed, bool with_book) {
+  return Measure(program, seed, with_book, /*include_test=*/false);
+}
+
+AlphaMetrics Evaluator::Measure(const AlphaProgram& program, uint64_t seed,
+                                bool with_book, bool include_test) {
   AlphaMetrics m;
   ExecutionResult r =
       executor_.Run(program, seed, include_test, /*limit_train=*/-1,
@@ -29,6 +39,7 @@ AlphaMetrics Evaluator::Evaluate(const AlphaProgram& program, uint64_t seed,
   m.valid = true;
   m.ic_valid = eval::InformationCoefficient(dataset_, valid_dates,
                                             r.valid_preds);
+  if (!with_book) return m;
   eval::Backtest valid_bt = eval::RunBacktest(
       dataset_, valid_dates, r.valid_preds, config_.portfolio, config_.costs);
   m.sharpe_valid = eval::SharpeRatio(valid_bt.gross);

@@ -16,10 +16,15 @@ namespace alphaevolve::core {
 /// achievable IC (ICs live in [-1, 1] but evolved alphas score ≪ 1).
 inline constexpr double kInvalidFitness = -1.0;
 
-/// Everything the mining loop needs to know about one evaluated alpha.
-/// Gross numbers ignore transaction costs (the paper's setting); the `_net`
-/// Sharpe ratios and mean turnovers come from the cost model in
-/// `EvaluatorConfig::costs` and coincide with gross when it is disabled.
+/// What one evaluation found out about an alpha. Gross numbers ignore
+/// transaction costs (the paper's setting); the `_net` Sharpe ratios and
+/// mean turnovers come from the cost model in `EvaluatorConfig::costs` and
+/// coincide with gross when it is disabled.
+///
+/// Evaluator::Evaluate fills every field (the test side only when asked).
+/// A search's Evaluator::EvaluateFitness without the long-short book fills
+/// only `valid`, `timed_out` and `ic_valid`; the Sharpe ratios, turnovers
+/// and return series then stay zero and empty.
 struct AlphaMetrics {
   bool valid = false;
   /// Abandoned by the evaluation watchdog (EvaluatorConfig::
@@ -78,8 +83,11 @@ struct ScenarioFitnessOptions {
 /// What a CandidateScorer decided about one candidate.
 struct ScoreOutcome {
   /// Baseline-regime metrics — what the zoo reports and the correlation
-  /// cutoff was applied to. `fitness` is the scorer's aggregate and is what
-  /// evolution selects on; it need not equal baseline.ic_valid.
+  /// cutoff was applied to. A full validation-side Evaluate, book included,
+  /// whether or not the accepted set is empty (callers compare its IC,
+  /// Sharpe and gross series with their own evaluation). `fitness` is the
+  /// scorer's aggregate and is what evolution selects on; it need not equal
+  /// baseline.ic_valid.
   AlphaMetrics baseline;
   double fitness = kInvalidFitness;
   bool cutoff_discarded = false;  ///< Failed the weak-correlation cutoff.
@@ -108,6 +116,11 @@ class CandidateScorer {
 /// evolutionary fitness, long-short portfolio returns and Sharpe for the
 /// weak-correlation cutoff and the paper's tables.
 ///
+/// Two entry points. Evaluate computes everything, for reports, the
+/// service's `backtest` and `stress` ops and a search's final re-evaluation
+/// of its winner. EvaluateFitness is the search's: it pays for the
+/// long-short book only when its caller reads the book.
+///
 /// Not thread-safe (owns its Executor); use one per thread. An evaluation
 /// runs on the calling thread and the evaluator never spawns threads.
 class Evaluator {
@@ -119,6 +132,16 @@ class Evaluator {
   /// false the test-side fields are left zero/empty.
   AlphaMetrics Evaluate(const AlphaProgram& program, uint64_t seed,
                         bool include_test = true);
+
+  /// Validation-side evaluation for a search. With `with_book` it returns
+  /// exactly Evaluate(program, seed, false). Without it, it runs only the
+  /// executor and the validation IC (the fitness, paper Eq. 1) and sets only
+  /// `valid`, `timed_out` and `ic_valid`: no backtest, Sharpe or turnover.
+  /// A caller asks for the book when it reads the gross series (the
+  /// weak-correlation cutoff, only against a non-empty accepted set) or the
+  /// turnover (kCostAdjusted aggregation).
+  AlphaMetrics EvaluateFitness(const AlphaProgram& program, uint64_t seed,
+                               bool with_book);
 
   /// AutoML-Zero-style functional fingerprint (the paper's Table-6 `_N`
   /// baseline): runs the program on a small probe slice (`probe_train`
@@ -134,6 +157,11 @@ class Evaluator {
   const EvaluatorConfig& config() const { return config_; }
 
  private:
+  /// Evaluate and EvaluateFitness: the validation IC always, the book only
+  /// `with_book`, the test side only `include_test` (which needs the book).
+  AlphaMetrics Measure(const AlphaProgram& program, uint64_t seed,
+                       bool with_book, bool include_test);
+
   const market::Dataset& dataset_;
   EvaluatorConfig config_;
   Executor executor_;

@@ -137,10 +137,13 @@ void Evolution::FingerprintBatch(std::vector<Candidate>& batch) {
 
 void Evolution::EvaluateCandidate(Evaluator& evaluator, Candidate& c) {
   AE_SPAN("evolution.evaluate");
-  // Full scoring plus the weak-correlation cutoff (§5.4.1; the accepted set
-  // is immutable for the whole run, so workers read it lock-free), then
-  // publish to the thread-safe cache. Every computed value is deterministic
-  // in (program, seed), so scheduling cannot change any result.
+  // Fitness plus the weak-correlation cutoff (§5.4.1; the accepted set is
+  // immutable for the whole run, so workers read it lock-free), then
+  // publish to the thread-safe cache. The cutoff is the only reader of the
+  // long-short book here, so with nothing accepted yet (round 1 of a mining
+  // unit, every service job) the book is never built. Every computed value
+  // is deterministic in (program, seed), so scheduling cannot change any
+  // result.
   const AlphaProgram& program = config_.use_pruning ? c.pruned : c.program;
   if (scorer_ != nullptr) {
     const ScoreOutcome outcome =
@@ -154,8 +157,9 @@ void Evolution::EvaluateCandidate(Evaluator& evaluator, Candidate& c) {
     cache_->Insert(c.fingerprint, c.fitness);
     return;
   }
-  const AlphaMetrics metrics =
-      evaluator.Evaluate(program, c.eval_seed, /*include_test=*/false);
+  const AlphaMetrics metrics = evaluator.EvaluateFitness(
+      program, c.eval_seed,
+      /*with_book=*/!accepted_valid_returns_.empty());
   c.timed_out = metrics.timed_out;
   double fitness = metrics.valid ? metrics.ic_valid : kInvalidFitness;
   if (metrics.valid &&

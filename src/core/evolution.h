@@ -333,8 +333,10 @@ class Evolution {
   /// Stage 1: prune + structural fingerprint on the driving thread, or
   /// probe-evaluate functional fingerprints on the pool.
   void FingerprintBatch(std::vector<Candidate>& batch);
-  /// Stage 3 body: full evaluation + correlation cutoff + cache publish for
-  /// one unique candidate. Deterministic in (program, eval_seed).
+  /// Stage 3 body: fitness (EvaluateFitness, with the long-short book only
+  /// when the accepted set is non-empty) + correlation cutoff + cache
+  /// publish for one unique candidate. Deterministic in (program,
+  /// eval_seed).
   void EvaluateCandidate(Evaluator& evaluator, Candidate& c);
   /// Folds one scored candidate into the stats, in batch order.
   void ApplyScored(const Candidate& candidate);

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "market/features.h"
 #include "util/check.h"
 
 namespace alphaevolve::core {
@@ -18,6 +19,45 @@ int ProgramLimits::NumAddresses(OperandType type) const {
       return 0;
   }
   return 0;
+}
+
+std::string ValidateInstruction(const Instruction& ins,
+                                const ProgramLimits& limits) {
+  const OpInfo& info = GetOpInfo(ins.op);
+  auto check_addr = [&](OperandType type, int addr) {
+    return type == OperandType::kNone || addr < limits.NumAddresses(type);
+  };
+  if (!check_addr(info.out, ins.out) || !check_addr(info.in1, ins.in1) ||
+      !check_addr(info.in2, ins.in2)) {
+    return "operand address out of range in '" + ins.ToString() + "'";
+  }
+  constexpr int n = market::kNumFeatures;
+  bool imm_ok = true;
+  switch (info.imm) {
+    case ImmKind::kIndex2:
+      imm_ok = ins.idx0 < n && ins.idx1 < n;
+      break;
+    case ImmKind::kIndex:
+      imm_ok = ins.idx0 < n;
+      break;
+    case ImmKind::kAxis:
+    case ImmKind::kGroup:
+      imm_ok = ins.idx0 <= 1;
+      break;
+    case ImmKind::kWindow:
+      imm_ok = ins.idx0 >= 2 && ins.idx0 <= n;
+      break;
+    case ImmKind::kNone:
+    case ImmKind::kConst:
+    case ImmKind::kConst2:
+      break;
+  }
+  if (!imm_ok) {
+    return std::string("immediate out of range for ") + info.name + " (idx0 " +
+           std::to_string(ins.idx0) + ", idx1 " + std::to_string(ins.idx1) +
+           ")";
+  }
+  return "";
 }
 
 const std::vector<Instruction>& AlphaProgram::component(ComponentId c) const {
@@ -60,20 +100,13 @@ std::string AlphaProgram::Validate(const ProgramLimits& limits,
       return err.str();
     }
     for (const Instruction& ins : instrs) {
-      const OpInfo& info = GetOpInfo(ins.op);
       if (!OpAllowedIn(ins.op, c, allow_relation_ops)) {
-        err << info.name << " not allowed in " << ComponentName(c);
+        err << GetOpInfo(ins.op).name << " not allowed in "
+            << ComponentName(c);
         return err.str();
       }
-      auto check_addr = [&](OperandType type, int addr) {
-        return type == OperandType::kNone ||
-               (addr >= 0 && addr < limits.NumAddresses(type));
-      };
-      if (!check_addr(info.out, ins.out) || !check_addr(info.in1, ins.in1) ||
-          !check_addr(info.in2, ins.in2)) {
-        err << "operand address out of range in '" << ins.ToString() << "'";
-        return err.str();
-      }
+      const std::string bad = ValidateInstruction(ins, limits);
+      if (!bad.empty()) return bad;
     }
   }
   return "";

@@ -22,6 +22,15 @@ struct ProgramLimits {
   int NumAddresses(OperandType type) const;
 };
 
+/// Empty if `ins` addresses only registers that `limits` provides and its
+/// immediates lie in their ImmKind's range: extraction indexes below
+/// market::kNumFeatures, axis and group in {0, 1}, a ts_rank window in
+/// [2, market::kNumFeatures]. Else a description of the violation. The
+/// checkpoint decoders run it on every instruction they read; op legality
+/// per component and instruction counts are AlphaProgram::Validate's.
+std::string ValidateInstruction(const Instruction& ins,
+                                const ProgramLimits& limits);
+
 /// An alpha: three instruction lists (paper §2).
 ///  - Setup: runs once per task before any date.
 ///  - Predict: runs every date; its final write to s1 is the prediction.
@@ -42,8 +51,10 @@ struct AlphaProgram {
 
   bool operator==(const AlphaProgram&) const = default;
 
-  /// Validates addresses and per-component op legality against `limits`.
-  /// Returns an empty string if OK, else a description of the violation.
+  /// Validates instruction counts, per-component op legality and every
+  /// instruction's operands and immediates (ValidateInstruction) against
+  /// `limits`. Returns an empty string if OK, else a description of the
+  /// violation.
   std::string Validate(const ProgramLimits& limits,
                        bool allow_relation_ops = true) const;
 

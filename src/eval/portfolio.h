@@ -26,7 +26,12 @@ struct PortfolioConfig {
 ///               mean(realized return of shorts)) / 2.
 ///
 /// `predictions[d][k]` and the dataset's labels over `dates` supply the
-/// rankings and the realized next-day returns; ties rank in task order.
+/// rankings and the realized next-day returns. Ranks follow (prediction,
+/// task index), so ties rank in task order; the shorts' returns are summed
+/// from the lowest rank up and the longs' from the highest down. Each date
+/// selects its 2 × top_n names and sorts only those, O(num_tasks + top_n
+/// log top_n) instead of a sort of the whole universe, and the book and its
+/// sums come out as a stable sort of every prediction would give them.
 /// `turnover` follows the day-over-day membership convention of
 /// `CostConfig` (first date free, ∈ [0, 1]); `net` is
 /// `ApplyCosts(gross, turnover, costs)` when the cost model is enabled and

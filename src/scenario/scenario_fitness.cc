@@ -59,7 +59,9 @@ core::ScoreOutcome ScenarioFitness::Score(
   AE_SPAN("scenario.score");
   core::ScoreOutcome out;
 
-  // Stage 1 — the cheap baseline evaluation, exactly the plain driver's.
+  // Stage 1 — the baseline evaluation. It keeps the full book even with
+  // nothing accepted: out.baseline is reported with its Sharpe and gross
+  // series.
   out.baseline =
       baseline_evaluator.Evaluate(program, seed, /*include_test=*/false);
   out.regimes_evaluated = 1;
@@ -93,20 +95,23 @@ core::ScoreOutcome ScenarioFitness::Score(
   // Stage 4 — fan out over the remaining regimes. Each task leases that
   // regime's evaluator; with a fanout pool the tasks are work-stolen
   // alongside other candidates' evaluations (WaitAll helps drain the shared
-  // queue, so nesting under a pool worker cannot deadlock).
+  // queue, so nesting under a pool worker cannot deadlock). These
+  // evaluations never feed the cutoff, so they build the long-short book
+  // only for kCostAdjusted, the one aggregation that reads turnover.
   std::vector<core::AlphaMetrics> metrics(static_cast<size_t>(regimes));
   metrics[0] = out.baseline;
+  const bool with_book =
+      options_.aggregation == core::ScenarioAggregation::kCostAdjusted;
   {
     AE_SPAN("scenario.regime_fanout");
     TaskGroup group(fanout_pool_);
     for (int i = 1; i < regimes; ++i) {
-      group.Submit([this, i, &program, seed, &metrics] {
+      group.Submit([this, i, &program, seed, with_book, &metrics] {
         AE_SPAN("scenario.regime_eval");
         core::EvaluatorPool::Lease lease(
             *regime_pools_[static_cast<size_t>(i - 1)]);
-        metrics[static_cast<size_t>(i)] = lease->Evaluate(
-            program, RegimeSeed(seed, i, overlay_.spec(i)),
-            /*include_test=*/false);
+        metrics[static_cast<size_t>(i)] = lease->EvaluateFitness(
+            program, RegimeSeed(seed, i, overlay_.spec(i)), with_book);
       });
     }
     group.WaitAll();

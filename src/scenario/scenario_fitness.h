@@ -21,7 +21,7 @@ namespace alphaevolve::scenario {
 ///
 ///   1. baseline evaluation — on the worker's own leased evaluator (whose
 ///      pool the glue builds over `baseline_panel()`), with the candidate's
-///      raw seed, exactly as the plain driver would;
+///      raw seed: a full validation-side Evaluate, long-short book included;
 ///   2. the weak-correlation cutoff against the accepted set, on the
 ///      baseline validation returns (as today);
 ///   3. the static screen: baseline ic_valid < screen_min_ic rejects before
@@ -29,7 +29,9 @@ namespace alphaevolve::scenario {
 ///      single-scenario mode reproduces the plain driver exactly);
 ///   4. fan-out: the surviving candidate is evaluated on regimes 1..S-1,
 ///      work-stolen across `fanout_pool()` (serial without one), each regime
-///      on its own single-evaluator pool with seed RegimeSeed(seed, i, spec);
+///      on its own single-evaluator pool with seed RegimeSeed(seed, i, spec),
+///      through EvaluateFitness: the book (for its turnover) only under
+///      kCostAdjusted, the IC alone otherwise;
 ///   5. aggregation in suite order (worst-case / mean / cost-adjusted).
 ///
 /// Score is a pure function of (program, seed): regime evaluations are

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/check.h"
 
@@ -49,32 +48,6 @@ double PearsonCorrelation(std::span<const double> xs,
   const double r = sxy / std::sqrt(sxx * syy);
   // Guard against tiny floating-point excursions outside [-1, 1].
   return std::clamp(r, -1.0, 1.0);
-}
-
-std::vector<int> ArgSort(std::span<const double> xs) {
-  std::vector<int> idx(xs.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  std::stable_sort(idx.begin(), idx.end(),
-                   [&](int a, int b) { return xs[a] < xs[b]; });
-  return idx;
-}
-
-std::vector<double> RanksWithTies(std::span<const double> xs) {
-  const size_t n = xs.size();
-  std::vector<double> ranks(n, 0.0);
-  if (n == 0) return ranks;
-  const std::vector<int> order = ArgSort(xs);
-  size_t i = 0;
-  while (i < n) {
-    size_t j = i;
-    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
-    // Average rank for the tie group [i, j]; ranks are 1-based.
-    const double avg = 0.5 * (static_cast<double>(i + 1) +
-                              static_cast<double>(j + 1));
-    for (size_t k = i; k <= j; ++k) ranks[order[k]] = avg;
-    i = j + 1;
-  }
-  return ranks;
 }
 
 bool AllFinite(std::span<const double> xs) {

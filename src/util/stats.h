@@ -1,9 +1,7 @@
 #ifndef ALPHAEVOLVE_UTIL_STATS_H_
 #define ALPHAEVOLVE_UTIL_STATS_H_
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace alphaevolve {
 
@@ -22,12 +20,6 @@ double StdDev(std::span<const double> xs);
 /// where a degenerate prediction carries no signal.
 double PearsonCorrelation(std::span<const double> xs,
                           std::span<const double> ys);
-
-/// Fractional ranks with average ties, in [1, n] (rank 1 = smallest).
-std::vector<double> RanksWithTies(std::span<const double> xs);
-
-/// Indices that would sort `xs` ascending (stable).
-std::vector<int> ArgSort(std::span<const double> xs);
 
 /// True iff every element is finite.
 bool AllFinite(std::span<const double> xs);

@@ -1,11 +1,15 @@
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "eval/costs.h"
 #include "eval/metrics.h"
 #include "eval/portfolio.h"
+#include "reference_stats.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace alphaevolve::eval {
 namespace {
@@ -63,6 +67,135 @@ TEST(PortfolioTest, PerfectForesightBeatsInverted) {
     EXPECT_DOUBLE_EQ(r_oracle[d], -r_inv[d]);
   }
   EXPECT_GT(SharpeRatio(r_oracle), SharpeRatio(r_inv));
+}
+
+/// The long-short book as a stable sort of every prediction builds it: the
+/// oracle RunBacktest's selection must reproduce bit for bit (the same
+/// names, summed in the same order).
+Backtest ReferenceBacktest(const market::Dataset& ds,
+                           const std::vector<int>& dates,
+                           const std::vector<std::vector<double>>& preds,
+                           const PortfolioConfig& config,
+                           const CostConfig& costs) {
+  const int n = ds.num_tasks();
+  const int top_n = config.ResolveTopN(n);
+  Backtest bt;
+  std::vector<signed char> prev_side(static_cast<size_t>(n), 0);
+  for (size_t d = 0; d < dates.size(); ++d) {
+    const std::vector<int> order = testutil::ArgSort(preds[d]);
+    std::vector<signed char> side(static_cast<size_t>(n), 0);
+    double long_ret = 0.0, short_ret = 0.0;
+    int entering = 0;
+    for (int i = 0; i < top_n; ++i) {
+      const int short_task = order[static_cast<size_t>(i)];
+      const int long_task = order[static_cast<size_t>(n - 1 - i)];
+      short_ret += ds.Label(short_task, dates[d]);
+      long_ret += ds.Label(long_task, dates[d]);
+      side[static_cast<size_t>(short_task)] = -1;
+      side[static_cast<size_t>(long_task)] = 1;
+      if (prev_side[static_cast<size_t>(short_task)] != -1) ++entering;
+      if (prev_side[static_cast<size_t>(long_task)] != 1) ++entering;
+    }
+    long_ret /= top_n;
+    short_ret /= top_n;
+    bt.gross.push_back(0.5 * (long_ret - short_ret));
+    bt.turnover.push_back(
+        d == 0 ? 0.0 : static_cast<double>(entering) / (2.0 * top_n));
+    prev_side = side;
+  }
+  if (costs.enabled()) bt.net = ApplyCosts(bt.gross, bt.turnover, costs);
+  return bt;
+}
+
+void ExpectSameBytes(const std::vector<double>& got,
+                     const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
+}
+
+TEST(PortfolioTest, SelectedBookMatchesFullStableSortBitwise) {
+  // Random panels; per date a random mix of continuous predictions, a few
+  // tied levels with signed zeros, and all-equal rows; every top_n from 1 to
+  // n / 2. Gross, turnover and net (costs on) must match the full-sort
+  // oracle byte for byte.
+  CostConfig costs;
+  costs.per_side_bps = 7.0;
+  costs.borrow_bps_per_day = 0.5;
+  for (const int n : {2, 7, 24, 61}) {
+    for (const uint64_t seed : {1ULL, 2ULL}) {
+      Rng rng(seed * 1000 + static_cast<uint64_t>(n));
+      std::vector<std::vector<double>> closes(static_cast<size_t>(n));
+      for (auto& path : closes) {
+        double close = 50.0 + 10.0 * rng.Uniform(0.0, 1.0);
+        for (int t = 0; t < 90; ++t) {
+          path.push_back(close);
+          close *= 1.0 + 0.02 * rng.Gaussian();
+        }
+      }
+      const market::Dataset ds = market::Dataset::Build(
+          testutil::MakePanel(
+              n, 90,
+              [&](int k, int t) {
+                return closes[static_cast<size_t>(k)][static_cast<size_t>(t)];
+              },
+              [](int k) { return k % 3; }),
+          market::DatasetConfig{});
+      const auto& dates = ds.dates(market::Split::kValid);
+      std::vector<std::vector<double>> preds;
+      for (size_t d = 0; d < dates.size(); ++d) {
+        std::vector<double> row(static_cast<size_t>(n));
+        const int style = rng.UniformInt(4);
+        for (double& v : row) {
+          if (style == 0) {
+            v = rng.Gaussian();
+          } else if (style == 1) {
+            // Three levels: -1, a signed zero, +1.
+            const int level = rng.UniformInt(3) - 1;
+            v = level != 0 ? level : (rng.Bernoulli(0.5) ? -0.0 : 0.0);
+          } else if (style == 2) {
+            v = 0.25;
+          } else {
+            v = rng.Bernoulli(0.3) ? rng.Gaussian() : -0.0;
+          }
+        }
+        preds.push_back(std::move(row));
+      }
+      for (int top_n = 1; top_n <= n / 2; ++top_n) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " seed=" << seed
+                                          << " top_n=" << top_n);
+        PortfolioConfig cfg;
+        cfg.top_n = top_n;
+        const Backtest got = RunBacktest(ds, dates, preds, cfg, costs);
+        const Backtest want = ReferenceBacktest(ds, dates, preds, cfg, costs);
+        ExpectSameBytes(got.gross, want.gross);
+        ExpectSameBytes(got.turnover, want.turnover);
+        ExpectSameBytes(got.net, want.net);
+        ASSERT_EQ(got.net.size(), dates.size());
+      }
+    }
+  }
+}
+
+TEST(PortfolioTest, NanPredictionsRankAboveEveryNumber) {
+  // The executor never passes a non-finite prediction on, but other callers
+  // may: a NaN ranks above every number, in task order, so the book stays
+  // well defined.
+  const auto ds = testutil::MakeDataset(8, 90);
+  const auto& dates = ds.dates(market::Split::kValid);
+  const double nan = std::nan("");
+  std::vector<std::vector<double>> preds(
+      dates.size(), {0.5, nan, -1.0, 2.0, nan, 0.0, 1.0, -2.0});
+  PortfolioConfig cfg;
+  cfg.top_n = 2;
+  const auto returns = RunBacktest(ds, dates, preds, cfg, CostConfig{}).gross;
+  for (size_t d = 0; d < dates.size(); ++d) {
+    const int date = dates[d];
+    const double longs = ds.Label(4, date) + ds.Label(1, date);
+    const double shorts = ds.Label(7, date) + ds.Label(2, date);
+    EXPECT_EQ(testutil::Bits(returns[d]),
+              testutil::Bits(0.5 * (longs / 2.0 - shorts / 2.0)));
+  }
 }
 
 TEST(PortfolioTest, NavPathCompounds) {

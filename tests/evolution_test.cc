@@ -7,8 +7,11 @@
 
 #include "core/generators.h"
 #include "core/mining.h"
+#include "core/mutator.h"
 #include "eval/metrics.h"
 #include "market/simulator.h"
+#include "test_util.h"
+#include "util/rng.h"
 
 namespace alphaevolve::core {
 namespace {
@@ -62,6 +65,73 @@ TEST_F(EvolutionTest, EvaluatorMarksDivergentProgramInvalid) {
   const AlphaMetrics m = evaluator_->Evaluate(prog, 1);
   EXPECT_FALSE(m.valid);
   EXPECT_EQ(m.ic_valid, kInvalidFitness);
+}
+
+TEST_F(EvolutionTest, EvaluateFitnessMatchesEvaluateOverFuzzedPrograms) {
+  // The search's evaluation against the full one, over mutation chains from
+  // every initialization with relation ops allowed, with and without costs.
+  // With the book every field must equal Evaluate(…, false) bitwise;
+  // without it only valid, timed_out and ic_valid are set, and they match.
+  // Each chain also scores a copy whose prediction is 1/0, so non-finite
+  // programs are always in the sample.
+  EvaluatorConfig costly;
+  costly.costs.per_side_bps = 5.0;
+  costly.costs.borrow_bps_per_day = 1.0;
+  Instruction zero;
+  zero.op = Op::kScalarConst;
+  zero.out = 9;
+  Instruction blow_up;
+  blow_up.op = Op::kScalarReciprocal;
+  blow_up.out = kPredictionScalar;
+  blow_up.in1 = 9;
+
+  for (const EvaluatorConfig& config : {EvaluatorConfig{}, costly}) {
+    Evaluator full(*dataset_, config);
+    Evaluator search(*dataset_, config);
+    const Mutator mutator{MutatorConfig{}};
+    Rng rng(41);
+    int valid = 0, invalid = 0, relation = 0, random_init = 0;
+    auto check = [&](const AlphaProgram& prog, uint64_t seed) {
+      const AlphaMetrics want = full.Evaluate(prog, seed, false);
+      testutil::ExpectSameMetrics(want,
+                                  search.EvaluateFitness(prog, seed, true));
+      AlphaMetrics lean_want;
+      lean_want.valid = want.valid;
+      lean_want.timed_out = want.timed_out;
+      lean_want.ic_valid = want.ic_valid;
+      testutil::ExpectSameMetrics(lean_want,
+                                  search.EvaluateFitness(prog, seed, false));
+      if (!want.valid) {
+        ++invalid;
+        return;
+      }
+      ++valid;
+      for (const auto* list : {&prog.setup, &prog.predict, &prog.update}) {
+        for (const Instruction& ins : *list) {
+          if (GetOpInfo(ins.op).is_relation) ++relation;
+          if (GetOpInfo(ins.op).is_random) ++random_init;
+        }
+      }
+    };
+    for (int chain = 0; chain < 12; ++chain) {
+      const auto kind = static_cast<InitKind>(chain % 4);
+      AlphaProgram prog = MakeInitialAlpha(kind, mutator, rng);
+      for (int step = 0; step < 8; ++step) {
+        SCOPED_TRACE(::testing::Message() << "chain " << chain << " step "
+                                          << step << "\n" << prog.ToString());
+        check(prog, rng.NextU64());
+        prog = mutator.Mutate(prog, rng);
+      }
+      AlphaProgram divergent = prog;
+      divergent.predict.push_back(zero);
+      divergent.predict.push_back(blow_up);
+      check(divergent, rng.NextU64());
+    }
+    EXPECT_GT(valid, 0);
+    EXPECT_GE(invalid, 12);
+    EXPECT_GT(relation, 0);
+    EXPECT_GT(random_init, 0);
+  }
 }
 
 TEST_F(EvolutionTest, SearchImprovesOnInitialAlpha) {

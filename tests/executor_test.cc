@@ -11,8 +11,8 @@
 #include "market/features.h"
 #include "obs/telemetry.h"
 #include "reference_executor.h"
+#include "reference_stats.h"
 #include "test_util.h"
-#include "util/stats.h"
 
 namespace alphaevolve::core {
 namespace {
@@ -386,7 +386,7 @@ TEST_F(ExecutorTest, RankOpProducesNormalizedCrossSectionalRanks) {
       closes.push_back(static_cast<double>(
           dataset_->FeatureRow(k, dates[d])[market::kClose]));
     }
-    const auto ranks = RanksWithTies(closes);  // 1-based
+    const auto ranks = testutil::RanksWithTies(closes);  // 1-based
     for (int k = 0; k < K; ++k) {
       const double expect = (ranks[static_cast<size_t>(k)] - 1.0) / (K - 1);
       EXPECT_NEAR(r.valid_preds[d][static_cast<size_t>(k)], expect, 1e-9);

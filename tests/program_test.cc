@@ -74,6 +74,46 @@ TEST(ProgramTest, ValidateRejectsExtractionInSetup) {
   EXPECT_NE(prog.Validate(ProgramLimits{}), "");
 }
 
+TEST(ProgramTest, ValidateRejectsOutOfRangeImmediates) {
+  // Each ImmKind's range, at both edges: extraction indexes below 13, axis
+  // and group in {0, 1}, a ts_rank window in [2, 13].
+  auto with = [](Op op, int idx0, int idx1) {
+    Instruction ins;
+    ins.op = op;
+    ins.out = 2;
+    ins.in1 = 3;
+    ins.idx0 = static_cast<uint8_t>(idx0);
+    ins.idx1 = static_cast<uint8_t>(idx1);
+    return ins;
+  };
+  const struct {
+    Instruction ins;
+    bool ok;
+  } cases[] = {
+      {with(Op::kGetScalar, 12, 12), true},
+      {with(Op::kGetScalar, 13, 0), false},
+      {with(Op::kGetScalar, 0, 13), false},
+      {with(Op::kGetRow, 12, 99), true},  // idx1 unused
+      {with(Op::kGetColumn, 13, 0), false},
+      {with(Op::kMatrixNormAxis, 1, 0), true},
+      {with(Op::kMatrixMeanAxis, 2, 0), false},
+      {with(Op::kRelationRank, 1, 0), true},
+      {with(Op::kRelationDemean, 2, 0), false},
+      {with(Op::kTsRank, 2, 0), true},
+      {with(Op::kTsRank, 13, 0), true},
+      {with(Op::kTsRank, 1, 0), false},
+      {with(Op::kTsRank, 14, 0), false},
+      {with(Op::kScalarConst, 200, 200), true},  // no index immediates
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.ins.ToString());
+    EXPECT_EQ(ValidateInstruction(c.ins, ProgramLimits{}).empty(), c.ok);
+    AlphaProgram prog = MakeNoOpAlpha();
+    prog.predict.push_back(c.ins);
+    EXPECT_EQ(prog.Validate(ProgramLimits{}).empty(), c.ok);
+  }
+}
+
 TEST(ProgramTest, ToStringHasFigure2Shape) {
   const AlphaProgram prog = MakeExpertAlpha(13);
   const std::string text = prog.ToString();

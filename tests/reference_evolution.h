@@ -17,6 +17,13 @@
 // parent); then score and commit the children one at a time, in batch
 // order, against a plain std::map cache. An intra-batch duplicate is thus a
 // cache hit on an earlier child's insert.
+//
+// Without a scorer it scores every child with the full Evaluator::Evaluate,
+// long-short book included, where core::Evolution builds the book only
+// against a non-empty accepted set (Evaluator::EvaluateFitness). The suites
+// above thus pin that skipping the book changes no search result: without
+// an accepted set (parallel_evolution_test, pipelined_evolution_test) and
+// with one (pipelined_evolution_test's CutoffAccountingMatchesSynchronous).
 
 #include <algorithm>
 #include <cmath>

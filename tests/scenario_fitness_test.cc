@@ -23,6 +23,7 @@
 #include "reference_evolution.h"
 #include "scenario/scenario.h"
 #include "scenario/scenario_fitness.h"
+#include "test_util.h"
 
 namespace alphaevolve::scenario {
 namespace {
@@ -224,7 +225,9 @@ TEST(ScenarioFitnessTest, AggregationModesMatchHandComputedValues) {
   double worst = per_regime[0].ic_valid;
   for (const auto& m : per_regime) worst = std::min(worst, m.ic_valid);
   EXPECT_EQ(outcome_worst.fitness, worst);
-  EXPECT_EQ(outcome_worst.baseline.ic_valid, per_regime[0].ic_valid);
+  // The baseline keeps the full book even with nothing accepted; only the
+  // regime fan-out may skip it.
+  testutil::ExpectSameMetrics(outcome_worst.baseline, per_regime[0]);
 
   opts.aggregation = ScenarioAggregation::kMean;
   ScenarioFitness mean_scorer(suite, dc, core::EvaluatorConfig{}, opts);

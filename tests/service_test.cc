@@ -623,6 +623,59 @@ TEST(JobSupervisorTest, RecoverSkipsAnUnreadableRecordAndNeverReusesItsId) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(JobSupervisorTest, RecoverSkipsARecordWhoseProgramCannotRun) {
+  // A CRC-valid record can still hold a program no search writes: one that
+  // reads register s250, or extracts feature row 13 of a 13-row window.
+  // Serving it would run it (pruning indexes its live set by register), so
+  // the decoder refuses it and Recover skips the job like any undecodable
+  // record. The unchanged program, re-sealed the same way, is served.
+  const std::string dir = FreshDir("wild_program");
+  SupervisorOptions options;
+  options.checkpoint_dir = dir;
+  {
+    JobSupervisor sup(options,
+                      [](const JobSpec&, core::CheckpointSink*,
+                         const core::EvolutionCheckpoint*,
+                         const std::atomic<bool>*) { return FakeDone(0.6); });
+    sup.Start();
+    ASSERT_EQ(sup.Submit(JobSpec{}), "job-1");
+    ASSERT_TRUE(
+        WaitFor([&] { return StateOf(sup, "job-1") == JobState::kDone; }));
+  }
+  const serde::Envelope env = serde::Open(ReadFile(dir + "/job-1/job"));
+  ASSERT_EQ(env.kind, kJobRecordKind);
+  auto encode = [](const core::AlphaProgram& program) {
+    serde::Writer w;
+    ckpt::EncodeProgram(w, program);
+    return w.Take();
+  };
+  const core::AlphaProgram served = core::MakeExpertAlpha(13);
+  const std::string served_bytes = encode(served);
+  const size_t at = env.payload.find(served_bytes);
+  ASSERT_NE(at, std::string::npos);
+
+  core::AlphaProgram wild_register = served;
+  for (core::Instruction& ins : wild_register.predict) ins.in1 = 250;
+  core::AlphaProgram wild_immediate = served;
+  ASSERT_EQ(wild_immediate.predict[0].op, core::Op::kGetScalar);
+  wild_immediate.predict[0].idx0 = 13;
+  const std::vector<std::pair<core::AlphaProgram, bool>> cases = {
+      {served, true}, {wild_register, false}, {wild_immediate, false}};
+  for (const auto& [program, recoverable] : cases) {
+    SCOPED_TRACE(program.ToString());
+    std::string payload = env.payload;
+    payload.replace(at, served_bytes.size(), encode(program));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir + "/job-1");
+    WriteFile(dir + "/job-1/job", serde::Seal(kJobRecordKind, payload));
+    JobSupervisor restarted(options, MustNotRun());  // never started
+    restarted.Recover();
+    EXPECT_EQ(restarted.Status("job-1").has_value(), recoverable);
+    EXPECT_EQ(restarted.Submit(JobSpec{}), "job-2");
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(JobSupervisorTest, DeadlineSurvivesARestart) {
   // The deadline is for the whole job: its record keeps the absolute time,
   // so a restarted daemon does not grant the job a fresh one.

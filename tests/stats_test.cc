@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_stats.h"
 #include "util/rng.h"
 
 namespace alphaevolve {
 namespace {
+
+using testutil::ArgSort;
+using testutil::RanksWithTies;
 
 TEST(StatsTest, MeanBasics) {
   EXPECT_DOUBLE_EQ(Mean(std::vector<double>{}), 0.0);
