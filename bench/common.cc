@@ -35,8 +35,6 @@ BenchOptions BenchOptions::FromEnv() {
   opt.search_seconds = EnvDouble("AE_BENCH_TIME", opt.search_seconds);
   opt.rounds = EnvInt("AE_BENCH_ROUNDS", opt.rounds);
   opt.num_threads = std::max(1, EnvInt("AE_BENCH_THREADS", opt.num_threads));
-  opt.pipeline_depth =
-      std::max(0, EnvInt("AE_BENCH_PIPELINE", opt.pipeline_depth));
   opt.full = EnvInt("AE_BENCH_FULL", 0) != 0;
   if (opt.full) {
     // Paper-scale universe and calendar (§5.1); budgets stay time-bounded.
@@ -77,7 +75,6 @@ core::EvolutionConfig MakeEvolutionConfig(const BenchOptions& opt,
   cfg.time_budget_seconds = opt.search_seconds;
   cfg.seed = seed;
   cfg.num_threads = opt.num_threads;  // batch size auto: 4x threads
-  cfg.pipeline_depth = opt.pipeline_depth;  // overlap generation/evaluation
   return cfg;
 }
 

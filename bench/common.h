@@ -25,10 +25,6 @@ namespace ga = alphaevolve::ga;
 ///   AE_BENCH_TIME     per-search wall budget, secs   (default 4)
 ///   AE_BENCH_ROUNDS   mining rounds                  (default 5)
 ///   AE_BENCH_THREADS  evaluation worker threads      (default 1)
-///   AE_BENCH_PIPELINE evolution pipeline depth: in-flight evaluation
-///                     batches overlapped with next-batch generation
-///                     (default 1; 0 = lockstep; bit-identical at any
-///                     depth)
 ///   AE_BENCH_FULL     1 → paper-scale grid/budgets   (default 0)
 struct BenchOptions {
   int num_stocks = 150;
@@ -37,7 +33,6 @@ struct BenchOptions {
   double search_seconds = 5.0;
   int rounds = 5;
   int num_threads = 1;
-  int pipeline_depth = 1;
   bool full = false;
 
   static BenchOptions FromEnv();

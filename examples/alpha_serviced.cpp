@@ -28,7 +28,8 @@
 //   --eval-threads=N          evaluator pool workers (default 2)
 //   --op-workers=N            op worker threads (default 2)
 //   --queue-capacity=N        bounded op queue (default 64)
-//   --default-deadline-ms=F   deadline for ops that carry none (default 0)
+//   --default-deadline-ms=F   deadline for ops that carry none (default 0,
+//                             at most 86400000: one day)
 //   --job-workers=N           concurrent searches (default 1)
 //   --checkpoint-every=N --checkpoint-keep=K    snapshot cadence/retention
 //   --max-candidates=N        default per-job candidate budget (default 240)
@@ -50,6 +51,7 @@
 namespace {
 
 using alphaevolve::service::AlphaService;
+using alphaevolve::service::kMaxDeadlineMs;
 using alphaevolve::service::ReadRequestLine;
 using alphaevolve::service::ServiceOptions;
 
@@ -81,6 +83,12 @@ int main(int argc, char** argv) {
       options.queue_capacity = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = ValueOf(arg, "--default-deadline-ms=")) {
       options.default_deadline_ms = std::atof(v);
+      if (!(options.default_deadline_ms >= 0.0 &&
+            options.default_deadline_ms <= kMaxDeadlineMs)) {
+        std::fprintf(stderr, "out-of-range flag (want 0 to %.0f): %s\n",
+                     kMaxDeadlineMs, arg);
+        return 2;
+      }
     } else if (const char* v = ValueOf(arg, "--job-workers=")) {
       options.supervisor.worker_threads = std::atoi(v);
     } else if (const char* v = ValueOf(arg, "--checkpoint-every=")) {

@@ -4,11 +4,12 @@
 Starts ./alpha_serviced on pipes, drives the full op catalog over the
 line-delimited JSON protocol — health, submit_search, job_status polling,
 job_result, query_alphas, signals, backtest, stress, metrics, error paths
-(a tournament larger than the population is refused at submit) — then a
-job whose deadline expires mid-search, which must stop at a batch barrier
-and park cancelled with deadline_exceeded while the daemon keeps serving,
-checks health's per-state job counts, and finishes with a drain op,
-asserting the daemon exits 0.
+(a tournament larger than the population and an op deadline past one day
+are refused) — then a job whose deadline expires mid-search, which must
+stop at a batch barrier and park cancelled with deadline_exceeded while the
+daemon keeps serving, checks health's per-state job counts, and finishes
+with a drain op, asserting the daemon exits 0. A default op deadline past
+one day is refused at startup with exit code 2.
 
 Usage: scripts/service_smoke.py [build_dir]
 """
@@ -95,6 +96,10 @@ def wait_for_state(daemon, job, states, timeout=300.0):
 def main():
     build = sys.argv[1] if len(sys.argv) > 1 else "build"
     binary = f"{build}/alpha_serviced"
+    refused = subprocess.run([binary, "--default-deadline-ms=1e15"],
+                             stdin=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+    assert refused.returncode == 2, refused.returncode
     daemon = Daemon(
         binary,
         "--stocks=24", "--days=220", "--data-seed=13",
@@ -117,6 +122,8 @@ def main():
     # A tournament larger than the population could only fail: nothing runs.
     assert daemon.err("submit_search", "e4", {
         "population_size": 4, "tournament_size": 5}) == "invalid_argument"
+    late_op = daemon.call("list_jobs", "e5", deadline_ms=1e15)
+    assert late_op["error"]["code"] == "invalid_argument", late_op
 
     # One full supervised search through the protocol.
     submitted = daemon.ok("submit_search", "s1", {"seed": 7})

@@ -45,8 +45,7 @@ GeneticAlgorithm::GeneticAlgorithm(
   AE_CHECK_MSG(p_total <= 1.0 + 1e-9, "method probabilities exceed 1");
 }
 
-double GeneticAlgorithm::Score(const GpNode& tree,
-                               std::vector<double>* valid_returns) {
+double GeneticAlgorithm::Score(const GpNode& tree) {
   ++stats_.evaluated;
   const auto& valid_dates = dataset_.dates(market::Split::kValid);
   const auto preds = Predict(dataset_, valid_dates, tree);
@@ -54,12 +53,12 @@ double GeneticAlgorithm::Score(const GpNode& tree,
     if (!AllFinite(row)) return -1.0;
   }
   const double ic = eval::InformationCoefficient(dataset_, valid_dates, preds);
-  *valid_returns = eval::RunBacktest(dataset_, valid_dates, preds,
-                                     config_.portfolio, eval::CostConfig{})
-                       .gross;
-
-  if (eval::BreaksCorrelationCutoff(*valid_returns, accepted_valid_returns_,
-                                    config_.correlation_cutoff)) {
+  if (!accepted_valid_returns_.empty() &&
+      eval::BreaksCorrelationCutoff(
+          eval::RunBacktest(dataset_, valid_dates, preds, config_.portfolio,
+                            eval::CostConfig{})
+              .gross,
+          accepted_valid_returns_, config_.correlation_cutoff)) {
     ++stats_.cutoff_discarded;
     return -1.0;
   }
@@ -182,7 +181,7 @@ GaResult GeneticAlgorithm::Run() {
     ind.tree = RandomTree(rng, dataset_.num_features(), depth,
                           /*full=*/rng.Bernoulli(0.5));
     ++stats_.candidates;
-    ind.fitness = Score(*ind.tree, &ind.valid_returns);
+    ind.fitness = Score(*ind.tree);
     record(ind.fitness);
     population.push_back(std::move(ind));
   }
@@ -195,7 +194,7 @@ GaResult GeneticAlgorithm::Run() {
       Individual ind;
       ind.tree = MakeOffspring(population, rng);
       ++stats_.candidates;
-      ind.fitness = Score(*ind.tree, &ind.valid_returns);
+      ind.fitness = Score(*ind.tree);
       record(ind.fitness);
       next.push_back(std::move(ind));
     }
@@ -217,7 +216,14 @@ GaResult GeneticAlgorithm::Run() {
     result.has_alpha = true;
     result.best_expression = best->tree->ToString();
     result.best_fitness = best->fitness;
-    result.valid_portfolio_returns = best->valid_returns;
+    // The search builds a book only against an accepted set, so the
+    // winner's is built here, once.
+    const auto& valid_dates = dataset_.dates(market::Split::kValid);
+    result.valid_portfolio_returns =
+        eval::RunBacktest(dataset_, valid_dates,
+                          Predict(dataset_, valid_dates, *best->tree),
+                          config_.portfolio, eval::CostConfig{})
+            .gross;
     const auto& test_dates = dataset_.dates(market::Split::kTest);
     const auto test_preds = Predict(dataset_, test_dates, *best->tree);
     result.ic_test =

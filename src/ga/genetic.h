@@ -75,11 +75,12 @@ class GeneticAlgorithm {
   struct Individual {
     std::unique_ptr<GpNode> tree;
     double fitness = -1.0;
-    std::vector<double> valid_returns;
   };
 
-  /// IC on the validation dates + portfolio returns (for the cutoff).
-  double Score(const GpNode& tree, std::vector<double>* valid_returns);
+  /// IC on the validation dates, or -1 for a non-finite or cut-off tree.
+  /// The long-short book is built only when the cutoff can read it: against
+  /// a non-empty accepted set.
+  double Score(const GpNode& tree);
   std::unique_ptr<GpNode> MakeOffspring(const std::vector<Individual>& pop,
                                         Rng& rng);
   const Individual& Tournament(const std::vector<Individual>& pop, Rng& rng);

@@ -13,6 +13,7 @@
 #include "obs/flush.h"
 #include "obs/telemetry.h"
 #include "scenario/scenario.h"
+#include "util/check.h"
 #include "util/fault.h"
 #include "util/json.h"
 
@@ -40,6 +41,16 @@ struct OpCounters {
     return counters;
   }
 };
+
+/// The options, once their default deadline is known to convert to a
+/// steady_clock duration (the cap every request's deadline_ms obeys).
+ServiceOptions CheckedOptions(ServiceOptions o) {
+  AE_CHECK_MSG(o.default_deadline_ms >= 0.0 &&
+                   o.default_deadline_ms <= kMaxDeadlineMs,
+               "default_deadline_ms must be in [0, " << kMaxDeadlineMs
+                                                     << "]");
+  return o;
+}
 
 market::MarketConfig ServiceMarketConfig(const ServiceOptions& o) {
   market::MarketConfig mc;
@@ -136,7 +147,7 @@ void WriteStatusFields(JsonWriter& w, const JobStatus& s) {
 }  // namespace
 
 AlphaService::AlphaService(ServiceOptions options)
-    : options_(std::move(options)),
+    : options_(CheckedOptions(std::move(options))),
       market_config_(ServiceMarketConfig(options_)),
       dataset_(market::Dataset::Simulate(market_config_,
                                          market::DatasetConfig{})),
@@ -204,6 +215,14 @@ void AlphaService::Submit(const std::string& line,
   std::optional<Request> req = ParseRequest(line, &parse_error);
   if (!req.has_value()) {
     respond(ErrorResponse("", kErrBadRequest, parse_error));
+    return;
+  }
+  if (req->deadline_ms > kMaxDeadlineMs) {
+    respond(ErrorResponse(
+        req->id, kErrInvalidArgument,
+        "\"deadline_ms\" must be at most " +
+            std::to_string(static_cast<int64_t>(kMaxDeadlineMs)) +
+            " (one day)"));
     return;
   }
   // health is the readiness probe: answered inline on the intake thread so

@@ -35,7 +35,8 @@ struct ServiceOptions {
   /// structured rejection at admission, never a blocked intake thread.
   size_t queue_capacity = 64;
   int op_workers = 2;
-  /// Applied to ops that carry no deadline_ms of their own (0 = none).
+  /// Applied to ops that carry no deadline_ms of their own (0 = none). The
+  /// constructor refuses a value outside [0, kMaxDeadlineMs].
   double default_deadline_ms = 0.0;
 
   /// Spec fields submit_search params may override per job.
@@ -78,8 +79,9 @@ class AlphaService {
   AlphaService& operator=(const AlphaService&) = delete;
 
   /// Intake: parses `line`, answers health inline, admits everything else
-  /// to the op queue. A line longer than kMaxRequestBytes is answered with
-  /// invalid_argument before parsing. `respond` is invoked exactly once
+  /// to the op queue. A line longer than kMaxRequestBytes, or one whose
+  /// deadline_ms exceeds kMaxDeadlineMs, is answered with invalid_argument
+  /// and never admitted. `respond` is invoked exactly once
   /// with the response line — possibly synchronously (rejections) or from
   /// an op worker. Never blocks on queue capacity.
   void Submit(const std::string& line,

@@ -26,6 +26,11 @@ inline constexpr char kErrInternal[] = "internal";
 /// A longer line is answered with invalid_argument and never parsed.
 inline constexpr size_t kMaxRequestBytes = size_t{1} << 20;
 
+/// Longest relative deadline an op may carry, in milliseconds: one day. A
+/// larger `deadline_ms` is answered with invalid_argument and never
+/// admitted (past ~9.2e12 ms its steady_clock conversion would overflow).
+inline constexpr double kMaxDeadlineMs = 24.0 * 60 * 60 * 1000;
+
 /// Reads one '\n'-terminated request line from `in` into `*line` (newline
 /// stripped), buffering at most kMaxRequestBytes + 1 bytes — enough for
 /// AlphaService::Submit to see that the line is over the cap — and

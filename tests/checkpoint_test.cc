@@ -1,18 +1,21 @@
 // The ckpt layer's contracts: every codec round-trips bitwise and rejects
-// corrupt payloads as serde::Error; CheckpointWriter publishes atomically
-// with generation numbering, retention, and cadence; LoadNewest degrades
-// from a torn/corrupt newest generation to the previous one; injected
-// ENOSPC/EIO/torn-write faults (util/fault.h) degrade exactly as a real
-// full disk would. Tests neutralize AE_FAULT in SetUp so the CI fault
-// matrix cannot perturb them — except FaultMatrixFromEnv, which is the test
-// the matrix drives.
+// corrupt payloads as serde::Error (every truncation, and a 0xff byte at
+// every offset, of a snapshot and a campaign payload); CheckpointWriter
+// publishes atomically with generation numbering, retention, and cadence;
+// LoadNewest degrades from a torn/corrupt newest generation to the previous
+// one; injected ENOSPC/EIO/torn-write faults (util/fault.h) degrade exactly
+// as a real full disk would. Tests neutralize AE_FAULT in SetUp so the CI
+// fault matrix cannot perturb them — except FaultMatrixFromEnv, which is
+// the test the matrix drives.
 
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -82,6 +85,47 @@ core::EvolutionCheckpoint SampleSnapshot() {
   c.population.push_back({SampleProgram(), -1.0});
   c.cache_entries = {{11, 0.01}, {22, -1.0}, {33, 0.02}};
   return c;
+}
+
+CampaignState SampleCampaign() {
+  CampaignState state;
+  state.rounds_done = 2;
+  state.wall_seconds = 12.5;
+  state.accepted.push_back({"alpha_0", SampleProgram(), SampleMetrics()});
+  state.accepted.push_back({"alpha_1", SampleProgram(), SampleMetrics()});
+  core::SearchStats s;
+  s.seed = 5;
+  s.candidates = 10;
+  state.round_stats = {{s, s}, {s}};
+  return state;
+}
+
+/// Deterministic fuzzing of one payload decoder, the pattern of the service's
+/// record test: every strict prefix of `payload` is refused with
+/// serde::Error, and the payload with a 0xff byte at each offset either
+/// decodes, to a value that re-encodes to exactly those bytes, or is
+/// refused with serde::Error. Nothing else may escape. Returns how many
+/// overwritten variants decoded.
+template <typename Decode, typename Encode>
+size_t FuzzPayload(const std::string& payload, Decode decode, Encode encode) {
+  for (size_t n = 0; n < payload.size(); ++n) {
+    EXPECT_THROW(decode(std::string_view(payload).substr(0, n)), serde::Error)
+        << "prefix " << n;
+  }
+  size_t decoded = 0;
+  for (size_t n = 0; n < payload.size(); ++n) {
+    std::string mangled = payload;
+    mangled[n] = static_cast<char>(0xff);
+    try {
+      EXPECT_EQ(encode(decode(mangled)), mangled) << "offset " << n;
+      ++decoded;
+    } catch (const serde::Error&) {
+      // Refused: the one error a decoder raises.
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "offset " << n << " escaped: " << e.what();
+    }
+  }
+  return decoded;
 }
 
 void ExpectSnapshotEqual(const core::EvolutionCheckpoint& a,
@@ -168,15 +212,18 @@ TEST(CheckpointCodecTest, SearchSnapshotRoundTripsBitwise) {
   EXPECT_EQ(EncodeSearchSnapshot(back), payload);
 }
 
-TEST(CheckpointCodecTest, SearchSnapshotRejectsTruncation) {
+TEST(CheckpointCodecTest, SearchSnapshotSurvivesEveryTruncationOrOverwrite) {
   const std::string payload = EncodeSearchSnapshot(SampleSnapshot());
-  // Any strict prefix must fail to decode (short read or ExpectEnd).
-  for (size_t len = 0; len < payload.size(); len += 7) {
-    EXPECT_THROW(
-        DecodeSearchSnapshot(std::string_view(payload).substr(0, len)),
-        serde::Error)
-        << "prefix " << len;
-  }
+  const size_t decoded = FuzzPayload(
+      payload,
+      [](std::string_view bytes) { return DecodeSearchSnapshot(bytes); },
+      [](const core::EvolutionCheckpoint& c) {
+        return EncodeSearchSnapshot(c);
+      });
+  // Both outcomes occur: overwritten doubles decode, counts and register
+  // operands do not.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, payload.size());
   EXPECT_THROW(DecodeSearchSnapshot(payload + "x"), serde::Error);
 }
 
@@ -187,16 +234,7 @@ TEST(CheckpointCodecTest, SearchSnapshotRejectsZeroRngState) {
 }
 
 TEST(CheckpointCodecTest, CampaignRoundTrip) {
-  CampaignState state;
-  state.rounds_done = 2;
-  state.wall_seconds = 12.5;
-  state.accepted.push_back({"alpha_0", SampleProgram(), SampleMetrics()});
-  state.accepted.push_back({"alpha_1", SampleProgram(), SampleMetrics()});
-  core::SearchStats s;
-  s.seed = 5;
-  s.candidates = 10;
-  state.round_stats = {{s, s}, {s}};
-
+  const CampaignState state = SampleCampaign();
   const std::string payload = EncodeCampaign(state);
   const CampaignState back = DecodeCampaign(payload);
   EXPECT_EQ(back.rounds_done, state.rounds_done);
@@ -210,6 +248,16 @@ TEST(CheckpointCodecTest, CampaignRoundTrip) {
   EXPECT_EQ(back.round_stats[0].size(), 2u);
   EXPECT_EQ(back.round_stats[1][0].candidates, 10);
   EXPECT_EQ(EncodeCampaign(back), payload);
+}
+
+TEST(CheckpointCodecTest, CampaignSurvivesEveryTruncationOrOverwrite) {
+  const std::string payload = EncodeCampaign(SampleCampaign());
+  const size_t decoded = FuzzPayload(
+      payload, [](std::string_view bytes) { return DecodeCampaign(bytes); },
+      [](const CampaignState& state) { return EncodeCampaign(state); });
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, payload.size());
+  EXPECT_THROW(DecodeCampaign(payload + "x"), serde::Error);
 }
 
 class CheckpointFileTest : public ::testing::Test {

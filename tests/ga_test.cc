@@ -1,9 +1,12 @@
 #include "ga/genetic.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "eval/metrics.h"
+#include "eval/portfolio.h"
 #include "ga/expr.h"
 #include "market/features.h"
 #include "test_util.h"
@@ -167,6 +170,58 @@ TEST_F(GaSearchTest, CutoffDiscardsCorrelatedAlphas) {
   GeneticAlgorithm second(*dataset_, cfg, {r0.valid_portfolio_returns});
   const GaResult r1 = second.Run();
   EXPECT_GT(r1.stats.cutoff_discarded, 0);
+}
+
+TEST_F(GaSearchTest, WinnerBookMatchesADirectBacktest) {
+  // The search builds a long-short book only when the cutoff can read it,
+  // so Run builds the winner's once. With and without an accepted set it
+  // must equal a backtest of the winner's own validation predictions, bit
+  // for bit, as the winner's fitness equals their IC. Depth-1 trees keep
+  // every individual a single terminal, so the winner's expression names
+  // the feature it predicts with; an init-only budget keeps the population
+  // diverse, so a book built from any other individual would differ.
+  GaConfig cfg;
+  cfg.max_candidates = cfg.population_size;
+  cfg.seed = 4;
+  cfg.init_depth_min = 1;
+  cfg.init_depth_max = 1;
+  GeneticAlgorithm first(*dataset_, cfg);
+  const GaResult r0 = first.Run();
+  ASSERT_TRUE(r0.has_alpha);
+  GeneticAlgorithm second(*dataset_, cfg, {r0.valid_portfolio_returns});
+  const GaResult r1 = second.Run();
+  ASSERT_GT(r1.stats.cutoff_discarded, 0);
+
+  const auto& dates = dataset_->dates(market::Split::kValid);
+  for (const GaResult* r : {&r0, &r1}) {
+    ASSERT_TRUE(r->has_alpha);
+    int feature = -1;
+    for (int f = 0; f < market::kNumFeatures; ++f) {
+      if (r->best_expression == market::FeatureName(f)) feature = f;
+    }
+    ASSERT_GE(feature, 0) << r->best_expression;
+    std::vector<std::vector<double>> preds;
+    for (const int date : dates) {
+      std::vector<double> row;
+      for (int k = 0; k < dataset_->num_tasks(); ++k) {
+        row.push_back(dataset_->FeatureRow(k, date)[feature]);
+      }
+      preds.push_back(std::move(row));
+    }
+    EXPECT_EQ(testutil::Bits(r->best_fitness),
+              testutil::Bits(
+                  eval::InformationCoefficient(*dataset_, dates, preds)));
+    const std::vector<double> direct =
+        eval::RunBacktest(*dataset_, dates, preds, cfg.portfolio,
+                          eval::CostConfig{})
+            .gross;
+    ASSERT_EQ(r->valid_portfolio_returns.size(), direct.size());
+    for (size_t i = 0; i < direct.size(); ++i) {
+      EXPECT_EQ(testutil::Bits(r->valid_portfolio_returns[i]),
+                testutil::Bits(direct[i]))
+          << "date " << i;
+    }
+  }
 }
 
 TEST_F(GaSearchTest, TrajectoryMonotone) {

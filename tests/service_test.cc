@@ -5,12 +5,15 @@
 // cancellation leaving a valid newest checkpoint, and the end-to-end
 // AlphaService op catalog — including the bit-identity contract: a search
 // cancelled mid-run and resumed finishes byte-identical to an uninterrupted
-// run.
+// run — and its edge: capped request lines and deadlines, checked numeric
+// params, and one well-formed answer to every mangled request line.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -31,6 +34,7 @@
 #include "service/job_supervisor.h"
 #include "service/op_queue.h"
 #include "service/protocol.h"
+#include "util/check.h"
 #include "util/fault.h"
 #include "util/json.h"
 #include "util/serde.h"
@@ -1235,6 +1239,97 @@ TEST_F(ServiceSearchTest, RequestLinesAreCappedBeforeParsing) {
   EXPECT_EQ(ErrCode(response), std::string(kErrInvalidArgument));
   EXPECT_NE(response.find(std::to_string(kMaxRequestBytes)), std::string::npos)
       << response;
+}
+
+TEST_F(ServiceSearchTest, DeadlinesPastOneDayAreRefusedAtIntake) {
+  // Admission turns deadline_ms into a steady_clock duration; past ~9.2e12
+  // ms that conversion overflows (undefined behaviour), and the JSON reader
+  // turns 1e400 into inf. A deadline over kMaxDeadlineMs is refused inline,
+  // before admission; the cap itself runs.
+  {
+    AlphaService service(SmallService(dir_));
+    for (const char* ms : {"1e15", "1e300", "1e400", "86400000.5"}) {
+      SCOPED_TRACE(ms);
+      const std::string response = service.Call(
+          std::string(R"({"op":"list_jobs","id":"d","deadline_ms":)") + ms +
+          "}");
+      EXPECT_EQ(ErrCode(response), std::string(kErrInvalidArgument));
+      EXPECT_NE(response.find("deadline_ms"), std::string::npos) << response;
+    }
+    ASSERT_EQ(kMaxDeadlineMs, 86400000.0);
+    Ok(service.Call(R"({"op":"list_jobs","id":"cap","deadline_ms":86400000})"));
+  }
+  // The default deadline obeys the same cap, checked at construction.
+  ServiceOptions options = SmallService(dir_);
+  for (const double bad : {1e15, -1.0, std::nan("")}) {
+    SCOPED_TRACE(bad);
+    options.default_deadline_ms = bad;
+    EXPECT_THROW(AlphaService{options}, CheckError);
+  }
+  options.default_deadline_ms = kMaxDeadlineMs;
+  AlphaService service(options);
+  Ok(service.Call(R"({"op":"list_jobs","id":"inherits"})"));
+}
+
+TEST_F(ServiceSearchTest, EveryMangledRequestGetsOneWellFormedLine) {
+  // Deterministic fuzzing of the line protocol: every prefix of each cheap
+  // request, and the request with a 0xff byte at each offset. The service
+  // answers each with one JSON object line whose `ok` is a bool and whose
+  // error, when present, carries a documented code other than `internal`
+  // (an op that threw); the JSON reader itself returns or throws
+  // CheckError, nothing else.
+  AlphaService service(SmallService(dir_));
+  const std::vector<std::string> corpus = {
+      R"({"op":"health","id":"h"})",
+      R"({"op":"job_status","id":"s","params":{"job":"job-1"}})",
+      R"({"op":"list_jobs","id":"l"})",
+      R"({"op":"metrics","id":"m"})",
+      R"({"op":"signals","id":"g","params":{"job":"job-9","split":"valid",)"
+      R"("date":0}})",
+      R"({"op":"list_jobs","id":"d","deadline_ms":5000})",
+  };
+  const std::vector<std::string> codes = {
+      kErrBadRequest, kErrInvalidArgument, kErrQueueFull, kErrDraining,
+      kErrDeadlineExceeded, kErrNotFound};
+  std::vector<std::string> variants;
+  for (const std::string& line : corpus) {
+    for (size_t n = 0; n < line.size(); ++n) {
+      variants.push_back(line.substr(0, n));
+      variants.push_back(line);
+      variants.back()[n] = static_cast<char>(0xff);
+    }
+    variants.push_back(line);
+  }
+  size_t ok = 0;
+  for (size_t v = 0; v < variants.size(); ++v) {
+    SCOPED_TRACE("variant " + std::to_string(v) + ": " + variants[v]);
+    EXPECT_NO_THROW({
+      try {
+        JsonValue::Parse(variants[v]);
+      } catch (const CheckError&) {
+        // Refused: the one error the reader raises.
+      }
+    });
+    const std::string response = service.Call(variants[v]);
+    EXPECT_EQ(response.find('\n'), std::string::npos) << response;
+    JsonValue doc;
+    ASSERT_NO_THROW(doc = JsonValue::Parse(response)) << response;
+    ASSERT_TRUE(doc.is_object()) << response;
+    ASSERT_TRUE(doc.Contains("ok") && doc.At("ok").is_bool()) << response;
+    if (doc.At("ok").AsBool()) {
+      ++ok;
+      EXPECT_TRUE(doc.Contains("result")) << response;
+      continue;
+    }
+    ASSERT_TRUE(doc.Contains("error") && doc.At("error").Contains("code") &&
+                doc.At("error").At("code").is_string())
+        << response;
+    const std::string& code = doc.At("error").At("code").AsString();
+    EXPECT_NE(std::find(codes.begin(), codes.end(), code), codes.end())
+        << response;
+  }
+  // The unmangled health, list_jobs and metrics requests (at least) pass.
+  EXPECT_GE(ok, 4u);
 }
 
 TEST_F(ServiceSearchTest, NumericParamsAreCheckedIntegers) {
