@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "common.h"
-#include "core/evaluator.h"
+#include "core/evaluator_pool.h"
 #include "core/pruning.h"
 #include "util/table.h"
 
@@ -51,7 +51,7 @@ int main() {
   PrintBanner("Ablation: selective relational-knowledge injection", opt,
               dataset);
 
-  core::Evaluator evaluator(dataset, core::EvaluatorConfig{});
+  core::EvaluatorPool pool(dataset, core::EvaluatorConfig{}, opt.num_threads);
   alphaevolve::TablePrinter table({"Search", "RelationOps", "best IC (valid)",
                                    "Sharpe (valid)", "relation ops in winner"});
   const int kSeeds = 3;
@@ -60,7 +60,7 @@ int main() {
     for (bool allow : {true, false}) {
       core::EvolutionConfig cfg = MakeEvolutionConfig(opt, 900 + seed);
       cfg.mutator.allow_relation_ops = allow;
-      core::Evolution evo(evaluator, cfg);
+      core::Evolution evo(pool, cfg);
       const core::EvolutionResult r =
           evo.Run(core::MakeExpertAlpha(dataset.window()));
       const double ic = r.has_alpha ? r.best_metrics.ic_valid : -1.0;

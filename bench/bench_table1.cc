@@ -9,6 +9,7 @@
 
 #include "common.h"
 #include "core/evaluator.h"
+#include "core/evaluator_pool.h"
 #include "eval/metrics.h"
 #include "util/table.h"
 
@@ -20,13 +21,14 @@ int main() {
   PrintBanner("Table 1: mining vs an existing expert alpha", opt, dataset);
 
   core::Evaluator evaluator(dataset, core::EvaluatorConfig{});
+  core::EvaluatorPool pool(dataset, core::EvaluatorConfig{}, opt.num_threads);
 
   // The existing alpha: the domain-expert design, evaluated as-is.
   const core::AlphaProgram expert = core::MakeExpertAlpha(dataset.window());
   const core::AlphaMetrics expert_metrics = evaluator.Evaluate(expert, 1);
 
   // Both miners run with the cutoff set against alpha_D_0.
-  core::WeaklyCorrelatedMiner miner(evaluator, MakeEvolutionConfig(opt, 1));
+  core::WeaklyCorrelatedMiner miner(pool, MakeEvolutionConfig(opt, 1));
   miner.Accept("alpha_D_0", expert, expert_metrics);
 
   const core::EvolutionResult ae = RunRoundFrom(miner, expert, /*seed=*/101);

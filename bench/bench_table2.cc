@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "common.h"
-#include "core/evaluator.h"
+#include "core/evaluator_pool.h"
 #include "util/table.h"
 
 using namespace aebench;
@@ -21,8 +21,8 @@ int main() {
   PrintBanner("Table 2: weakly correlated alpha mining, AE vs GA", opt,
               dataset);
 
-  core::Evaluator evaluator(dataset, core::EvaluatorConfig{});
-  const AeStudyResult ae = RunAeStudy(evaluator, opt);
+  core::EvaluatorPool pool(dataset, core::EvaluatorConfig{}, opt.num_threads);
+  const AeStudyResult ae = RunAeStudy(pool, opt);
   const std::vector<GaStudyRow> ga = RunGaStudy(dataset, opt);
 
   alphaevolve::TablePrinter table(

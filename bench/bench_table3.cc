@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "common.h"
-#include "core/evaluator.h"
+#include "core/evaluator_pool.h"
 #include "util/table.h"
 
 using namespace aebench;
@@ -18,8 +18,8 @@ int main() {
   const market::Dataset dataset = MakeBenchDataset(opt);
   PrintBanner("Table 3: initialization study", opt, dataset);
 
-  core::Evaluator evaluator(dataset, core::EvaluatorConfig{});
-  const AeStudyResult ae = RunAeStudy(evaluator, opt);
+  core::EvaluatorPool pool(dataset, core::EvaluatorConfig{}, opt.num_threads);
+  const AeStudyResult ae = RunAeStudy(pool, opt);
 
   alphaevolve::TablePrinter table({"Alpha", "Sharpe ratio", "IC",
                                    "Correlation with the best alphas",

@@ -15,6 +15,7 @@
 
 #include "common.h"
 #include "core/evaluator.h"
+#include "core/evaluator_pool.h"
 #include "core/pruning.h"
 #include "eval/metrics.h"
 #include "util/table.h"
@@ -71,7 +72,8 @@ int main() {
   add_pair("alpha_NN_init", core::MakeNeuralNetAlpha(dataset.window()));
 
   // Mining-study alphas that actually use parameters.
-  const AeStudyResult ae = RunAeStudy(evaluator, opt);
+  core::EvaluatorPool pool(dataset, core::EvaluatorConfig{}, opt.num_threads);
+  const AeStudyResult ae = RunAeStudy(pool, opt);
   int with_params = 0;
   for (const auto& round : ae.rounds) {
     const StudyRow* chosen = nullptr;

@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "common.h"
-#include "core/evaluator.h"
+#include "core/evaluator_pool.h"
 #include "nn/trainer.h"
 #include "util/table.h"
 
@@ -20,10 +20,10 @@ int main() {
   const market::Dataset dataset = MakeBenchDataset(opt);
   PrintBanner("Table 5: vs complex machine learning alphas", opt, dataset);
 
-  core::Evaluator evaluator(dataset, core::EvaluatorConfig{});
+  core::EvaluatorPool pool(dataset, core::EvaluatorConfig{}, opt.num_threads);
 
   // alpha_AE_D_0: expert-initialized search (round 0, no cutoff).
-  core::WeaklyCorrelatedMiner miner(evaluator, MakeEvolutionConfig(opt, 1));
+  core::WeaklyCorrelatedMiner miner(pool, MakeEvolutionConfig(opt, 1));
   const core::EvolutionResult ae_d =
       RunRoundFrom(miner, core::MakeExpertAlpha(dataset.window()), 100);
   if (ae_d.has_alpha) {

@@ -74,7 +74,6 @@ core::EvolutionConfig MakeEvolutionConfig(const BenchOptions& opt,
   cfg.max_candidates = 0;      // time-bounded, like the paper's 60 h rounds
   cfg.time_budget_seconds = opt.search_seconds;
   cfg.seed = seed;
-  cfg.num_threads = opt.num_threads;  // batch size auto: 4x threads
   return cfg;
 }
 
@@ -140,8 +139,10 @@ StudyRow MakeRow(std::string name, const core::EvolutionResult& r,
   return row;
 }
 
-AeStudyResult RunAeStudyWithMiner(core::WeaklyCorrelatedMiner& miner,
-                                  const BenchOptions& opt) {
+}  // namespace
+
+AeStudyResult RunAeStudy(core::EvaluatorPool& pool, const BenchOptions& opt) {
+  core::WeaklyCorrelatedMiner miner(pool, MakeEvolutionConfig(opt, /*seed=*/1));
   const std::vector<core::InitKind> inits = {
       core::InitKind::kExpert, core::InitKind::kNoOp, core::InitKind::kRandom,
       core::InitKind::kNeuralNet};
@@ -199,19 +200,6 @@ AeStudyResult RunAeStudyWithMiner(core::WeaklyCorrelatedMiner& miner,
   }
   study.accepted = miner.accepted();
   return study;
-}
-
-}  // namespace
-
-AeStudyResult RunAeStudy(core::Evaluator& evaluator, const BenchOptions& opt) {
-  core::WeaklyCorrelatedMiner miner(evaluator,
-                                    MakeEvolutionConfig(opt, /*seed=*/1));
-  return RunAeStudyWithMiner(miner, opt);
-}
-
-AeStudyResult RunAeStudy(core::EvaluatorPool& pool, const BenchOptions& opt) {
-  core::WeaklyCorrelatedMiner miner(pool, MakeEvolutionConfig(opt, /*seed=*/1));
-  return RunAeStudyWithMiner(miner, opt);
 }
 
 std::vector<GaStudyRow> RunGaStudy(const market::Dataset& dataset,

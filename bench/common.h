@@ -24,7 +24,8 @@ namespace ga = alphaevolve::ga;
 ///   AE_BENCH_SEED     market seed                    (default 17)
 ///   AE_BENCH_TIME     per-search wall budget, secs   (default 4)
 ///   AE_BENCH_ROUNDS   mining rounds                  (default 5)
-///   AE_BENCH_THREADS  evaluation worker threads      (default 1)
+///   AE_BENCH_THREADS  threads of the bench's one     (default 1)
+///                     EvaluatorPool
 ///   AE_BENCH_FULL     1 → paper-scale grid/budgets   (default 0)
 struct BenchOptions {
   int num_stocks = 150;
@@ -44,7 +45,8 @@ struct BenchOptions {
 market::Dataset MakeBenchDataset(const BenchOptions& opt);
 
 /// Evolution configuration matching the paper's §5.2 settings, with the
-/// bench time budget and the bench thread count (batch size auto-derived).
+/// bench time budget. The batch size is auto-derived from the pool the
+/// search runs on (4 × its threads, 1 on a one-thread pool).
 core::EvolutionConfig MakeEvolutionConfig(const BenchOptions& opt,
                                           uint64_t seed);
 
@@ -95,13 +97,12 @@ struct AeStudyResult {
   std::vector<core::AcceptedAlpha> accepted;
   std::vector<std::string> accepted_names;
 };
-AeStudyResult RunAeStudy(core::Evaluator& evaluator, const BenchOptions& opt);
-
-/// Pool-backed variant: per-round searches run concurrently on the pool.
-/// Each search is an independent deterministic stream, but the bench
-/// configs are time-budgeted, so concurrent searches share the workers and
-/// cover fewer candidates per wall-second than they would serially — run
-/// with AE_BENCH_THREADS=1 when comparing against serial outputs.
+/// Runs the study. Each round's searches run concurrently on `pool` (one
+/// after another on a one-thread pool). Each search is an independent
+/// deterministic stream, but the bench configs are time-budgeted, so
+/// concurrent searches share the workers and cover fewer candidates per
+/// wall-second than they would alone — run with AE_BENCH_THREADS=1 when
+/// comparing against serial outputs.
 AeStudyResult RunAeStudy(core::EvaluatorPool& pool, const BenchOptions& opt);
 
 /// The genetic-algorithm lineage for Table 2: one GA search per round with

@@ -32,24 +32,36 @@
 //                             at most 86400000: one day)
 //   --job-workers=N           concurrent searches (default 1)
 //   --checkpoint-every=N --checkpoint-keep=K    snapshot cadence/retention
-//   --max-candidates=N        default per-job candidate budget (default 240)
+//                             (0 = no batch cadence / keep every generation)
+//   --max-candidates=N        default per-job candidate budget (default 240,
+//                             1 to 2^53: submit_search's range)
+//
+// Numeric values are parsed whole (flag_number.h). Counts of threads,
+// workers and queue slots, --stocks and --days must be at least 1, seeds at
+// least 0. A malformed or out-of-range value, an unknown flag, or options
+// the service refuses (say --days=10, a calendar shorter than the feature
+// window) exit 2 with the reason on stderr.
 //
 // Telemetry (see telemetry_flags.h): --telemetry, --metrics-out=PATH,
 // --trace-out=PATH, --progress-every=SECS. Artifacts flush on drain and on
 // abnormal exit (crash flush); progress lines go to stderr, never stdout.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <memory>
 #include <mutex>
 #include <string>
 
+#include "flag_number.h"
 #include "service/alpha_service.h"
 #include "telemetry_flags.h"
+#include "util/check.h"
 
 namespace {
 
+using alphaevolve::examples::FlagNumber;
+using alphaevolve::examples::kMaxFlagCandidates;
 using alphaevolve::service::AlphaService;
 using alphaevolve::service::kMaxDeadlineMs;
 using alphaevolve::service::ReadRequestLine;
@@ -70,33 +82,28 @@ int main(int argc, char** argv) {
     if (const char* v = ValueOf(arg, "--checkpoint-dir=")) {
       options.supervisor.checkpoint_dir = v;
     } else if (const char* v = ValueOf(arg, "--stocks=")) {
-      options.num_stocks = std::atoi(v);
+      options.num_stocks = FlagNumber(arg, v, 1);
     } else if (const char* v = ValueOf(arg, "--days=")) {
-      options.num_days = std::atoi(v);
+      options.num_days = FlagNumber(arg, v, 1);
     } else if (const char* v = ValueOf(arg, "--data-seed=")) {
-      options.data_seed = static_cast<uint64_t>(std::atoll(v));
+      options.data_seed = FlagNumber<uint64_t>(arg, v, 0);
     } else if (const char* v = ValueOf(arg, "--eval-threads=")) {
-      options.eval_threads = std::atoi(v);
+      options.eval_threads = FlagNumber(arg, v, 1);
     } else if (const char* v = ValueOf(arg, "--op-workers=")) {
-      options.op_workers = std::atoi(v);
+      options.op_workers = FlagNumber(arg, v, 1);
     } else if (const char* v = ValueOf(arg, "--queue-capacity=")) {
-      options.queue_capacity = static_cast<size_t>(std::atoll(v));
+      options.queue_capacity = FlagNumber<size_t>(arg, v, 1);
     } else if (const char* v = ValueOf(arg, "--default-deadline-ms=")) {
-      options.default_deadline_ms = std::atof(v);
-      if (!(options.default_deadline_ms >= 0.0 &&
-            options.default_deadline_ms <= kMaxDeadlineMs)) {
-        std::fprintf(stderr, "out-of-range flag (want 0 to %.0f): %s\n",
-                     kMaxDeadlineMs, arg);
-        return 2;
-      }
+      options.default_deadline_ms = FlagNumber(arg, v, 0.0, kMaxDeadlineMs);
     } else if (const char* v = ValueOf(arg, "--job-workers=")) {
-      options.supervisor.worker_threads = std::atoi(v);
+      options.supervisor.worker_threads = FlagNumber(arg, v, 1);
     } else if (const char* v = ValueOf(arg, "--checkpoint-every=")) {
-      options.supervisor.checkpoint_every_batches = std::atoi(v);
+      options.supervisor.checkpoint_every_batches = FlagNumber(arg, v, 0);
     } else if (const char* v = ValueOf(arg, "--checkpoint-keep=")) {
-      options.supervisor.checkpoint_keep = std::atoi(v);
+      options.supervisor.checkpoint_keep = FlagNumber(arg, v, 0);
     } else if (const char* v = ValueOf(arg, "--max-candidates=")) {
-      options.default_job.max_candidates = std::atoll(v);
+      options.default_job.max_candidates =
+          FlagNumber<int64_t>(arg, v, 1, kMaxFlagCandidates);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
       return 2;
@@ -104,7 +111,14 @@ int main(int argc, char** argv) {
   }
 
   auto reporter = alphaevolve::examples::StartTelemetry(telemetry);
-  AlphaService service(options);
+  std::unique_ptr<AlphaService> owned;
+  try {
+    owned = std::make_unique<AlphaService>(options);
+  } catch (const alphaevolve::CheckError& e) {
+    std::fprintf(stderr, "refused options: %s\n", e.what());
+    return 2;
+  }
+  AlphaService& service = *owned;
   std::fprintf(stderr, "[alpha_serviced] serving on stdio (panel %dx%d, %s)\n",
                options.num_stocks, options.num_days,
                options.supervisor.checkpoint_dir.empty()

@@ -11,10 +11,14 @@
 //   --max-candidates=N          per-search candidate budget; replaces the
 //                               positional time budget so interrupted and
 //                               uninterrupted runs cover the same candidates
-//                               (required for bit-identical resume)
+//                               (required for bit-identical resume; 0, the
+//                               default, keeps the time budget)
 //   --eval-budget=S             per-candidate evaluation watchdog in seconds
 //                               (0 = off; arming trades bit-reproducibility
 //                               for liveness on pathological candidates)
+//
+// Numeric values are parsed whole (flag_number.h): N, K and S must be at
+// least 0 and N at most 2^53; anything else exits 2.
 #ifndef ALPHAEVOLVE_EXAMPLES_CHECKPOINT_FLAGS_H_
 #define ALPHAEVOLVE_EXAMPLES_CHECKPOINT_FLAGS_H_
 
@@ -26,6 +30,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "core/evolution.h"
+#include "flag_number.h"
 #include "util/serde.h"
 
 namespace alphaevolve::examples {
@@ -64,17 +69,18 @@ inline CheckpointFlags StripCheckpointFlags(int& argc, char** argv) {
     if (const char* v = value_of("--checkpoint-dir=")) {
       flags.dir = v;
     } else if (const char* v = value_of("--checkpoint-every=")) {
-      flags.every_batches = std::atoi(v);
+      flags.every_batches = FlagNumber(arg, v, 0);
     } else if (const char* v = value_of("--checkpoint-every-secs=")) {
-      flags.every_seconds = std::atof(v);
+      flags.every_seconds = FlagNumber(arg, v, 0.0);
     } else if (const char* v = value_of("--checkpoint-keep=")) {
-      flags.keep = std::atoi(v);
+      flags.keep = FlagNumber(arg, v, 0);
     } else if (std::strcmp(arg, "--resume") == 0) {
       flags.resume = true;
     } else if (const char* v = value_of("--max-candidates=")) {
-      flags.max_candidates = std::atoll(v);
+      flags.max_candidates =
+          FlagNumber<int64_t>(arg, v, 0, kMaxFlagCandidates);
     } else if (const char* v = value_of("--eval-budget=")) {
-      flags.eval_budget = std::atof(v);
+      flags.eval_budget = FlagNumber(arg, v, 0.0);
     } else {
       argv[out++] = argv[i];
     }

@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
   core::EvolutionConfig config;
   config.max_candidates = ck.max_candidates;  // 0 = wall-clock budgeted
   config.time_budget_seconds = ck.max_candidates > 0 ? 0.0 : seconds;
-  config.num_threads = num_threads;  // batch size auto-derives (4x threads)
   config.pipeline_depth = pipeline_depth;
   // Checkpointed searches own their caches (snapshot/restore needs that), so
   // the round-shared cache is off when a checkpoint dir is set.

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "core/evaluator_pool.h"
 #include "core/evolution.h"
 #include "core/generators.h"
 #include "core/mining.h"
@@ -41,11 +42,12 @@ int main() {
   std::printf("\nexpert alpha before evolving: IC(valid)=%.4f Sharpe(test)=%.3f\n",
               before.ic_valid, before.sharpe_test);
 
-  // 4. Evolve it.
+  // 4. Evolve it, on a one-thread pool: every batch is scored inline.
+  core::EvaluatorPool pool(dataset, ec, /*num_threads=*/1);
   core::EvolutionConfig cfg;
   cfg.max_candidates = 1500;
   cfg.seed = 11;
-  core::Evolution evolution(evaluator, cfg);
+  core::Evolution evolution(pool, cfg);
   core::EvolutionResult result = evolution.Run(expert);
 
   if (!result.has_alpha) {

@@ -191,7 +191,6 @@ int main(int argc, char** argv) {
   core::EvolutionConfig config;
   config.max_candidates = ck.max_candidates;  // 0 = wall-clock budgeted
   config.time_budget_seconds = ck.max_candidates > 0 ? 0.0 : seconds;
-  config.num_threads = num_threads;
   if (ck.enabled()) config.share_round_cache = false;
   core::WeaklyCorrelatedMiner miner(pool, config);
   if (scorer != nullptr) {

@@ -10,18 +10,19 @@
 //                           (implies --telemetry)
 //   --progress-every=SECS   stream periodic progress lines to stderr and, with
 //                           --metrics-out=X, JSON records to X.progress
-//                           (implies --telemetry)
+//                           (implies --telemetry; SECS >= 0, parsed whole by
+//                           flag_number.h, and 0 streams nothing)
 #ifndef ALPHAEVOLVE_EXAMPLES_TELEMETRY_FLAGS_H_
 #define ALPHAEVOLVE_EXAMPLES_TELEMETRY_FLAGS_H_
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 
+#include "flag_number.h"
 #include "obs/flush.h"
 #include "obs/progress.h"
 #include "obs/telemetry.h"
@@ -64,7 +65,7 @@ inline TelemetryFlags StripTelemetryFlags(int& argc, char** argv) {
       flags.metrics_out = v;
       flags.enabled = true;
     } else if (const char* v = value_of("--progress-every=")) {
-      flags.progress_every = std::atof(v);
+      flags.progress_every = FlagNumber(arg, v, 0.0);
       flags.enabled = true;
     } else {
       argv[out++] = argv[i];

@@ -3,6 +3,10 @@
 # through, resume it from the newest snapshot, and require the final JSON
 # report to be byte-identical to an uninterrupted run's.
 #
+# First, a malformed candidate budget or snapshot cadence must be refused
+# with exit code 2: a budget that fell back to the wall clock could never
+# resume bit-identically.
+#
 # Both runs — the reference and the interrupted one — mine with
 # --checkpoint-dir (separate directories): checkpointing disables the shared
 # round cache, so the uninterrupted reference must run under the same
@@ -27,6 +31,17 @@ fi
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
+
+echo "== malformed flags are refused =="
+for flag in --max-candidates=abc --checkpoint-every=-1; do
+  "$MINER" 1 0.5 1 "$flag" --checkpoint-dir="$WORK/refused" \
+    > /dev/null 2>&1 && status=0 || status=$?
+  if [[ "$status" != 2 ]]; then
+    echo "error: $flag was not refused (exit $status)" >&2
+    exit 1
+  fi
+done
+echo "refused with exit 2"
 
 # 2 rounds (two concurrent searches each), 2 threads, pipeline depth 2, no
 # stress suite; candidate-bounded with a tight snapshot cadence.

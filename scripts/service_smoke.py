@@ -8,8 +8,10 @@ job_result, query_alphas, signals, backtest, stress, metrics, error paths
 are refused) — then a job whose deadline expires mid-search, which must
 stop at a batch barrier and park cancelled with deadline_exceeded while the
 daemon keeps serving, checks health's per-state job counts, and finishes
-with a drain op, asserting the daemon exits 0. A default op deadline past
-one day is refused at startup with exit code 2.
+with a drain op, asserting the daemon exits 0. A malformed or out-of-range
+numeric flag (a default op deadline past one day, a negative or non-numeric
+queue capacity, a non-numeric panel size, a negative worker count, a zero
+candidate budget) is refused at startup with exit code 2.
 
 Usage: scripts/service_smoke.py [build_dir]
 """
@@ -96,10 +98,12 @@ def wait_for_state(daemon, job, states, timeout=300.0):
 def main():
     build = sys.argv[1] if len(sys.argv) > 1 else "build"
     binary = f"{build}/alpha_serviced"
-    refused = subprocess.run([binary, "--default-deadline-ms=1e15"],
-                             stdin=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL)
-    assert refused.returncode == 2, refused.returncode
+    for flag in ("--default-deadline-ms=1e15", "--queue-capacity=-1",
+                 "--queue-capacity=abc", "--stocks=abc", "--job-workers=-3",
+                 "--max-candidates=0"):
+        refused = subprocess.run([binary, flag], stdin=subprocess.DEVNULL,
+                                 stderr=subprocess.DEVNULL, timeout=120)
+        assert refused.returncode == 2, (flag, refused.returncode)
     daemon = Daemon(
         binary,
         "--stocks=24", "--days=220", "--data-seed=13",

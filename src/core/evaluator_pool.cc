@@ -39,31 +39,6 @@ void EvaluatorPool::Release(Evaluator* evaluator) {
   free_.push_back(evaluator);
 }
 
-void EvaluatorPool::ForEach(int n,
-                            const std::function<void(Evaluator&, int)>& fn) {
-  if (n <= 0) return;
-  AE_SPAN("pool.foreach");
-  const int workers = thread_pool_ == nullptr ? 1 : std::min(num_threads_, n);
-  if (workers <= 1) {
-    Lease lease(*this);
-    for (int i = 0; i < n; ++i) fn(*lease, i);
-    return;
-  }
-  // Work stealing: items are claimed one at a time from a shared counter,
-  // so uneven per-item cost (mixed probe/full batches) cannot strand whole
-  // stripes behind one slow worker. Each worker holds one lease for its
-  // lifetime; item order within a worker is irrelevant because every fn(i)
-  // is independent and deterministic.
-  std::atomic<int> next{0};
-  thread_pool_->ParallelFor(workers, [&](int) {
-    Lease lease(*this);
-    int i;
-    while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n) {
-      fn(*lease, i);
-    }
-  });
-}
-
 void EvaluatorPool::ForEachAsync(int n,
                                  std::function<void(Evaluator&, int)> fn,
                                  TaskGroup& group) {
@@ -73,10 +48,11 @@ void EvaluatorPool::ForEachAsync(int n,
     for (int i = 0; i < n; ++i) fn(*lease, i);
     return;
   }
-  // Same work-stealing shape as ForEach, minus the caller's lane: each
-  // submitted worker leases an evaluator and pulls indices from a shared
-  // counter until the batch is exhausted. The counter is owned by the tasks
-  // (shared_ptr) because the submitting frame returns immediately.
+  // Work stealing: each submitted worker leases an evaluator for its
+  // lifetime and pulls indices from a shared counter until the batch is
+  // exhausted, so uneven per-item cost cannot strand items behind one slow
+  // worker. The counter is owned by the tasks (shared_ptr) because the
+  // submitting frame returns immediately.
   auto next = std::make_shared<std::atomic<int>>(0);
   const int workers = std::min(num_threads_, n);
   for (int w = 0; w < workers; ++w) {

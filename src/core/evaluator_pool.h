@@ -63,25 +63,21 @@ class EvaluatorPool {
     Evaluator* evaluator_;
   };
 
-  /// Runs fn(evaluator, i) for i in [0, n) over up to num_threads()
-  /// concurrent workers, each with its own leased evaluator. Indices are
-  /// claimed from a shared atomic counter (work stealing), so a worker that
-  /// drew cheap items (probe fingerprints, cache-hit short-circuits) keeps
-  /// pulling work instead of idling behind a worker stuck on expensive full
-  /// evaluations. Results are independent of the thread count: each fn(i)
-  /// is deterministic in its item and evaluators share no mutable state.
-  /// The evolution driver's functional-fingerprint probes run on it.
-  void ForEach(int n, const std::function<void(Evaluator&, int)>& fn);
-
-  /// Non-blocking ForEach: submits up to num_threads() work-stealing worker
-  /// tasks into `group` and returns immediately — the caller keeps the
+  /// The pool's one fan-out: runs fn(evaluator, i) for i in [0, n) on up to
+  /// num_threads() worker tasks submitted into `group`, each with its own
+  /// leased evaluator, and returns without waiting — the caller keeps the
   /// driving thread for other work (the evolution driver generates the next
-  /// batch) while the items are scored. Wait on the group (WaitAll, or
-  /// WaitUntil plus per-item flags published by `fn` and group.Notify()) for
-  /// completion.
-  /// `fn` is copied into the workers; state it captures must stay alive
-  /// until the group drains. With no thread pool (fully serial pool) the
-  /// items run inline before returning, so the call degrades to ForEach.
+  /// batch) while the items are scored. Wait on the group for completion:
+  /// WaitAll for the whole fan-out (the functional-fingerprint probes), or
+  /// WaitUntil plus per-item flags published by `fn` and group.Notify() (the
+  /// driver's evaluations). Either wait helps drain the pool's queue.
+  /// Indices are claimed from a shared atomic counter (work stealing), so a
+  /// worker that drew cheap items keeps pulling work instead of idling
+  /// behind one stuck on an expensive evaluation. Results are independent of
+  /// the thread count: each fn(i) is deterministic in its item and
+  /// evaluators share no mutable state. `fn` is copied into the workers;
+  /// state it captures must stay alive until the group drains. With no
+  /// thread pool (a one-thread pool) the items run inline before returning.
   void ForEachAsync(int n, std::function<void(Evaluator&, int)> fn,
                     TaskGroup& group);
 

@@ -55,31 +55,12 @@ struct SearchCounters {
 
 }  // namespace
 
-Evolution::Evolution(Evaluator& evaluator, EvolutionConfig config,
-                     std::vector<std::vector<double>> accepted_valid_returns)
-    : serial_evaluator_(&evaluator),
-      config_(config),
-      mutator_(config.mutator),
-      accepted_valid_returns_(std::move(accepted_valid_returns)) {
-  Init(config);
-  if (config_.num_threads > 1) {
-    owned_pool_ = std::make_unique<EvaluatorPool>(
-        evaluator.dataset(), evaluator.config(), config_.num_threads);
-    pool_ = owned_pool_.get();
-    serial_evaluator_ = nullptr;
-  }
-}
-
 Evolution::Evolution(EvaluatorPool& pool, EvolutionConfig config,
                      std::vector<std::vector<double>> accepted_valid_returns)
-    : pool_(&pool),
+    : pool_(pool),
       config_(config),
       mutator_(config.mutator),
       accepted_valid_returns_(std::move(accepted_valid_returns)) {
-  Init(config);
-}
-
-void Evolution::Init(EvolutionConfig config) {
   AE_CHECK(config.population_size >= 2);
   AE_CHECK(config.tournament_size >= 1 &&
            config.tournament_size <= config.population_size);
@@ -92,24 +73,16 @@ void Evolution::UseSharedCache(FingerprintCache* cache) {
 
 int Evolution::EffectiveBatchSize() const {
   if (config_.batch_size > 0) return config_.batch_size;
-  const int threads = pool_ != nullptr ? pool_->num_threads() : 1;
+  const int threads = pool_.num_threads();
   return threads > 1 ? 4 * threads : 1;
-}
-
-void Evolution::ForEachEvaluator(
-    int n, const std::function<void(Evaluator&, int)>& fn) {
-  if (pool_ != nullptr) {
-    pool_->ForEach(n, fn);
-  } else {
-    for (int i = 0; i < n; ++i) fn(*serial_evaluator_, i);
-  }
 }
 
 void Evolution::FingerprintBatch(std::vector<Candidate>& batch) {
   AE_SPAN("evolution.fingerprint");
   // Structural mode prunes and hashes on the driving thread (microseconds
   // per candidate, §4.2); functional mode needs a probe evaluation per
-  // candidate, so that runs on the pool.
+  // candidate, so that runs on the pool. Its wait helps drain the pool's
+  // queue, the in-flight batches' evaluations included.
   if (config_.use_pruning) {
     for (Candidate& c : batch) {
       PruneResult pr = PruneRedundant(c.program, config_.mutator.limits);
@@ -126,12 +99,15 @@ void Evolution::FingerprintBatch(std::vector<Candidate>& batch) {
     for (Candidate& c : batch) {
       c.eval_seed = HashString(c.program.ToString());
     }
-    ForEachEvaluator(static_cast<int>(batch.size()),
-                     [&](Evaluator& evaluator, int i) {
-                       Candidate& c = batch[static_cast<size_t>(i)];
-                       c.fingerprint =
-                           evaluator.ProbeFingerprint(c.program, c.eval_seed);
-                     });
+    TaskGroup probes(pool_.thread_pool());
+    pool_.ForEachAsync(static_cast<int>(batch.size()),
+                       [&batch](Evaluator& evaluator, int i) {
+                         Candidate& c = batch[static_cast<size_t>(i)];
+                         c.fingerprint =
+                             evaluator.ProbeFingerprint(c.program, c.eval_seed);
+                       },
+                       probes);
+    probes.WaitAll();
   }
 }
 
@@ -243,11 +219,8 @@ AlphaMetrics Evolution::EvaluateFull(const AlphaProgram& program) {
   const uint64_t seed = config_.use_pruning
                             ? Fingerprint(program)
                             : HashString(program.ToString());
-  if (pool_ != nullptr) {
-    EvaluatorPool::Lease lease(*pool_);
-    return lease->Evaluate(program, seed, /*include_test=*/true);
-  }
-  return serial_evaluator_->Evaluate(program, seed, /*include_test=*/true);
+  EvaluatorPool::Lease lease(pool_);
+  return lease->Evaluate(program, seed, /*include_test=*/true);
 }
 
 void Evolution::FinishResult(EvolutionResult& result,
@@ -330,7 +303,7 @@ EvolutionResult Evolution::Run(const AlphaProgram& init) {
 EvolutionResult Evolution::Drive(const AlphaProgram& init) {
   const auto start = Clock::now();
   const int batch_cap = EffectiveBatchSize();
-  ThreadPool* workers = pool_ != nullptr ? pool_->thread_pool() : nullptr;
+  ThreadPool* workers = pool_.thread_pool();
   // Overlapping generation with evaluation needs workers to overlap with:
   // without any, batches evaluate inline at depth 0.
   const int depth = workers != nullptr ? config_.pipeline_depth : 0;
@@ -533,8 +506,8 @@ EvolutionResult Evolution::Drive(const AlphaProgram& init) {
 
     // Stage 3 — launch the unique evaluations asynchronously and return
     // without waiting; per-item completions are published for hazard
-    // resolution and the batch counter for commit. Without a pool they run
-    // inline on the serial evaluator.
+    // resolution and the batch counter for commit. A one-thread pool runs
+    // them inline before returning.
     PipelineBatch* bp = batch.get();
     auto evaluate = [this, bp, &group](Evaluator& evaluator, int k) {
       Candidate& c = bp->candidates[static_cast<size_t>(
@@ -544,12 +517,8 @@ EvolutionResult Evolution::Drive(const AlphaProgram& init) {
       bp->items_done.fetch_add(1, std::memory_order_acq_rel);
       group.Notify();
     };
-    const int n_eval = static_cast<int>(bp->to_evaluate.size());
-    if (pool_ != nullptr) {
-      pool_->ForEachAsync(n_eval, evaluate, group);
-    } else {
-      for (int k = 0; k < n_eval; ++k) evaluate(*serial_evaluator_, k);
-    }
+    pool_.ForEachAsync(static_cast<int>(bp->to_evaluate.size()), evaluate,
+                       group);
     in_flight.push_back(std::move(batch));
     SearchCounters::Get().inflight_batches.Set(
         static_cast<int64_t>(in_flight.size()));

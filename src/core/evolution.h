@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -53,18 +52,18 @@ struct EvolutionConfig {
 
   uint64_t seed = 42;
 
-  /// Worker threads for batched candidate scoring. When Evolution is built
-  /// from a bare Evaluator and num_threads > 1, it spins up an internal
-  /// EvaluatorPool with the evaluator's dataset and config; when built from
-  /// an external EvaluatorPool, the pool's own thread count governs.
+  /// Read by nothing: a search's workers are its EvaluatorPool's threads.
+  /// Kept only because e2ebench/e2e.cc still sets it; it goes with the next
+  /// change to the end-to-end benchmark.
   int num_threads = 1;
 
   /// Children generated, scored, and inserted per evolution step (the batch
   /// width B of batched regularized evolution). Tournament parents for a
   /// batch are drawn before any of its children enter the population.
-  /// <= 0 picks 4 * num_threads (1 when serial). B = 1 reproduces the serial
-  /// engine's trajectory bit-for-bit; for any fixed B >= 1 the search is
-  /// deterministic in the seed and independent of the thread count.
+  /// <= 0 picks 4 × the pool's threads (1 on a one-thread pool). B = 1
+  /// reproduces the serial engine's trajectory bit-for-bit; for any fixed
+  /// B >= 1 the search is deterministic in the seed and independent of the
+  /// thread count.
   int batch_size = 0;
 
   /// Evaluation batches the driver may keep in flight while it generates
@@ -76,8 +75,8 @@ struct EvolutionConfig {
   /// bit-identical to depth 0 for the same (seed, batch_size) at every
   /// depth and thread count (tournament draws against a still-evaluating
   /// member wait for exactly that member's fitness, never the whole batch).
-  /// Without worker threads (a bare Evaluator, or a pool without a
-  /// ThreadPool) the driver runs at depth 0 whatever is set here. Depths > 1
+  /// On a one-thread pool (no ThreadPool, so no workers to overlap with)
+  /// the driver runs at depth 0 whatever is set here. Depths > 1
   /// help when generation cost per batch approaches evaluation cost
   /// (functional fingerprints, large programs).
   int pipeline_depth = 1;
@@ -198,20 +197,16 @@ class CheckpointSink {
 /// driving thread already generates the next batch, probing speculatively
 /// against the in-flight frontier and reconciling at commit. Results depend
 /// only on (seed, batch_size), never on the thread count or the pipeline
-/// depth.
+/// depth. Every evaluator a search uses is leased from its EvaluatorPool,
+/// whose thread count is the search's parallelism: a one-thread pool runs
+/// every batch inline on the caller.
 class Evolution {
  public:
-  /// `accepted_valid_returns` holds the validation portfolio-return series
-  /// of the already-accepted alpha set A; candidates whose series correlates
-  /// above the cutoff with any of them are discarded (fitness = -1).
-  /// If config.num_threads > 1, an internal EvaluatorPool over the
-  /// evaluator's dataset provides the workers; otherwise every batch
-  /// evaluates inline on `evaluator`.
-  Evolution(Evaluator& evaluator, EvolutionConfig config,
-            std::vector<std::vector<double>> accepted_valid_returns = {});
-
-  /// Shares an external pool (e.g. with other concurrent searches); the
-  /// pool's thread count governs parallelism.
+  /// Scores on `pool`, which other searches may share. The pool must
+  /// outlive the search. `accepted_valid_returns` holds the validation
+  /// portfolio-return series of the already-accepted alpha set A;
+  /// candidates whose series correlates above the cutoff with any of them
+  /// are discarded (fitness = -1).
   Evolution(EvaluatorPool& pool, EvolutionConfig config,
             std::vector<std::vector<double>> accepted_valid_returns = {});
 
@@ -326,10 +321,7 @@ class Evolution {
     std::atomic<int> items_done{0};  ///< evaluations finished so far
   };
 
-  void Init(EvolutionConfig config);
   int EffectiveBatchSize() const;
-  /// Runs fn(evaluator, i) for i in [0, n), parallel when a pool is set.
-  void ForEachEvaluator(int n, const std::function<void(Evaluator&, int)>& fn);
   /// Stage 1: prune + structural fingerprint on the driving thread, or
   /// probe-evaluate functional fingerprints on the pool.
   void FingerprintBatch(std::vector<Candidate>& batch);
@@ -349,14 +341,12 @@ class Evolution {
                                      const EvolutionResult& result,
                                      const std::deque<Member>& population);
   /// The batch driver: generates, evaluates and commits batches with up to
-  /// `pipeline_depth` of them in flight (0 without worker threads).
+  /// `pipeline_depth` of them in flight (0 on a one-thread pool).
   EvolutionResult Drive(const AlphaProgram& init);
   /// Final selection + full re-evaluation of the winner.
   void FinishResult(EvolutionResult& result, std::deque<Member>& population);
 
-  Evaluator* serial_evaluator_ = nullptr;  ///< set when no pool drives us
-  EvaluatorPool* pool_ = nullptr;          ///< external or owned pool
-  std::unique_ptr<EvaluatorPool> owned_pool_;
+  EvaluatorPool& pool_;
   EvolutionConfig config_;
   Mutator mutator_;
   std::vector<std::vector<double>> accepted_valid_returns_;

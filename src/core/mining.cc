@@ -7,13 +7,9 @@
 
 namespace alphaevolve::core {
 
-WeaklyCorrelatedMiner::WeaklyCorrelatedMiner(Evaluator& evaluator,
-                                             EvolutionConfig base_config)
-    : evaluator_(&evaluator), base_config_(base_config) {}
-
 WeaklyCorrelatedMiner::WeaklyCorrelatedMiner(EvaluatorPool& pool,
                                              EvolutionConfig base_config)
-    : pool_(&pool), base_config_(base_config) {}
+    : pool_(pool), base_config_(base_config) {}
 
 std::vector<std::vector<double>> WeaklyCorrelatedMiner::AcceptedReturns()
     const {
@@ -32,15 +28,7 @@ EvolutionResult WeaklyCorrelatedMiner::RunOne(
     const EvolutionCheckpoint* resume) {
   EvolutionConfig config = base_config_;
   config.seed = seed;
-  if (pool_ != nullptr) {
-    Evolution evolution(*pool_, config, std::move(accepted_returns));
-    evolution.UseSharedCache(shared_cache);
-    evolution.UseCandidateScorer(scorer_);
-    evolution.UseCheckpointSink(checkpoint_sink);
-    if (resume != nullptr) evolution.ResumeFrom(*resume);
-    return evolution.Run(init);
-  }
-  Evolution evolution(*evaluator_, config, std::move(accepted_returns));
+  Evolution evolution(pool_, config, std::move(accepted_returns));
   evolution.UseSharedCache(shared_cache);
   evolution.UseCandidateScorer(scorer_);
   evolution.UseCheckpointSink(checkpoint_sink);
@@ -76,7 +64,7 @@ std::vector<EvolutionResult> WeaklyCorrelatedMiner::RunSearches(
       base_config_.share_round_cache && specs.size() > 1 && !any_checkpointed
           ? &round_cache
           : nullptr;
-  ThreadPool* thread_pool = pool_ != nullptr ? pool_->thread_pool() : nullptr;
+  ThreadPool* thread_pool = pool_.thread_pool();
   if (thread_pool == nullptr || specs.size() <= 1) {
     for (size_t s = 0; s < specs.size(); ++s) {
       results[s] = RunOne(specs[s].init, specs[s].seed, AcceptedReturns(),

@@ -77,12 +77,10 @@ struct SearchStats {
 class WeaklyCorrelatedMiner {
  public:
   /// `base_config`'s cutoff and budgets apply to every search; per-search
-  /// seeds are derived from it. Serial: every search runs on the caller.
-  WeaklyCorrelatedMiner(Evaluator& evaluator, EvolutionConfig base_config);
-
-  /// Pool-backed: searches share the pool's workers — a single search
-  /// scores its batches in parallel, and RunSearches additionally runs
-  /// whole searches concurrently on the same pool.
+  /// seeds are derived from it. Every search scores on `pool` and shares
+  /// its workers: a single search scores its batches in parallel, and
+  /// RunSearches additionally runs whole searches concurrently on the same
+  /// pool. On a one-thread pool everything runs on the caller.
   WeaklyCorrelatedMiner(EvaluatorPool& pool, EvolutionConfig base_config);
 
   /// Runs one evolutionary search initialized from `init`, with the current
@@ -108,9 +106,10 @@ class WeaklyCorrelatedMiner {
   };
 
   /// Runs every spec against the current accepted set and returns results
-  /// in spec order. With a pool, the searches run concurrently; each is an
-  /// independent deterministic stream, so candidate-bounded searches
-  /// (max_candidates > 0) give results identical to running them serially.
+  /// in spec order. On a pool with worker threads the searches run
+  /// concurrently; each is an independent deterministic stream, so
+  /// candidate-bounded searches (max_candidates > 0) give results identical
+  /// to running them serially.
   /// Time-budgeted searches (time_budget_seconds) contend for the shared
   /// workers, so each covers fewer candidates per wall-second than it
   /// would alone. Accept must not be called while this runs.
@@ -173,8 +172,7 @@ class WeaklyCorrelatedMiner {
                          CheckpointSink* checkpoint_sink = nullptr,
                          const EvolutionCheckpoint* resume = nullptr);
 
-  Evaluator* evaluator_ = nullptr;  ///< serial mode
-  EvaluatorPool* pool_ = nullptr;   ///< pool-backed mode
+  EvaluatorPool& pool_;
   CandidateScorer* scorer_ = nullptr;  ///< optional scenario fitness
   EvolutionConfig base_config_;
   std::vector<AcceptedAlpha> accepted_;

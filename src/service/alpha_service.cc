@@ -42,13 +42,30 @@ struct OpCounters {
   }
 };
 
+/// Largest integer a JSON number (a double) carries exactly.
+constexpr int64_t kMaxExactInteger = int64_t{1} << 53;
+constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+
 /// The options, once their default deadline is known to convert to a
-/// steady_clock duration (the cap every request's deadline_ms obeys).
+/// steady_clock duration (the cap every request's deadline_ms obeys), their
+/// default job is one submit_search would accept (a param a client leaves
+/// out takes its value from it unchecked), and the op queue admits an op.
 ServiceOptions CheckedOptions(ServiceOptions o) {
   AE_CHECK_MSG(o.default_deadline_ms >= 0.0 &&
                    o.default_deadline_ms <= kMaxDeadlineMs,
                "default_deadline_ms must be in [0, " << kMaxDeadlineMs
                                                      << "]");
+  const JobSpec& job = o.default_job;
+  AE_CHECK_MSG(job.max_candidates >= 1 &&
+                   job.max_candidates <= kMaxExactInteger,
+               "default_job.max_candidates must be in [1, 2^53]");
+  AE_CHECK_MSG(job.population_size >= 2,
+               "default_job.population_size must be at least 2");
+  AE_CHECK_MSG(
+      job.tournament_size >= 1 && job.tournament_size <= job.population_size,
+      "default_job.tournament_size must be in [1, population_size]");
+  AE_CHECK_MSG(job.batch_size >= 1, "default_job.batch_size must be >= 1");
+  AE_CHECK_MSG(o.queue_capacity >= 1, "queue_capacity must be at least 1");
   return o;
 }
 
@@ -88,10 +105,6 @@ bool ParamNumber(const Request& req, const char* key, double fallback,
   *out = value.AsDouble();
   return true;
 }
-
-/// Largest integer a JSON number (a double) carries exactly.
-constexpr int64_t kMaxExactInteger = int64_t{1} << 53;
-constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
 
 /// Optional integral param in [lo, hi] with a default. Returns false, with
 /// the reason in `err`, for a non-number, a non-integral value or one out of

@@ -32,14 +32,16 @@ struct ServiceOptions {
   int eval_threads = 2;
 
   /// Intake: bounded command queue + op worker threads. A full queue is a
-  /// structured rejection at admission, never a blocked intake thread.
+  /// structured rejection at admission, never a blocked intake thread. The
+  /// constructor refuses a capacity of 0.
   size_t queue_capacity = 64;
   int op_workers = 2;
   /// Applied to ops that carry no deadline_ms of their own (0 = none). The
   /// constructor refuses a value outside [0, kMaxDeadlineMs].
   double default_deadline_ms = 0.0;
 
-  /// Spec fields submit_search params may override per job.
+  /// Spec fields submit_search params may override per job. The
+  /// constructor refuses a default job submit_search would refuse.
   JobSpec default_job;
   SupervisorOptions supervisor;
 };

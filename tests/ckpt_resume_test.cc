@@ -102,16 +102,16 @@ TEST_F(CkptResumeTest, EverySnapshotIsABitIdenticalResumePoint) {
   // search resumed from EVERY recorded snapshot.
   EvolutionConfig cfg = BaseConfig();
   cfg.pipeline_depth = 0;
-  Evaluator evaluator(*dataset_, EvaluatorConfig{});
+  EvaluatorPool serial_pool(*dataset_, EvaluatorConfig{}, 1);
   const AlphaProgram init = MakeExpertAlpha(dataset_->window());
 
-  Evolution reference_evo(evaluator, cfg);
+  Evolution reference_evo(serial_pool, cfg);
   const EvolutionResult reference = reference_evo.Run(init);
   ASSERT_TRUE(reference.has_alpha);
   const auto reference_cache = reference_evo.CacheSnapshot();
 
   RecordingSink sink(/*every_batches=*/4);
-  Evolution recorded_evo(evaluator, cfg);
+  Evolution recorded_evo(serial_pool, cfg);
   recorded_evo.UseCheckpointSink(&sink);
   const EvolutionResult recorded = recorded_evo.Run(init);
   ExpectIdentical(reference, recorded);  // checkpointing never perturbs
@@ -131,7 +131,7 @@ TEST_F(CkptResumeTest, EverySnapshotIsABitIdenticalResumePoint) {
     EXPECT_LE(snap.stats.candidates,
               snap.batches_committed * cfg.batch_size);
 
-    Evolution resumed_evo(evaluator, cfg);
+    Evolution resumed_evo(serial_pool, cfg);
     resumed_evo.ResumeFrom(snap);
     const EvolutionResult resumed = resumed_evo.Run(init);
     ExpectIdentical(reference, resumed);
@@ -146,9 +146,9 @@ TEST_F(CkptResumeTest, ResumeParityAcrossThreadsAndDepths) {
   // states) and resumes from first, middle, and last.
   EvolutionConfig cfg = BaseConfig();
   cfg.pipeline_depth = 0;
-  Evaluator evaluator(*dataset_, EvaluatorConfig{});
+  EvaluatorPool serial_pool(*dataset_, EvaluatorConfig{}, 1);
   const AlphaProgram init = MakeExpertAlpha(dataset_->window());
-  Evolution reference_evo(evaluator, cfg);
+  Evolution reference_evo(serial_pool, cfg);
   const EvolutionResult reference = reference_evo.Run(init);
   ASSERT_TRUE(reference.has_alpha);
   const auto reference_cache = reference_evo.CacheSnapshot();
@@ -229,10 +229,10 @@ TEST_F(CkptResumeFileTest, DiskRoundTripResumeMatchesUninterrupted) {
   // resumes to the identical final result.
   EvolutionConfig cfg = BaseConfig();
   cfg.pipeline_depth = 0;
-  Evaluator evaluator(*dataset_, EvaluatorConfig{});
+  EvaluatorPool serial_pool(*dataset_, EvaluatorConfig{}, 1);
   const AlphaProgram init = MakeExpertAlpha(dataset_->window());
 
-  Evolution reference_evo(evaluator, cfg);
+  Evolution reference_evo(serial_pool, cfg);
   const EvolutionResult reference = reference_evo.Run(init);
 
   ckpt::WriterOptions options;
@@ -243,7 +243,7 @@ TEST_F(CkptResumeFileTest, DiskRoundTripResumeMatchesUninterrupted) {
   // checkpoint_test covers it).
   options.background = false;
   ckpt::CheckpointWriter writer(dir_, "search", options);
-  Evolution recorded_evo(evaluator, cfg);
+  Evolution recorded_evo(serial_pool, cfg);
   recorded_evo.UseCheckpointSink(&writer);
   ExpectIdentical(reference, recorded_evo.Run(init));
   ASSERT_GE(writer.generations_written(), 3);
@@ -251,7 +251,7 @@ TEST_F(CkptResumeFileTest, DiskRoundTripResumeMatchesUninterrupted) {
   const auto loaded = ckpt::LoadNewest(dir_, "search");
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->kind, ckpt::kSearchSnapshotKind);
-  Evolution resumed_evo(evaluator, cfg);
+  Evolution resumed_evo(serial_pool, cfg);
   resumed_evo.ResumeFrom(ckpt::DecodeSearchSnapshot(loaded->payload));
   ExpectIdentical(reference, resumed_evo.Run(init));
 }
@@ -262,10 +262,10 @@ TEST_F(CkptResumeFileTest, TornNewestGenerationFallsBackAndResumes) {
   // resumed run still finishes bit-identical.
   EvolutionConfig cfg = BaseConfig();
   cfg.pipeline_depth = 0;
-  Evaluator evaluator(*dataset_, EvaluatorConfig{});
+  EvaluatorPool serial_pool(*dataset_, EvaluatorConfig{}, 1);
   const AlphaProgram init = MakeExpertAlpha(dataset_->window());
 
-  Evolution reference_evo(evaluator, cfg);
+  Evolution reference_evo(serial_pool, cfg);
   const EvolutionResult reference = reference_evo.Run(init);
 
   ckpt::WriterOptions options;
@@ -276,7 +276,7 @@ TEST_F(CkptResumeFileTest, TornNewestGenerationFallsBackAndResumes) {
   // checkpoint_test covers it).
   options.background = false;
   ckpt::CheckpointWriter writer(dir_, "search", options);
-  Evolution recorded_evo(evaluator, cfg);
+  Evolution recorded_evo(serial_pool, cfg);
   recorded_evo.UseCheckpointSink(&writer);
   recorded_evo.Run(init);
   const int64_t newest = writer.last_generation();
@@ -307,7 +307,7 @@ TEST_F(CkptResumeFileTest, TornNewestGenerationFallsBackAndResumes) {
   EXPECT_EQ(fallbacks.Value(), fallbacks_before + 1);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->generation, newest - 1);
-  Evolution resumed_evo(evaluator, cfg);
+  Evolution resumed_evo(serial_pool, cfg);
   resumed_evo.ResumeFrom(ckpt::DecodeSearchSnapshot(loaded->payload));
   ExpectIdentical(reference, resumed_evo.Run(init));
 }

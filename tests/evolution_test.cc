@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/evaluator_pool.h"
 #include "core/generators.h"
 #include "core/mining.h"
 #include "core/mutator.h"
@@ -27,17 +28,21 @@ class EvolutionTest : public ::testing::Test {
     dataset_ = new market::Dataset(
         market::Dataset::Simulate(mc, market::DatasetConfig{}));
     evaluator_ = new Evaluator(*dataset_, EvaluatorConfig{});
+    pool_ = new EvaluatorPool(*dataset_, EvaluatorConfig{}, 1);
   }
   static void TearDownTestSuite() {
+    delete pool_;
     delete evaluator_;
     delete dataset_;
   }
   static market::Dataset* dataset_;
-  static Evaluator* evaluator_;
+  static Evaluator* evaluator_;  ///< direct evaluations
+  static EvaluatorPool* pool_;   ///< searches (one thread: runs inline)
 };
 
 market::Dataset* EvolutionTest::dataset_ = nullptr;
 Evaluator* EvolutionTest::evaluator_ = nullptr;
+EvaluatorPool* EvolutionTest::pool_ = nullptr;
 
 TEST_F(EvolutionTest, EvaluatorScoresExpertAlpha) {
   const AlphaMetrics m =
@@ -141,7 +146,7 @@ TEST_F(EvolutionTest, SearchImprovesOnInitialAlpha) {
   EvolutionConfig cfg;
   cfg.max_candidates = 800;
   cfg.seed = 3;
-  Evolution evo(*evaluator_, cfg);
+  Evolution evo(*pool_, cfg);
   const EvolutionResult r = evo.Run(init);
   ASSERT_TRUE(r.has_alpha);
   EXPECT_GT(r.best_fitness, init_ic);
@@ -152,7 +157,7 @@ TEST_F(EvolutionTest, StatsPartitionCandidates) {
   EvolutionConfig cfg;
   cfg.max_candidates = 500;
   cfg.seed = 4;
-  Evolution evo(*evaluator_, cfg);
+  Evolution evo(*pool_, cfg);
   const EvolutionResult r = evo.Run(MakeNoOpAlpha());
   EXPECT_EQ(r.stats.candidates, 500);
   EXPECT_EQ(r.stats.candidates, r.stats.evaluated + r.stats.pruned_redundant +
@@ -164,7 +169,7 @@ TEST_F(EvolutionTest, DeterministicGivenSeed) {
   EvolutionConfig cfg;
   cfg.max_candidates = 300;
   cfg.seed = 5;
-  Evolution a(*evaluator_, cfg), b(*evaluator_, cfg);
+  Evolution a(*pool_, cfg), b(*pool_, cfg);
   const EvolutionResult ra = a.Run(MakeExpertAlpha(13));
   const EvolutionResult rb = b.Run(MakeExpertAlpha(13));
   ASSERT_EQ(ra.has_alpha, rb.has_alpha);
@@ -177,7 +182,7 @@ TEST_F(EvolutionTest, TrajectoryIsMonotoneNonDecreasing) {
   cfg.max_candidates = 600;
   cfg.trajectory_stride = 25;
   cfg.seed = 6;
-  Evolution evo(*evaluator_, cfg);
+  Evolution evo(*pool_, cfg);
   const EvolutionResult r = evo.Run(MakeExpertAlpha(13));
   ASSERT_GT(r.trajectory.size(), 3u);
   for (size_t i = 1; i < r.trajectory.size(); ++i) {
@@ -191,7 +196,7 @@ TEST_F(EvolutionTest, TimeBudgetStopsSearch) {
   cfg.max_candidates = 0;  // unbounded count
   cfg.time_budget_seconds = 0.2;
   cfg.seed = 7;
-  Evolution evo(*evaluator_, cfg);
+  Evolution evo(*pool_, cfg);
   const auto start = std::chrono::steady_clock::now();
   evo.Run(MakeExpertAlpha(13));
   const double secs =
@@ -205,7 +210,7 @@ TEST_F(EvolutionTest, CutoffSuppressesCorrelatedCandidates) {
   EvolutionConfig cfg;
   cfg.max_candidates = 600;
   cfg.seed = 8;
-  WeaklyCorrelatedMiner miner(*evaluator_, cfg);
+  WeaklyCorrelatedMiner miner(*pool_, cfg);
   const EvolutionResult r0 = miner.RunSearch(MakeExpertAlpha(13), 8);
   ASSERT_TRUE(r0.has_alpha);
   miner.Accept("round0", r0.best, r0.best_metrics);
@@ -225,7 +230,7 @@ TEST_F(EvolutionTest, FunctionalFingerprintModeAlsoSearches) {
   cfg.max_candidates = 300;
   cfg.use_pruning = false;  // AutoML-Zero style probe fingerprint
   cfg.seed = 10;
-  Evolution evo(*evaluator_, cfg);
+  Evolution evo(*pool_, cfg);
   const EvolutionResult r = evo.Run(MakeExpertAlpha(13));
   EXPECT_EQ(r.stats.pruned_redundant, 0);
   EXPECT_GT(r.stats.cache_hits, 0);
@@ -234,7 +239,7 @@ TEST_F(EvolutionTest, FunctionalFingerprintModeAlsoSearches) {
 
 TEST_F(EvolutionTest, MinerCorrelationWithAcceptedIsNanWhenEmpty) {
   EvolutionConfig cfg;
-  WeaklyCorrelatedMiner miner(*evaluator_, cfg);
+  WeaklyCorrelatedMiner miner(*pool_, cfg);
   AlphaMetrics m;
   EXPECT_TRUE(std::isnan(miner.CorrelationWithAccepted(m)));
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/evaluator.h"
+#include "core/evaluator_pool.h"
 #include "core/evolution.h"
 #include "core/generators.h"
 #include "core/mining.h"
@@ -29,10 +30,10 @@ market::Dataset SmallMarket(uint64_t seed, double relation_break = 0.0) {
 
 TEST(IntegrationTest, FullMiningPipelineProducesWeaklyCorrelatedSet) {
   const market::Dataset ds = SmallMarket(3);
-  core::Evaluator evaluator(ds, core::EvaluatorConfig{});
+  core::EvaluatorPool pool(ds, core::EvaluatorConfig{}, 1);
   core::EvolutionConfig cfg;
   cfg.max_candidates = 700;
-  core::WeaklyCorrelatedMiner miner(evaluator, cfg);
+  core::WeaklyCorrelatedMiner miner(pool, cfg);
 
   int accepted = 0;
   for (int round = 0; round < 3; ++round) {
@@ -140,11 +141,11 @@ TEST(IntegrationTest, EvolutionBeatsGaOnRelationalSignalMarket) {
   mc.momentum_strength = 0.08;  // mostly reachable only via relation ops
   const market::Dataset ds = market::Dataset::Simulate(mc, {});
 
-  core::Evaluator evaluator(ds, core::EvaluatorConfig{});
+  core::EvaluatorPool pool(ds, core::EvaluatorConfig{}, 1);
   core::EvolutionConfig cfg;
   cfg.max_candidates = 2500;
   cfg.seed = 3;
-  core::Evolution evo(evaluator, cfg);
+  core::Evolution evo(pool, cfg);
   const auto ae = evo.Run(core::MakeExpertAlpha(ds.window()));
   ASSERT_TRUE(ae.has_alpha);
 

@@ -1,10 +1,12 @@
 // Determinism and parity guarantees of the batched, pooled evolution engine:
 // pooled results must be bit-identical across thread counts, the serial
-// (batch_size = 1, no worker threads) path must match the serial reference
-// search (reference_evolution.h) from both constructors, and the concurrent
-// multi-seed miner must reproduce its serial equivalent.
+// (batch_size = 1, one-thread pool) path must match the serial reference
+// search (reference_evolution.h), the automatic batch width must follow the
+// pool's thread count, and the concurrent multi-seed miner must reproduce
+// its serial equivalent.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "core/mining.h"
 #include "market/simulator.h"
 #include "reference_evolution.h"
+#include "util/threadpool.h"
 
 namespace alphaevolve::core {
 namespace {
@@ -53,12 +56,15 @@ TEST_F(ParallelEvolutionTest, ForEachEvaluateMatchesSerialEvaluate) {
   }
 
   std::vector<AlphaMetrics> pooled(programs.size());
-  pool.ForEach(static_cast<int>(programs.size()),
-               [&](Evaluator& evaluator, int i) {
-                 const size_t k = static_cast<size_t>(i);
-                 pooled[k] = evaluator.Evaluate(programs[k], /*seed=*/k + 1,
-                                                /*include_test=*/true);
-               });
+  TaskGroup group(pool.thread_pool());
+  pool.ForEachAsync(static_cast<int>(programs.size()),
+                    [&](Evaluator& evaluator, int i) {
+                      const size_t k = static_cast<size_t>(i);
+                      pooled[k] = evaluator.Evaluate(
+                          programs[k], /*seed=*/k + 1, /*include_test=*/true);
+                    },
+                    group);
+  group.WaitAll();
   for (size_t i = 0; i < programs.size(); ++i) {
     const AlphaMetrics expected = serial.Evaluate(programs[i], i + 1, true);
     EXPECT_EQ(pooled[i].valid, expected.valid);
@@ -79,10 +85,15 @@ TEST_F(ParallelEvolutionTest, ForEachProbeFingerprintMatchesSerial) {
   const std::vector<const AlphaProgram*> programs = {&expert, &noop, &expert};
   const std::vector<uint64_t> seeds = {1, 2, 1};
   std::vector<uint64_t> prints(programs.size());
-  pool.ForEach(3, [&](Evaluator& evaluator, int i) {
-    const size_t k = static_cast<size_t>(i);
-    prints[k] = evaluator.ProbeFingerprint(*programs[k], seeds[k]);
-  });
+  TaskGroup group(pool.thread_pool());
+  pool.ForEachAsync(
+      3,
+      [&](Evaluator& evaluator, int i) {
+        const size_t k = static_cast<size_t>(i);
+        prints[k] = evaluator.ProbeFingerprint(*programs[k], seeds[k]);
+      },
+      group);
+  group.WaitAll();
   EXPECT_EQ(prints[0], serial.ProbeFingerprint(expert, 1));
   EXPECT_EQ(prints[1], serial.ProbeFingerprint(noop, 2));
   EXPECT_EQ(prints[2], prints[0]);
@@ -96,16 +107,12 @@ TEST_F(ParallelEvolutionTest, SerialPoolBatchOneMatchesLegacyEngine) {
   cfg.batch_size = 1;
   const AlphaProgram init = MakeExpertAlpha(dataset_->window());
 
-  // B = 1 without worker threads is the classic one-child-at-a-time loop;
-  // both constructors must reproduce the reference bit for bit.
+  // B = 1 on a one-thread pool is the classic one-child-at-a-time loop; it
+  // must reproduce the reference bit for bit.
   Evaluator evaluator(*dataset_, EvaluatorConfig{});
   const testutil::ReferenceSearch reference =
       testutil::RunReferenceEvolution(evaluator, cfg, init);
   ASSERT_TRUE(reference.result.has_alpha);
-
-  Evolution legacy(evaluator, cfg);
-  ExpectSameSearch(reference.result, legacy.Run(init));
-  ExpectSameCache(reference.cache, legacy.CacheSnapshot());
 
   EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 1);
   Evolution pooled(pool, cfg);
@@ -137,25 +144,41 @@ TEST_F(ParallelEvolutionTest, ResultsIndependentOfThreadCount) {
   }
 }
 
-TEST_F(ParallelEvolutionTest, ConfigNumThreadsSpinsUpInternalPool) {
+TEST_F(ParallelEvolutionTest, AutomaticBatchWidthFollowsThePool) {
+  // batch_size <= 0 resolves to 1 on a one-thread pool and to 4 x the
+  // pool's threads otherwise. A search depends only on (seed, batch size),
+  // so each automatic run must equal the run with its explicit width.
   EvolutionConfig cfg;
   cfg.max_candidates = 300;
   cfg.seed = 9;
-  cfg.batch_size = 8;
+  cfg.trajectory_stride = 25;
+  const AlphaProgram init = MakeExpertAlpha(dataset_->window());
+  struct Run {
+    EvolutionResult result;
+    std::vector<std::pair<uint64_t, double>> cache;
+  };
+  auto run = [&](int threads, int batch_size) {
+    EvaluatorPool pool(*dataset_, EvaluatorConfig{}, threads);
+    cfg.batch_size = batch_size;
+    Evolution evo(pool, cfg);
+    Run out{evo.Run(init), {}};
+    out.cache = evo.CacheSnapshot();
+    return out;
+  };
 
-  EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 1);
-  Evolution reference(pool, cfg);
-  const EvolutionResult a =
-      reference.Run(MakeExpertAlpha(dataset_->window()));
+  const Run one = run(1, 1);
+  const Run auto_one = run(1, 0);
+  ExpectSameSearch(one.result, auto_one.result);
+  ExpectSameCache(one.cache, auto_one.cache);
 
-  cfg.num_threads = 3;  // legacy ctor builds an internal 3-worker pool
-  Evaluator evaluator(*dataset_, EvaluatorConfig{});
-  Evolution internal(evaluator, cfg);
-  const EvolutionResult b =
-      internal.Run(MakeExpertAlpha(dataset_->window()));
+  const Run twelve = run(1, 12);
+  const Run auto_three = run(3, 0);
+  ExpectSameSearch(twelve.result, auto_three.result);
+  ExpectSameCache(twelve.cache, auto_three.cache);
 
-  ExpectSameSearch(a, b);
-  ExpectSameCache(reference.CacheSnapshot(), internal.CacheSnapshot());
+  // The two widths search differently, so each comparison can tell them
+  // apart.
+  EXPECT_NE(one.cache, twelve.cache);
 }
 
 TEST_F(ParallelEvolutionTest, BatchedStatsStillPartitionCandidates) {
@@ -183,9 +206,9 @@ TEST_F(ParallelEvolutionTest, ConcurrentMinerMatchesSerialMiner) {
   cfg.share_round_cache = false;
 
   EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
-  Evaluator evaluator(*dataset_, EvaluatorConfig{});
+  EvaluatorPool serial_pool(*dataset_, EvaluatorConfig{}, 1);
   WeaklyCorrelatedMiner concurrent(pool, cfg);
-  WeaklyCorrelatedMiner serial(evaluator, cfg);
+  WeaklyCorrelatedMiner serial(serial_pool, cfg);
 
   const AlphaProgram init = MakeExpertAlpha(dataset_->window());
   std::vector<WeaklyCorrelatedMiner::SearchSpec> specs;
@@ -227,8 +250,8 @@ TEST_F(ParallelEvolutionTest, SharedRoundCachePreservesResults) {
   const std::vector<EvolutionResult> shared = shared_miner.RunSearches(specs);
 
   cfg.share_round_cache = false;
-  Evaluator evaluator(*dataset_, EvaluatorConfig{});
-  WeaklyCorrelatedMiner isolated_miner(evaluator, cfg);
+  EvaluatorPool serial_pool(*dataset_, EvaluatorConfig{}, 1);
+  WeaklyCorrelatedMiner isolated_miner(serial_pool, cfg);
   const std::vector<EvolutionResult> isolated =
       isolated_miner.RunSearches(specs);
 

@@ -4,9 +4,8 @@
 // fingerprint-cache contents bit-identical to the serial reference search
 // (reference_evolution.h) for the same (seed, batch_size). Runs that share
 // one round cache must keep per-search attribution and cache contents when
-// sharers run sequentially, at depth 0 and deeper. Also covers
-// EvaluatorPool::ForEachAsync, the async pool primitive the driver launches
-// evaluations through, and the rejection of a negative depth.
+// sharers run sequentially, at depth 0 and deeper. Also covers the
+// rejection of a negative depth.
 
 #include <cstdint>
 #include <vector>
@@ -21,7 +20,6 @@
 #include "market/simulator.h"
 #include "reference_evolution.h"
 #include "util/check.h"
-#include "util/threadpool.h"
 
 namespace alphaevolve::core {
 namespace {
@@ -175,8 +173,8 @@ TEST_F(PipelinedEvolutionTest, ConcurrentSharedRoundMinerPreservesResults) {
 
   cfg.share_round_cache = false;
   cfg.pipeline_depth = 0;
-  Evaluator evaluator(*dataset_, EvaluatorConfig{});
-  WeaklyCorrelatedMiner serial(evaluator, cfg);
+  EvaluatorPool serial_pool(*dataset_, EvaluatorConfig{}, 1);
+  WeaklyCorrelatedMiner serial(serial_pool, cfg);
 
   ASSERT_EQ(shared.size(), specs.size());
   for (size_t s = 0; s < specs.size(); ++s) {
@@ -213,50 +211,11 @@ TEST_F(PipelinedEvolutionTest, TimeBudgetedRunTerminatesAndPartitions) {
                                     r.stats.pruned_redundant);
 }
 
-TEST_F(PipelinedEvolutionTest, ForEachAsyncMatchesSynchronousBatch) {
-  // The driver's launch path: work-stealing workers submitted into a
-  // TaskGroup must score exactly what the blocking ForEach scores.
-  EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
-  Mutator mutator{MutatorConfig{}};
-  Rng rng(21);
-  std::vector<AlphaProgram> programs;
-  AlphaProgram program = MakeExpertAlpha(dataset_->window());
-  for (int i = 0; i < 10; ++i) {
-    program = mutator.Mutate(program, rng);
-    programs.push_back(program);
-  }
-  const int n = static_cast<int>(programs.size());
-  auto score_into = [&programs](std::vector<AlphaMetrics>& out) {
-    return [&programs, &out](Evaluator& evaluator, int i) {
-      const size_t k = static_cast<size_t>(i);
-      out[k] = evaluator.Evaluate(programs[k], /*seed=*/k + 1,
-                                  /*include_test=*/true);
-    };
-  };
-
-  std::vector<AlphaMetrics> sync(programs.size());
-  pool.ForEach(n, score_into(sync));
-  std::vector<AlphaMetrics> async(programs.size());
-  TaskGroup group(pool.thread_pool());
-  pool.ForEachAsync(n, score_into(async), group);
-  group.WaitAll();
-  ASSERT_EQ(async.size(), sync.size());
-  for (size_t i = 0; i < sync.size(); ++i) {
-    EXPECT_EQ(async[i].valid, sync[i].valid);
-    EXPECT_DOUBLE_EQ(async[i].ic_valid, sync[i].ic_valid);
-    EXPECT_DOUBLE_EQ(async[i].ic_test, sync[i].ic_test);
-    EXPECT_EQ(async[i].valid_portfolio_returns,
-              sync[i].valid_portfolio_returns);
-  }
-}
-
 TEST_F(PipelinedEvolutionTest, NegativePipelineDepthIsRejected) {
-  // A negative depth could never generate a batch; both constructors
-  // refuse it up front.
+  // A negative depth could never generate a batch; the constructor refuses
+  // it up front.
   EvolutionConfig cfg = BaseConfig();
   cfg.pipeline_depth = -1;
-  Evaluator evaluator(*dataset_, EvaluatorConfig{});
-  EXPECT_THROW(Evolution(evaluator, cfg), CheckError);
   EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
   EXPECT_THROW(Evolution(pool, cfg), CheckError);
 }

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <sstream>
 #include <string>
@@ -904,10 +905,10 @@ class CancelAfterSink : public core::CheckpointSink {
 
 TEST_F(ServiceSearchTest, CancelledRunLeavesValidNewestCheckpointAndResumes) {
   const core::EvolutionConfig cfg = SearchConfig();
-  core::Evaluator evaluator(*dataset_, core::EvaluatorConfig{});
+  core::EvaluatorPool pool(*dataset_, core::EvaluatorConfig{}, 1);
   const core::AlphaProgram init = core::MakeExpertAlpha(dataset_->window());
 
-  core::Evolution reference(evaluator, cfg);
+  core::Evolution reference(pool, cfg);
   const core::EvolutionResult uncancelled = reference.Run(init);
   ASSERT_TRUE(uncancelled.has_alpha);
   EXPECT_FALSE(uncancelled.stopped);
@@ -919,7 +920,7 @@ TEST_F(ServiceSearchTest, CancelledRunLeavesValidNewestCheckpointAndResumes) {
   ckpt::CheckpointWriter writer(dir_, "job", wo);
   std::atomic<bool> token{false};
   CancelAfterSink sink(&writer, &token, /*after_batches=*/6);
-  core::Evolution cancelled_evo(evaluator, cfg);
+  core::Evolution cancelled_evo(pool, cfg);
   cancelled_evo.UseCheckpointSink(&sink);
   cancelled_evo.UseStopToken(&token);
   const core::EvolutionResult cancelled = cancelled_evo.Run(init);
@@ -934,7 +935,7 @@ TEST_F(ServiceSearchTest, CancelledRunLeavesValidNewestCheckpointAndResumes) {
       ckpt::DecodeSearchSnapshot(newest->payload);
   EXPECT_GE(snap.batches_committed, 6);
 
-  core::Evolution resumed_evo(evaluator, cfg);
+  core::Evolution resumed_evo(pool, cfg);
   resumed_evo.ResumeFrom(snap);
   const core::EvolutionResult resumed = resumed_evo.Run(init);
   EXPECT_FALSE(resumed.stopped);
@@ -1269,6 +1270,30 @@ TEST_F(ServiceSearchTest, DeadlinesPastOneDayAreRefusedAtIntake) {
   options.default_deadline_ms = kMaxDeadlineMs;
   AlphaService service(options);
   Ok(service.Call(R"({"op":"list_jobs","id":"inherits"})"));
+}
+
+TEST_F(ServiceSearchTest, DefaultJobAndQueueAreCheckedAtConstruction) {
+  // A param a client leaves out takes its value from default_job, so the
+  // default job obeys submit_search's ranges; an empty op queue would answer
+  // every queued op queue_full. Each is refused before anything simulates.
+  const std::vector<std::function<void(ServiceOptions&)>> bad = {
+      [](ServiceOptions& o) { o.default_job.max_candidates = 0; },
+      [](ServiceOptions& o) { o.default_job.population_size = 1; },
+      [](ServiceOptions& o) { o.default_job.tournament_size = 0; },
+      [](ServiceOptions& o) {
+        o.default_job.tournament_size = o.default_job.population_size + 1;
+      },
+      [](ServiceOptions& o) { o.default_job.batch_size = 0; },
+      [](ServiceOptions& o) { o.queue_capacity = 0; },
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(i);
+    ServiceOptions options = SmallService(dir_);
+    bad[i](options);
+    EXPECT_THROW(AlphaService{options}, CheckError);
+  }
+  AlphaService service(SmallService(dir_));
+  Ok(service.Call(R"({"op":"health","id":"defaults"})"));
 }
 
 TEST_F(ServiceSearchTest, EveryMangledRequestGetsOneWellFormedLine) {

@@ -63,10 +63,10 @@ TEST_F(WatchdogTest, PathologicalBudgetCountsEveryEvaluationAndTerminates) {
   // and account for each timeout.
   EvaluatorConfig eval_config;
   eval_config.eval_budget_seconds = 1e-9;
-  Evaluator evaluator(*dataset_, eval_config);
+  EvaluatorPool pool(*dataset_, eval_config, 1);
   EvolutionConfig cfg = BaseConfig();
   cfg.pipeline_depth = 0;
-  Evolution evo(evaluator, cfg);
+  Evolution evo(pool, cfg);
   const EvolutionResult r = evo.Run(MakeExpertAlpha(dataset_->window()));
   EXPECT_FALSE(r.has_alpha);
   EXPECT_GT(r.stats.eval_timeouts, 0);
@@ -93,7 +93,7 @@ TEST_F(WatchdogTest, GenerousBudgetIsBitIdenticalToDisarmed) {
   cfg.pipeline_depth = 0;
   const AlphaProgram init = MakeExpertAlpha(dataset_->window());
 
-  Evaluator disarmed(*dataset_, EvaluatorConfig{});
+  EvaluatorPool disarmed(*dataset_, EvaluatorConfig{}, 1);
   Evolution reference_evo(disarmed, cfg);
   const EvolutionResult reference = reference_evo.Run(init);
   ASSERT_TRUE(reference.has_alpha);
@@ -101,7 +101,7 @@ TEST_F(WatchdogTest, GenerousBudgetIsBitIdenticalToDisarmed) {
 
   EvaluatorConfig armed_config;
   armed_config.eval_budget_seconds = 1e9;  // armed, but can never fire
-  Evaluator armed(*dataset_, armed_config);
+  EvaluatorPool armed(*dataset_, armed_config, 1);
   Evolution armed_evo(armed, cfg);
   const EvolutionResult r = armed_evo.Run(init);
   ASSERT_EQ(r.has_alpha, reference.has_alpha);
