@@ -6,36 +6,34 @@
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
+#include <optional>
 
 #include "eval/metrics.h"
+#include "flag_number.h"
 #include "util/table.h"
 
 namespace aebench {
-namespace {
 
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? fallback : std::atof(v);
-}
-
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? fallback : std::atoi(v);
-}
-
-}  // namespace
+namespace examples = alphaevolve::examples;
+using examples::EnvNumber;
 
 BenchOptions BenchOptions::FromEnv() {
   BenchOptions opt;
-  opt.num_stocks = EnvInt("AE_BENCH_STOCKS", opt.num_stocks);
-  opt.num_days = EnvInt("AE_BENCH_DAYS", opt.num_days);
-  opt.market_seed =
-      static_cast<uint64_t>(EnvInt("AE_BENCH_SEED",
-                                   static_cast<int>(opt.market_seed)));
-  opt.search_seconds = EnvDouble("AE_BENCH_TIME", opt.search_seconds);
-  opt.rounds = EnvInt("AE_BENCH_ROUNDS", opt.rounds);
-  opt.num_threads = std::max(1, EnvInt("AE_BENCH_THREADS", opt.num_threads));
-  opt.full = EnvInt("AE_BENCH_FULL", 0) != 0;
+  opt.num_stocks = EnvNumber("AE_BENCH_STOCKS", opt.num_stocks, 1);
+  opt.num_days = EnvNumber("AE_BENCH_DAYS", opt.num_days, 1);
+  opt.market_seed = EnvNumber<uint64_t>("AE_BENCH_SEED", opt.market_seed, 0);
+  if (const char* v = std::getenv("AE_BENCH_TIME")) {
+    // A zero budget would never stop.
+    const std::optional<double> seconds = examples::WholeNumber(v, 0.0);
+    if (!seconds || *seconds == 0.0) {
+      examples::RefuseValue(std::string("AE_BENCH_TIME=") + v,
+                            "a number > 0");
+    }
+    opt.search_seconds = *seconds;
+  }
+  opt.rounds = EnvNumber("AE_BENCH_ROUNDS", opt.rounds, 1);
+  opt.num_threads = EnvNumber("AE_BENCH_THREADS", opt.num_threads, 1);
+  opt.full = EnvNumber("AE_BENCH_FULL", 0, 0, 1) == 1;
   if (opt.full) {
     // Paper-scale universe and calendar (§5.1); budgets stay time-bounded.
     opt.num_stocks = 1140;

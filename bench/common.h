@@ -19,14 +19,16 @@ namespace ga = alphaevolve::ga;
 
 /// Benchmark-wide knobs, overridable via environment variables so the same
 /// binaries scale from smoke runs to paper-scale studies:
-///   AE_BENCH_STOCKS   universe size before filters   (default 100)
-///   AE_BENCH_DAYS     calendar length                (default 500)
-///   AE_BENCH_SEED     market seed                    (default 17)
-///   AE_BENCH_TIME     per-search wall budget, secs   (default 4)
-///   AE_BENCH_ROUNDS   mining rounds                  (default 5)
-///   AE_BENCH_THREADS  threads of the bench's one     (default 1)
+///   AE_BENCH_STOCKS   universe size before filters   (default 150, >= 1)
+///   AE_BENCH_DAYS     calendar length                (default 560, >= 1)
+///   AE_BENCH_SEED     market seed                    (default 17, >= 0)
+///   AE_BENCH_TIME     per-search wall budget, secs   (default 5, > 0)
+///   AE_BENCH_ROUNDS   mining rounds                  (default 5, >= 1)
+///   AE_BENCH_THREADS  threads of the bench's one     (default 1, >= 1)
 ///                     EvaluatorPool
-///   AE_BENCH_FULL     1 → paper-scale grid/budgets   (default 0)
+///   AE_BENCH_FULL     1 → paper-scale grid/budgets   (default 0; 0 or 1)
+/// Each value is parsed whole; a malformed or out-of-range one names the
+/// variable and exits 2.
 struct BenchOptions {
   int num_stocks = 150;
   int num_days = 560;

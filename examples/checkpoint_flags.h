@@ -99,6 +99,20 @@ inline CheckpointFlags StripCheckpointFlags(int& argc, char** argv) {
   return flags;
 }
 
+/// The per-search wall-clock budget, positional argument `index`: at least
+/// 0, and more than 0 unless --max-candidates bounds each search instead
+/// (0 seconds and no candidate budget would never stop).
+inline double SearchSeconds(int argc, char** argv, int index,
+                            double fallback, const CheckpointFlags& flags) {
+  if (index >= argc) return fallback;
+  const std::optional<double> seconds = WholeNumber(argv[index], 0.0);
+  if (!seconds || (*seconds == 0.0 && flags.max_candidates == 0)) {
+    RefuseValue(std::string("seconds_per_search=") + argv[index],
+                flags.max_candidates == 0 ? "a number > 0" : "a number >= 0");
+  }
+  return *seconds;
+}
+
 /// Loads and decodes the newest valid search snapshot of `<dir>/<stem>`;
 /// nullopt when none exists (fresh start) or the payload will not decode
 /// (warned, treated as no snapshot — never fatal).

@@ -1,9 +1,9 @@
 // Weakly-correlated alpha-set mining (the paper's §5.4.1 loop): run several
 // rounds, each with the 15% cutoff against everything already accepted, and
 // show that the final set A is pairwise weakly correlated. Each round races
-// two seeds concurrently on the evaluator pool — sharing one fingerprint
-// cache (same round = same fitness function) — and keeps the one with the
-// higher validation Sharpe ratio.
+// two seeds concurrently on the evaluator pool, each with its own
+// fingerprint cache, and keeps the one with the higher validation Sharpe
+// ratio.
 //
 // Run: ./build/mine_alpha_set [rounds] [seconds_per_search] [num_threads]
 //                             [json_out] [pipeline_depth]
@@ -20,12 +20,19 @@
 // num_threads evaluates candidates concurrently, each candidate on one
 // thread. json_out emits the accepted alpha set (program text + metrics) and
 // every round's per-search SearchStats as a diffable JSON artifact — the
-// mining-side counterpart of stress_alpha_set's robustness report.
+// mining-side counterpart of stress_alpha_set's robustness report. A
+// search's stats are its own: a candidate-bounded run writes the same
+// artifact at any thread count, checkpointed or not.
 // pipeline_depth sets how many evaluation batches each search keeps in
 // flight while it generates the next (default 1; 0 = lockstep, each batch
 // committed before the next is generated; any depth is bit-identical for
 // candidate-bounded searches — time-budgeted ones, like this example's,
 // simply cover more candidates per wall-second).
+//
+// Every positional value is parsed whole (flag_number.h) and a bad one
+// exits 2: rounds >= 1; seconds_per_search >= 0, and > 0 unless
+// --max-candidates is given; num_threads >= 1; pipeline_depth and
+// scenario_regimes >= 0; aggregation one of worst, mean, cost.
 //
 // Telemetry (position-independent, see telemetry_flags.h): --telemetry,
 // --metrics-out=PATH, --trace-out=PATH, --progress-every=SECS.
@@ -37,12 +44,9 @@
 // wall-clock, so a SIGKILLed run resumed with --resume finishes with the
 // same accepted set, stats, and JSON artifact as an uninterrupted one.
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -68,13 +72,24 @@ int main(int argc, char** argv) {
   const examples::CheckpointFlags ck =
       examples::StripCheckpointFlags(argc, argv);
   auto progress = examples::StartTelemetry(telemetry);
-  const int rounds = argc > 1 ? std::atoi(argv[1]) : 3;
-  const double seconds = argc > 2 ? std::atof(argv[2]) : 3.0;
-  const int num_threads = std::max(1, argc > 3 ? std::atoi(argv[3]) : 1);
+  using examples::ArgNumber;
+  const int rounds = ArgNumber(argc, argv, 1, "rounds", 3, 1);
+  const double seconds = examples::SearchSeconds(argc, argv, 2, 3.0, ck);
+  const int num_threads = ArgNumber(argc, argv, 3, "num_threads", 1, 1);
   const char* json_out = argc > 4 ? argv[4] : nullptr;
-  const int pipeline_depth = std::max(0, argc > 5 ? std::atoi(argv[5]) : 1);
-  const int scenario_regimes = std::max(0, argc > 6 ? std::atoi(argv[6]) : 0);
-  const char* aggregation_name = argc > 7 ? argv[7] : "worst";
+  const int pipeline_depth = ArgNumber(argc, argv, 5, "pipeline_depth", 1, 0);
+  const int scenario_regimes =
+      ArgNumber(argc, argv, 6, "scenario_regimes", 0, 0);
+  const std::string aggregation_name = argc > 7 ? argv[7] : "worst";
+  core::ScenarioFitnessOptions scenario_options;
+  if (aggregation_name == "mean") {
+    scenario_options.aggregation = core::ScenarioAggregation::kMean;
+  } else if (aggregation_name == "cost") {
+    scenario_options.aggregation = core::ScenarioAggregation::kCostAdjusted;
+  } else if (aggregation_name != "worst") {
+    examples::RefuseValue("aggregation=" + aggregation_name,
+                          "worst, mean or cost");
+  }
 
   market::MarketConfig mc = market::MarketConfig::BenchScale();
   mc.num_stocks = 80;
@@ -91,16 +106,8 @@ int main(int argc, char** argv) {
   if (scenario_regimes > 0) {
     scenario::ScenarioSuite suite = scenario::ScenarioSuite::Standard(mc, 77);
     suite.Truncate(scenario_regimes);
-    core::ScenarioFitnessOptions options;
-    if (std::strcmp(aggregation_name, "mean") == 0) {
-      options.aggregation = core::ScenarioAggregation::kMean;
-    } else if (std::strcmp(aggregation_name, "cost") == 0) {
-      options.aggregation = core::ScenarioAggregation::kCostAdjusted;
-    } else {
-      aggregation_name = "worst";
-    }
     scorer = std::make_unique<scenario::ScenarioFitness>(
-        suite, market::DatasetConfig{}, eval_config, options);
+        suite, market::DatasetConfig{}, eval_config, scenario_options);
   } else {
     plain_panel.emplace(market::Dataset::Simulate(mc, {}));
   }
@@ -112,9 +119,6 @@ int main(int argc, char** argv) {
   config.max_candidates = ck.max_candidates;  // 0 = wall-clock budgeted
   config.time_budget_seconds = ck.max_candidates > 0 ? 0.0 : seconds;
   config.pipeline_depth = pipeline_depth;
-  // Checkpointed searches own their caches (snapshot/restore needs that), so
-  // the round-shared cache is off when a checkpoint dir is set.
-  if (ck.enabled()) config.share_round_cache = false;
   core::WeaklyCorrelatedMiner miner(pool, config);
   if (scorer != nullptr) {
     miner.UseCandidateScorer(scorer.get());
@@ -130,11 +134,11 @@ int main(int argc, char** argv) {
     std::printf(
         "scenario fitness: %d regime(s), %s aggregation, panels resident "
         "%.1f MiB (copy-on-write)\n",
-        scorer->num_regimes(), aggregation_name,
+        scorer->num_regimes(), aggregation_name.c_str(),
         static_cast<double>(scorer->panels().ResidentBytes()) / (1024 * 1024));
   }
   std::printf("\n");
-  // Every round's per-search attribution, for the JSON artifact.
+  // Every round's per-search stats, for the JSON artifact.
   std::vector<std::vector<core::SearchStats>> round_stats;
 
   // Campaign-level crash tolerance: the "miner" stream snapshots the
@@ -207,9 +211,10 @@ int main(int argc, char** argv) {
     }
     const int64_t searched = round_totals.candidates;
     const int64_t discarded = round_totals.cutoff_discarded;
-    // Per-search attribution against the round's shared fingerprint cache.
-    round_stats.push_back(miner.last_round_stats());
-    for (const core::SearchStats& s : miner.last_round_stats()) {
+    std::vector<core::SearchStats>& per_search = round_stats.emplace_back();
+    for (size_t i = 0; i < results.size(); ++i) {
+      const core::SearchStats& s = per_search.emplace_back(
+          core::SearchStats::FromEvolution(specs[i].seed, results[i].stats));
       std::printf(
           "  seed %llu: %lld candidates = %lld evaluated + %lld cache hits "
           "+ %lld pruned",

@@ -18,18 +18,22 @@
 // --checkpoint-every=N, --resume, --max-candidates=N, --eval-budget=S.
 //
 // num_threads drives both the miner's batch workers and the robustness
-// fan-out over (alpha, scenario) cells; omitted or <= 0 it falls back to
+// fan-out over (alpha, scenario) cells; omitted or 0 it falls back to
 // AE_BENCH_THREADS (default 1), so CI can steer the smoke run through the
 // same knob as the benches. num_scenarios truncates the standard suite
-// (CI smoke uses 2). json_out writes the reports as a diffable artifact.
-// in_loop=1 mines *with* scenario fitness (worst-case IC across the same
-// suite's overlay panels, cheap-first screened) instead of plain baseline
-// IC — stress moves from post-hoc filter to in-loop objective.
+// (CI smoke uses 2; 0 keeps all). json_out writes the reports as a
+// diffable artifact. in_loop=1 mines *with* scenario fitness (worst-case IC
+// across the same suite's overlay panels, cheap-first screened) instead of
+// plain baseline IC — stress moves from post-hoc filter to in-loop
+// objective.
+//
+// Every positional value and AE_BENCH_THREADS are parsed whole
+// (flag_number.h) and a bad one exits 2: rounds >= 1; seconds_per_search
+// >= 0, and > 0 unless --max-candidates is given; num_threads and
+// num_scenarios >= 0; in_loop 0 or 1; AE_BENCH_THREADS >= 1.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -137,16 +141,16 @@ int main(int argc, char** argv) {
   const examples::CheckpointFlags ck =
       examples::StripCheckpointFlags(argc, argv);
   auto progress = examples::StartTelemetry(telemetry);
-  const int rounds = argc > 1 ? std::atoi(argv[1]) : 2;
-  const double seconds = argc > 2 ? std::atof(argv[2]) : 2.0;
-  int num_threads = argc > 3 ? std::atoi(argv[3]) : 0;
-  if (num_threads <= 0) {  // fall back to the benches' env knob
-    const char* env = std::getenv("AE_BENCH_THREADS");
-    num_threads = std::max(1, env != nullptr ? std::atoi(env) : 1);
+  using examples::ArgNumber;
+  const int rounds = ArgNumber(argc, argv, 1, "rounds", 2, 1);
+  const double seconds = examples::SearchSeconds(argc, argv, 2, 2.0, ck);
+  int num_threads = ArgNumber(argc, argv, 3, "num_threads", 0, 0);
+  if (num_threads == 0) {  // fall back to the benches' env knob
+    num_threads = examples::EnvNumber("AE_BENCH_THREADS", 1, 1);
   }
-  const int num_scenarios = argc > 4 ? std::atoi(argv[4]) : 0;  // 0 = all
+  const int num_scenarios = ArgNumber(argc, argv, 4, "num_scenarios", 0, 0);
   const char* json_out = argc > 5 ? argv[5] : nullptr;
-  const bool in_loop = argc > 6 && std::atoi(argv[6]) != 0;
+  const bool in_loop = ArgNumber(argc, argv, 6, "in_loop", 0, 0, 1) == 1;
 
   // Base market the alphas are mined in; the suite derives regimes from it.
   market::MarketConfig mc = market::MarketConfig::BenchScale();
@@ -191,7 +195,6 @@ int main(int argc, char** argv) {
   core::EvolutionConfig config;
   config.max_candidates = ck.max_candidates;  // 0 = wall-clock budgeted
   config.time_budget_seconds = ck.max_candidates > 0 ? 0.0 : seconds;
-  if (ck.enabled()) config.share_round_cache = false;
   core::WeaklyCorrelatedMiner miner(pool, config);
   if (scorer != nullptr) {
     miner.UseCandidateScorer(scorer.get());

@@ -3,14 +3,15 @@
 # through, resume it from the newest snapshot, and require the final JSON
 # report to be byte-identical to an uninterrupted run's.
 #
-# First, a malformed candidate budget or snapshot cadence must be refused
-# with exit code 2: a budget that fell back to the wall clock could never
-# resume bit-identically.
+# First, malformed input must be refused with exit code 2: a candidate
+# budget or snapshot cadence that fell back to the wall clock could never
+# resume bit-identically, "abc" seconds read as 0 would never stop, and an
+# unknown aggregation must not silently become another. Each refusal runs
+# under a timeout, so a run that is not refused fails instead of hanging.
 #
-# Both runs — the reference and the interrupted one — mine with
-# --checkpoint-dir (separate directories): checkpointing disables the shared
-# round cache, so the uninterrupted reference must run under the same
-# configuration for the round stats to be comparable bitwise. Candidate
+# The reference runs without --checkpoint-dir, the interrupted run with it:
+# every search owns its fingerprint cache, so checkpointing changes nothing
+# in the report, and the byte-compare below checks that too. Candidate
 # budgets (--max-candidates) replace wall-clock budgets so both runs cover
 # the same search space.
 #
@@ -32,15 +33,18 @@ fi
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
-echo "== malformed flags are refused =="
-for flag in --max-candidates=abc --checkpoint-every=-1; do
-  "$MINER" 1 0.5 1 "$flag" --checkpoint-dir="$WORK/refused" \
-    > /dev/null 2>&1 && status=0 || status=$?
+echo "== malformed input is refused =="
+refused() {
+  timeout 60 "$MINER" "$@" > /dev/null 2>&1 && status=0 || status=$?
   if [[ "$status" != 2 ]]; then
-    echo "error: $flag was not refused (exit $status)" >&2
+    echo "error: '$*' was not refused (exit $status)" >&2
     exit 1
   fi
-done
+}
+refused 1 0.5 1 --max-candidates=abc --checkpoint-dir="$WORK/refused"
+refused 1 0.5 1 --checkpoint-every=-1 --checkpoint-dir="$WORK/refused"
+refused 1 abc 1
+refused 1 0.5 1 "$WORK/refused.json" 1 0 best
 echo "refused with exit 2"
 
 # 2 rounds (two concurrent searches each), 2 threads, pipeline depth 2, no
@@ -48,10 +52,9 @@ echo "refused with exit 2"
 MINE_ARGS=(2 0 2)
 MINE_TAIL=(2 0 worst --max-candidates=300 --checkpoint-every=2)
 
-echo "== reference run (uninterrupted, checkpointed) =="
+echo "== reference run (uninterrupted, not checkpointed) =="
 start_ns=$(date +%s%N)
-"$MINER" "${MINE_ARGS[@]}" "$WORK/ref.json" "${MINE_TAIL[@]}" \
-  --checkpoint-dir="$WORK/ck_ref" > /dev/null
+"$MINER" "${MINE_ARGS[@]}" "$WORK/ref.json" "${MINE_TAIL[@]}" > /dev/null
 ref_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
 echo "reference finished in ${ref_ms}ms"
 

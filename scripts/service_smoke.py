@@ -100,7 +100,7 @@ def main():
     binary = f"{build}/alpha_serviced"
     for flag in ("--default-deadline-ms=1e15", "--queue-capacity=-1",
                  "--queue-capacity=abc", "--stocks=abc", "--job-workers=-3",
-                 "--max-candidates=0"):
+                 "--max-candidates=0", "--stocks=1"):
         refused = subprocess.run([binary, flag], stdin=subprocess.DEVNULL,
                                  stderr=subprocess.DEVNULL, timeout=120)
         assert refused.returncode == 2, (flag, refused.returncode)

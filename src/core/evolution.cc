@@ -67,10 +67,6 @@ Evolution::Evolution(EvaluatorPool& pool, EvolutionConfig config,
   AE_CHECK(config.pipeline_depth >= 0);
 }
 
-void Evolution::UseSharedCache(FingerprintCache* cache) {
-  cache_ = cache != nullptr ? cache : &owned_cache_;
-}
-
 int Evolution::EffectiveBatchSize() const {
   if (config_.batch_size > 0) return config_.batch_size;
   const int threads = pool_.num_threads();
@@ -114,12 +110,12 @@ void Evolution::FingerprintBatch(std::vector<Candidate>& batch) {
 void Evolution::EvaluateCandidate(Evaluator& evaluator, Candidate& c) {
   AE_SPAN("evolution.evaluate");
   // Fitness plus the weak-correlation cutoff (§5.4.1; the accepted set is
-  // immutable for the whole run, so workers read it lock-free), then
-  // publish to the thread-safe cache. The cutoff is the only reader of the
-  // long-short book here, so with nothing accepted yet (round 1 of a mining
-  // unit, every service job) the book is never built. Every computed value
-  // is deterministic in (program, seed), so scheduling cannot change any
-  // result.
+  // immutable for the whole run, so workers read it lock-free). The cutoff
+  // is the only reader of the long-short book here, so with nothing
+  // accepted yet (round 1 of a mining unit, every service job) the book is
+  // never built. Every computed value is deterministic in (program, seed),
+  // so scheduling cannot change any result; the driving thread publishes it
+  // to the cache at commit.
   const AlphaProgram& program = config_.use_pruning ? c.pruned : c.program;
   if (scorer_ != nullptr) {
     const ScoreOutcome outcome =
@@ -130,7 +126,6 @@ void Evolution::EvaluateCandidate(Evaluator& evaluator, Candidate& c) {
     c.screened_out = outcome.screened_out;
     c.timed_out = outcome.baseline.timed_out;
     c.regimes_evaluated = outcome.regimes_evaluated;
-    cache_->Insert(c.fingerprint, c.fitness);
     return;
   }
   const AlphaMetrics metrics = evaluator.EvaluateFitness(
@@ -146,7 +141,6 @@ void Evolution::EvaluateCandidate(Evaluator& evaluator, Candidate& c) {
     fitness = kInvalidFitness;
   }
   c.fitness = fitness;
-  cache_->Insert(c.fingerprint, fitness);
 }
 
 void Evolution::ApplyScored(const Candidate& candidate) {
@@ -211,8 +205,15 @@ EvolutionCheckpoint Evolution::MakeCheckpoint(
                  "checkpoint capture with an unresolved population member");
     ck.population.push_back({m.program, m.fitness});
   }
-  ck.cache_entries = cache_->Snapshot();
+  ck.cache_entries = CacheSnapshot();
   return ck;
+}
+
+std::vector<std::pair<uint64_t, double>> Evolution::CacheSnapshot() const {
+  std::vector<std::pair<uint64_t, double>> entries(cache_.begin(),
+                                                   cache_.end());
+  std::sort(entries.begin(), entries.end());
+  return entries;
 }
 
 AlphaMetrics Evolution::EvaluateFull(const AlphaProgram& program) {
@@ -251,27 +252,17 @@ void Evolution::FinishResult(EvolutionResult& result,
 
 EvolutionResult Evolution::Run(const AlphaProgram& init) {
   rng_ = Rng(config_.seed);
-  // A shared cache belongs to all its sharers (it outlives any one run and
-  // must keep earlier sharers' entries); only the per-run cache is reset.
-  if (cache_ == &owned_cache_) cache_->Clear();
+  cache_.clear();
   stats_ = EvolutionStats{};
   elapsed_base_ = 0.0;
-  if (ckpt_sink_ != nullptr || resume_.has_value()) {
-    // Checkpointed state must be wholly this search's own: a shared round
-    // cache mixes siblings' entries into the snapshot and makes the
-    // hit/evaluated split schedule-dependent, so neither capture nor
-    // restore could be deterministic.
-    AE_CHECK_MSG(cache_ == &owned_cache_,
-                 "checkpoint/resume requires the per-run fingerprint cache "
-                 "(disable share_round_cache / UseSharedCache)");
-  }
   if (resume_.has_value()) {
     AE_CHECK_MSG(resume_->config_seed == config_.seed,
                  "resume checkpoint was written under a different seed");
     rng_.set_state(resume_->rng_state);
     stats_ = resume_->stats;
     elapsed_base_ = resume_->stats.elapsed_seconds;
-    cache_->Restore(resume_->cache_entries);
+    cache_.insert(resume_->cache_entries.begin(),
+                  resume_->cache_entries.end());
   }
   return Drive(init);
 }
@@ -291,15 +282,10 @@ EvolutionResult Evolution::Run(const AlphaProgram& init) {
 //  2. The in-flight frontier (fingerprint → evaluating candidate) stands in
 //     for exactly the cache inserts depth 0 would have committed before this
 //     batch; probing frontier-then-cache therefore reproduces the depth-0
-//     hit/evaluated split — and the cache ends with identical contents —
-//     for a non-shared cache at any depth.
-//  3. Stats, trajectory and cutoff accounting are applied at commit, in
-//     batch order, from fitnesses that are final by then.
-//
-// With a *shared* round cache, sibling searches insert concurrently, so the
-// hit/evaluated split is schedule-dependent at every depth (see
-// EvolutionConfig::share_round_cache); results are unaffected because
-// sharers score the same fitness function.
+//     hit/evaluated split — and the cache ends with identical contents — at
+//     any depth.
+//  3. Stats, trajectory, cutoff accounting and cache inserts are applied at
+//     commit, in batch order, from fitnesses that are final by then.
 EvolutionResult Evolution::Drive(const AlphaProgram& init) {
   const auto start = Clock::now();
   const int batch_cap = EffectiveBatchSize();
@@ -448,9 +434,9 @@ EvolutionResult Evolution::Drive(const AlphaProgram& init) {
         c.hit_source_batch = it->second.second;
         continue;
       }
-      if (auto hit = cache_->Lookup(c.fingerprint)) {
+      if (const auto it = cache_.find(c.fingerprint); it != cache_.end()) {
         c.outcome = Candidate::Outcome::kCacheHit;
-        c.fitness = *hit;
+        c.fitness = it->second;
         continue;
       }
       const auto [it, inserted] =
@@ -547,12 +533,14 @@ EvolutionResult Evolution::Drive(const AlphaProgram& init) {
       record_trajectory(c.fitness);
     }
 
-    // Retire the batch's frontier entries — its results are committed cache
-    // inserts now — and resolve every outstanding reference into it before
-    // its candidates are destroyed: younger in-flight frontier hits, and
+    // Move the batch's unique evaluations from the frontier into the cache,
+    // and resolve every outstanding reference into the batch before its
+    // candidates are destroyed: younger in-flight frontier hits, and
     // population members still awaiting one of its fitnesses.
     for (const int idx : batch.to_evaluate) {
-      frontier.erase(batch.candidates[static_cast<size_t>(idx)].fingerprint);
+      const Candidate& c = batch.candidates[static_cast<size_t>(idx)];
+      cache_.emplace(c.fingerprint, c.fitness);
+      frontier.erase(c.fingerprint);
     }
     for (size_t y = 1; y < in_flight.size(); ++y) {
       for (Candidate& c : in_flight[y]->candidates) {

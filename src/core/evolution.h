@@ -6,12 +6,12 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/evaluator.h"
 #include "core/evaluator_pool.h"
-#include "core/fingerprint_cache.h"
 #include "core/mutator.h"
 #include "core/program.h"
 
@@ -38,13 +38,9 @@ struct EvolutionConfig {
   /// Correlation cutoff against the accepted alpha set (15% in §5.4.1).
   double correlation_cutoff = 0.15;
 
-  /// Share one FingerprintCache across a round's multi-seed searches
-  /// (WeaklyCorrelatedMiner::RunSearches): every search in a round scores
-  /// the same fitness function (same dataset + same cutoff set), so one
-  /// search's evaluations short-circuit another's re-discoveries. Search
-  /// results stay deterministic; only the per-search hit/evaluated stats
-  /// split (see SearchStats) depends on scheduling. Disable for strict
-  /// stats parity with serial single-search runs.
+  /// Read by nothing: every search owns its fingerprint cache. Kept only
+  /// because e2ebench/e2e.cc still sets it; it goes with the next change to
+  /// the end-to-end benchmark.
   bool share_round_cache = true;
 
   /// Record (candidates, best fitness) every this many candidates (Fig. 6).
@@ -103,7 +99,7 @@ struct EvolutionStats {
 
   /// Accumulates `other` into this record: counters add, elapsed takes the
   /// max (parallel searches overlap in wall-clock). The single merge point
-  /// for every consumer (miner, examples, SearchStats::FromEvolution).
+  /// for every consumer (examples, the end-to-end benchmark).
   void Merge(const EvolutionStats& other) {
     candidates += other.candidates;
     evaluated += other.evaluated;
@@ -191,15 +187,16 @@ class CheckpointSink {
 /// mutate on the driving thread → prune/fingerprint → resolve cache hits and
 /// intra-batch duplicates in batch order → evaluate the unique remainder in
 /// parallel on the evaluator pool (including the correlation cutoff) →
-/// apply stats/trajectory/population updates in batch order. At
-/// `pipeline_depth` 0 the stages run in lockstep; at depth >= 1 they
-/// overlap: while a batch's unique candidates evaluate asynchronously, the
-/// driving thread already generates the next batch, probing speculatively
-/// against the in-flight frontier and reconciling at commit. Results depend
-/// only on (seed, batch_size), never on the thread count or the pipeline
-/// depth. Every evaluator a search uses is leased from its EvaluatorPool,
-/// whose thread count is the search's parallelism: a one-thread pool runs
-/// every batch inline on the caller.
+/// apply stats/trajectory/population updates and cache inserts in batch
+/// order. At `pipeline_depth` 0 the stages run in lockstep; at depth >= 1
+/// they overlap: while a batch's unique candidates evaluate asynchronously,
+/// the driving thread already generates the next batch, probing
+/// speculatively against the in-flight frontier and reconciling at commit.
+/// Results depend only on (seed, batch_size), never on the thread count or
+/// the pipeline depth. Every evaluator a search uses is leased from its
+/// EvaluatorPool, whose thread count is the search's parallelism: a
+/// one-thread pool runs every batch inline on the caller. The cache belongs
+/// to this search alone and only its driving thread touches it.
 class Evolution {
  public:
   /// Scores on `pool`, which other searches may share. The pool must
@@ -212,16 +209,6 @@ class Evolution {
 
   /// Runs the search from the given starting parent.
   EvolutionResult Run(const AlphaProgram& init);
-
-  /// Scores through `cache` instead of the internal per-run cache. All
-  /// sharers must evaluate the same fitness function — same dataset, config
-  /// and correlation-cutoff set — so a hit returns exactly the fitness this
-  /// search would have computed itself (a round of multi-seed searches
-  /// qualifies; see WeaklyCorrelatedMiner::RunSearches). The shared cache is
-  /// never cleared by Run. Search *results* stay deterministic; only the
-  /// cache_hits / evaluated stats split becomes schedule-dependent when
-  /// sharers run concurrently.
-  void UseSharedCache(FingerprintCache* cache);
 
   /// Installs a pluggable fitness (e.g. scenario::ScenarioFitness): every
   /// unique candidate is scored through `scorer->Score` — which also owns
@@ -244,11 +231,8 @@ class Evolution {
   void UseStopToken(const std::atomic<bool>* stop) { stop_token_ = stop; }
 
   /// Installs a checkpoint sink consulted at every batch-commit barrier
-  /// (nullptr removes it). Checkpointing requires the per-run cache — a
-  /// shared round cache mixes siblings' entries into the snapshot and makes
-  /// the stats split schedule-dependent, so Run refuses the combination.
-  /// Checkpointing never perturbs results: captures happen strictly between
-  /// batches from already-committed state.
+  /// (nullptr removes it). Checkpointing never perturbs results: captures
+  /// happen strictly between batches from already-committed state.
   void UseCheckpointSink(CheckpointSink* sink) { ckpt_sink_ = sink; }
 
   /// Arms the next Run to continue from `checkpoint` instead of starting
@@ -263,11 +247,9 @@ class Evolution {
     resume_ = std::move(checkpoint);
   }
 
-  /// Sorted contents of the cache the last Run populated — what snapshots
-  /// store; exposed for resume-parity tests.
-  std::vector<std::pair<uint64_t, double>> CacheSnapshot() const {
-    return cache_->Snapshot();
-  }
+  /// Contents of the cache the last Run populated, sorted by fingerprint —
+  /// what snapshots store; exposed for resume-parity tests.
+  std::vector<std::pair<uint64_t, double>> CacheSnapshot() const;
 
  private:
   /// One candidate moving through the scoring pipeline.
@@ -326,8 +308,8 @@ class Evolution {
   /// probe-evaluate functional fingerprints on the pool.
   void FingerprintBatch(std::vector<Candidate>& batch);
   /// Stage 3 body: fitness (EvaluateFitness, with the long-short book only
-  /// when the accepted set is non-empty) + correlation cutoff + cache
-  /// publish for one unique candidate. Deterministic in (program,
+  /// when the accepted set is non-empty) + correlation cutoff for one
+  /// unique candidate, on a pool worker. Deterministic in (program,
   /// eval_seed).
   void EvaluateCandidate(Evaluator& evaluator, Candidate& c);
   /// Folds one scored candidate into the stats, in batch order.
@@ -350,10 +332,11 @@ class Evolution {
   EvolutionConfig config_;
   Mutator mutator_;
   std::vector<std::vector<double>> accepted_valid_returns_;
-  FingerprintCache owned_cache_;
-  FingerprintCache* cache_ = &owned_cache_;  ///< may point to a shared cache
-  CandidateScorer* scorer_ = nullptr;        ///< optional pluggable fitness
-  CheckpointSink* ckpt_sink_ = nullptr;      ///< optional snapshot consumer
+  /// Fingerprint → fitness memo (§4.2). Only the driving thread reads it
+  /// (stage 2 of a batch) or writes it (at commit, in batch order).
+  std::unordered_map<uint64_t, double> cache_;
+  CandidateScorer* scorer_ = nullptr;    ///< optional pluggable fitness
+  CheckpointSink* ckpt_sink_ = nullptr;  ///< optional snapshot consumer
   const std::atomic<bool>* stop_token_ = nullptr;  ///< optional cancel token
   std::optional<EvolutionCheckpoint> resume_;  ///< armed start state
   double elapsed_base_ = 0.0;  ///< wall-clock inherited from a resume

@@ -8,7 +8,6 @@
 
 #include "core/evaluator_pool.h"
 #include "core/evolution.h"
-#include "core/fingerprint_cache.h"
 
 namespace alphaevolve::core {
 
@@ -19,13 +18,8 @@ struct AcceptedAlpha {
   AlphaMetrics metrics;
 };
 
-/// Per-search cache attribution for the most recent RunSearches round.
-/// When the round shares one FingerprintCache (EvolutionConfig::
-/// share_round_cache), `cache_hits` counts hits against both the search's
-/// own earlier inserts and its siblings'; `evaluated` counts the misses
-/// that ran a full evaluation. candidates = cache_hits + evaluated +
-/// pruned_redundant always holds per search, but the hit/evaluated split is
-/// schedule-dependent under sharing (results are not).
+/// One search's counters, keyed by its seed: the per-search record of a
+/// mining report. candidates = cache_hits + evaluated + pruned_redundant.
 struct SearchStats {
   uint64_t seed = 0;
   int64_t candidates = 0;
@@ -41,7 +35,7 @@ struct SearchStats {
   int64_t eval_timeouts = 0;
 
   /// The one conversion point from a search's EvolutionStats — keeps the
-  /// duplicated field lists (here, miner attribution, example totals) from
+  /// duplicated field lists (here, the examples' per-search reports) from
   /// drifting as counters are added.
   static SearchStats FromEvolution(uint64_t seed, const EvolutionStats& s) {
     SearchStats out;
@@ -54,18 +48,6 @@ struct SearchStats {
     out.scenario_evals = s.scenario_evals;
     out.eval_timeouts = s.eval_timeouts;
     return out;
-  }
-
-  /// Accumulates `other`'s counters (seed is left alone — a merged record
-  /// spans seeds).
-  void Merge(const SearchStats& other) {
-    candidates += other.candidates;
-    cache_hits += other.cache_hits;
-    evaluated += other.evaluated;
-    pruned_redundant += other.pruned_redundant;
-    screened_out += other.screened_out;
-    scenario_evals += other.scenario_evals;
-    eval_timeouts += other.eval_timeouts;
   }
 };
 
@@ -98,18 +80,16 @@ class WeaklyCorrelatedMiner {
     uint64_t seed = 0;
     /// Optional crash tolerance: a sink that snapshots this search at its
     /// batch-commit barriers (e.g. a ckpt::CheckpointWriter with a
-    /// per-search file stem), and a snapshot to resume from. Any spec with
-    /// either set forces the round's cache sharing off — checkpointed
-    /// searches need wholly-owned state (see Evolution::UseCheckpointSink).
+    /// per-search file stem), and a snapshot to resume from.
     CheckpointSink* checkpoint_sink = nullptr;
     const EvolutionCheckpoint* resume = nullptr;
   };
 
   /// Runs every spec against the current accepted set and returns results
   /// in spec order. On a pool with worker threads the searches run
-  /// concurrently; each is an independent deterministic stream, so
-  /// candidate-bounded searches (max_candidates > 0) give results identical
-  /// to running them serially.
+  /// concurrently; each is an independent deterministic stream with its own
+  /// cache, so candidate-bounded searches (max_candidates > 0) give results
+  /// and stats identical to running them serially.
   /// Time-budgeted searches (time_budget_seconds) contend for the shared
   /// workers, so each covers fewer candidates per wall-second than it
   /// would alone. Accept must not be called while this runs.
@@ -120,20 +100,8 @@ class WeaklyCorrelatedMiner {
   /// searches' own and ParallelFor's join alike, help drain the shared
   /// queue, so the nesting cannot deadlock). Results remain per-search
   /// deterministic at any depth, lockstep depth 0 included.
-  ///
-  /// When base_config.share_round_cache is set (the default), all searches
-  /// of the round share one FingerprintCache — they score the same fitness
-  /// function (same cutoff set), so cross-search hits return exactly the
-  /// fitness the search would have computed. Per-search attribution is
-  /// recorded in last_round_stats().
   std::vector<EvolutionResult> RunSearches(
       const std::vector<SearchSpec>& specs);
-
-  /// Per-search cache hit/miss attribution of the most recent RunSearches
-  /// call, in spec order (empty before the first round).
-  const std::vector<SearchStats>& last_round_stats() const {
-    return last_round_stats_;
-  }
 
   /// Admits an alpha into A.
   void Accept(std::string name, const AlphaProgram& program,
@@ -168,7 +136,6 @@ class WeaklyCorrelatedMiner {
   std::vector<std::vector<double>> AcceptedReturns() const;
   EvolutionResult RunOne(const AlphaProgram& init, uint64_t seed,
                          std::vector<std::vector<double>> accepted_returns,
-                         FingerprintCache* shared_cache = nullptr,
                          CheckpointSink* checkpoint_sink = nullptr,
                          const EvolutionCheckpoint* resume = nullptr);
 
@@ -176,7 +143,6 @@ class WeaklyCorrelatedMiner {
   CandidateScorer* scorer_ = nullptr;  ///< optional scenario fitness
   EvolutionConfig base_config_;
   std::vector<AcceptedAlpha> accepted_;
-  std::vector<SearchStats> last_round_stats_;
   std::function<void(const AcceptedAlpha&)> accept_hook_;
 };
 

@@ -82,8 +82,7 @@ ProgressReporter::Snapshot ProgressReporter::Take() const {
   s.t_seconds = static_cast<double>(NowNs()) / 1e9;
   s.candidates = registry_.GetCounter("evolution.candidates").Value();
   s.evaluated = registry_.GetCounter("evolution.evaluated").Value();
-  s.cache_hits = registry_.GetCounter("cache.hits").Value();
-  s.cache_misses = registry_.GetCounter("cache.misses").Value();
+  s.cache_hits = registry_.GetCounter("evolution.cache_hits").Value();
   s.screened_out = registry_.GetCounter("scenario.screen_rejects").Value();
   s.scenario_evals = registry_.GetCounter("scenario.regime_evals").Value();
   return s;
@@ -94,7 +93,7 @@ void ProgressReporter::Emit(const Snapshot& prev, const Snapshot& cur) {
   const double cands_per_sec = Rate(cur.candidates - prev.candidates, dt);
   const double evals_per_sec = Rate(cur.evaluated - prev.evaluated, dt);
   const double cache_hit_rate =
-      Share(cur.cache_hits, cur.cache_hits + cur.cache_misses);
+      Share(cur.cache_hits, cur.cache_hits + cur.evaluated);
   const double screen_reject_rate =
       Share(cur.screened_out, cur.candidates);
   Gauge& inflight = registry_.GetGauge("evolution.inflight_batches");

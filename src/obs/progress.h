@@ -14,12 +14,13 @@ class MetricsRegistry;
 
 /// Background thread that snapshots the metrics registry every
 /// `interval_seconds` and emits one human progress line to `stream` and/or
-/// one JSON record (JSON-lines) to `json_path`. Rates (cands/sec, cache hit
-/// rate, screen reject rate) are computed from deltas between consecutive
-/// snapshots; gauges report current/max occupancy; per-stage p99 comes from
-/// the span histograms. Stop() (or the destructor) emits a final snapshot so
-/// short runs still produce at least one record. This is the seam the future
-/// service's subscriber stream will attach to.
+/// one JSON record (JSON-lines) to `json_path`. Throughputs (cands/sec,
+/// evals/sec) are computed from deltas between consecutive snapshots; the
+/// cache hit rate (evolution.cache_hits over cache_hits + evaluated) and the
+/// screen reject rate are cumulative; gauges report current/max occupancy;
+/// per-stage p99 comes from the span histograms. Stop() (or the destructor)
+/// emits a final snapshot so short runs still produce at least one record.
+/// This is the seam the future service's subscriber stream will attach to.
 class ProgressReporter {
  public:
   struct Options {
@@ -43,7 +44,6 @@ class ProgressReporter {
     int64_t candidates = 0;
     int64_t evaluated = 0;
     int64_t cache_hits = 0;
-    int64_t cache_misses = 0;
     int64_t screened_out = 0;
     int64_t scenario_evals = 0;
   };

@@ -77,6 +77,17 @@ market::MarketConfig ServiceMarketConfig(const ServiceOptions& o) {
   return mc;
 }
 
+/// The simulated panel, once it can hold the long-short book: one long and
+/// one short name at the least. Checked on the panel, not on num_stocks,
+/// because the survivor filter may drop stocks.
+market::Dataset CheckedPanel(market::Dataset panel) {
+  AE_CHECK_MSG(panel.num_tasks() >= 2,
+               "the panel holds " << panel.num_tasks()
+                                  << " stock(s); the long-short book needs "
+                                     "at least 2");
+  return panel;
+}
+
 /// Required string param, e.g. the job id of every per-job op.
 bool ParamString(const Request& req, const char* key, std::string* out,
                  std::string* err) {
@@ -162,8 +173,8 @@ void WriteStatusFields(JsonWriter& w, const JobStatus& s) {
 AlphaService::AlphaService(ServiceOptions options)
     : options_(CheckedOptions(std::move(options))),
       market_config_(ServiceMarketConfig(options_)),
-      dataset_(market::Dataset::Simulate(market_config_,
-                                         market::DatasetConfig{})),
+      dataset_(CheckedPanel(market::Dataset::Simulate(
+          market_config_, market::DatasetConfig{}))),
       pool_(dataset_, core::EvaluatorConfig{},
             std::max(1, options_.eval_threads)),
       supervisor_(options_.supervisor,
@@ -176,9 +187,6 @@ AlphaService::AlphaService(ServiceOptions options)
                     cfg.population_size = spec.population_size;
                     cfg.tournament_size = spec.tournament_size;
                     cfg.batch_size = spec.batch_size;
-                    // Checkpointing needs the per-run cache (see
-                    // Evolution::UseCheckpointSink).
-                    cfg.share_round_cache = false;
                     core::Evolution evolution(pool_, cfg);
                     evolution.UseCheckpointSink(sink);
                     evolution.UseStopToken(stop);

@@ -1,4 +1,6 @@
-#include "core/fingerprint_cache.h"
+// Functional fingerprints (Evaluator::ProbeFingerprint), the keys of a
+// search's fitness memo. The memo itself is checked entry for entry against
+// the reference search's (ExpectSameCache) in the driver parity suites.
 
 #include <cstdint>
 #include <vector>
@@ -8,61 +10,9 @@
 #include "core/evaluator.h"
 #include "core/generators.h"
 #include "test_util.h"
-#include "util/threadpool.h"
 
 namespace alphaevolve::core {
 namespace {
-
-TEST(FingerprintCacheTest, LookupMissThenHit) {
-  FingerprintCache cache;
-  EXPECT_FALSE(cache.Lookup(42).has_value());
-  cache.Insert(42, 0.125);
-  ASSERT_TRUE(cache.Lookup(42).has_value());
-  EXPECT_DOUBLE_EQ(*cache.Lookup(42), 0.125);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(FingerprintCacheTest, InsertOverwrites) {
-  FingerprintCache cache;
-  cache.Insert(7, 1.0);
-  cache.Insert(7, -1.0);
-  EXPECT_DOUBLE_EQ(*cache.Lookup(7), -1.0);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(FingerprintCacheTest, ClearEmpties) {
-  FingerprintCache cache;
-  cache.Insert(1, 0.5);
-  cache.Insert(2, 0.6);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Lookup(1).has_value());
-}
-
-TEST(FingerprintCacheTest, ConcurrentInsertsAndLookupsAreConsistent) {
-  // Batch workers publish fingerprints concurrently (Evolution stage 3);
-  // the sharded cache must keep every entry intact under that load.
-  FingerprintCache cache;
-  ThreadPool pool(4);
-  constexpr int kEntries = 4096;
-  pool.ParallelFor(kEntries, [&](int i) {
-    const uint64_t fp = static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ULL + 1;
-    cache.Insert(fp, static_cast<double>(i) / kEntries);
-    // Interleave reads of earlier keys with ongoing writes.
-    const uint64_t other =
-        static_cast<uint64_t>(i / 2) * 0x9E3779B97F4A7C15ULL + 1;
-    if (auto hit = cache.Lookup(other)) {
-      EXPECT_DOUBLE_EQ(*hit, static_cast<double>(i / 2) / kEntries);
-    }
-  });
-  EXPECT_EQ(cache.size(), static_cast<size_t>(kEntries));
-  for (int i = 0; i < kEntries; ++i) {
-    const uint64_t fp = static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ULL + 1;
-    auto hit = cache.Lookup(fp);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_DOUBLE_EQ(*hit, static_cast<double>(i) / kEntries);
-  }
-}
 
 TEST(ProbeFingerprintTest, DeterministicAndBehaviourSensitive) {
   const auto ds = testutil::MakeDataset(8, 90);

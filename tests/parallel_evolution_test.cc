@@ -200,10 +200,6 @@ TEST_F(ParallelEvolutionTest, ConcurrentMinerMatchesSerialMiner) {
   cfg.max_candidates = 250;
   cfg.seed = 1;
   cfg.batch_size = 4;
-  // Strict stats parity vs. independent serial searches requires isolated
-  // caches; the shared round cache keeps results (not stats) identical and
-  // is covered by SharedRoundCachePreservesResults below.
-  cfg.share_round_cache = false;
 
   EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
   EvaluatorPool serial_pool(*dataset_, EvaluatorConfig{}, 1);
@@ -230,64 +226,6 @@ TEST_F(ParallelEvolutionTest, ConcurrentMinerMatchesSerialMiner) {
   const EvolutionResult round1_serial = serial.RunSearch(init, 99);
   ASSERT_EQ(round1.size(), 1u);
   ExpectSameSearch(round1_serial, round1[0]);
-}
-
-TEST_F(ParallelEvolutionTest, SharedRoundCachePreservesResults) {
-  // A round's searches share one fitness function, so sharing one
-  // fingerprint cache across them may shift the cache_hits/evaluated split
-  // but must not change any search outcome.
-  EvolutionConfig cfg;
-  cfg.max_candidates = 250;
-  cfg.seed = 1;
-  cfg.batch_size = 4;
-
-  const AlphaProgram init = MakeExpertAlpha(dataset_->window());
-  std::vector<WeaklyCorrelatedMiner::SearchSpec> specs;
-  for (uint64_t seed = 11; seed <= 14; ++seed) specs.push_back({init, seed});
-
-  EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
-  WeaklyCorrelatedMiner shared_miner(pool, cfg);
-  const std::vector<EvolutionResult> shared = shared_miner.RunSearches(specs);
-
-  cfg.share_round_cache = false;
-  EvaluatorPool serial_pool(*dataset_, EvaluatorConfig{}, 1);
-  WeaklyCorrelatedMiner isolated_miner(serial_pool, cfg);
-  const std::vector<EvolutionResult> isolated =
-      isolated_miner.RunSearches(specs);
-
-  ASSERT_EQ(shared.size(), specs.size());
-  for (size_t s = 0; s < specs.size(); ++s) {
-    ASSERT_EQ(shared[s].has_alpha, isolated[s].has_alpha);
-    EXPECT_EQ(shared[s].best, isolated[s].best);
-    EXPECT_DOUBLE_EQ(shared[s].best_fitness, isolated[s].best_fitness);
-    // The candidate stream is seed-driven, so counts of work *offered*
-    // match; only the hit/evaluated split may shift under sharing.
-    EXPECT_EQ(shared[s].stats.candidates, isolated[s].stats.candidates);
-    EXPECT_EQ(shared[s].stats.pruned_redundant,
-              isolated[s].stats.pruned_redundant);
-    EXPECT_EQ(shared[s].stats.cache_hits + shared[s].stats.evaluated,
-              isolated[s].stats.cache_hits + isolated[s].stats.evaluated);
-    ASSERT_EQ(shared[s].trajectory.size(), isolated[s].trajectory.size());
-    for (size_t i = 0; i < shared[s].trajectory.size(); ++i) {
-      EXPECT_EQ(shared[s].trajectory[i].first, isolated[s].trajectory[i].first);
-      EXPECT_DOUBLE_EQ(shared[s].trajectory[i].second,
-                       isolated[s].trajectory[i].second);
-    }
-  }
-
-  // Per-search attribution is exposed and partitions each search's work.
-  const std::vector<SearchStats>& attribution =
-      shared_miner.last_round_stats();
-  ASSERT_EQ(attribution.size(), specs.size());
-  int64_t total_hits = 0;
-  for (size_t s = 0; s < specs.size(); ++s) {
-    EXPECT_EQ(attribution[s].seed, specs[s].seed);
-    EXPECT_EQ(attribution[s].candidates,
-              attribution[s].cache_hits + attribution[s].evaluated +
-                  attribution[s].pruned_redundant);
-    total_hits += attribution[s].cache_hits;
-  }
-  EXPECT_GT(total_hits, 0);
 }
 
 }  // namespace

@@ -2,10 +2,9 @@
 // (0 = lockstep) and thread count, Evolution::Run must produce accepted
 // alphas, fitnesses, winner metrics, stats counters, trajectory, and
 // fingerprint-cache contents bit-identical to the serial reference search
-// (reference_evolution.h) for the same (seed, batch_size). Runs that share
-// one round cache must keep per-search attribution and cache contents when
-// sharers run sequentially, at depth 0 and deeper. Also covers the
-// rejection of a negative depth.
+// (reference_evolution.h) for the same (seed, batch_size). A concurrent
+// round of pipelined searches must match each search run alone. Also covers
+// the rejection of a negative depth.
 
 #include <cstdint>
 #include <vector>
@@ -14,7 +13,6 @@
 
 #include "core/evaluator_pool.h"
 #include "core/evolution.h"
-#include "core/fingerprint_cache.h"
 #include "core/generators.h"
 #include "core/mining.h"
 #include "market/simulator.h"
@@ -114,50 +112,11 @@ TEST_F(PipelinedEvolutionTest, CutoffAccountingMatchesSynchronous) {
   }
 }
 
-TEST_F(PipelinedEvolutionTest, SharedRoundCacheSequentialAttributionUnchanged) {
-  // Two searches sharing one round cache, run back to back (the
-  // deterministic sharing schedule): depth 2 must reproduce depth 0's
-  // per-search hit/evaluated attribution exactly, and leave the shared
-  // cache with the same contents — its speculative frontier probes stand in
-  // for precisely the inserts depth 0 would have committed.
-  const AlphaProgram init = MakeExpertAlpha(dataset_->window());
-  auto run_pair = [&](int depth, FingerprintCache* cache,
-                      std::vector<EvolutionResult>* out) {
-    EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
-    for (const uint64_t seed : {31ULL, 32ULL}) {
-      EvolutionConfig cfg = BaseConfig();
-      cfg.seed = seed;
-      cfg.pipeline_depth = depth;
-      Evolution evo(pool, cfg);
-      evo.UseSharedCache(cache);
-      out->push_back(evo.Run(init));
-    }
-  };
-
-  FingerprintCache sync_cache;
-  std::vector<EvolutionResult> sync_results;
-  run_pair(0, &sync_cache, &sync_results);
-
-  FingerprintCache pipelined_cache;
-  std::vector<EvolutionResult> pipelined_results;
-  run_pair(2, &pipelined_cache, &pipelined_results);
-
-  ASSERT_EQ(sync_results.size(), pipelined_results.size());
-  for (size_t i = 0; i < sync_results.size(); ++i) {
-    SCOPED_TRACE(::testing::Message() << "search " << i);
-    ExpectSameSearch(sync_results[i], pipelined_results[i]);
-  }
-  // The second search must actually have hit the first one's entries, and
-  // the shared cache must end with the depth-0 run's entries.
-  EXPECT_GT(sync_results[1].stats.cache_hits, 0);
-  ExpectSameCache(sync_cache.Snapshot(), pipelined_cache.Snapshot());
-}
-
-TEST_F(PipelinedEvolutionTest, ConcurrentSharedRoundMinerPreservesResults) {
-  // A concurrent multi-seed round with the shared round cache and pipelined
-  // searches: results must match isolated serial searches; the per-search
-  // attribution still partitions each search's candidates (the split itself
-  // is schedule-dependent under concurrent sharing, at any depth).
+TEST_F(PipelinedEvolutionTest, ConcurrentRoundMatchesEachSearchAlone) {
+  // A concurrent multi-seed round of pipelined searches: each search owns
+  // its cache, so every search must match itself run alone, lockstep, on a
+  // one-thread pool — result, stats split and trajectory alike. Under TSan
+  // this is the round whose drivers share one pool but no cache.
   EvolutionConfig cfg = BaseConfig();
   cfg.max_candidates = 250;
   cfg.batch_size = 4;
@@ -169,32 +128,16 @@ TEST_F(PipelinedEvolutionTest, ConcurrentSharedRoundMinerPreservesResults) {
 
   EvaluatorPool pool(*dataset_, EvaluatorConfig{}, 4);
   WeaklyCorrelatedMiner miner(pool, cfg);
-  const std::vector<EvolutionResult> shared = miner.RunSearches(specs);
+  const std::vector<EvolutionResult> round = miner.RunSearches(specs);
 
-  cfg.share_round_cache = false;
   cfg.pipeline_depth = 0;
   EvaluatorPool serial_pool(*dataset_, EvaluatorConfig{}, 1);
   WeaklyCorrelatedMiner serial(serial_pool, cfg);
 
-  ASSERT_EQ(shared.size(), specs.size());
+  ASSERT_EQ(round.size(), specs.size());
   for (size_t s = 0; s < specs.size(); ++s) {
     SCOPED_TRACE(::testing::Message() << "seed " << specs[s].seed);
-    const EvolutionResult expected = serial.RunSearch(init, specs[s].seed);
-    ASSERT_EQ(shared[s].has_alpha, expected.has_alpha);
-    EXPECT_EQ(shared[s].best, expected.best);
-    EXPECT_DOUBLE_EQ(shared[s].best_fitness, expected.best_fitness);
-    EXPECT_EQ(shared[s].stats.candidates, expected.stats.candidates);
-    EXPECT_EQ(shared[s].stats.pruned_redundant,
-              expected.stats.pruned_redundant);
-    EXPECT_EQ(shared[s].stats.cache_hits + shared[s].stats.evaluated,
-              expected.stats.cache_hits + expected.stats.evaluated);
-  }
-  const std::vector<SearchStats>& attribution = miner.last_round_stats();
-  ASSERT_EQ(attribution.size(), specs.size());
-  for (size_t s = 0; s < specs.size(); ++s) {
-    EXPECT_EQ(attribution[s].candidates,
-              attribution[s].cache_hits + attribution[s].evaluated +
-                  attribution[s].pruned_redundant);
+    ExpectSameSearch(serial.RunSearch(init, specs[s].seed), round[s]);
   }
 }
 

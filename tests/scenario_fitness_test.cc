@@ -185,12 +185,14 @@ TEST(ScenarioFitnessTest, SearchStatsCarryScenarioAccounting) {
 
   const core::AlphaProgram init = core::MakeExpertAlpha(market::kNumFeatures);
   const auto results = miner.RunSearches({{init, 11}, {init, 12}});
-  const auto& stats = miner.last_round_stats();
-  ASSERT_EQ(stats.size(), 2u);
-  for (size_t s = 0; s < stats.size(); ++s) {
-    EXPECT_EQ(stats[s].screened_out, results[s].stats.screened_out);
-    EXPECT_EQ(stats[s].scenario_evals, results[s].stats.scenario_evals);
-    EXPECT_GE(stats[s].scenario_evals, stats[s].evaluated);
+  ASSERT_EQ(results.size(), 2u);
+  for (size_t s = 0; s < results.size(); ++s) {
+    const core::SearchStats stats =
+        core::SearchStats::FromEvolution(11 + s, results[s].stats);
+    EXPECT_EQ(stats.seed, 11 + s);
+    EXPECT_EQ(stats.screened_out, results[s].stats.screened_out);
+    EXPECT_EQ(stats.scenario_evals, results[s].stats.scenario_evals);
+    EXPECT_GE(stats.scenario_evals, stats.evaluated);
   }
   scorer.set_fanout_pool(nullptr);
 }

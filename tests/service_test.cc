@@ -868,9 +868,6 @@ class ServiceSearchTest : public ::testing::Test {
     cfg.tournament_size = 5;
     cfg.batch_size = 8;
     cfg.seed = 7;
-    // Checkpointing requires the per-run cache; the reference run uses the
-    // same setting so all three runs share identical cache semantics.
-    cfg.share_round_cache = false;
     return cfg;
   }
 
@@ -1294,6 +1291,14 @@ TEST_F(ServiceSearchTest, DefaultJobAndQueueAreCheckedAtConstruction) {
   }
   AlphaService service(SmallService(dir_));
   Ok(service.Call(R"({"op":"health","id":"defaults"})"));
+}
+
+TEST_F(ServiceSearchTest, PanelTooNarrowForTheBookIsRefused) {
+  // One stock cannot hold a long and a short leg, so every job would fail
+  // at its first book; the simulated panel is refused at construction.
+  ServiceOptions options = SmallService(dir_);
+  options.num_stocks = 1;
+  EXPECT_THROW(AlphaService{options}, CheckError);
 }
 
 TEST_F(ServiceSearchTest, EveryMangledRequestGetsOneWellFormedLine) {

@@ -3,9 +3,7 @@
 // every thread count and pipeline depth, and with telemetry enabled the
 // *semantic* counters (evolution.*) are invariant across thread counts —
 // they count decisions made in deterministic batch/commit order, not
-// scheduling accidents. cache.hits / cache.misses are deliberately absent
-// here: they tally FingerprintCache::Lookup calls, which the pipelined
-// driver's speculative frontier partially bypasses (see fingerprint_cache.h).
+// scheduling accidents.
 
 #include <cstdint>
 #include <map>

@@ -240,9 +240,8 @@ TEST_F(TelemetryTest, SpanSummaryTableListsSpans) {
 TEST_F(TelemetryTest, ProgressReporterEmitsFinalSnapshot) {
   MetricsRegistry& reg = MetricsRegistry::Default();
   reg.GetCounter("evolution.candidates").Add(120);
-  reg.GetCounter("evolution.evaluated").Add(80);
-  reg.GetCounter("cache.hits").Add(30);
-  reg.GetCounter("cache.misses").Add(90);
+  reg.GetCounter("evolution.evaluated").Add(90);
+  reg.GetCounter("evolution.cache_hits").Add(30);
 
   const std::string path =
       ::testing::TempDir() + "/telemetry_progress_test.jsonl";
@@ -262,7 +261,7 @@ TEST_F(TelemetryTest, ProgressReporterEmitsFinalSnapshot) {
   ASSERT_TRUE(std::getline(in, line));
   const JsonValue record = JsonValue::Parse(line);
   EXPECT_EQ(record.At("candidates").AsInt(), 120);
-  EXPECT_EQ(record.At("evaluated").AsInt(), 80);
+  EXPECT_EQ(record.At("evaluated").AsInt(), 90);
   EXPECT_DOUBLE_EQ(record.At("cache_hit_rate").AsDouble(), 0.25);
   EXPECT_TRUE(record.Contains("stage_p99_us"));
 }
